@@ -124,11 +124,13 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         floor = _get(it, "implicit_visc_floor")
         step = StepConfig(dt=float(_get(it, "dt", 0.0)),
                           t_end=float(_get(it, "t_end", 0.0)),
-                          scheme=str(_get(it, "scheme", "imex_cn")),
                           implicit_visc_floor=(None if floor is None else float(floor)),
                           blowup_clamp=float(_get(it, "blowup_clamp", 50.0)))
     except (ValueError, TypeError) as exc:
         problems.append(f"integration: {exc}")
+    scheme = _get(it, "scheme", "imex_cn")
+    if scheme != "imex_cn":
+        problems.append(f"integration.scheme: must be 'imex_cn', got {scheme!r}")
     try:
         sweep = _get(en, "r_sweep")
         ens = EnsembleConfig(n_paths=int(_get(en, "n_paths", 1)),

@@ -99,6 +99,8 @@ class EnsembleSummary:
 
 
 def _sup_values(records: Sequence[MonitorRecord]) -> dict[str, float]:
+    if not records:  # the initial state already failed the state check
+        return dict.fromkeys(MOMENT_FUNCTIONALS, float("nan"))
     return {
         "mass": max(r.mass for r in records),
         "energy": max(r.energy for r in records),
@@ -142,7 +144,7 @@ def _run_one_path(args) -> tuple[PathSummary, list[MonitorRecord]]:
         event_kind=result.event.kind,
         event_time=result.event.time,
         sup_values=_sup_values(result.records),
-        min_rho=min(r.min_rho for r in result.records),
+        min_rho=min((r.min_rho for r in result.records), default=float("nan")),
         hit_times=hits,
     )
     return summary, result.records

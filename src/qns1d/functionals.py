@@ -237,9 +237,9 @@ def compute_record(state: State, params: ModelParams, grid: TorusGrid,
     s = params.monitor_order
     rho_min = min_density(state, grid)
     if w2inf_psi is None:
-        w2inf_psi = w2inf_norm(state.psi, grid)
+        w2inf_psi = w2inf_norm(state.psi.spectral, grid)
     if w2inf_u is None:
-        w2inf_u = w2inf_norm(state.u, grid)
+        w2inf_u = w2inf_norm(state.u.spectral, grid)
     return MonitorRecord(
         time=state.time,
         mass=mass(state, grid, oversample),

@@ -8,6 +8,11 @@ additionally gets one predictor-corrector (trapezoidal) pass: the mass
 functional does not depend on u, so this single correction pushes the mass
 drift from O(dt) to O(dt^2) without touching the overall first-order
 splitting.
+
+The array kernels of ``_Stepper`` are the only implementation of the
+right-hand side. ``simulate_path`` runs the one state check (finite values,
+|psi| within the clamp) on every state, the last included, before its norms
+and monitor record are taken; a failed check ends the path as a blow-up.
 """
 
 from __future__ import annotations
@@ -23,13 +28,10 @@ from .model import (
     NumericalBlowupError,
     State,
     cutoff_phi,
+    w2inf_norm,
 )
-from .noise import NoiseModel, WienerIncrement, sample_increment
+from .noise import NoiseModel, sample_increment
 from .spectral import RealField, TorusGrid, l2_norm
-
-SCHEMES = ("imex_cn", "explicit_rk4_det")
-
-W2INF_OVERSAMPLE = 8
 
 
 class IntegratorConfigError(ValueError):
@@ -42,8 +44,8 @@ class StepConfig:
 
     dt: float
     t_end: float
-    scheme: str = "imex_cn"
     implicit_visc_floor: float | None = None  # None: refreshed min of rho^(alpha-1)
+    # exponent clamp: exp() overflows silently long before float64 infinities help
     blowup_clamp: float = 50.0
 
     def __post_init__(self) -> None:
@@ -51,8 +53,6 @@ class StepConfig:
             raise IntegratorConfigError("dt and t_end must be positive")
         if self.dt > self.t_end:
             raise IntegratorConfigError("dt must not exceed t_end")
-        if self.scheme not in SCHEMES:
-            raise IntegratorConfigError(f"scheme must be one of {SCHEMES}")
         if self.implicit_visc_floor is not None and self.implicit_visc_floor < 0.0:
             raise IntegratorConfigError("implicit_visc_floor must be nonnegative")
 
@@ -86,7 +86,11 @@ class MonitorSpec:
 
 @dataclass(frozen=True)
 class PathResult:
-    """One trajectory: monitor series, per-step norm trace, terminal event."""
+    """One trajectory: monitor series, per-step norm trace, terminal event.
+
+    The norm trace and the records cover only states that passed the state
+    check, so a path that blows up has no row for its diverged state.
+    """
 
     records: list[functionals.MonitorRecord]
     event: StoppingEvent
@@ -111,10 +115,11 @@ class _Stepper:
         self.n = grid.n_collocation
         self.k = grid.k_half
         self.k2 = self.k**2
-        self.k3 = self.k**3
+        # dispersion coefficient of the implicit block: the Bohm factor 1/2
+        # times k^3, so the dispersion term is -1j * hk3 * psi_spec
+        self.hk3 = 0.5 * self.k**3
         self.band = np.arange(grid.n_half) <= grid.m_modes
         self.qmask = grid.dealias_mask
-        self.n_fine = W2INF_OVERSAMPLE * self.n
         self.dt = cfg.dt_effective
         # alias-free quadratic products need n >= 2m + cut + 2
         self.pad_n = None
@@ -137,7 +142,12 @@ class _Stepper:
         return np.fft.irfft(out * self.pad_n, n=self.pad_n)
 
     def product(self, a_spec: np.ndarray, b_spec: np.ndarray) -> np.ndarray:
-        """Dealiased quadratic product, returned as a masked half-spectrum."""
+        """Dealiased quadratic product, returned as a masked half-spectrum.
+
+        The product is formed in physical space, on an internally padded
+        grid when n_collocation is too small for the retained band to be
+        alias-free, then masked by the grid's dealias_mask.
+        """
         if self.pad_n is None:
             prod = self.phys(a_spec) * self.phys(b_spec)
             spec = self.spec(prod)
@@ -147,17 +157,8 @@ class _Stepper:
         return np.where(self.qmask, spec, 0.0)
 
     def pointwise_projected(self, values: np.ndarray) -> np.ndarray:
+        """Galerkin-band projection of pointwise values on the collocation grid."""
         return np.where(self.band, self.spec(values), 0.0)
-
-    def w2inf(self, spec: np.ndarray) -> float:
-        pad = np.zeros(self.n_fine // 2 + 1, dtype=complex)
-        worst = 0.0
-        for order in (0, 1, 2):
-            d = spec * (1j * self.k) ** order if order else spec
-            pad[: d.shape[0]] = d
-            fine = np.fft.irfft(pad * self.n_fine, n=self.n_fine)
-            worst = max(worst, float(np.max(np.abs(fine))))
-        return worst
 
     def phi(self, norm: float) -> float:
         if not self.params.enable_cutoff:
@@ -172,10 +173,15 @@ class _Stepper:
         dpsi = psi_spec * (1j * self.k)
         return -phi_u * self.product(u_spec, dpsi)
 
-    def explicit_u_spec(self, psi_spec: np.ndarray, u_spec: np.ndarray,
-                        psi_phys: np.ndarray, phi_u: float, phi_psi: float,
-                        nu_bar: float) -> np.ndarray:
-        """All momentum terms outside the implicit 2x2 block."""
+    def u_terms(self, psi_spec: np.ndarray, u_spec: np.ndarray,
+                psi_phys: np.ndarray, phi_u: float, phi_psi: float,
+                ) -> dict[str, np.ndarray]:
+        """The five explicit momentum terms, each with its cut-off factor applied.
+
+        Keys: advection, pressure, viscosity, viscosity_gradient, quantum.
+        The sixth term, the dispersion, is linear, carries no cut-off and
+        is solved implicitly with coefficient ``hk3``.
+        """
         p = self.params
         dpsi_s = psi_spec * (1j * self.k)
         du_s = u_spec * (1j * self.k)
@@ -186,14 +192,33 @@ class _Stepper:
 
         exp_g = np.exp((p.gamma - 1.0) * psi_phys)
         exp_a = np.exp((p.alpha - 1.0) * psi_phys)
+        return {
+            "advection": -phi_u * self.product(u_spec, du_s),
+            "pressure": -phi_psi * p.gamma * self.pointwise_projected(exp_g * dpsi),
+            "viscosity": phi_psi * self.pointwise_projected(exp_a * d2u),
+            "viscosity_gradient":
+                phi_psi * p.alpha * self.pointwise_projected(exp_a * dpsi * du),
+            # d/dx(sqrt(rho)''/sqrt(rho)) = (psi''' + psi'psi'')/2: the 1/2 is
+            # what the energy functional's capillary term dissipates against
+            "quantum": 0.5 * phi_psi * self.product(dpsi_s, d2psi_s),
+        }
 
-        out = -phi_u * self.product(u_spec, du_s)
-        out = out - phi_psi * p.gamma * self.pointwise_projected(exp_g * dpsi)
+    def explicit_u_spec(self, psi_spec: np.ndarray, u_spec: np.ndarray,
+                        psi_phys: np.ndarray, phi_u: float, phi_psi: float,
+                        nu_bar: float) -> np.ndarray:
+        """All momentum terms outside the implicit 2x2 block."""
+        terms = self.u_terms(psi_spec, u_spec, psi_phys, phi_u, phi_psi)
+        out = terms["advection"] + terms["pressure"]
         # viscosity minus the share handled implicitly
-        out = out + phi_psi * self.pointwise_projected(exp_a * d2u) + nu_bar * self.k2 * u_spec
-        out = out + phi_psi * p.alpha * self.pointwise_projected(exp_a * dpsi * du)
-        out = out + 0.5 * phi_psi * self.product(dpsi_s, d2psi_s)
-        return out
+        out = out + terms["viscosity"] + nu_bar * self.k2 * u_spec
+        return out + terms["viscosity_gradient"] + terms["quantum"]
+
+    def forcing_spec(self, dW: np.ndarray, psi_phys: np.ndarray, u_phys: np.ndarray,
+                     phi_u: float) -> np.ndarray:
+        """phi(|u|) * sum_k F_k(x, rho, u) dW_k, projected onto the Galerkin band."""
+        rho = np.exp(psi_phys)
+        coeffs = self.noise.coefficient_fields(self.grid.x, rho, u_phys)
+        return phi_u * self.pointwise_projected(dW @ coeffs)
 
     def nu_bar(self, psi_phys: np.ndarray, phi_psi: float) -> float:
         if self.cfg.implicit_visc_floor is not None:
@@ -211,7 +236,7 @@ class _Stepper:
         - nu k^2 u dt (the dispersion carries the Bohm factor 1/2).
         """
         hdt = 0.5 * self.dt
-        hk3 = 0.5 * self.k3
+        hk3 = self.hk3
         b1 = psi_spec + hdt * (-1j * self.k * u_spec) + self.dt * n_psi
         b2 = (u_spec + hdt * (-1j * hk3 * psi_spec - nu_bar * self.k2 * u_spec)
               + self.dt * n_u + s_u)
@@ -221,6 +246,7 @@ class _Stepper:
         return np.where(self.band, psi_new, 0.0), np.where(self.band, u_new, 0.0)
 
     def check_state(self, psi_phys: np.ndarray, u_phys: np.ndarray, t: float) -> None:
+        """Raise NumericalBlowupError on non-finite samples or |psi| beyond the clamp."""
         if not (np.all(np.isfinite(psi_phys)) and np.all(np.isfinite(u_phys))):
             raise NumericalBlowupError("non-finite values in state", t)
         peak = float(np.max(np.abs(psi_phys)))
@@ -228,17 +254,17 @@ class _Stepper:
             raise NumericalBlowupError(
                 f"|psi| reached {peak:.3g} beyond clamp {self.cfg.blowup_clamp}", t)
 
-    # --- full steps ------------------------------------------------------
+    # --- full step -------------------------------------------------------
 
-    def step_imex(self, psi_spec: np.ndarray, u_spec: np.ndarray, t: float,
-                  increment: WienerIncrement | None,
-                  norms: tuple[float, float] | None = None,
+    def step_imex(self, psi_spec: np.ndarray, u_spec: np.ndarray,
+                  psi_phys: np.ndarray, u_phys: np.ndarray,
+                  dW: np.ndarray | None, norms: tuple[float, float],
                   ) -> tuple[np.ndarray, np.ndarray]:
-        psi_phys = self.phys(psi_spec)
-        u_phys = self.phys(u_spec)
-        self.check_state(psi_phys, u_phys, t)
-        if norms is None:
-            norms = (self.w2inf(psi_spec), self.w2inf(u_spec))
+        """One IMEX step from a checked state.
+
+        psi_phys and u_phys are the state's collocation samples and norms its
+        W^{2,inf} norms (psi, u); dW is the step's increment, or None.
+        """
         phi_psi = self.phi(norms[0])
         phi_u = self.phi(norms[1])
         nu_bar = self.nu_bar(psi_phys, phi_psi)
@@ -246,64 +272,30 @@ class _Stepper:
         n_psi = self.transport_spec(psi_spec, u_spec, phi_u)
         n_u = self.explicit_u_spec(psi_spec, u_spec, psi_phys, phi_u, phi_psi, nu_bar)
         s_u = np.zeros_like(u_spec)
-        if increment is not None and self.noise_on:
-            rho = np.exp(psi_phys)
-            coeffs = self.noise.coefficient_fields(self.grid.x, rho, u_phys)
-            s_u = phi_u * self.pointwise_projected(increment.dW @ coeffs)
+        if dW is not None and self.noise_on:
+            s_u = self.forcing_spec(dW, psi_phys, u_phys, phi_u)
 
         psi_pred, u_pred = self.cn_solve(psi_spec, u_spec, n_psi, n_u, s_u, nu_bar)
 
         # trapezoidal corrector on the transport term only (mass accuracy)
-        phi_u_pred = self.phi(self.w2inf(u_pred))
+        phi_u_pred = self.phi(w2inf_norm(u_pred, self.grid))
         n_psi_pred = self.transport_spec(psi_pred, u_pred, phi_u_pred)
         n_psi_avg = 0.5 * (n_psi + n_psi_pred)
         return self.cn_solve(psi_spec, u_spec, n_psi_avg, n_u, s_u, nu_bar)
 
-    def deterministic_rate(self, psi_spec: np.ndarray, u_spec: np.ndarray,
-                           t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Full deterministic right-hand side (for the explicit reference scheme)."""
-        psi_phys = self.phys(psi_spec)
-        u_phys = self.phys(u_spec)
-        self.check_state(psi_phys, u_phys, t)
-        phi_psi = self.phi(self.w2inf(psi_spec))
-        phi_u = self.phi(self.w2inf(u_spec))
-        n_psi = self.transport_spec(psi_spec, u_spec, phi_u) - 1j * self.k * u_spec
-        n_u = (self.explicit_u_spec(psi_spec, u_spec, psi_phys, phi_u, phi_psi, 0.0)
-               + np.where(self.band, 0.5 * (1j * self.k) ** 3 * psi_spec, 0.0))
-        return np.where(self.band, n_psi, 0.0), n_u
-
-    def step_rk4(self, psi_spec: np.ndarray, u_spec: np.ndarray, t: float,
-                 increment: WienerIncrement | None,
-                 norms: tuple[float, float] | None = None,
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        dt = self.dt
-        k1 = self.deterministic_rate(psi_spec, u_spec, t)
-        k2 = self.deterministic_rate(psi_spec + 0.5 * dt * k1[0], u_spec + 0.5 * dt * k1[1], t)
-        k3 = self.deterministic_rate(psi_spec + 0.5 * dt * k2[0], u_spec + 0.5 * dt * k2[1], t)
-        k4 = self.deterministic_rate(psi_spec + dt * k3[0], u_spec + dt * k3[1], t)
-        psi_new = psi_spec + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        u_new = u_spec + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-        if increment is not None and self.noise_on:
-            psi_phys = self.phys(psi_spec)
-            phi_u = self.phi(self.w2inf(u_spec)) if self.params.enable_cutoff else 1.0
-            coeffs = self.noise.coefficient_fields(self.grid.x, np.exp(psi_phys),
-                                                   self.phys(u_spec))
-            u_new = u_new + phi_u * self.pointwise_projected(increment.dW @ coeffs)
-        return np.where(self.band, psi_new, 0.0), np.where(self.band, u_new, 0.0)
-
-    def one_step(self, psi_spec, u_spec, t, increment, norms=None):
-        if self.cfg.scheme == "imex_cn":
-            return self.step_imex(psi_spec, u_spec, t, increment, norms)
-        return self.step_rk4(psi_spec, u_spec, t, increment, norms)
-
 
 def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
          seed: int, step_index: int, grid: TorusGrid) -> State:
-    """Advance one time step; raises NumericalBlowupError on a diverged state."""
+    """Advance one time step; raises NumericalBlowupError if the input state
+    fails the state check."""
     stepper = _Stepper(grid, params, cfg, noise)
-    inc = sample_increment(seed, step_index, stepper.dt, noise) if stepper.noise_on else None
-    psi_new, u_new = stepper.one_step(state.psi.spectral, state.u.spectral,
-                                      state.time, inc)
+    psi_spec, u_spec = state.psi.spectral, state.u.spectral
+    psi_phys, u_phys = stepper.phys(psi_spec), stepper.phys(u_spec)
+    stepper.check_state(psi_phys, u_phys, state.time)
+    dW = (sample_increment(seed, step_index, stepper.dt, noise).dW
+          if stepper.noise_on else None)
+    norms = (w2inf_norm(psi_spec, grid), w2inf_norm(u_spec, grid))
+    psi_new, u_new = stepper.step_imex(psi_spec, u_spec, psi_phys, u_phys, dW, norms)
     return State(
         psi=RealField.from_spectral(psi_new, grid),
         u=RealField.from_spectral(u_new, grid),
@@ -340,8 +332,18 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
                      u=RealField.from_spectral(u_spec, grid), time=t)
 
     for i in range(n_steps + 1):
-        norm_psi = stepper.w2inf(psi_spec)
-        norm_u = stepper.w2inf(u_spec)
+        # the samples the next step needs anyway are the ones checked, so the
+        # check costs no transform except on the last state
+        psi_phys = stepper.phys(psi_spec)
+        u_phys = stepper.phys(u_spec)
+        try:
+            stepper.check_state(psi_phys, u_phys, t)
+        except NumericalBlowupError as exc:
+            event = StoppingEvent(kind="numerical_blowup", time=exc.time,
+                                  triggering_norm=float("inf"), which="none")
+            break
+        norm_psi = w2inf_norm(psi_spec, grid)
+        norm_u = w2inf_norm(u_spec, grid)
         trace[i] = (t, norm_psi, norm_u)
         if monitors.collect_records and (i % monitors.stride == 0 or i == n_steps):
             records.append(functionals.compute_record(
@@ -359,25 +361,20 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
                                   triggering_norm=worst, which="none")
             break
         if increments is not None:
-            inc = WienerIncrement(np.asarray(increments[i]), i,
-                                  f"provided:{path_seed}:{i}")
+            dW = np.asarray(increments[i])
         elif stepper.noise_on:
-            inc = sample_increment(path_seed, i, dt, noise)
+            dW = sample_increment(path_seed, i, dt, noise).dW
         else:
-            inc = None
-        try:
-            psi_spec, u_spec = stepper.one_step(psi_spec, u_spec, t, inc,
-                                                norms=(norm_psi, norm_u))
-        except NumericalBlowupError as exc:
-            event = StoppingEvent(kind="numerical_blowup", time=exc.time,
-                                  triggering_norm=float("inf"), which="none")
-            break
+            dW = None
+        psi_spec, u_spec = stepper.step_imex(psi_spec, u_spec, psi_phys, u_phys,
+                                             dW, (norm_psi, norm_u))
         t = initial.time + (i + 1) * dt
         steps_taken = i + 1
 
     assert event is not None
+    checked = steps_taken + (event.kind != "numerical_blowup")
     return PathResult(records=records, event=event, final_state=current_state(),
-                      norm_trace=trace[: steps_taken + 1].copy(),
+                      norm_trace=trace[:checked].copy(),
                       n_steps_taken=steps_taken)
 
 
@@ -414,8 +411,7 @@ class ConvergenceResult:
 
 def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseModel,
                              grid: TorusGrid, dt_levels: Sequence[float],
-                             n_paths: int, master_seed: int, t_end: float,
-                             scheme: str = "imex_cn") -> ConvergenceResult:
+                             n_paths: int, master_seed: int, t_end: float) -> ConvergenceResult:
     """Pathwise self-convergence: slope of log E||u_fine - u_dt||_L2 vs log dt.
 
     All levels replay the same Brownian path: coarse increments are sums of
@@ -442,7 +438,7 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
         fine_incs = np.stack([sample_increment(seed, i, dt_fine, noise).dW
                               for i in range(n_fine)])
         try:
-            cfg = StepConfig(dt=dt_fine, t_end=t_end, scheme=scheme)
+            cfg = StepConfig(dt=dt_fine, t_end=t_end)
             ref = simulate_path(initial, cfg, params, noise, seed, grid,
                                 MonitorSpec(collect_records=False),
                                 increments=fine_incs)
@@ -452,7 +448,7 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
             errs_p = []
             for r, d in zip(ratios, dts[1:]):
                 coarse = fine_incs[: (n_fine // r) * r].reshape(-1, r, noise.k_modes).sum(axis=1)
-                cfg_c = StepConfig(dt=d, t_end=t_end, scheme=scheme)
+                cfg_c = StepConfig(dt=d, t_end=t_end)
                 res = simulate_path(initial, cfg_c, params, noise, seed, grid,
                                     MonitorSpec(collect_records=False),
                                     increments=coarse)

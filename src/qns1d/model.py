@@ -1,10 +1,11 @@
-"""Model parameters, the (psi, u) state, and the cut-off right-hand sides.
+"""Model parameters, the (psi, u) state, the smooth cut-off and its W^{2,inf} norm.
 
 The dynamics are written in the log-density variable psi = log(rho), so
-rho = exp(psi) is positive by construction. The momentum right-hand side
-collects six contributions: advection, pressure, viscosity, viscosity
-gradient, dispersion and the quadratic quantum term, with smooth cut-off
-factors applied to the W^{2,inf} norms of u and psi.
+rho = exp(psi) is positive by construction. The momentum equation collects
+six contributions: advection, pressure, viscosity, viscosity gradient,
+dispersion and the quadratic quantum term, with smooth cut-off factors of
+the W^{2,inf} norms of u and psi applied to all but the dispersion. The
+right-hand side itself lives in the integrator's step kernels.
 """
 
 from __future__ import annotations
@@ -13,18 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import (
-    RealField,
-    TorusGrid,
-    UsageError,
-    dealias_product,
-    derivative,
-    project_spectral,
-    resample,
-)
-
-# exponent clamp: exp() overflows silently long before float64 infinities help
-DEFAULT_PSI_CLAMP = 50.0
+from .spectral import RealField, TorusGrid, UsageError, resample
 
 # oversampling used when evaluating sup-norms on the collocation grid
 W2INF_OVERSAMPLE = 8
@@ -56,7 +46,6 @@ class ModelParams:
     cutoff_radius: float = 1e6
     monitor_order: int = 4
     enable_cutoff: bool = True
-    psi_clamp: float = DEFAULT_PSI_CLAMP
     global_regularity_regime: bool = field(init=False)
 
     def __post_init__(self) -> None:
@@ -86,16 +75,6 @@ class State:
         return np.exp(self.psi.physical)
 
 
-@dataclass(frozen=True)
-class RhsPair:
-    """Deterministic right-hand sides plus the cut-off factors that shaped them."""
-
-    dpsi_dt: RealField
-    du_dt_deterministic: RealField
-    cutoff_u: float
-    cutoff_psi: float
-
-
 def cutoff_phi(y: float, radius: float) -> float:
     """Smooth cut-off: 1 on [0, R], 0 on [R+1, inf), C^2 quintic bridge between.
 
@@ -112,125 +91,22 @@ def cutoff_phi(y: float, radius: float) -> float:
     return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
-def w2inf_norm(f: RealField, grid: TorusGrid, oversample: int = W2INF_OVERSAMPLE) -> float:
+def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float:
     """max over derivative orders 0..2 of the sup of |d^j f/dx^j|.
 
-    Sup norms are taken on an oversampled collocation grid (spectral
-    interpolation); the plain grid undersamples peaks of high modes.
+    ``spec`` is the mean-normalized half-spectrum of f. Sup norms are taken
+    on a W2INF_OVERSAMPLE-times finer grid (spectral interpolation); the
+    plain grid undersamples peaks of high modes.
     """
-    n_fine = oversample * grid.n_collocation
-    worst = float(np.max(np.abs(resample(f, grid, n_fine))))
-    for order in (1, 2):
-        df = derivative(f, order, grid)
-        worst = max(worst, float(np.max(np.abs(resample(df, grid, n_fine)))))
+    n_fine = W2INF_OVERSAMPLE * grid.n_collocation
+    pad = np.zeros(n_fine // 2 + 1, dtype=complex)
+    worst = 0.0
+    for order in (0, 1, 2):
+        d = spec * (1j * grid.k_half) ** order if order else spec
+        pad[: d.shape[0]] = d
+        fine = np.fft.irfft(pad * n_fine, n=n_fine)
+        worst = max(worst, float(np.max(np.abs(fine))))
     return worst
-
-
-def _require_finite(state: State) -> None:
-    if not (np.all(np.isfinite(state.psi.physical)) and np.all(np.isfinite(state.u.physical))):
-        raise NumericalBlowupError("non-finite values in state", state.time)
-
-
-def _check_psi_clamp(state: State, params: ModelParams) -> None:
-    peak = float(np.max(np.abs(state.psi.physical)))
-    if peak > params.psi_clamp:
-        raise NumericalBlowupError(
-            f"|psi| reached {peak:.3g} beyond clamp {params.psi_clamp}", state.time
-        )
-
-
-def _phi_factors(state: State, params: ModelParams, grid: TorusGrid) -> tuple[float, float]:
-    if not params.enable_cutoff:
-        return 1.0, 1.0
-    phi_u = cutoff_phi(w2inf_norm(state.u, grid), params.cutoff_radius)
-    phi_psi = cutoff_phi(w2inf_norm(state.psi, grid), params.cutoff_radius)
-    return phi_u, phi_psi
-
-
-def _pointwise_projected(values: np.ndarray, grid: TorusGrid) -> RealField:
-    spec = project_spectral(np.fft.rfft(values) / grid.n_collocation, grid)
-    return RealField.from_spectral(spec, grid)
-
-
-def rhs_psi(state: State, params: ModelParams, grid: TorusGrid,
-            phi_u: float | None = None) -> RealField:
-    """Continuity right-hand side: -phi(|u|) * u dpsi/dx - du/dx."""
-    _require_finite(state)
-    if phi_u is None:
-        phi_u = _phi_factors(state, params, grid)[0]
-    transport = dealias_product(state.u, derivative(state.psi, 1, grid), grid)
-    div = derivative(state.u, 1, grid)
-    spec = -phi_u * transport.spectral - div.spectral
-    return RealField.from_spectral(spec, grid)
-
-
-def rhs_u_terms(state: State, params: ModelParams, grid: TorusGrid,
-                phi_u: float | None = None, phi_psi: float | None = None,
-                ) -> dict[str, RealField]:
-    """The six momentum contributions, each with its cut-off factor applied.
-
-    Keys: advection, pressure, viscosity, viscosity_gradient, dispersion,
-    quantum. Their sum is the deterministic du/dt.
-    """
-    _require_finite(state)
-    _check_psi_clamp(state, params)
-    if phi_u is None or phi_psi is None:
-        phi_u, phi_psi = _phi_factors(state, params, grid)
-    gamma, alpha = params.gamma, params.alpha
-
-    dpsi = derivative(state.psi, 1, grid)
-    du = derivative(state.u, 1, grid)
-    d2u = derivative(state.u, 2, grid)
-    d2psi = derivative(state.psi, 2, grid)
-
-    psi_phys = state.psi.physical
-    exp_g = np.exp((gamma - 1.0) * psi_phys)
-    exp_a = np.exp((alpha - 1.0) * psi_phys)
-
-    advection = RealField.from_spectral(
-        -phi_u * dealias_product(state.u, du, grid).spectral, grid)
-    pressure = RealField.from_spectral(
-        -phi_psi * gamma * _pointwise_projected(exp_g * dpsi.physical, grid).spectral, grid)
-    viscosity = RealField.from_spectral(
-        phi_psi * _pointwise_projected(exp_a * d2u.physical, grid).spectral, grid)
-    viscosity_gradient = RealField.from_spectral(
-        phi_psi * alpha * _pointwise_projected(exp_a * dpsi.physical * du.physical, grid).spectral,
-        grid)
-    # d/dx(sqrt(rho)''/sqrt(rho)) = (psi''' + psi'psi'')/2: the 1/2 is what the
-    # energy functional's capillary term dissipates against
-    dispersion = RealField.from_spectral(0.5 * derivative(state.psi, 3, grid).spectral, grid)
-    quantum = RealField.from_spectral(
-        0.5 * phi_psi * dealias_product(dpsi, d2psi, grid).spectral, grid)
-
-    return {
-        "advection": advection,
-        "pressure": pressure,
-        "viscosity": viscosity,
-        "viscosity_gradient": viscosity_gradient,
-        "dispersion": dispersion,
-        "quantum": quantum,
-    }
-
-
-def rhs_u_deterministic(state: State, params: ModelParams, grid: TorusGrid,
-                        phi_u: float | None = None, phi_psi: float | None = None,
-                        ) -> RealField:
-    """Full deterministic momentum right-hand side (sum of the six terms)."""
-    terms = rhs_u_terms(state, params, grid, phi_u=phi_u, phi_psi=phi_psi)
-    total = sum(t.spectral for t in terms.values())
-    return RealField.from_spectral(np.asarray(total), grid)
-
-
-def deterministic_rhs(state: State, params: ModelParams, grid: TorusGrid) -> RhsPair:
-    """Both right-hand sides with the cut-off factors evaluated once."""
-    phi_u, phi_psi = _phi_factors(state, params, grid)
-    return RhsPair(
-        dpsi_dt=rhs_psi(state, params, grid, phi_u=phi_u),
-        du_dt_deterministic=rhs_u_deterministic(state, params, grid,
-                                                phi_u=phi_u, phi_psi=phi_psi),
-        cutoff_u=phi_u,
-        cutoff_psi=phi_psi,
-    )
 
 
 def quantum_identity_residual(rho: RealField, grid: TorusGrid,

@@ -20,9 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ModelParams, State, cutoff_phi, w2inf_norm
-from .spectral import RealField, TorusGrid, project_spectral
-
 SHAPES = ("trig_density_weighted", "off")
 
 # counter-domain tags so independent draws never share a Philox block
@@ -167,16 +164,3 @@ def sample_increment(path_seed: int, step_index: int, dt: float,
 def initial_data_generator(path_seed: int) -> np.random.Generator:
     """Per-path stream for random initial-data perturbations."""
     return _philox(path_seed, _DOMAIN_INITIAL, 0)
-
-
-def forcing_field(state: State, increment: WienerIncrement, model: NoiseModel,
-                  params: ModelParams, grid: TorusGrid,
-                  phi_u: float | None = None) -> RealField:
-    """phi(|u|) * sum_k F_k(x, rho, u) dW_k, projected onto the Galerkin band."""
-    if phi_u is None:
-        phi_u = (cutoff_phi(w2inf_norm(state.u, grid), params.cutoff_radius)
-                 if params.enable_cutoff else 1.0)
-    coeffs = model.coefficient_fields(grid.x, state.rho, state.u.physical)
-    values = phi_u * (increment.dW @ coeffs)
-    spec = project_spectral(np.fft.rfft(values) / grid.n_collocation, grid)
-    return RealField.from_spectral(spec, grid)

@@ -2,8 +2,13 @@
 
 Everything here is intentionally simple and slow: direct O(m^2) convolution
 sums, trapezoid quadrature, naive trigonometric summation, explicit time
-stepping. None of it shares a code path with the production implementations;
-independence is the point.
+stepping. None of it shares a code path with the production kernels;
+independence is the point. The RK4 reference steps its own FFT-free
+right-hand side (``_TrigRhs``): fields are evaluated by dense trigonometric
+sums and projected back onto the modes by quadrature inner products, with
+both matrices built once per grid. From the model it takes only the
+definition of the system: ``ModelParams``, the cut-off ``cutoff_phi`` and
+W2INF_OVERSAMPLE, the sampling of the W^{2,inf} norm the cut-off acts on.
 """
 
 from __future__ import annotations
@@ -15,9 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .integrator import StepConfig, _Stepper
-from .model import ModelParams, State
-from .noise import NoiseModel
+from .model import W2INF_OVERSAMPLE, ModelParams, State, cutoff_phi
 from .spectral import RealField, TorusGrid
 
 
@@ -65,18 +68,24 @@ def dense_quadrature(integrand: Callable[..., np.ndarray],
     return float(np.mean(integrand(x, *values)))
 
 
+def _synthesis(n: int, n_modes: int, x: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """Matrix from the coefficients of modes 0..n_modes-1 on an n-point grid to
+    samples at x of the derivatives of the given orders.
+
+    One block of rows per order, stacked in the order given; the samples
+    are the real parts of the matrix-vector product.
+    """
+    j = np.arange(n_modes)
+    weight = np.where((j == 0) | (j == n // 2), 1.0, 2.0)
+    waves = weight * np.exp(2j * np.pi * np.outer(x, j))
+    return np.concatenate([waves * (2j * np.pi * j) ** order for order in orders])
+
+
 def trig_eval(field: RealField, grid: TorusGrid, x: np.ndarray,
               order: int = 0) -> np.ndarray:
     """Direct summation of the (differentiated) Fourier series at points x."""
-    out = np.zeros_like(x)
-    for j in range(grid.n_half):
-        k = 2.0 * np.pi * j
-        c = field.spectral[j] * (1j * k) ** order
-        if j == 0 or j == grid.n_collocation // 2:
-            out = out + np.real(c * np.exp(2j * np.pi * j * x))
-        else:
-            out = out + 2.0 * np.real(c * np.exp(2j * np.pi * j * x))
-    return out
+    synthesis = _synthesis(grid.n_collocation, grid.n_half, x, (order,))
+    return (synthesis @ field.spectral).real
 
 
 def convolution_product(a: RealField, b: RealField, grid: TorusGrid,
@@ -144,29 +153,90 @@ def rk4_stability_limit(grid: TorusGrid, params: ModelParams,
     return min(2.5 / omega, 1.0 / grid.m_modes**3)
 
 
+def _analysis(n_points: int, keep: int) -> np.ndarray:
+    """Matrix from samples at n_points equispaced points to the coefficients
+    of modes 0..keep, by trapezoid quadrature of <f, exp(2 pi i j x)>."""
+    x = np.arange(n_points) / n_points
+    return np.exp(-2j * np.pi * np.outer(np.arange(keep + 1), x)) / n_points
+
+
+class _TrigRhs:
+    """Deterministic right-hand side of the cut-off Galerkin system, FFT-free.
+
+    Works on the coefficients of modes 0..m. Non-polynomial terms are sampled
+    on the collocation grid and projected by quadrature there: that is the
+    semi-discrete system the production scheme solves. Quadratic products
+    are sampled on 3(m+1) points, so no alias of a product of two band-m
+    fields (modes up to 2m) reaches a retained mode, and are then cut at the
+    grid's dealias_cut.
+    """
+
+    def __init__(self, grid: TorusGrid, params: ModelParams):
+        m, n = grid.m_modes, grid.n_collocation
+        self.params = params
+        self.cut = grid.dealias_cut
+        self.ik = 2j * np.pi * np.arange(m + 1)
+        n_quad = 3 * (m + 1)
+        n_sup = W2INF_OVERSAMPLE * n
+        self.colloc = _synthesis(n, m + 1, grid.x, (0, 1, 2))
+        self.quad = _synthesis(n, m + 1, np.arange(n_quad) / n_quad, (0, 1, 2))
+        self.sup = _synthesis(n, m + 1, np.arange(n_sup) / n_sup, (0, 1, 2))
+        self.colloc_proj = _analysis(n, m)
+        self.quad_proj = _analysis(n_quad, self.cut)
+
+    def phi(self, coeffs: np.ndarray) -> float:
+        """Cut-off factor of the W^{2,inf} norm, the sup over the fine samples."""
+        if not self.params.enable_cutoff:
+            return 1.0
+        norm = float(np.max(np.abs((self.sup @ coeffs).real)))
+        return cutoff_phi(norm, self.params.cutoff_radius)
+
+    def __call__(self, psi: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        gamma, alpha = self.params.gamma, self.params.alpha
+        phi_psi, phi_u = self.phi(psi), self.phi(u)
+        psi0, dpsi, _ = (self.colloc @ psi).real.reshape(3, -1)
+        _, du, d2u = (self.colloc @ u).real.reshape(3, -1)
+        _, q_dpsi, q_d2psi = (self.quad @ psi).real.reshape(3, -1)
+        q_u, q_du, _ = (self.quad @ u).real.reshape(3, -1)
+        visc = np.exp((alpha - 1.0) * psi0)
+
+        dpsi_dt = -self.ik * u
+        dpsi_dt[: self.cut + 1] -= phi_u * (self.quad_proj @ (q_u * q_dpsi))
+
+        pointwise = phi_psi * (-gamma * np.exp((gamma - 1.0) * psi0) * dpsi
+                               + visc * d2u + alpha * visc * dpsi * du)
+        du_dt = self.colloc_proj @ pointwise + 0.5 * self.ik**3 * psi
+        quadratic = -phi_u * q_u * q_du + 0.5 * phi_psi * q_dpsi * q_d2psi
+        du_dt[: self.cut + 1] += self.quad_proj @ quadratic
+        return dpsi_dt, du_dt
+
+
 def reference_trajectory(initial: State, params: ModelParams, grid: TorusGrid,
-                         t_end: float, dt_fine: float,
-                         shared_path: Sequence[np.ndarray] | None = None,
-                         noise: NoiseModel | None = None) -> State:
-    """Explicit RK4 (deterministic part) + Euler-Maruyama (noise) at dt_fine."""
+                         t_end: float, dt_fine: float) -> State:
+    """Explicit RK4 solution of the deterministic system at dt_fine.
+
+    Steps the FFT-free ``_TrigRhs`` from the Galerkin projection of the
+    initial state. dt_fine is snapped so t_end is an exact number of steps.
+    """
     limit = rk4_stability_limit(grid, params)
     if dt_fine > limit:
         raise CflError(
             f"dt_fine={dt_fine:.3e} exceeds the explicit stability bound "
             f"{limit:.3e} for m={grid.m_modes}; use a smaller dt_fine")
-    if noise is None:
-        noise = NoiseModel(base_amplitude=0.0)
-    cfg = StepConfig(dt=dt_fine, t_end=t_end, scheme="explicit_rk4_det")
-    stepper = _Stepper(grid, params, cfg, noise)
-    psi_spec = initial.psi.spectral.copy()
-    u_spec = initial.u.spectral.copy()
-    t = initial.time
-    from .noise import WienerIncrement
-    for i in range(cfg.n_steps):
-        inc = None
-        if shared_path is not None:
-            inc = WienerIncrement(np.asarray(shared_path[i]), i, f"shared:{i}")
-        psi_spec, u_spec = stepper.step_rk4(psi_spec, u_spec, t, inc)
-        t = initial.time + (i + 1) * stepper.dt
-    return State(psi=RealField.from_spectral(psi_spec, grid),
-                 u=RealField.from_spectral(u_spec, grid), time=t)
+    rhs = _TrigRhs(grid, params)
+    n_steps = max(1, round(t_end / dt_fine))
+    dt = t_end / n_steps
+    keep = grid.m_modes + 1
+    psi = initial.psi.spectral[:keep]
+    u = initial.u.spectral[:keep]
+    for _ in range(n_steps):
+        k1 = rhs(psi, u)
+        k2 = rhs(psi + 0.5 * dt * k1[0], u + 0.5 * dt * k1[1])
+        k3 = rhs(psi + 0.5 * dt * k2[0], u + 0.5 * dt * k2[1])
+        k4 = rhs(psi + dt * k3[0], u + dt * k3[1])
+        psi = psi + dt / 6.0 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        u = u + dt / 6.0 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    pad = (0, grid.n_half - keep)
+    return State(psi=RealField.from_spectral(np.pad(psi, pad), grid),
+                 u=RealField.from_spectral(np.pad(u, pad), grid),
+                 time=initial.time + n_steps * dt)

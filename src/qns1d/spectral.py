@@ -129,12 +129,6 @@ def project(field: RealField, grid: TorusGrid) -> RealField:
     return RealField.from_spectral(spec, grid)
 
 
-def project_spectral(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    out = coeffs.copy()
-    out[grid.m_modes + 1 :] = 0.0
-    return out
-
-
 def derivative(field: RealField, order: int, grid: TorusGrid) -> RealField:
     """Spectral derivative: multiply coefficients by (i*k)^order.
 
@@ -151,31 +145,6 @@ def derivative(field: RealField, order: int, grid: TorusGrid) -> RealField:
     if order % 2 == 1:
         spec[-1] = 0.0
     return RealField.from_spectral(spec, grid)
-
-
-def derivative_values(field: RealField, order: int, grid: TorusGrid) -> np.ndarray:
-    return derivative(field, order, grid).physical
-
-
-def dealias_product(a: RealField, b: RealField, grid: TorusGrid) -> RealField:
-    """Pointwise product of two band-limited fields, masked and projected.
-
-    The product is formed in physical space, on an internally padded grid
-    when n_collocation is too small for the retained band to be alias-free
-    (needs n >= 2*m_modes + dealias_cut + 2), then masked by dealias_mask.
-    """
-    n = grid.n_collocation
-    need = 2 * grid.m_modes + grid.dealias_cut + 2
-    if n >= need:
-        prod = a.physical * b.physical
-        spec = np.fft.rfft(prod) / n
-    else:
-        n_pad = need + (need % 2)
-        pa = np.fft.irfft(_pad_half(a.spectral, n_pad) * n_pad, n=n_pad)
-        pb = np.fft.irfft(_pad_half(b.spectral, n_pad) * n_pad, n=n_pad)
-        spec = (np.fft.rfft(pa * pb) / n_pad)[: grid.n_half]
-    spec = np.where(grid.dealias_mask, spec, 0.0)
-    return RealField.from_spectral(project_spectral(spec, grid), grid)
 
 
 def _pad_half(spec: np.ndarray, n_pad: int) -> np.ndarray:

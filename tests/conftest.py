@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
 
+from qns1d.integrator import StepConfig, _Stepper
+from qns1d.model import ModelParams
+from qns1d.noise import NoiseModel
 from qns1d.spectral import RealField, TorusGrid
 
 
@@ -37,3 +40,12 @@ def oracle_mode_coefficients(values_fine: np.ndarray, n_modes: int) -> np.ndarra
     for j in range(n_modes + 1):
         out[j] = np.mean(values_fine * np.exp(-2j * np.pi * j * x))
     return out
+
+
+def make_stepper(grid: TorusGrid, params=None, noise=None):
+    """The production step kernels for one grid; the step size is irrelevant to them."""
+    if params is None:
+        params = ModelParams(gamma=1.5, alpha=0.5)
+    if noise is None:
+        noise = NoiseModel(base_amplitude=0.0)
+    return _Stepper(grid, params, StepConfig(dt=1e-3, t_end=1e-3), noise)

@@ -1,10 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qns1d.cli
 from qns1d.cli import (
     ConfigValidationError,
     EXIT_BLOWUP_DOMINATED,
@@ -14,6 +18,8 @@ from qns1d.cli import (
     validate_config,
 )
 from qns1d.functionals import MonitorRecord
+
+SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config.schema.json"
 
 
 def base_config(out_dir: str, **overrides) -> dict:
@@ -76,6 +82,46 @@ class TestValidation:
         with pytest.raises(ConfigValidationError):
             validate_config(cfg)
 
+    def test_scheme_other_than_imex_cn_rejected(self, tmp_path):
+        cfg = base_config(str(tmp_path), **{"integration.scheme": "euler"})
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(cfg)
+        assert [p for p in err.value.problems if p.startswith("integration.scheme")]
+
+    def test_schema_defaults_match_validation(self):
+        # a config of required fields only: every default the schema documents
+        # must be the value validation fills in
+        schema = json.loads(SCHEMA.read_text())
+        minimal = {
+            "grid": {"n_collocation": 64, "m_modes": 21},
+            "model": {"gamma": 1.5, "alpha": 0.5,
+                      "initial_condition": {"kind": "constant", "rho0": 1.0}},
+            "noise": {},
+            "integration": {"dt": 1e-3, "t_end": 0.02},
+            "ensemble": {"n_paths": 1, "master_seed": 0},
+            "output": {"directory": "runs/minimal"},
+        }
+        cfg = validate_config(minimal)
+        built = {"grid": cfg.grid, "model": cfg.params, "noise": cfg.noise,
+                 "integration": cfg.step, "ensemble": cfg.ensemble, "output": cfg}
+        assert set(minimal) == set(schema["required"])
+        n_defaults = 0
+        for block, spec in schema["properties"].items():
+            assert set(minimal[block]) == set(spec.get("required", [])), block
+            for name, prop in spec["properties"].items():
+                if "default" not in prop:
+                    continue
+                n_defaults += 1
+                if (block, name) == ("integration", "scheme"):
+                    # not stored: validation accepts this one value only
+                    assert prop["enum"] == [prop["default"]] == ["imex_cn"]
+                    continue
+                value = getattr(built[block], name)
+                if isinstance(value, tuple):
+                    value = list(value)
+                assert value == prop["default"], f"{block}.{name}"
+        assert n_defaults == 15
+
 
 class TestSimulate:
     def test_constant_state_constant_monitors(self, tmp_path, monkeypatch):
@@ -109,6 +155,26 @@ class TestSimulate:
             assert a == b
         sa = json.loads((tmp_path / "runs/a/summary.json").read_text())
         sb = json.loads((tmp_path / "runs/b/summary.json").read_text())
+        sa.pop("wall_time_s"), sb.pop("wall_time_s")
+        assert sa == sb
+
+    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        cfg = base_config("runs/serial", **{"noise.base_amplitude": 0.05,
+                                            "ensemble.n_paths": 4})
+        assert main(["simulate", str(write_config(tmp_path, cfg)),
+                     "--workers", "1"]) == EXIT_OK
+        cfg["output"]["directory"] = "runs/pool"
+        assert main(["simulate", str(write_config(tmp_path, cfg, "pool.json")),
+                     "--workers", "2"]) == EXIT_OK
+        serial, pool = tmp_path / "runs/serial", tmp_path / "runs/pool"
+        assert ((serial / "seed_manifest.json").read_bytes()
+                == (pool / "seed_manifest.json").read_bytes())
+        for idx in range(4):
+            name = f"paths/path_{idx:04d}.csv"
+            assert (serial / name).read_bytes() == (pool / name).read_bytes()
+        sa = json.loads((serial / "summary.json").read_text())
+        sb = json.loads((pool / "summary.json").read_text())
         sa.pop("wall_time_s"), sb.pop("wall_time_s")
         assert sa == sb
 
@@ -192,3 +258,12 @@ class TestVerifyCommand:
 
     def test_unknown_suite(self):
         assert main(["verify", "nope"]) == EXIT_CONFIG_ERROR
+
+
+def test_cli_import_leaves_oracle_and_scipy_unloaded():
+    src = Path(qns1d.cli.__file__).resolve().parents[1]
+    code = ("import sys, qns1d.cli; "
+            "print([m for m in ('scipy', 'qns1d.oracle') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert out.stdout.strip() == "[]"

@@ -34,7 +34,6 @@ class TestStepConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0, t_end=1.0),
         dict(dt=0.1, t_end=0.05),
-        dict(dt=0.1, t_end=1.0, scheme="euler"),
         dict(dt=0.1, t_end=1.0, implicit_visc_floor=-1.0),
     ])
     def test_validation(self, kwargs):
@@ -120,7 +119,7 @@ class TestSimulatePath:
     def test_immediate_trigger_on_initial_norm(self, grid64):
         params, st = small_setup(grid64)
         tight = ModelParams(gamma=1.5, alpha=0.5,
-                            cutoff_radius=0.5 * w2inf_norm(st.u, grid64))
+                            cutoff_radius=0.5 * w2inf_norm(st.u.spectral, grid64))
         cfg = StepConfig(dt=1e-3, t_end=0.02)
         res = simulate_path(st, cfg, tight, NO_NOISE, 0, grid64)
         assert res.event.kind == "tau_R_hit"
@@ -173,6 +172,24 @@ class TestSimulatePath:
                             MonitorSpec(collect_records=False))
         assert res.event.kind == "numerical_blowup"
         assert res.event.time == 0.0
+        assert res.norm_trace.shape == (0, 3)
+
+    @pytest.mark.parametrize("amplitude", [5.0, 8.0])
+    def test_final_state_checked_before_monitors(self, amplitude):
+        # one huge step: at amplitude 5 the final |psi| passes the clamp of 50
+        # and the mass reaches 1e65; at 8 the density underflows to 0 and the
+        # monitor record would divide by zero. Both must stop as blow-ups,
+        # with no norm row or record of the diverged state.
+        grid = TorusGrid(32, 10)
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e12)
+        st = make_state(grid, amplitude * np.cos(2 * np.pi * grid.x),
+                        amplitude * np.sin(2 * np.pi * grid.x))
+        res = simulate_path(st, StepConfig(dt=1.0, t_end=1.0), params, NO_NOISE, 0, grid)
+        assert res.event.kind == "numerical_blowup"
+        assert res.event.time == 1.0
+        assert res.n_steps_taken == 1
+        assert res.norm_trace.shape == (1, 3)
+        assert [r.time for r in res.records] == [0.0]
 
     def test_mass_drift_quarters(self, grid64):
         params, st = small_setup(grid64)

@@ -7,22 +7,53 @@ from qns1d.model import (
     NumericalBlowupError,
     State,
     cutoff_phi,
-    deterministic_rhs,
     quantum_identity_residual,
-    rhs_psi,
-    rhs_u_terms,
-    rhs_u_deterministic,
     w2inf_norm,
 )
 from qns1d.oracle import trig_eval
 from qns1d.spectral import RealField, TorusGrid, UsageError, project, transform_forward
 
-from conftest import band_limited, oracle_mode_coefficients
+from conftest import band_limited, make_stepper, oracle_mode_coefficients
 
 
 def make_state(grid, psi_values, u_values, t=0.0):
     return State(project(transform_forward(psi_values, grid), grid),
                  project(transform_forward(u_values, grid), grid), t)
+
+
+def physical(spec, grid):
+    return RealField.from_spectral(spec, grid).physical
+
+
+def factors(stepper, st):
+    """Cut-off factors (phi_u, phi_psi) of a state, as the stepper applies them."""
+    return (stepper.phi(w2inf_norm(st.u.spectral, stepper.grid)),
+            stepper.phi(w2inf_norm(st.psi.spectral, stepper.grid)))
+
+
+def rhs_psi(stepper, st):
+    """d psi/dt: the explicit transport plus the divergence of the implicit block."""
+    phi_u, _ = factors(stepper, st)
+    transport = stepper.transport_spec(st.psi.spectral, st.u.spectral, phi_u)
+    return transport - 1j * stepper.k * st.u.spectral
+
+
+def u_terms(stepper, st):
+    """The five explicit momentum terms plus the implicit block's dispersion."""
+    phi_u, phi_psi = factors(stepper, st)
+    terms = stepper.u_terms(st.psi.spectral, st.u.spectral, st.psi.physical,
+                            phi_u, phi_psi)
+    terms["dispersion"] = -1j * stepper.hk3 * st.psi.spectral
+    return terms
+
+
+def rhs_u(stepper, st):
+    """Deterministic du/dt: the explicit terms with no implicit viscosity share,
+    plus the dispersion."""
+    phi_u, phi_psi = factors(stepper, st)
+    explicit = stepper.explicit_u_spec(st.psi.spectral, st.u.spectral, st.psi.physical,
+                                       phi_u, phi_psi, 0.0)
+    return explicit - 1j * stepper.hk3 * st.psi.spectral
 
 
 class TestModelParams:
@@ -74,11 +105,11 @@ class TestCutoff:
 class TestW2Inf:
     def test_constant(self, grid64):
         f = transform_forward(np.full(64, -3.25), grid64)
-        assert w2inf_norm(f, grid64) == pytest.approx(3.25)
+        assert w2inf_norm(f.spectral, grid64) == pytest.approx(3.25)
 
     def test_harmonic_second_derivative_dominates(self, grid64):
         f = transform_forward(np.sin(2 * np.pi * grid64.x), grid64)
-        assert w2inf_norm(f, grid64) == pytest.approx((2 * np.pi) ** 2, rel=1e-6)
+        assert w2inf_norm(f.spectral, grid64) == pytest.approx((2 * np.pi) ** 2, rel=1e-6)
 
     def test_matches_oversampled_brute_force(self, grid64, rng):
         # oracle: direct trigonometric summation on the 8x finer grid
@@ -86,31 +117,32 @@ class TestW2Inf:
         x_fine = np.arange(8 * 64) / (8 * 64)
         brute = max(np.max(np.abs(trig_eval(f, grid64, x_fine, order=o)))
                     for o in (0, 1, 2))
-        assert w2inf_norm(f, grid64) == pytest.approx(brute, rel=1e-6)
+        assert w2inf_norm(f.spectral, grid64) == pytest.approx(brute, rel=1e-6)
 
 
 class TestRhsPsi:
     def test_zero_velocity(self, grid64):
         st = make_state(grid64, 0.3 * np.cos(2 * np.pi * grid64.x), np.zeros(64))
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=100.0)
-        out = rhs_psi(st, params, grid64)
-        assert np.max(np.abs(out.physical)) == 0.0
+        out = rhs_psi(make_stepper(grid64, params), st)
+        assert np.max(np.abs(physical(out, grid64))) == 0.0
 
     def test_constant_psi_divergence_only(self, grid64):
         st = make_state(grid64, np.full(64, 0.2), np.sin(2 * np.pi * grid64.x))
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=100.0)
-        out = rhs_psi(st, params, grid64)
+        out = rhs_psi(make_stepper(grid64, params), st)
         exact = -2 * np.pi * np.cos(2 * np.pi * grid64.x)
-        assert np.max(np.abs(out.physical - exact)) < 1e-12
+        assert np.max(np.abs(physical(out, grid64) - exact)) < 1e-12
 
     def test_divergence_linearity(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=100.0)
         u = np.sin(2 * np.pi * grid64.x)
         st1 = make_state(grid64, np.full(64, 0.2), u)
         st2 = make_state(grid64, np.full(64, 0.2), 2 * u)
-        r1 = rhs_psi(st1, params, grid64)
-        r2 = rhs_psi(st2, params, grid64)
-        assert np.max(np.abs(r2.physical - 2 * r1.physical)) < 1e-13
+        stepper = make_stepper(grid64, params)
+        r1 = physical(rhs_psi(stepper, st1), grid64)
+        r2 = physical(rhs_psi(stepper, st2), grid64)
+        assert np.max(np.abs(r2 - 2 * r1)) < 1e-13
 
     def test_matches_term_by_term_quadrature(self, grid64):
         # oracle: pointwise transport and divergence on a fine grid by direct
@@ -118,7 +150,7 @@ class TestRhsPsi:
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e6)
         st = make_state(grid64, 0.1 * np.cos(2 * np.pi * grid64.x),
                         np.sin(2 * np.pi * grid64.x))
-        out = rhs_psi(st, params, grid64)
+        out = rhs_psi(make_stepper(grid64, params), st)
         x_fine = np.arange(512) / 512
         transport = (trig_eval(st.u, grid64, x_fine)
                      * trig_eval(st.psi, grid64, x_fine, order=1))
@@ -127,7 +159,7 @@ class TestRhsPsi:
         c_transport[grid64.dealias_cut + 1:] = 0.0
         c_div = oracle_mode_coefficients(div, grid64.m_modes)
         expected = -c_transport - c_div
-        assert np.max(np.abs(out.spectral[: grid64.m_modes + 1] - expected)) < 1e-10
+        assert np.max(np.abs(out[: grid64.m_modes + 1] - expected)) < 1e-10
 
     def test_nonfinite_state_raises(self, grid64):
         bad = np.zeros(64)
@@ -135,7 +167,7 @@ class TestRhsPsi:
         psi = RealField.from_physical(bad, grid64)
         st = State(psi, transform_forward(np.zeros(64), grid64), 1.25)
         with pytest.raises(NumericalBlowupError) as err:
-            rhs_psi(st, ModelParams(gamma=1.5, alpha=0.5), grid64)
+            make_stepper(grid64).check_state(st.psi.physical, st.u.physical, st.time)
         assert err.value.time == 1.25
 
 
@@ -143,28 +175,29 @@ class TestRhsU:
     def test_constant_equilibrium(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=100.0)
         st = make_state(grid64, np.full(64, 0.4), np.zeros(64))
-        out = rhs_u_deterministic(st, params, grid64)
-        assert np.max(np.abs(out.physical)) < 1e-14
+        out = rhs_u(make_stepper(grid64, params), st)
+        assert np.max(np.abs(physical(out, grid64))) < 1e-14
 
     def test_unit_density_reduction(self, grid64):
         # psi = 0, alpha = 1: viscosity term is u'' and advection is -u u'
         params = ModelParams(gamma=1.5, alpha=1.0, cutoff_radius=1e6)
         st = make_state(grid64, np.zeros(64), np.sin(2 * np.pi * grid64.x))
-        terms = rhs_u_terms(st, params, grid64)
+        terms = {name: physical(spec, grid64)
+                 for name, spec in u_terms(make_stepper(grid64, params), st).items()}
         visc_exact = -(2 * np.pi) ** 2 * np.sin(2 * np.pi * grid64.x)
-        assert np.max(np.abs(terms["viscosity"].physical - visc_exact)) < 1e-10
+        assert np.max(np.abs(terms["viscosity"] - visc_exact)) < 1e-10
         adv_exact = -np.pi * np.sin(4 * np.pi * grid64.x)
-        assert np.max(np.abs(terms["advection"].physical - adv_exact)) < 1e-12
+        assert np.max(np.abs(terms["advection"] - adv_exact)) < 1e-12
         # with psi identically zero the psi-driven terms vanish
         for name in ("pressure", "viscosity_gradient", "dispersion", "quantum"):
-            assert np.max(np.abs(terms[name].physical)) < 1e-12
+            assert np.max(np.abs(terms[name])) < 1e-12
 
     def test_each_term_matches_quadrature_oracle(self, grid64, rng):
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e6)
         psi = 0.15 * np.cos(2 * np.pi * grid64.x) + 0.05 * np.sin(4 * np.pi * grid64.x)
         u = 0.2 * np.sin(2 * np.pi * grid64.x) + 0.1 * np.cos(6 * np.pi * grid64.x)
         st = make_state(grid64, psi, u)
-        terms = rhs_u_terms(st, params, grid64)
+        terms = u_terms(make_stepper(grid64, params), st)
 
         x_fine = np.arange(1024) / 1024
         psi_f = trig_eval(st.psi, grid64, x_fine)
@@ -188,7 +221,7 @@ class TestRhsU:
             expected = oracle_mode_coefficients(values, grid64.m_modes)
             if masked:
                 expected[grid64.dealias_cut + 1:] = 0.0
-            got = terms[name].spectral[: grid64.m_modes + 1]
+            got = terms[name][: grid64.m_modes + 1]
             scale = max(1.0, np.max(np.abs(expected)))
             assert np.max(np.abs(got - expected)) / scale < 1e-9, name
 
@@ -196,42 +229,39 @@ class TestRhsU:
         psi = 0.1 * np.cos(2 * np.pi * grid64.x)
         u = 0.1 * np.sin(2 * np.pi * grid64.x)
         st = make_state(grid64, psi, u)
-        norm = max(w2inf_norm(st.psi, grid64), w2inf_norm(st.u, grid64))
-        r_small = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=2 * norm)
-        r_large = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=4 * norm)
-        a = deterministic_rhs(st, r_small, grid64)
-        b = deterministic_rhs(st, r_large, grid64)
-        assert a.cutoff_u == 1.0 and a.cutoff_psi == 1.0
-        assert np.array_equal(a.dpsi_dt.spectral, b.dpsi_dt.spectral)
-        assert np.array_equal(a.du_dt_deterministic.spectral,
-                              b.du_dt_deterministic.spectral)
+        norm = max(w2inf_norm(st.psi.spectral, grid64), w2inf_norm(st.u.spectral, grid64))
+        small = make_stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=2 * norm))
+        large = make_stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=4 * norm))
+        assert factors(small, st) == (1.0, 1.0)
+        assert np.array_equal(rhs_psi(small, st), rhs_psi(large, st))
+        assert np.array_equal(rhs_u(small, st), rhs_u(large, st))
 
     def test_cutoff_factors_range(self, grid64):
         psi = 0.1 * np.cos(2 * np.pi * grid64.x)
         u = 0.5 * np.sin(2 * np.pi * grid64.x)
         st = make_state(grid64, psi, u)
-        n_u = w2inf_norm(st.u, grid64)
+        n_u = w2inf_norm(st.u.spectral, grid64)
         # place the u-norm inside the bridge, psi-norm under the plateau
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=n_u - 0.5)
-        pair = deterministic_rhs(st, params, grid64)
-        assert 0.0 < pair.cutoff_u < 1.0
-        assert pair.cutoff_psi == 1.0
+        phi_u, phi_psi = factors(make_stepper(grid64, params), st)
+        assert 0.0 < phi_u < 1.0
+        assert phi_psi == 1.0
 
     def test_saturated_cutoff_zeroes_truncated_terms(self, grid64):
         psi = 0.1 * np.cos(2 * np.pi * grid64.x)
         u = 0.5 * np.sin(2 * np.pi * grid64.x)
         st = make_state(grid64, psi, u)
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=0.05)
-        terms = rhs_u_terms(st, params, grid64)
+        terms = u_terms(make_stepper(grid64, params), st)
         for name in ("advection", "pressure", "viscosity", "viscosity_gradient", "quantum"):
-            assert np.max(np.abs(terms[name].physical)) == 0.0, name
+            assert np.max(np.abs(physical(terms[name], grid64))) == 0.0, name
         # the dispersion term is linear and carries no cut-off
-        assert np.max(np.abs(terms["dispersion"].physical)) > 0.0
+        assert np.max(np.abs(physical(terms["dispersion"], grid64))) > 0.0
 
     def test_psi_clamp_raises(self, grid64):
         st = make_state(grid64, np.full(64, 60.0), np.zeros(64))
         with pytest.raises(NumericalBlowupError):
-            rhs_u_deterministic(st, ModelParams(gamma=1.5, alpha=0.5), grid64)
+            make_stepper(grid64).check_state(st.psi.physical, st.u.physical, st.time)
 
 
 class TestQuantumIdentity:

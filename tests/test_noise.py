@@ -1,23 +1,30 @@
 import numpy as np
 import pytest
 
-from qns1d.model import ModelParams, State
+from qns1d.model import ModelParams, State, w2inf_norm
 from qns1d.noise import (
     NoiseConfigError,
     NoiseModel,
     WienerIncrement,
     derive_path_seed,
-    forcing_field,
     sample_increment,
 )
-from qns1d.spectral import TorusGrid, transform_forward, project
+from qns1d.spectral import RealField, TorusGrid, transform_forward, project
 
-from conftest import band_limited
+from conftest import band_limited, make_stepper
 
 
 def make_state(grid, psi_values, u_values):
     return State(project(transform_forward(psi_values, grid), grid),
                  project(transform_forward(u_values, grid), grid), 0.0)
+
+
+def forcing_field(state, increment, model, params, grid):
+    """The stepper's forcing of one increment, with the state's own cut-off factor."""
+    stepper = make_stepper(grid, params, model)
+    phi_u = stepper.phi(w2inf_norm(state.u.spectral, grid))
+    spec = stepper.forcing_spec(increment.dW, state.psi.physical, state.u.physical, phi_u)
+    return RealField.from_spectral(spec, grid)
 
 
 class TestNoiseModel:
