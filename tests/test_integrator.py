@@ -34,6 +34,7 @@ class TestStepConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(dt=0.0, t_end=1.0),
         dict(dt=0.1, t_end=0.05),
+        dict(dt=0.1, t_end=-1.0),
         dict(dt=0.1, t_end=1.0, implicit_visc_floor=-1.0),
     ])
     def test_validation(self, kwargs):
