@@ -5,7 +5,8 @@ ensemble, output); the shipped schema file (docs/config.schema.json)
 documents every field. Validation aggregates all violations into a single
 report before any computation starts. Run artifacts (config snapshot, seed
 manifest, summary, per-path monitor CSVs) land in one run directory and are
-sufficient to replay any path bit-identically.
+sufficient to replay any path bit-identically: ``replay`` runs the path
+through ``ensemble.run_path``, the same function the ensemble ran it with.
 
 Exit codes: 0 success, 2 config/validation error, 3 blow-up-dominated run,
 1 failed verification checks.
@@ -25,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, EnsembleSummary, run_ensemble
-from .functionals import MonitorRecord
-from .integrator import MonitorSpec, StepConfig, simulate_path
+from .ensemble import EnsembleConfig, EnsembleSummary, run_ensemble, run_path
+from .functionals import BETA, MonitorRecord
+from .integrator import StepConfig
 from .model import ModelParams, State
 from .noise import NoiseModel, derive_path_seed, initial_data_generator
 from .spectral import RealField, TorusGrid, project
@@ -66,10 +67,6 @@ class RunConfig:
     density_bound: float  # C with 1/C <= rho0 <= C
 
 
-def _get(block: dict, key: str, default=None):
-    return block.get(key, default)
-
-
 def load_config(path: str | Path) -> dict:
     try:
         with open(path) as fh:
@@ -82,6 +79,8 @@ def load_config(path: str | Path) -> dict:
 
 
 def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
+    if not isinstance(raw, dict):
+        raise ConfigValidationError(["config: top level must be an object"])
     problems: list[str] = []
 
     def need_block(name: str) -> dict:
@@ -100,48 +99,48 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
 
     grid = params = noise = step = ens = None
     try:
-        grid = TorusGrid(n_collocation=int(_get(g, "n_collocation", 0)),
-                         m_modes=int(_get(g, "m_modes", 0)),
-                         dealias=bool(_get(g, "dealias", True)))
+        grid = TorusGrid(n_collocation=int(g.get("n_collocation", 0)),
+                         m_modes=int(g.get("m_modes", 0)),
+                         dealias=bool(g.get("dealias", True)))
     except (ValueError, TypeError) as exc:
         problems.append(f"grid: {exc}")
     try:
-        params = ModelParams(gamma=float(_get(m, "gamma", 0.0)),
-                             alpha=float(_get(m, "alpha", -1.0)),
-                             cutoff_radius=float(_get(m, "cutoff_radius", 1e6)),
-                             monitor_order=int(_get(m, "monitor_order", 4)),
-                             enable_cutoff=bool(_get(m, "enable_cutoff", True)))
+        params = ModelParams(gamma=float(m.get("gamma", 0.0)),
+                             alpha=float(m.get("alpha", -1.0)),
+                             cutoff_radius=float(m.get("cutoff_radius", 1e6)),
+                             monitor_order=int(m.get("monitor_order", 4)),
+                             enable_cutoff=bool(m.get("enable_cutoff", True)))
     except (ValueError, TypeError) as exc:
         problems.append(f"model: {exc}")
     try:
-        noise = NoiseModel(k_modes=int(_get(nz, "k_modes", 16)),
-                           amplitude_decay=float(_get(nz, "amplitude_decay", 6.0)),
-                           base_amplitude=float(_get(nz, "base_amplitude", 0.0)),
-                           shape=str(_get(nz, "shape", "trig_density_weighted")))
+        noise = NoiseModel(k_modes=int(nz.get("k_modes", 16)),
+                           amplitude_decay=float(nz.get("amplitude_decay", 6.0)),
+                           base_amplitude=float(nz.get("base_amplitude", 0.0)),
+                           shape=str(nz.get("shape", "trig_density_weighted")))
     except (ValueError, TypeError) as exc:
         problems.append(f"noise: {exc}")
     try:
-        floor = _get(it, "implicit_visc_floor")
-        step = StepConfig(dt=float(_get(it, "dt", 0.0)),
-                          t_end=float(_get(it, "t_end", 0.0)),
+        floor = it.get("implicit_visc_floor")
+        step = StepConfig(dt=float(it.get("dt", 0.0)),
+                          t_end=float(it.get("t_end", 0.0)),
                           implicit_visc_floor=(None if floor is None else float(floor)),
-                          blowup_clamp=float(_get(it, "blowup_clamp", 50.0)))
+                          blowup_clamp=float(it.get("blowup_clamp", 50.0)))
     except (ValueError, TypeError) as exc:
         problems.append(f"integration: {exc}")
-    scheme = _get(it, "scheme", "imex_cn")
+    scheme = it.get("scheme", "imex_cn")
     if scheme != "imex_cn":
         problems.append(f"integration.scheme: must be 'imex_cn', got {scheme!r}")
     try:
-        sweep = _get(en, "r_sweep")
-        ens = EnsembleConfig(n_paths=int(_get(en, "n_paths", 1)),
-                             master_seed=int(_get(en, "master_seed", 0)),
-                             moment_orders=tuple(_get(en, "moment_orders", [1, 2])),
+        sweep = en.get("r_sweep")
+        ens = EnsembleConfig(n_paths=int(en.get("n_paths", 1)),
+                             master_seed=int(en.get("master_seed", 0)),
+                             moment_orders=tuple(en.get("moment_orders", [1, 2])),
                              r_sweep=(tuple(float(r) for r in sweep) if sweep else None),
-                             output_stride=int(_get(en, "output_stride", 1)))
+                             output_stride=int(en.get("output_stride", 1)))
     except (ValueError, TypeError) as exc:
         problems.append(f"ensemble: {exc}")
 
-    ic = _get(m, "initial_condition")
+    ic = m.get("initial_condition")
     factory = None
     density_bound = 1.0
     if not isinstance(ic, dict):
@@ -152,10 +151,10 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         except (ValueError, TypeError, OSError) as exc:
             problems.append(f"model.initial_condition: {exc}")
 
-    directory = _get(out, "directory")
+    directory = out.get("directory")
     if not directory or not isinstance(directory, str):
         problems.append("output.directory: required string")
-    per_path_csv = bool(_get(out, "per_path_csv", False))
+    per_path_csv = bool(out.get("per_path_csv", False))
 
     if ens is not None and ens.r_sweep and params is not None:
         if max(ens.r_sweep) > params.cutoff_radius:
@@ -284,7 +283,7 @@ def summary_to_dict(summary: EnsembleSummary, extra: dict) -> dict:
         "vacuum": None if summary.vacuum is None else {
             "min_rho": summary.vacuum.min_rho,
             "max_inv_rho_beta": summary.vacuum.max_inv_rho_beta,
-            "beta": summary.vacuum.beta,
+            "beta": BETA,
             "global_regularity_regime": summary.vacuum.global_regularity_regime,
         },
     }
@@ -337,22 +336,33 @@ def max_rel_mass_drift(record_series: list[list[MonitorRecord]]) -> float:
 # --- subcommands ----------------------------------------------------------
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def _run_from_config(args: argparse.Namespace, sweep: bool,
+                     ) -> tuple[EnsembleSummary, Path, dict] | None:
+    """Load and validate ``args.config``, run its ensemble and write the run
+    directory. Returns (summary, run directory, extra summary entries), or
+    None after reporting a configuration error."""
     try:
-        raw = load_config(args.config)
-        cfg = validate_config(raw, base_dir=Path(args.config).parent)
+        cfg = validate_config(load_config(args.config), base_dir=Path(args.config).parent)
+        if sweep and not cfg.ensemble.r_sweep:
+            raise ConfigValidationError(["ensemble.r_sweep: required for sweep-r"])
     except ConfigValidationError as exc:
         print(exc, file=sys.stderr)
-        return EXIT_CONFIG_ERROR
+        return None
     t0 = time.perf_counter()
     summary, records = run_ensemble(
         cfg.ensemble, cfg.initial_factory, cfg.step, cfg.params, cfg.noise,
-        cfg.grid, n_workers=args.workers, keep_records=True)
-    extra = {
-        "max_rel_mass_drift": max_rel_mass_drift(records),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    run_dir = write_run_artifacts(cfg, summary, records, extra)
+        cfg.grid, n_workers=args.workers)
+    extra = {"max_rel_mass_drift": max_rel_mass_drift(records)}
+    if not sweep:
+        extra["wall_time_s"] = time.perf_counter() - t0
+    return summary, write_run_artifacts(cfg, summary, records, extra), extra
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    run = _run_from_config(args, sweep=False)
+    if run is None:
+        return EXIT_CONFIG_ERROR
+    summary, run_dir, extra = run
     print(f"run complete: {summary.n_paths} paths, "
           f"blowup fraction {summary.blowup_fraction:.3f}, "
           f"mass drift {extra['max_rel_mass_drift']:.3e}")
@@ -387,21 +397,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_r(args: argparse.Namespace) -> int:
-    try:
-        raw = load_config(args.config)
-        cfg = validate_config(raw, base_dir=Path(args.config).parent)
-    except ConfigValidationError as exc:
-        print(exc, file=sys.stderr)
+    run = _run_from_config(args, sweep=True)
+    if run is None:
         return EXIT_CONFIG_ERROR
-    if not cfg.ensemble.r_sweep:
-        print("invalid configuration:\n  ensemble.r_sweep: required for sweep-r",
-              file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    summary, records = run_ensemble(
-        cfg.ensemble, cfg.initial_factory, cfg.step, cfg.params, cfg.noise,
-        cfg.grid, n_workers=args.workers, keep_records=True)
-    run_dir = write_run_artifacts(cfg, summary, records,
-                                  {"max_rel_mass_drift": max_rel_mass_drift(records)})
+    summary, run_dir, _ = run
     sweep_path = run_dir / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -425,35 +424,32 @@ def cmd_sweep_r(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     run_dir = Path(args.run_dir)
     try:
-        raw = load_config(run_dir / "config.json")
-        cfg = validate_config(raw, base_dir=run_dir)
+        cfg = validate_config(load_config(run_dir / "config.json"), base_dir=run_dir)
         with open(run_dir / "seed_manifest.json") as fh:
-            manifest = json.load(fh)
+            seeds = {p["index"]: p["seed"] for p in json.load(fh)["paths"]}
     except (ConfigValidationError, OSError, json.JSONDecodeError) as exc:
         print(f"cannot load run directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except (KeyError, TypeError) as exc:
+        print("cannot load run directory: seed_manifest.json needs a 'paths' list "
+              f"of objects with 'index' and 'seed' ({exc!r})", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
     index = args.path_index
-    entries = {p["index"]: p for p in manifest["paths"]}
-    if index not in entries:
+    if index not in seeds:
         print(f"path index {index} not in manifest", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    seed = entries[index]["seed"]
+    seed = seeds[index]
     expected = derive_path_seed(cfg.ensemble.master_seed, index)
     if seed != expected:
         print(f"manifest seed {seed} does not match lineage {expected}",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    params = cfg.params
-    if cfg.ensemble.r_sweep:
-        from dataclasses import replace
-        params = replace(params, cutoff_radius=max(cfg.ensemble.r_sweep))
-    result = simulate_path(cfg.initial_factory(index, seed), cfg.step, params,
-                           cfg.noise, seed, cfg.grid,
-                           MonitorSpec(stride=cfg.ensemble.output_stride))
+    summary, records = run_path(cfg.ensemble, index, cfg.initial_factory(index, seed),
+                                cfg.step, cfg.params, cfg.noise, cfg.grid)
     out_path = Path(args.out) if args.out else run_dir / f"replay_path_{index:04d}.csv"
-    write_records_csv(out_path, result.records)
-    print(f"replayed path {index}: event={result.event.kind} "
-          f"t={result.event.time:.6g} -> {out_path}")
+    write_records_csv(out_path, records)
+    print(f"replayed path {index}: event={summary.event_kind} "
+          f"t={summary.event_time:.6g} -> {out_path}")
     original = run_dir / "paths" / f"path_{index:04d}.csv"
     if original.exists():
         match = original.read_bytes() == out_path.read_bytes()

@@ -2,8 +2,10 @@
 
 Each path gets its own seed lineage derived from (master_seed, path_index),
 so paths are independent, embarrassingly parallel, and individually
-replayable. The merge works on per-path summaries keyed by path index and is
-therefore independent of completion order.
+replayable. ``run_path`` is the one function that runs path ``index`` of an
+ensemble: ``run_ensemble`` maps it over the paths, and the CLI's ``replay``
+calls it for a single path. The merge works on per-path summaries keyed by
+path index and is therefore independent of completion order.
 
 A radius sweep replays the same Brownian path for every threshold: since the
 cut-off is inactive until the smallest threshold is reached, trajectories for
@@ -13,6 +15,7 @@ read off one run's per-step norm trace.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -126,18 +129,21 @@ def jackknife_moment(values: np.ndarray, order: int) -> MomentEstimate:
     return MomentEstimate(value=est, stderr=se)
 
 
-def estimate_moments(sup_values: Sequence[float], order: int) -> MomentEstimate:
-    """Monte Carlo estimator of E[(sup-over-time functional)^p]."""
-    if order not in VALID_MOMENT_ORDERS:
-        raise EnsembleConfigError(f"order must lie in {VALID_MOMENT_ORDERS}")
-    return jackknife_moment(np.asarray(sup_values), order)
+def run_path(cfg: EnsembleConfig, index: int, initial: State, step_cfg: StepConfig,
+             params: ModelParams, noise: NoiseModel, grid: TorusGrid,
+             ) -> tuple[PathSummary, list[MonitorRecord]]:
+    """Run path ``index`` of the ensemble ``cfg`` from ``initial``.
 
-
-def _run_one_path(args) -> tuple[PathSummary, list[MonitorRecord]]:
-    (index, master_seed, initial, step_cfg, params, noise, grid, monitor, radii) = args
-    seed = derive_path_seed(master_seed, index)
-    result = simulate_path(initial, step_cfg, params, noise, seed, grid, monitor)
-    hits = tuple(first_hit_times(result, radii)) if radii else ()
+    The path's seed comes from (master_seed, index). With a radius sweep
+    configured, the path runs with cut-off radius max(r_sweep) and every
+    threshold's hit time is read off its norm trace.
+    """
+    seed = derive_path_seed(cfg.master_seed, index)
+    if cfg.r_sweep:
+        params = replace(params, cutoff_radius=max(cfg.r_sweep))
+    result = simulate_path(initial, step_cfg, params, noise, seed, grid,
+                           MonitorSpec(stride=cfg.output_stride))
+    hits = tuple(first_hit_times(result, cfg.r_sweep)) if cfg.r_sweep else ()
     summary = PathSummary(
         path_index=index,
         path_seed=seed,
@@ -152,44 +158,35 @@ def _run_one_path(args) -> tuple[PathSummary, list[MonitorRecord]]:
 
 def run_ensemble(cfg: EnsembleConfig, initial: State | Callable[[int, int], State],
                  step_cfg: StepConfig, params: ModelParams, noise: NoiseModel,
-                 grid: TorusGrid, beta: float = 1.0, n_workers: int = 1,
-                 keep_records: bool = False,
+                 grid: TorusGrid, n_workers: int = 1,
                  ) -> tuple[EnsembleSummary, list[list[MonitorRecord]]]:
-    """Run n_paths independent trajectories and merge their summaries.
+    """Run n_paths independent trajectories through ``run_path`` and merge them.
 
     ``initial`` is either a fixed state or a factory (path_index, path_seed)
-    -> State for random initial data. With a radius sweep configured, paths
-    run with cut-off radius max(r_sweep) and all smaller thresholds are read
-    off the shared norm trace.
+    -> State for random initial data. The initial states are built here, in
+    the parent process: a factory may be a closure, which cannot be pickled.
+    Returns the merged summary and every path's monitor records.
     """
-    radii = list(cfg.r_sweep) if cfg.r_sweep else []
-    if radii:
-        params = replace(params, cutoff_radius=max(radii))
-    monitor = MonitorSpec(stride=cfg.output_stride, beta=beta)
-
-    def make_initial(index: int) -> State:
-        if callable(initial):
-            return initial(index, derive_path_seed(cfg.master_seed, index))
-        return initial
-
-    jobs = [(i, cfg.master_seed, make_initial(i), step_cfg, params, noise, grid,
-             monitor, radii) for i in range(cfg.n_paths)]
+    indices = range(cfg.n_paths)
+    states = [initial(i, derive_path_seed(cfg.master_seed, i)) if callable(initial)
+              else initial for i in indices]
+    run = functools.partial(run_path, cfg, step_cfg=step_cfg, params=params,
+                            noise=noise, grid=grid)
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outputs = list(pool.map(_run_one_path, jobs))
+            outputs = list(pool.map(run, indices, states))
     else:
-        outputs = [_run_one_path(j) for j in jobs]
+        outputs = list(map(run, indices, states))
 
     summaries = [o[0] for o in outputs]
     record_series = [o[1] for o in outputs]
-    merged = merge_summaries(summaries, cfg, params, radii, record_series, beta)
-    return merged, (record_series if keep_records else [])
+    return merge_summaries(summaries, cfg, params, record_series), record_series
 
 
 def merge_summaries(summaries: Sequence[PathSummary], cfg: EnsembleConfig,
-                    params: ModelParams, radii: Sequence[float],
+                    params: ModelParams,
                     record_series: Sequence[Sequence[MonitorRecord]],
-                    beta: float) -> EnsembleSummary:
+                    ) -> EnsembleSummary:
     """Associative, order-independent reduction of per-path summaries."""
     ordered = sorted(summaries, key=lambda s: s.path_index)
     n = len(ordered)
@@ -205,7 +202,7 @@ def merge_summaries(summaries: Sequence[PathSummary], cfg: EnsembleConfig,
         }
 
     stopping = []
-    for col, r in enumerate(radii):
+    for col, r in enumerate(cfg.r_sweep or ()):
         hits = [s.hit_times[col] for s in ordered]
         stopped = [t for t in hits if t is not None]
         stopping.append(StoppingRow(
@@ -219,8 +216,7 @@ def merge_summaries(summaries: Sequence[PathSummary], cfg: EnsembleConfig,
     vacuum = None
     if any(len(s) for s in record_series):
         vacuum = vacuum_statistics(
-            record_series, beta=beta,
-            global_regularity_regime=params.global_regularity_regime)
+            record_series, global_regularity_regime=params.global_regularity_regime)
 
     return EnsembleSummary(
         n_paths=n,

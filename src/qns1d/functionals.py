@@ -14,19 +14,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import DomainError, ModelParams, State, w2inf_norm
-from .spectral import RealField, TorusGrid, hs_norm, resample
+from .spectral import RealField, TorusGrid, ddx, hs_norm, resample
 
 QUAD_OVERSAMPLE = 2
+# exponent of the monitored no-vacuum norm ||1/rho||_inf^BETA
+BETA = 1.0
 
 
 def _fine(field: RealField, grid: TorusGrid, ov: int) -> np.ndarray:
     return resample(field, grid, ov * grid.n_collocation)
-
-
-def _fine_d(values: np.ndarray, order: int) -> np.ndarray:
-    n = values.shape[0]
-    k = 2.0 * np.pi * np.fft.rfftfreq(n, 1.0 / n)
-    return np.fft.irfft(np.fft.rfft(values) * (1j * k) ** order, n=n)
 
 
 def _quad(values: np.ndarray) -> float:
@@ -72,7 +68,7 @@ def energy(state: State, params: ModelParams, grid: TorusGrid,
     """Integral of rho*u^2/2 + rho^gamma/(gamma-1) + |d/dx sqrt(rho)|^2."""
     psi = _fine(state.psi, grid, oversample)
     u = _fine(state.u, grid, oversample)
-    dpsi = _fine_d(psi, 1)
+    dpsi = ddx(psi, 1)
     rho = np.exp(psi)
     integrand = (0.5 * rho * u**2
                  + np.exp(params.gamma * psi) / (params.gamma - 1.0)
@@ -84,7 +80,7 @@ def energy_dissipation_rate(state: State, params: ModelParams, grid: TorusGrid,
                             oversample: int = QUAD_OVERSAMPLE) -> float:
     """Viscous dissipation: integral of rho^alpha |du/dx|^2."""
     psi = _fine(state.psi, grid, oversample)
-    du = _fine_d(_fine(state.u, grid, oversample), 1)
+    du = ddx(_fine(state.u, grid, oversample), 1)
     return _quad(np.exp(params.alpha * psi) * du**2)
 
 
@@ -94,7 +90,7 @@ def effective_velocity(state: State, params: ModelParams, grid: TorusGrid) -> Re
     For alpha = 0 the viscosity is the constant 1 and Q = drho/dx / rho^2,
     which is the same formula.
     """
-    dpsi = _fine_d(state.psi.physical, 1)
+    dpsi = ddx(state.psi.physical, 1)
     q = np.exp((params.alpha - 1.0) * state.psi.physical) * dpsi
     return RealField.from_physical(state.u.physical + q, grid)
 
@@ -104,7 +100,7 @@ def bd_entropy(state: State, params: ModelParams, grid: TorusGrid,
     """Energy functional with the velocity replaced by the effective velocity."""
     psi = _fine(state.psi, grid, oversample)
     u = _fine(state.u, grid, oversample)
-    dpsi = _fine_d(psi, 1)
+    dpsi = ddx(psi, 1)
     rho = np.exp(psi)
     v = u + np.exp((params.alpha - 1.0) * psi) * dpsi
     integrand = (0.5 * rho * v**2
@@ -128,16 +124,16 @@ def bd_dissipation_terms(state: State, params: ModelParams, grid: TorusGrid,
     psi = _fine(state.psi, grid, oversample)
     rho = np.exp(psi)
     p1 = 0.5 * (gamma + alpha - 1.0)
-    d_pressure = _fine_d(rho**p1, 1)
+    d_pressure = ddx(rho**p1, 1)
     term1 = 4.0 * gamma / (gamma + alpha - 1.0) ** 2 * _quad(d_pressure**2)
     if alpha == 0.0:
-        term2 = 0.5 * _quad(_fine_d(psi, 2) ** 2)
+        term2 = 0.5 * _quad(ddx(psi, 2) ** 2)
         term3 = 0.0
     else:
         half = rho ** (0.5 * alpha)
-        term2 = 4.0 / alpha**2 * _quad(_fine_d(half, 2) ** 2)
+        term2 = 4.0 / alpha**2 * _quad(ddx(half, 2) ** 2)
         term3 = (4.0 * (4.0 - 3.0 * alpha) / (3.0 * alpha**3)
-                 * _quad(rho ** (-alpha) * _fine_d(half, 1) ** 4))
+                 * _quad(rho ** (-alpha) * ddx(half, 1) ** 4))
     return (term1, term2, term3)
 
 
@@ -154,10 +150,10 @@ def bd_pressure_identity_residual(rho: RealField, params: ModelParams,
     if np.any(rho.physical <= 0.0):
         raise DomainError("density must be strictly positive pointwise")
     r = np.abs(resample(rho, grid, oversample * grid.n_collocation))
-    q = r ** (alpha - 2.0) * _fine_d(r, 1)
-    lhs = _quad(_fine_d(r**gamma, 1) * q)
+    q = r ** (alpha - 2.0) * ddx(r, 1)
+    lhs = _quad(ddx(r**gamma, 1) * q)
     rhs = (4.0 * gamma / (gamma + alpha - 1.0) ** 2
-           * _quad(_fine_d(r ** (0.5 * (gamma + alpha - 1.0)), 1) ** 2))
+           * _quad(ddx(r ** (0.5 * (gamma + alpha - 1.0)), 1) ** 2))
     return abs(lhs - rhs)
 
 
@@ -175,12 +171,12 @@ def bd_quantum_identity_residual(rho: RealField, alpha: float, grid: TorusGrid,
     if np.any(rho.physical <= 0.0):
         raise DomainError("density must be strictly positive pointwise")
     r = np.abs(resample(rho, grid, oversample * grid.n_collocation))
-    bohm = _fine_d(np.sqrt(r), 2) / np.sqrt(r)
-    i_direct = 2.0 * _quad(_fine_d(r ** (alpha - 1.0) * _fine_d(r, 1), 1) * bohm)
+    bohm = ddx(np.sqrt(r), 2) / np.sqrt(r)
+    i_direct = 2.0 * _quad(ddx(r ** (alpha - 1.0) * ddx(r, 1), 1) * bohm)
     half = r ** (0.5 * alpha)
     i_closed = (4.0 * (4.0 - 3.0 * alpha) / (3.0 * alpha**3)
-                * _quad(r ** (-alpha) * _fine_d(half, 1) ** 4)
-                + 4.0 / alpha**2 * _quad(_fine_d(half, 2) ** 2))
+                * _quad(r ** (-alpha) * ddx(half, 1) ** 4)
+                + 4.0 / alpha**2 * _quad(ddx(half, 2) ** 2))
     return abs(i_direct - i_closed)
 
 
@@ -192,8 +188,8 @@ def functional_inequality_margin(f: RealField, grid: TorusGrid,
     vals = resample(f, grid, oversample * grid.n_collocation)
     if np.any(vals <= 0.0):
         raise DomainError("field must stay positive on the oversampled grid")
-    lhs = 9.0 / 16.0 * _quad(_fine_d(vals, 2) ** 2)
-    rhs = _quad(_fine_d(np.sqrt(vals), 1) ** 4)
+    lhs = 9.0 / 16.0 * _quad(ddx(vals, 2) ** 2)
+    rhs = _quad(ddx(np.sqrt(vals), 1) ** 4)
     return lhs - rhs
 
 
@@ -209,7 +205,7 @@ def nonneg_combination_check(rho: RealField, alpha: float, grid: TorusGrid,
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
     r = np.abs(resample(rho, grid, oversample * grid.n_collocation))
-    quartic = _quad(r ** (-alpha) * _fine_d(r ** (0.5 * alpha), 1) ** 4)
+    quartic = _quad(r ** (-alpha) * ddx(r ** (0.5 * alpha), 1) ** 4)
     value = 16.0 * (3.0 - 2.0 * alpha) / (9.0 * alpha**3) * quartic
     if alpha <= 1.5 and value < -1e-10:
         raise DomainError(
@@ -230,7 +226,6 @@ def min_density(state: State, grid: TorusGrid, oversample: int = 8) -> float:
 
 
 def compute_record(state: State, params: ModelParams, grid: TorusGrid,
-                   beta: float = 1.0, oversample: int = QUAD_OVERSAMPLE,
                    w2inf_psi: float | None = None,
                    w2inf_u: float | None = None) -> MonitorRecord:
     """Evaluate every monitored functional on one state."""
@@ -242,13 +237,13 @@ def compute_record(state: State, params: ModelParams, grid: TorusGrid,
         w2inf_u = w2inf_norm(state.u.spectral, grid)
     return MonitorRecord(
         time=state.time,
-        mass=mass(state, grid, oversample),
-        energy=energy(state, params, grid, oversample),
-        energy_dissipation_rate=energy_dissipation_rate(state, params, grid, oversample),
-        bd_entropy=bd_entropy(state, params, grid, oversample),
-        bd_terms=bd_dissipation_terms(state, params, grid, oversample),
+        mass=mass(state, grid),
+        energy=energy(state, params, grid),
+        energy_dissipation_rate=energy_dissipation_rate(state, params, grid),
+        bd_entropy=bd_entropy(state, params, grid),
+        bd_terms=bd_dissipation_terms(state, params, grid),
         min_rho=rho_min,
-        inv_rho_beta_norm=rho_min ** (-beta),
+        inv_rho_beta_norm=rho_min ** (-BETA),
         hs_norms=(hs_norm(state.psi, s + 1, grid), hs_norm(state.u, s, grid)),
         w2inf_norms=(w2inf_psi, w2inf_u),
     )
@@ -260,15 +255,13 @@ class VacuumSummary:
 
     min_rho: float
     max_inv_rho_beta: float
-    beta: float
     n_paths: int
     global_regularity_regime: bool
 
 
 def vacuum_statistics(record_series: Iterable[Sequence[MonitorRecord]],
-                      beta: float = 1.0,
                       global_regularity_regime: bool = True) -> VacuumSummary:
-    """Ensemble minimum over time of min_rho and maximum of the 1/rho^beta norm."""
+    """Ensemble minimum over time of min_rho and maximum of the 1/rho^BETA norm."""
     min_rho = np.inf
     max_inv = 0.0
     n_paths = 0
@@ -278,9 +271,9 @@ def vacuum_statistics(record_series: Iterable[Sequence[MonitorRecord]],
         n_paths += 1
         path_min = min(r.min_rho for r in series)
         min_rho = min(min_rho, path_min)
-        max_inv = max(max_inv, path_min ** (-beta))
+        max_inv = max(max_inv, path_min ** (-BETA))
     if n_paths == 0:
         raise DomainError("vacuum statistics need at least one record series")
     return VacuumSummary(min_rho=float(min_rho), max_inv_rho_beta=float(max_inv),
-                         beta=beta, n_paths=n_paths,
+                         n_paths=n_paths,
                          global_regularity_regime=global_regularity_regime)

@@ -30,8 +30,8 @@ from .model import (
     cutoff_phi,
     w2inf_norm,
 )
-from .noise import NoiseModel, sample_increment
-from .spectral import RealField, TorusGrid, l2_norm
+from .noise import NoiseModel, derive_path_seed, sample_increment
+from .spectral import RealField, TorusGrid, l2_norm, to_physical, to_spectral
 
 
 class IntegratorConfigError(ValueError):
@@ -79,8 +79,6 @@ class MonitorSpec:
     """What to record along a path and how often."""
 
     stride: int = 1
-    beta: float = 1.0
-    quad_oversample: int = 2
     collect_records: bool = True
 
 
@@ -122,24 +120,14 @@ class _Stepper:
         self.qmask = grid.dealias_mask
         self.dt = cfg.dt_effective
         # alias-free quadratic products need n >= 2m + cut + 2
-        self.pad_n = None
         need = 2 * grid.m_modes + grid.dealias_cut + 2
-        if self.n < need:
-            self.pad_n = need + (need % 2)
+        self.product_n = self.n if self.n >= need else need + (need % 2)
         self.noise_on = noise.base_amplitude > 0.0
 
     # --- small kernels -------------------------------------------------
 
     def phys(self, spec: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(spec * self.n, n=self.n)
-
-    def spec(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.rfft(values) / self.n
-
-    def _pad_phys(self, spec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.pad_n // 2 + 1, dtype=complex)
-        out[: spec.shape[0]] = spec
-        return np.fft.irfft(out * self.pad_n, n=self.pad_n)
+        return to_physical(spec, self.n)
 
     def product(self, a_spec: np.ndarray, b_spec: np.ndarray) -> np.ndarray:
         """Dealiased quadratic product, returned as a masked half-spectrum.
@@ -148,17 +136,13 @@ class _Stepper:
         grid when n_collocation is too small for the retained band to be
         alias-free, then masked by the grid's dealias_mask.
         """
-        if self.pad_n is None:
-            prod = self.phys(a_spec) * self.phys(b_spec)
-            spec = self.spec(prod)
-        else:
-            prod = self._pad_phys(a_spec) * self._pad_phys(b_spec)
-            spec = (np.fft.rfft(prod) / self.pad_n)[: self.grid.n_half]
-        return np.where(self.qmask, spec, 0.0)
+        n = self.product_n
+        prod = to_physical(a_spec, n) * to_physical(b_spec, n)
+        return np.where(self.qmask, to_spectral(prod)[: self.grid.n_half], 0.0)
 
     def pointwise_projected(self, values: np.ndarray) -> np.ndarray:
         """Galerkin-band projection of pointwise values on the collocation grid."""
-        return np.where(self.band, self.spec(values), 0.0)
+        return np.where(self.band, to_spectral(values), 0.0)
 
     def phi(self, norm: float) -> float:
         if not self.params.enable_cutoff:
@@ -292,8 +276,7 @@ def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
     psi_spec, u_spec = state.psi.spectral, state.u.spectral
     psi_phys, u_phys = stepper.phys(psi_spec), stepper.phys(u_spec)
     stepper.check_state(psi_phys, u_phys, state.time)
-    dW = (sample_increment(seed, step_index, stepper.dt, noise).dW
-          if stepper.noise_on else None)
+    dW = sample_increment(seed, step_index, stepper.dt, noise) if stepper.noise_on else None
     norms = (w2inf_norm(psi_spec, grid), w2inf_norm(u_spec, grid))
     psi_new, u_new = stepper.step_imex(psi_spec, u_spec, psi_phys, u_phys, dW, norms)
     return State(
@@ -347,9 +330,7 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
         trace[i] = (t, norm_psi, norm_u)
         if monitors.collect_records and (i % monitors.stride == 0 or i == n_steps):
             records.append(functionals.compute_record(
-                current_state(), params, grid, beta=monitors.beta,
-                oversample=monitors.quad_oversample,
-                w2inf_psi=norm_psi, w2inf_u=norm_u))
+                current_state(), params, grid, w2inf_psi=norm_psi, w2inf_u=norm_u))
         worst = max(norm_psi, norm_u)
         if worst >= radius:
             event = StoppingEvent(
@@ -363,7 +344,7 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
         if increments is not None:
             dW = np.asarray(increments[i])
         elif stepper.noise_on:
-            dW = sample_increment(path_seed, i, dt, noise).dW
+            dW = sample_increment(path_seed, i, dt, noise)
         else:
             dW = None
         psi_spec, u_spec = stepper.step_imex(psi_spec, u_spec, psi_phys, u_phys,
@@ -418,8 +399,6 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
     the finest level's increments. Paths that blow up at any level are
     excluded and counted; more than 20% exclusions is a diagnostic failure.
     """
-    from .noise import derive_path_seed
-
     dts = sorted(float(d) for d in dt_levels)
     dt_fine = dts[0]
     n_fine = round(t_end / dt_fine)
@@ -435,7 +414,7 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
     excluded = 0
     for p in range(n_paths):
         seed = derive_path_seed(master_seed, p)
-        fine_incs = np.stack([sample_increment(seed, i, dt_fine, noise).dW
+        fine_incs = np.stack([sample_increment(seed, i, dt_fine, noise)
                               for i in range(n_fine)])
         try:
             cfg = StepConfig(dt=dt_fine, t_end=t_end)

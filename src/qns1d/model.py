@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import RealField, TorusGrid, UsageError, resample
+from .spectral import RealField, TorusGrid, UsageError, resample, to_physical, to_spectral
 
 # oversampling used when evaluating sup-norms on the collocation grid
 W2INF_OVERSAMPLE = 8
@@ -99,13 +99,10 @@ def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float:
     plain grid undersamples peaks of high modes.
     """
     n_fine = W2INF_OVERSAMPLE * grid.n_collocation
-    pad = np.zeros(n_fine // 2 + 1, dtype=complex)
     worst = 0.0
     for order in (0, 1, 2):
         d = spec * (1j * grid.k_half) ** order if order else spec
-        pad[: d.shape[0]] = d
-        fine = np.fft.irfft(pad * n_fine, n=n_fine)
-        worst = max(worst, float(np.max(np.abs(fine))))
+        worst = max(worst, float(np.max(np.abs(to_physical(d, n_fine)))))
     return worst
 
 
@@ -128,18 +125,18 @@ def quantum_identity_residual(rho: RealField, grid: TorusGrid,
     k = 2.0 * np.pi * np.arange(n_fine // 2 + 1)
 
     def trunc(values: np.ndarray) -> np.ndarray:
-        spec = np.fft.rfft(values) / n_fine
+        spec = to_spectral(values)
         spec[cap + 1 :] = 0.0
         return spec
 
     def ddx(spec: np.ndarray, order: int = 1) -> np.ndarray:
-        return np.fft.irfft(spec * (1j * k) ** order * n_fine, n=n_fine)
+        return to_physical(spec * (1j * k) ** order, n_fine)
 
     rho_f = resample(rho, grid, n_fine)
     sqrt_spec = trunc(np.sqrt(rho_f))
     log_spec = trunc(np.log(rho_f))
-    rho_f = np.fft.irfft(trunc(rho_f) * n_fine, n=n_fine)
-    sqrt_f = np.fft.irfft(sqrt_spec * n_fine, n=n_fine)
+    rho_f = to_physical(trunc(rho_f), n_fine)
+    sqrt_f = to_physical(sqrt_spec, n_fine)
 
     bohm = ddx(sqrt_spec, 2) / sqrt_f
     lhs = 2.0 * rho_f * ddx(trunc(bohm))

@@ -129,15 +129,6 @@ class NoiseModel:
         return report
 
 
-@dataclass(frozen=True)
-class WienerIncrement:
-    """One step's Gaussian increments dW_k ~ N(0, dt), replayable from the token."""
-
-    dW: np.ndarray
-    step_index: int
-    seed_lineage: str
-
-
 def derive_path_seed(master_seed: int, path_index: int) -> int:
     """Stable per-path seed from the master seed (recorded in manifests)."""
     ss = np.random.SeedSequence([int(master_seed), int(path_index)])
@@ -151,14 +142,13 @@ def _philox(path_seed: int, domain: int, step_index: int) -> np.random.Generator
 
 
 def sample_increment(path_seed: int, step_index: int, dt: float,
-                     model: NoiseModel) -> WienerIncrement:
-    """Gaussian increments for one step; pure in (path_seed, step_index)."""
+                     model: NoiseModel) -> np.ndarray:
+    """One step's Gaussian increments dW_k ~ N(0, dt), k = 1..k_modes; pure in
+    (path_seed, step_index)."""
     if dt <= 0.0:
         raise NoiseConfigError(f"dt must be positive, got {dt}")
     gen = _philox(path_seed, _DOMAIN_INCREMENT, step_index)
-    dW = gen.standard_normal(model.k_modes) * np.sqrt(dt)
-    return WienerIncrement(dW=dW, step_index=step_index,
-                           seed_lineage=f"philox:{path_seed}:{step_index}")
+    return gen.standard_normal(model.k_modes) * np.sqrt(dt)
 
 
 def initial_data_generator(path_seed: int) -> np.random.Generator:

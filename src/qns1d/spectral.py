@@ -29,6 +29,27 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def to_spectral(values: np.ndarray) -> np.ndarray:
+    """Mean-normalized half-spectrum ``rfft(values) / n`` of n samples."""
+    return np.fft.rfft(values) / values.shape[0]
+
+
+def to_physical(spec: np.ndarray, n: int) -> np.ndarray:
+    """Samples on n equispaced points of a mean-normalized half-spectrum.
+
+    When n exceeds the spectrum's own grid, irfft zero-pads the missing
+    modes, which is spectral interpolation onto the finer grid.
+    """
+    return np.fft.irfft(spec * n, n=n)
+
+
+def ddx(values: np.ndarray, order: int) -> np.ndarray:
+    """Spectral derivative of periodic samples on their own grid (no band limit)."""
+    n = values.shape[0]
+    k = 2.0 * np.pi * np.fft.rfftfreq(n, 1.0 / n)
+    return np.fft.irfft(np.fft.rfft(values) * (1j * k) ** order, n=n)
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Collocation points, wavenumbers and mode masks for one resolution.
@@ -94,8 +115,7 @@ class RealField:
             raise GridConfigError(
                 f"physical length {values.shape} does not match grid n={grid.n_collocation}"
             )
-        spec = np.fft.rfft(values) / grid.n_collocation
-        return cls(_frozen(values.copy()), _frozen(spec))
+        return cls(_frozen(values.copy()), _frozen(to_spectral(values)))
 
     @classmethod
     def from_spectral(cls, coeffs: np.ndarray, grid: TorusGrid) -> "RealField":
@@ -104,22 +124,12 @@ class RealField:
             raise GridConfigError(
                 f"spectral length {coeffs.shape} does not match grid half-spectrum {grid.n_half}"
             )
-        phys = np.fft.irfft(coeffs * grid.n_collocation, n=grid.n_collocation)
+        phys = to_physical(coeffs, grid.n_collocation)
         return cls(_frozen(phys), _frozen(coeffs.copy()))
 
     @property
     def n(self) -> int:
         return self.physical.shape[0]
-
-
-def transform_forward(values: np.ndarray, grid: TorusGrid) -> RealField:
-    """Build a RealField from physical samples (mean-normalized spectrum)."""
-    return RealField.from_physical(values, grid)
-
-
-def transform_inverse(field: RealField, grid: TorusGrid) -> np.ndarray:
-    """Physical samples reconstructed from the spectral coefficients."""
-    return np.fft.irfft(field.spectral * grid.n_collocation, n=grid.n_collocation)
 
 
 def project(field: RealField, grid: TorusGrid) -> RealField:
@@ -147,17 +157,11 @@ def derivative(field: RealField, order: int, grid: TorusGrid) -> RealField:
     return RealField.from_spectral(spec, grid)
 
 
-def _pad_half(spec: np.ndarray, n_pad: int) -> np.ndarray:
-    out = np.zeros(n_pad // 2 + 1, dtype=complex)
-    out[: spec.shape[0]] = spec
-    return out
-
-
 def resample(field: RealField, grid: TorusGrid, n_fine: int) -> np.ndarray:
     """Spectrally interpolate the field onto n_fine equispaced points."""
     if n_fine < grid.n_collocation:
         raise UsageError("resample only upsamples")
-    return np.fft.irfft(_pad_half(field.spectral, n_fine) * n_fine, n=n_fine)
+    return to_physical(field.spectral, n_fine)
 
 
 def _mode_multiplicity(grid: TorusGrid) -> np.ndarray:

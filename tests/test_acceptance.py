@@ -23,7 +23,7 @@ from qns1d.functionals import (
 from qns1d.integrator import MonitorSpec, StepConfig, simulate_path
 from qns1d.model import ModelParams, State, quantum_identity_residual
 from qns1d.noise import NoiseModel, derive_path_seed
-from qns1d.spectral import RealField, TorusGrid, project, transform_forward
+from qns1d.spectral import RealField, TorusGrid, project
 from qns1d.suites import (
     _pressure_identity_rhs,
     density_corpus,
@@ -36,8 +36,8 @@ NO_NOISE = NoiseModel(base_amplitude=0.0)
 
 
 def make_state(grid, psi_values, u_values):
-    return State(project(transform_forward(psi_values, grid), grid),
-                 project(transform_forward(u_values, grid), grid), 0.0)
+    return State(project(RealField.from_physical(psi_values, grid), grid),
+                 project(RealField.from_physical(u_values, grid), grid), 0.0)
 
 
 def standard_state(grid, amp=0.1):
@@ -60,12 +60,12 @@ def test_criterion_01_quantum_identity():
     residuals = {}
     for label, values in (("2+cos", 2.0 + np.cos(2 * np.pi * grid.x)),
                           ("exp03sin", np.exp(0.3 * np.sin(4 * np.pi * grid.x)))):
-        rho = transform_forward(values, grid)
+        rho = RealField.from_physical(values, grid)
         residuals[label] = quantum_identity_residual(rho, grid)
     decay = []
     for m in (32, 64, 128):
         g = TorusGrid(1024, m)
-        rho = transform_forward(1.0 + 0.95 * np.cos(2 * np.pi * g.x), g)
+        rho = RealField.from_physical(1.0 + 0.95 * np.cos(2 * np.pi * g.x), g)
         decay.append(quantum_identity_residual(rho, g))
     ok = (all(r < 1e-7 for r in residuals.values())
           and decay[1] < decay[0] / 100.0 and decay[2] < decay[1] / 100.0)

@@ -82,6 +82,15 @@ class TestValidation:
         with pytest.raises(ConfigValidationError):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("top", [[1, 2], None], ids=["list", "null"])
+    def test_top_level_not_an_object_exits_2(self, tmp_path, top):
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(top)
+        assert err.value.problems == ["config: top level must be an object"]
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(top))
+        assert main(["simulate", str(path)]) == EXIT_CONFIG_ERROR
+
     def test_scheme_other_than_imex_cn_rejected(self, tmp_path):
         cfg = base_config(str(tmp_path), **{"integration.scheme": "euler"})
         with pytest.raises(ConfigValidationError) as err:
@@ -228,16 +237,55 @@ class TestSweep:
 
 
 class TestReplay:
+    @staticmethod
+    def assert_replays_bit_identical(tmp_path, command, cfg, indices):
+        run_dir = tmp_path / cfg["output"]["directory"]
+        assert main([command, str(write_config(tmp_path, cfg))]) == EXIT_OK
+        for idx in indices:
+            assert main(["replay", str(run_dir), "--path-index", str(idx)]) == EXIT_OK
+            replayed = run_dir / f"replay_path_{idx:04d}.csv"
+            original = run_dir / f"paths/path_{idx:04d}.csv"
+            assert replayed.read_bytes() == original.read_bytes()
+        return run_dir
+
     def test_replay_bit_identical(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
         cfg = base_config("runs/r", **{"noise.base_amplitude": 0.05})
-        path = write_config(tmp_path, cfg)
+        self.assert_replays_bit_identical(tmp_path, "simulate", cfg, [1])
+
+    def test_replay_bit_identical_sweep_r(self, tmp_path, monkeypatch):
+        # sweep paths run at cut-off radius max(r_sweep), below model.cutoff_radius,
+        # from random initial data; paths that reach it stop there, so a replay
+        # that ran at model.cutoff_radius would differ
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        cfg = base_config("runs/rs", **{
+            "noise.base_amplitude": 0.5,
+            "noise.amplitude_decay": 2.0,
+            "integration.t_end": 0.1,
+            "ensemble.n_paths": 4,
+            "ensemble.r_sweep": [8.0, 12.0],
+            "model.initial_condition.random_amplitude": 0.5,
+        })
+        run_dir = self.assert_replays_bit_identical(tmp_path, "sweep-r", cfg, range(4))
+        with open(run_dir / "sweep.csv") as fh:
+            rows = list(csv.reader(fh))
+        fractions = {float(r[0]): float(r[1]) for r in rows[1:]}
+        assert fractions[8.0] == 1.0
+        assert 0.0 < fractions[12.0] < 1.0
+
+    @pytest.mark.parametrize("manifest", [
+        {"schema_version": 1},
+        {"paths": [{"seed": 1}]},
+        {"paths": [{"index": 0}]},
+        {"paths": [0]},
+    ], ids=["no-paths", "no-index", "no-seed", "not-objects"])
+    def test_replay_malformed_manifest_exits_2(self, tmp_path, monkeypatch, manifest):
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        path = write_config(tmp_path, base_config("runs/m"))
         assert main(["simulate", str(path)]) == EXIT_OK
-        run_dir = tmp_path / "runs/r"
-        assert main(["replay", str(run_dir), "--path-index", "1"]) == EXIT_OK
-        replayed = run_dir / "replay_path_0001.csv"
-        original = run_dir / "paths/path_0001.csv"
-        assert replayed.read_bytes() == original.read_bytes()
+        run_dir = tmp_path / "runs/m"
+        (run_dir / "seed_manifest.json").write_text(json.dumps(manifest))
+        assert main(["replay", str(run_dir), "--path-index", "0"]) == EXIT_CONFIG_ERROR
 
     def test_replay_bad_index(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))

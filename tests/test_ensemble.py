@@ -4,20 +4,20 @@ import pytest
 from qns1d.ensemble import (
     EnsembleConfig,
     EnsembleConfigError,
-    estimate_moments,
     jackknife_moment,
     merge_summaries,
     run_ensemble,
+    run_path,
 )
 from qns1d.integrator import StepConfig
 from qns1d.model import ModelParams, State
 from qns1d.noise import NoiseModel
-from qns1d.spectral import TorusGrid, project, transform_forward
+from qns1d.spectral import RealField, TorusGrid, project
 
 
 def make_state(grid, psi_values, u_values):
-    return State(project(transform_forward(psi_values, grid), grid),
-                 project(transform_forward(u_values, grid), grid), 0.0)
+    return State(project(RealField.from_physical(psi_values, grid), grid),
+                 project(RealField.from_physical(u_values, grid), grid), 0.0)
 
 
 def base_setup(grid):
@@ -89,10 +89,6 @@ class TestMoments:
         bse = float(np.std(boots))
         assert jk.stderr < 3.0 * bse and bse < 3.0 * jk.stderr
 
-    def test_order_validation(self):
-        with pytest.raises(EnsembleConfigError):
-            estimate_moments([1.0, 2.0], 7)
-
 
 class TestEnsembleRuns:
     def test_determinism(self, grid64):
@@ -104,23 +100,15 @@ class TestEnsembleRuns:
         assert s1 == s2
 
     def test_merge_order_invariance(self, grid64):
-        from dataclasses import replace
-
-        from qns1d.ensemble import _run_one_path
-        from qns1d.integrator import MonitorSpec
-
         params, st, cfg = base_setup(grid64)
         noise = NoiseModel(base_amplitude=0.05)
         ecfg = EnsembleConfig(n_paths=5, master_seed=3, r_sweep=(50.0, 100.0))
-        run_params = replace(params, cutoff_radius=100.0)
-        monitor_jobs = [(i, ecfg.master_seed, st, cfg, run_params, noise, grid64,
-                         MonitorSpec(), [50.0, 100.0]) for i in range(5)]
-        outs = [_run_one_path(j) for j in monitor_jobs]
+        outs = [run_path(ecfg, i, st, cfg, params, noise, grid64) for i in range(5)]
         summaries = [o[0] for o in outs]
         records = [o[1] for o in outs]
-        a = merge_summaries(summaries, ecfg, run_params, [50.0, 100.0], records, 1.0)
-        b = merge_summaries(list(reversed(summaries)), ecfg, run_params,
-                            [50.0, 100.0], list(reversed(records)), 1.0)
+        a = merge_summaries(summaries, ecfg, params, records)
+        b = merge_summaries(list(reversed(summaries)), ecfg, params,
+                            list(reversed(records)))
         assert a.moments == b.moments
         assert a.stopping == b.stopping
         assert a.path_events == b.path_events
@@ -155,7 +143,7 @@ class TestEnsembleRuns:
 
         summary, records = run_ensemble(
             EnsembleConfig(n_paths=3, master_seed=2), factory, cfg, params,
-            NoiseModel(base_amplitude=0.0), grid64, keep_records=True)
+            NoiseModel(base_amplitude=0.0), grid64)
         assert summary.vacuum is not None
         assert summary.vacuum.min_rho == pytest.approx(1.0, rel=1e-10)
         assert len(records) == 3

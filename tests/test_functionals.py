@@ -19,7 +19,7 @@ from qns1d.functionals import (
 )
 from qns1d.model import DomainError, ModelParams, State
 from qns1d.oracle import dense_quadrature, fd_derivative, trig_eval
-from qns1d.spectral import RealField, TorusGrid, project, transform_forward
+from qns1d.spectral import RealField, TorusGrid, project
 
 from conftest import band_limited
 
@@ -28,8 +28,8 @@ BESSEL_I0_1 = 1.2660658777520084
 
 
 def make_state(grid, psi_values, u_values):
-    return State(project(transform_forward(psi_values, grid), grid),
-                 project(transform_forward(u_values, grid), grid), 0.0)
+    return State(project(RealField.from_physical(psi_values, grid), grid),
+                 project(RealField.from_physical(u_values, grid), grid), 0.0)
 
 
 def fd_quadrature(values_fine: np.ndarray, weight_fn, order: int) -> float:
@@ -201,12 +201,12 @@ class TestBdDissipation:
 
 class TestBdIdentities:
     def test_pressure_identity_constant(self, grid64):
-        rho = transform_forward(np.full(64, 1.7), grid64)
+        rho = RealField.from_physical(np.full(64, 1.7), grid64)
         params = ModelParams(gamma=2.0, alpha=0.0)
         assert bd_pressure_identity_residual(rho, params, grid64) < 1e-14
 
     def test_pressure_identity_spec_example(self, grid256):
-        rho = transform_forward(2.0 + np.cos(2 * np.pi * grid256.x), grid256)
+        rho = RealField.from_physical(2.0 + np.cos(2 * np.pi * grid256.x), grid256)
         params = ModelParams(gamma=2.0, alpha=0.0)
         assert bd_pressure_identity_residual(rho, params, grid256) < 1e-9
 
@@ -218,35 +218,35 @@ class TestBdIdentities:
             assert bd_pressure_identity_residual(rho, params, grid256) < 1e-8
 
     def test_pressure_identity_degenerate_exponent(self, grid64):
-        rho = transform_forward(np.full(64, 1.0), grid64)
+        rho = RealField.from_physical(np.full(64, 1.0), grid64)
         params = ModelParams(gamma=1.0 + 1e-13, alpha=0.0)
         with pytest.raises(DomainError):
             bd_pressure_identity_residual(rho, params, grid64)
 
     def test_quantum_identity_constant(self, grid64):
-        rho = transform_forward(np.full(64, 2.0), grid64)
+        rho = RealField.from_physical(np.full(64, 2.0), grid64)
         assert bd_quantum_identity_residual(rho, 1.0, grid64) < 1e-14
 
     def test_quantum_identity_spec_examples(self):
         grid = TorusGrid(512, 170)
-        rho1 = transform_forward(2.0 + np.cos(2 * np.pi * grid.x), grid)
+        rho1 = RealField.from_physical(2.0 + np.cos(2 * np.pi * grid.x), grid)
         assert bd_quantum_identity_residual(rho1, 1.0, grid) < 1e-7
-        rho2 = transform_forward(np.exp(0.2 * np.sin(2 * np.pi * grid.x)), grid)
+        rho2 = RealField.from_physical(np.exp(0.2 * np.sin(2 * np.pi * grid.x)), grid)
         assert bd_quantum_identity_residual(rho2, 0.5, grid) < 1e-7
 
     def test_quantum_identity_alpha_zero_rejected(self, grid64):
-        rho = transform_forward(np.full(64, 1.0), grid64)
+        rho = RealField.from_physical(np.full(64, 1.0), grid64)
         with pytest.raises(DomainError):
             bd_quantum_identity_residual(rho, 0.0, grid64)
 
 
 class TestFunctionalInequality:
     def test_constant_margin_zero(self, grid64):
-        f = transform_forward(np.full(64, 2.0), grid64)
+        f = RealField.from_physical(np.full(64, 2.0), grid64)
         assert functional_inequality_margin(f, grid64) == 0.0
 
     def test_cosine_profile_positive_and_matches_quadrature(self, grid64):
-        f = transform_forward(1.0 + 0.5 * np.cos(2 * np.pi * grid64.x), grid64)
+        f = RealField.from_physical(1.0 + 0.5 * np.cos(2 * np.pi * grid64.x), grid64)
         margin = functional_inequality_margin(f, grid64)
         assert margin > 0.0
         n_fine = 4096
@@ -265,26 +265,26 @@ class TestFunctionalInequality:
             assert functional_inequality_margin(shifted, grid256) >= -1e-10
 
     def test_nonpositive_rejected(self, grid64):
-        f = transform_forward(np.cos(2 * np.pi * grid64.x), grid64)
+        f = RealField.from_physical(np.cos(2 * np.pi * grid64.x), grid64)
         with pytest.raises(DomainError):
             functional_inequality_margin(f, grid64)
 
 
 class TestNonnegCombination:
     def test_boundary_alpha_vanishes(self, grid64):
-        rho = transform_forward(2.0 + np.cos(2 * np.pi * grid64.x), grid64)
+        rho = RealField.from_physical(2.0 + np.cos(2 * np.pi * grid64.x), grid64)
         assert nonneg_combination_check(rho, 1.5, grid64) == 0.0
 
     def test_positive_inside_range(self, grid64):
-        rho = transform_forward(2.0 + np.cos(2 * np.pi * grid64.x), grid64)
+        rho = RealField.from_physical(2.0 + np.cos(2 * np.pi * grid64.x), grid64)
         assert nonneg_combination_check(rho, 0.5, grid64) > 0.0
 
     def test_signed_beyond_range(self, grid64):
-        rho = transform_forward(2.0 + np.cos(2 * np.pi * grid64.x), grid64)
+        rho = RealField.from_physical(2.0 + np.cos(2 * np.pi * grid64.x), grid64)
         assert nonneg_combination_check(rho, 1.6, grid64) < 0.0
 
     def test_alpha_validation(self, grid64):
-        rho = transform_forward(np.full(64, 1.0), grid64)
+        rho = RealField.from_physical(np.full(64, 1.0), grid64)
         with pytest.raises(DomainError):
             nonneg_combination_check(rho, 0.0, grid64)
 
@@ -309,7 +309,7 @@ class TestRecordsAndVacuum:
         st = make_state(grid64, np.full(64, np.log(2.0)), np.zeros(64))
         recs = [compute_record(State(st.psi, st.u, t), params, grid64)
                 for t in (0.0, 0.1, 0.2)]
-        summary = vacuum_statistics([recs], beta=1.0)
+        summary = vacuum_statistics([recs])
         assert summary.min_rho == pytest.approx(2.0, rel=1e-12)
         assert summary.max_inv_rho_beta == pytest.approx(0.5, rel=1e-12)
         assert summary.n_paths == 1

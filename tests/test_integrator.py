@@ -13,14 +13,14 @@ from qns1d.integrator import (
 from qns1d.model import ModelParams, State, w2inf_norm
 from qns1d.noise import NoiseModel, sample_increment
 from qns1d.oracle import linear_propagator, reference_trajectory
-from qns1d.spectral import RealField, TorusGrid, l2_norm, project, transform_forward
+from qns1d.spectral import RealField, TorusGrid, l2_norm, project
 
 NO_NOISE = NoiseModel(base_amplitude=0.0)
 
 
 def make_state(grid, psi_values, u_values, t=0.0):
-    return State(project(transform_forward(psi_values, grid), grid),
-                 project(transform_forward(u_values, grid), grid), t)
+    return State(project(RealField.from_physical(psi_values, grid), grid),
+                 project(RealField.from_physical(u_values, grid), grid), t)
 
 
 def small_setup(grid):
@@ -144,7 +144,7 @@ class TestSimulatePath:
         params, st = small_setup(grid64)
         noisy = NoiseModel(base_amplitude=0.05)
         cfg = StepConfig(dt=1e-3, t_end=0.02)
-        incs = [sample_increment(42, i, cfg.dt_effective, noisy).dW
+        incs = [sample_increment(42, i, cfg.dt_effective, noisy)
                 for i in range(cfg.n_steps)]
         a = simulate_path(st, cfg, params, noisy, 42, grid64)
         b = simulate_path(st, cfg, params, noisy, 42, grid64, increments=incs)

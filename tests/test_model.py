@@ -11,14 +11,14 @@ from qns1d.model import (
     w2inf_norm,
 )
 from qns1d.oracle import trig_eval
-from qns1d.spectral import RealField, TorusGrid, UsageError, project, transform_forward
+from qns1d.spectral import RealField, TorusGrid, UsageError, project
 
 from conftest import band_limited, make_stepper, oracle_mode_coefficients
 
 
 def make_state(grid, psi_values, u_values, t=0.0):
-    return State(project(transform_forward(psi_values, grid), grid),
-                 project(transform_forward(u_values, grid), grid), t)
+    return State(project(RealField.from_physical(psi_values, grid), grid),
+                 project(RealField.from_physical(u_values, grid), grid), t)
 
 
 def physical(spec, grid):
@@ -104,11 +104,11 @@ class TestCutoff:
 
 class TestW2Inf:
     def test_constant(self, grid64):
-        f = transform_forward(np.full(64, -3.25), grid64)
+        f = RealField.from_physical(np.full(64, -3.25), grid64)
         assert w2inf_norm(f.spectral, grid64) == pytest.approx(3.25)
 
     def test_harmonic_second_derivative_dominates(self, grid64):
-        f = transform_forward(np.sin(2 * np.pi * grid64.x), grid64)
+        f = RealField.from_physical(np.sin(2 * np.pi * grid64.x), grid64)
         assert w2inf_norm(f.spectral, grid64) == pytest.approx((2 * np.pi) ** 2, rel=1e-6)
 
     def test_matches_oversampled_brute_force(self, grid64, rng):
@@ -165,7 +165,7 @@ class TestRhsPsi:
         bad = np.zeros(64)
         bad[3] = np.nan
         psi = RealField.from_physical(bad, grid64)
-        st = State(psi, transform_forward(np.zeros(64), grid64), 1.25)
+        st = State(psi, RealField.from_physical(np.zeros(64), grid64), 1.25)
         with pytest.raises(NumericalBlowupError) as err:
             make_stepper(grid64).check_state(st.psi.physical, st.u.physical, st.time)
         assert err.value.time == 1.25
@@ -266,26 +266,26 @@ class TestRhsU:
 
 class TestQuantumIdentity:
     def test_constant_density(self, grid256):
-        rho = transform_forward(np.ones(256), grid256)
+        rho = RealField.from_physical(np.ones(256), grid256)
         assert quantum_identity_residual(rho, grid256) == 0.0
 
     def test_acceptance_densities(self):
         grid = TorusGrid(256, 64)
         for values in (2.0 + np.cos(2 * np.pi * grid.x),
                        np.exp(0.3 * np.sin(4 * np.pi * grid.x))):
-            rho = transform_forward(values, grid)
+            rho = RealField.from_physical(values, grid)
             assert quantum_identity_residual(rho, grid) < 1e-7
 
     def test_spectral_decay_in_band(self):
         residuals = []
         for m in (16, 32, 64):
             g = TorusGrid(512, m)
-            rho = transform_forward(1.0 + 0.95 * np.cos(2 * np.pi * g.x), g)
+            rho = RealField.from_physical(1.0 + 0.95 * np.cos(2 * np.pi * g.x), g)
             residuals.append(quantum_identity_residual(rho, g))
         assert residuals[1] < residuals[0] / 20.0
         assert residuals[2] < residuals[1] / 20.0
 
     def test_nonpositive_density_rejected(self, grid64):
-        rho = transform_forward(np.cos(2 * np.pi * grid64.x), grid64)
+        rho = RealField.from_physical(np.cos(2 * np.pi * grid64.x), grid64)
         with pytest.raises(DomainError):
             quantum_identity_residual(rho, grid64)

@@ -5,25 +5,24 @@ from qns1d.model import ModelParams, State, w2inf_norm
 from qns1d.noise import (
     NoiseConfigError,
     NoiseModel,
-    WienerIncrement,
     derive_path_seed,
     sample_increment,
 )
-from qns1d.spectral import RealField, TorusGrid, transform_forward, project
+from qns1d.spectral import RealField, TorusGrid, project
 
 from conftest import band_limited, make_stepper
 
 
 def make_state(grid, psi_values, u_values):
-    return State(project(transform_forward(psi_values, grid), grid),
-                 project(transform_forward(u_values, grid), grid), 0.0)
+    return State(project(RealField.from_physical(psi_values, grid), grid),
+                 project(RealField.from_physical(u_values, grid), grid), 0.0)
 
 
-def forcing_field(state, increment, model, params, grid):
+def forcing_field(state, dW, model, params, grid):
     """The stepper's forcing of one increment, with the state's own cut-off factor."""
     stepper = make_stepper(grid, params, model)
     phi_u = stepper.phi(w2inf_norm(state.u.spectral, grid))
-    spec = stepper.forcing_spec(increment.dW, state.psi.physical, state.u.physical, phi_u)
+    spec = stepper.forcing_spec(dW, state.psi.physical, state.u.physical, phi_u)
     return RealField.from_spectral(spec, grid)
 
 
@@ -63,31 +62,30 @@ class TestSampling:
     def test_determinism(self):
         a = sample_increment(12345, 7, 0.01, NoiseModel())
         b = sample_increment(12345, 7, 0.01, NoiseModel())
-        assert np.array_equal(a.dW, b.dW)
-        assert a.seed_lineage == b.seed_lineage
+        assert np.array_equal(a, b)
 
     def test_streams_differ_across_steps_and_seeds(self):
         m = NoiseModel()
         base = sample_increment(1, 0, 0.01, m)
-        assert not np.array_equal(base.dW, sample_increment(1, 1, 0.01, m).dW)
-        assert not np.array_equal(base.dW, sample_increment(2, 0, 0.01, m).dW)
+        assert not np.array_equal(base, sample_increment(1, 1, 0.01, m))
+        assert not np.array_equal(base, sample_increment(2, 0, 0.01, m))
 
     def test_component_variance(self):
         # Monte Carlo estimate with known standard error for chi^2_N
         m = NoiseModel()
         dt = 0.01
-        draws = np.stack([sample_increment(999, i, dt, m).dW for i in range(100000)])
+        draws = np.stack([sample_increment(999, i, dt, m) for i in range(100000)])
         var = draws[:, 0].var()
         assert abs(var - dt) / dt < 0.03
 
     def test_component_independence(self):
         m = NoiseModel()
         dt = 0.01
-        draws = np.stack([sample_increment(31, i, dt, m).dW for i in range(100000)])
+        draws = np.stack([sample_increment(31, i, dt, m) for i in range(100000)])
         cov = float(np.mean(draws[:, 0] * draws[:, 1]))
         assert abs(cov) < 4.0 / np.sqrt(100000) * dt
 
-    def test_path_seed_lineage_stable(self):
+    def test_path_seed_derivation_stable(self):
         assert derive_path_seed(42, 3) == derive_path_seed(42, 3)
         assert derive_path_seed(42, 3) != derive_path_seed(42, 4)
 
@@ -102,7 +100,7 @@ class TestForcing:
     def test_zero_increment(self, grid64):
         st = make_state(grid64, np.zeros(64), np.ones(64))
         m = NoiseModel()
-        inc = WienerIncrement(np.zeros(m.k_modes), 0, "zero")
+        inc = np.zeros(m.k_modes)
         out = forcing_field(st, inc, m, self.params, grid64)
         assert np.max(np.abs(out.physical)) == 0.0
 
@@ -118,7 +116,7 @@ class TestForcing:
         m = NoiseModel()
         dW = np.zeros(m.k_modes)
         dW[2] = 1.0
-        out = forcing_field(st, WienerIncrement(dW, 0, "x"), m, self.params, grid64)
+        out = forcing_field(st, dW, m, self.params, grid64)
         exact = m.amplitudes[2] * np.sin(6 * np.pi * grid64.x) * np.tanh(1.0) * 0.5
         assert np.max(np.abs(out.physical - exact)) < 1e-12
 
@@ -128,8 +126,7 @@ class TestForcing:
         m = NoiseModel()
         w1 = rng.standard_normal(m.k_modes)
         w2 = rng.standard_normal(m.k_modes)
-        f = lambda w: forcing_field(st, WienerIncrement(w, 0, "x"), m,
-                                    self.params, grid64).physical
+        f = lambda w: forcing_field(st, w, m, self.params, grid64).physical
         combo = f(2.0 * w1 + 0.5 * w2)
         assert np.max(np.abs(combo - 2.0 * f(w1) - 0.5 * f(w2))) < 1e-14
 
@@ -140,7 +137,7 @@ class TestForcing:
         m = NoiseModel(base_amplitude=0.1)
         dt = 0.01
         n = 10000
-        draws = np.stack([sample_increment(77, i, dt, m).dW for i in range(n)])
+        draws = np.stack([sample_increment(77, i, dt, m) for i in range(n)])
         coeffs = m.coefficient_fields(grid64.x, st.rho, st.u.physical)
         fields = draws @ coeffs
         point_std = np.sqrt(np.sum(coeffs**2, axis=0) * dt)
@@ -169,6 +166,6 @@ class TestForcing:
     def test_projected_to_band(self, grid64):
         st = make_state(grid64, np.zeros(64), np.ones(64))
         m = NoiseModel(k_modes=30)  # waves beyond the Galerkin band
-        inc = WienerIncrement(np.ones(30), 0, "x")
+        inc = np.ones(30)
         out = forcing_field(st, inc, m, self.params, grid64)
         assert np.all(out.spectral[grid64.m_modes + 1:] == 0.0)

@@ -16,33 +16,33 @@ from qns1d.oracle import (
     rk4_stability_limit,
     trig_eval,
 )
-from qns1d.spectral import RealField, TorusGrid, l2_norm, project, transform_forward
+from qns1d.spectral import RealField, TorusGrid, l2_norm, project
 
 BESSEL_I0_1 = 1.2660658777520084
 
 
 def make_state(grid, psi_values, u_values):
-    return State(project(transform_forward(psi_values, grid), grid),
-                 project(transform_forward(u_values, grid), grid), 0.0)
+    return State(project(RealField.from_physical(psi_values, grid), grid),
+                 project(RealField.from_physical(u_values, grid), grid), 0.0)
 
 
 class TestDenseQuadrature:
     def test_unit_integrand(self, grid64):
-        one = transform_forward(np.ones(64), grid64)
+        one = RealField.from_physical(np.ones(64), grid64)
         assert dense_quadrature(lambda x, f: f, [one], grid64) == pytest.approx(1.0)
 
     def test_sin_squared(self, grid64):
-        s = transform_forward(np.sin(2 * np.pi * grid64.x), grid64)
+        s = RealField.from_physical(np.sin(2 * np.pi * grid64.x), grid64)
         got = dense_quadrature(lambda x, f: f**2, [s], grid64)
         assert got == pytest.approx(0.5, abs=1e-14)
 
     def test_exp_sin_bessel(self, grid64):
-        s = transform_forward(np.sin(2 * np.pi * grid64.x), grid64)
+        s = RealField.from_physical(np.sin(2 * np.pi * grid64.x), grid64)
         got = dense_quadrature(lambda x, f: np.exp(f), [s], grid64, oversample=16)
         assert got == pytest.approx(BESSEL_I0_1, abs=1e-10)
 
     def test_oversample_floor(self, grid64):
-        one = transform_forward(np.ones(64), grid64)
+        one = RealField.from_physical(np.ones(64), grid64)
         with pytest.raises(ValueError):
             dense_quadrature(lambda x, f: f, [one], grid64, oversample=2)
 
@@ -55,7 +55,7 @@ class TestTrigEval:
         assert np.max(np.abs(vals - f.physical)) < 1e-12
 
     def test_derivative_order(self, grid64):
-        f = transform_forward(np.sin(2 * np.pi * grid64.x), grid64)
+        f = RealField.from_physical(np.sin(2 * np.pi * grid64.x), grid64)
         x = np.linspace(0, 1, 37, endpoint=False)
         got = trig_eval(f, grid64, x, order=1)
         assert np.max(np.abs(got - 2 * np.pi * np.cos(2 * np.pi * x))) < 1e-12

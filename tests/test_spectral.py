@@ -10,8 +10,7 @@ from qns1d.spectral import (
     derivative,
     l2_norm,
     project,
-    transform_forward,
-    transform_inverse,
+    to_physical,
 )
 
 from conftest import band_limited, make_stepper
@@ -50,13 +49,13 @@ class TestTorusGrid:
 class TestTransforms:
     def test_constant_field_mode_zero(self):
         g = TorusGrid(32, 10)
-        f = transform_forward(np.ones(32), g)
+        f = RealField.from_physical(np.ones(32), g)
         assert f.spectral[0] == pytest.approx(1.0)
         assert np.max(np.abs(f.spectral[1:])) < 1e-15
 
     def test_single_harmonic(self):
         g = TorusGrid(16, 5)
-        f = transform_forward(np.sin(2 * np.pi * g.x), g)
+        f = RealField.from_physical(np.sin(2 * np.pi * g.x), g)
         nonzero = np.nonzero(np.abs(f.spectral) > 1e-12)[0]
         assert list(nonzero) == [1]
         assert f.spectral[1] == pytest.approx(-0.5j)
@@ -65,15 +64,15 @@ class TestTransforms:
     def test_roundtrip_all_sizes(self, n, rng):
         g = TorusGrid(n, n // 3)
         values = rng.standard_normal(n)
-        f = transform_forward(values, g)
-        back = transform_inverse(f, g)
+        f = RealField.from_physical(values, g)
+        back = to_physical(f.spectral, g.n_collocation)
         scale = np.max(np.abs(values))
         assert np.max(np.abs(back - values)) / scale < 1e-12
 
     def test_length_mismatch_rejected(self):
         g = TorusGrid(32, 10)
         with pytest.raises(GridConfigError):
-            transform_forward(np.ones(16), g)
+            RealField.from_physical(np.ones(16), g)
 
     @pytest.mark.parametrize("n", [16, 64, 256, 1024])
     def test_parseval(self, n, rng):
@@ -91,19 +90,19 @@ class TestProjection:
 
     def test_out_of_band_harmonic_zeroed(self, grid64):
         m = grid64.m_modes
-        f = transform_forward(np.sin(2 * np.pi * (m + 1) * grid64.x), grid64)
+        f = RealField.from_physical(np.sin(2 * np.pi * (m + 1) * grid64.x), grid64)
         p = project(f, grid64)
         assert np.max(np.abs(p.physical)) < 1e-12
 
     def test_idempotent_and_modes_exactly_zero(self, grid64, rng):
-        f = transform_forward(rng.standard_normal(64), grid64)
+        f = RealField.from_physical(rng.standard_normal(64), grid64)
         p = project(f, grid64)
         assert np.all(p.spectral[grid64.m_modes + 1:] == 0.0)
         pp = project(p, grid64)
         assert np.array_equal(pp.spectral, p.spectral)
 
     def test_norm_nonincreasing(self, grid64, rng):
-        f = transform_forward(rng.standard_normal(64), grid64)
+        f = RealField.from_physical(rng.standard_normal(64), grid64)
         p = project(f, grid64)
         # Parseval check by quadrature on both sides
         norm_f = float(np.sqrt(np.mean(f.physical**2)))
@@ -112,7 +111,7 @@ class TestProjection:
         assert l2_norm(p, grid64) <= l2_norm(f, grid64) + 1e-14
 
     def test_orthogonality_of_remainder(self, grid64, rng):
-        f = transform_forward(rng.standard_normal(64), grid64)
+        f = RealField.from_physical(rng.standard_normal(64), grid64)
         p = project(f, grid64)
         for _ in range(5):
             gfield = band_limited(grid64, rng)
@@ -122,13 +121,13 @@ class TestProjection:
 
 class TestDerivative:
     def test_first_derivative_harmonic(self, grid64):
-        f = transform_forward(np.sin(2 * np.pi * grid64.x), grid64)
+        f = RealField.from_physical(np.sin(2 * np.pi * grid64.x), grid64)
         d = derivative(f, 1, grid64)
         exact = 2 * np.pi * np.cos(2 * np.pi * grid64.x)
         assert np.max(np.abs(d.physical - exact)) < 1e-12
 
     def test_third_derivative_harmonic(self, grid64):
-        f = transform_forward(np.cos(2 * np.pi * grid64.x), grid64)
+        f = RealField.from_physical(np.cos(2 * np.pi * grid64.x), grid64)
         d = derivative(f, 3, grid64)
         exact = (2 * np.pi) ** 3 * np.sin(2 * np.pi * grid64.x)
         # roundoff in the samples is amplified by k_max^3; bound relative to that
@@ -159,7 +158,7 @@ class TestDerivative:
 
 class TestDealiasProduct:
     def test_product_to_sum_identity(self, grid64):
-        s = transform_forward(np.sin(2 * np.pi * grid64.x), grid64)
+        s = RealField.from_physical(np.sin(2 * np.pi * grid64.x), grid64)
         prod = dealias_product(s, s, grid64)
         exact = 0.5 - 0.5 * np.cos(4 * np.pi * grid64.x)
         assert np.max(np.abs(prod.physical - exact)) < 1e-13
@@ -167,7 +166,7 @@ class TestDealiasProduct:
         assert set(live) <= {0, 2}
 
     def test_scalar_factor(self, grid64, rng):
-        c = transform_forward(np.full(64, 2.0), grid64)
+        c = RealField.from_physical(np.full(64, 2.0), grid64)
         b = band_limited(grid64, rng, max_mode=grid64.dealias_cut)
         prod = dealias_product(c, b, grid64)
         assert np.max(np.abs(prod.physical - 2.0 * b.physical)) < 1e-12
