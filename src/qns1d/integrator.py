@@ -13,6 +13,24 @@ The array kernels of ``_Stepper`` are the only implementation of the
 right-hand side. ``simulate_path`` runs the one state check (finite values,
 |psi| within the clamp) on every state, the last included, before its norms
 and monitor record are taken; a failed check ends the path as a blow-up.
+
+Transforms run over stacked rows, a few calls per step rather than one per
+field. A state costs two: one inverse of [psi, u, psi', u', u'', psi''] on
+the collocation grid, whose first two rows the state check reads and whose
+samples the monitor record and the step reuse, and one oversampled inverse
+of derivative orders 0..2 of psi and u for both W^{2,inf} norms. A step
+costs three: one forward transform of the seven explicit-term rows (three
+dealiased products, four band projections), and one inverse and one forward
+for the corrector's transport. A grid too coarse for alias-free products
+adds one inverse for the product factors and one forward. numpy transforms
+each row of a stack exactly as it transforms that row alone, so stacking
+changes no bit of the result.
+
+The corrector's cut-off factor phi(|u_pred|) skips its sup-norm when it
+cannot matter. cutoff_phi is exactly 1 on [0, R], and the Wiener-algebra
+bound max_o sum_j mult_j |c_j| k_j^o dominates the W^{2,inf} norm, so a
+bound at or below R (less a relative slack of ``_BOUND_SLACK`` for rounding)
+fixes phi = 1 with no transform; otherwise the norm is taken as before.
 """
 
 from __future__ import annotations
@@ -31,7 +49,11 @@ from .model import (
     w2inf_norm,
 )
 from .noise import NoiseModel, derive_path_seed, sample_increment
-from .spectral import RealField, TorusGrid, l2_norm, to_physical, to_spectral
+from .spectral import RealField, TorusGrid, _frozen, l2_norm, to_physical, to_spectral
+
+# relative margin below the cut-off radius for the predictor's Wiener bound,
+# covering rounding in the bound's sum and in the sup-norm's transform
+_BOUND_SLACK = 1e-9
 
 
 class IntegratorConfigError(ValueError):
@@ -101,7 +123,8 @@ class _Stepper:
     """Per-run workspace: wavenumber arrays, masks, and the step kernels.
 
     Spectra are mean-normalized half-spectra (rfft/n). All kernels take and
-    return raw arrays; the public functions wrap them in State/RealField.
+    return raw arrays; the public functions wrap them in State/RealField. A
+    state enters the kernels as the rows of ``sample``.
     """
 
     def __init__(self, grid: TorusGrid, params: ModelParams, cfg: StepConfig,
@@ -112,97 +135,137 @@ class _Stepper:
         self.noise = noise
         self.n = grid.n_collocation
         self.k = grid.k_half
+        self.ik = 1j * self.k
         self.k2 = self.k**2
         # dispersion coefficient of the implicit block: the Bohm factor 1/2
         # times k^3, so the dispersion term is -1j * hk3 * psi_spec
         self.hk3 = 0.5 * self.k**3
         self.band = np.arange(grid.n_half) <= grid.m_modes
         self.qmask = grid.dealias_mask
+        # rows of the explicit-term stack: three dealiased products, then
+        # four Galerkin-band projections, the forcing last
+        self.term_masks = np.stack([self.qmask] * 3 + [self.band] * 4)
         self.dt = cfg.dt_effective
         # alias-free quadratic products need n >= 2m + cut + 2
         need = 2 * grid.m_modes + grid.dealias_cut + 2
         self.product_n = self.n if self.n >= need else need + (need % 2)
         self.noise_on = noise.base_amplitude > 0.0
+        # Wiener-algebra bound of the W^{2,inf} norm, sup|d^o f/dx^o| <=
+        # sum_j mult_j |c_j| k_j^o: on the oversampled grid every mode but
+        # j = 0 is interior to the real transform and so counts twice
+        mult = np.full(grid.n_half, 2.0)
+        mult[0] = 1.0
+        self.wiener = np.stack([mult, mult * self.k, mult * self.k2])
+        radius = params.cutoff_radius if params.enable_cutoff else np.inf
+        self.certified_radius = radius / (1.0 + _BOUND_SLACK)
 
     # --- small kernels -------------------------------------------------
 
-    def phys(self, spec: np.ndarray) -> np.ndarray:
-        return to_physical(spec, self.n)
+    def sample(self, psi_spec: np.ndarray, u_spec: np.ndarray,
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Spectra and collocation samples of the rows [psi, u, psi', u', u'', psi''].
+
+        One stacked inverse transform. The state check reads the first two
+        rows, the explicit terms all six.
+        """
+        spec = np.stack((psi_spec, u_spec, psi_spec * self.ik, u_spec * self.ik,
+                         -self.k2 * u_spec, -self.k2 * psi_spec))
+        return spec, to_physical(spec, self.n)
+
+    def project_rows(self, values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+        """Masked half-spectra of stacked samples on n or product_n points."""
+        return np.where(masks, to_spectral(values)[..., : self.grid.n_half], 0.0)
 
     def product(self, a_spec: np.ndarray, b_spec: np.ndarray) -> np.ndarray:
         """Dealiased quadratic product, returned as a masked half-spectrum.
 
-        The product is formed in physical space, on an internally padded
-        grid when n_collocation is too small for the retained band to be
-        alias-free, then masked by the grid's dealias_mask.
+        Both factors go to physical space in one stacked transform, on an
+        internally padded grid when n_collocation is too small for the
+        retained band to be alias-free; the product is masked by the grid's
+        dealias_mask.
         """
-        n = self.product_n
-        prod = to_physical(a_spec, n) * to_physical(b_spec, n)
-        return np.where(self.qmask, to_spectral(prod)[: self.grid.n_half], 0.0)
-
-    def pointwise_projected(self, values: np.ndarray) -> np.ndarray:
-        """Galerkin-band projection of pointwise values on the collocation grid."""
-        return np.where(self.band, to_spectral(values), 0.0)
+        a, b = to_physical(np.stack((a_spec, b_spec)), self.product_n)
+        return self.project_rows(a * b, self.qmask)
 
     def phi(self, norm: float) -> float:
         if not self.params.enable_cutoff:
             return 1.0
         return cutoff_phi(norm, self.params.cutoff_radius)
 
+    def predictor_phi(self, u_spec: np.ndarray) -> float:
+        """phi(|u|) of the predictor, taking its sup-norm only where it can matter.
+
+        cutoff_phi is exactly 1 at and below the radius, and the Wiener bound
+        dominates the norm, so a bound that stays below the radius (by a
+        relative slack for rounding) gives phi = 1 without the transform.
+        """
+        bound = float(np.max(self.wiener @ np.abs(u_spec)))
+        if bound <= self.certified_radius:
+            return self.phi(bound)
+        return self.phi(w2inf_norm(u_spec, self.grid))
+
     # --- right-hand sides ----------------------------------------------
 
     def transport_spec(self, psi_spec: np.ndarray, u_spec: np.ndarray,
                        phi_u: float) -> np.ndarray:
-        """-phi(|u|) * u * dpsi/dx as a half-spectrum."""
-        dpsi = psi_spec * (1j * self.k)
-        return -phi_u * self.product(u_spec, dpsi)
+        """-phi(|u|) * u * dpsi/dx as a half-spectrum, from the spectra alone."""
+        return -phi_u * self.product(u_spec, psi_spec * self.ik)
 
-    def u_terms(self, psi_spec: np.ndarray, u_spec: np.ndarray,
-                psi_phys: np.ndarray, phi_u: float, phi_psi: float,
-                ) -> dict[str, np.ndarray]:
-        """The five explicit momentum terms, each with its cut-off factor applied.
+    def explicit_terms(self, spec: np.ndarray, samples: np.ndarray, phi_u: float,
+                       phi_psi: float, dW: np.ndarray | None = None,
+                       ) -> dict[str, np.ndarray]:
+        """The explicit terms of a sampled state, each with its cut-off factor applied.
 
-        Keys: advection, pressure, viscosity, viscosity_gradient, quantum.
-        The sixth term, the dispersion, is linear, carries no cut-off and
-        is solved implicitly with coefficient ``hk3``.
+        Keys: transport (continuity equation); advection, pressure, viscosity,
+        viscosity_gradient and quantum (momentum equation); and forcing,
+        phi(|u|) * sum_k F_k dW_k, when dW is given and the noise is on. The
+        momentum equation's sixth term, the dispersion, is linear, carries no
+        cut-off and is solved implicitly with coefficient ``hk3``.
+
+        All terms share one forward transform. On a padded product grid the
+        product factors take one more inverse transform, and the products
+        and the projections take one forward transform each.
         """
         p = self.params
-        dpsi_s = psi_spec * (1j * self.k)
-        du_s = u_spec * (1j * self.k)
-        dpsi = self.phys(dpsi_s)
-        du = self.phys(du_s)
-        d2u = self.phys(-self.k2 * u_spec)
-        d2psi_s = -self.k2 * psi_spec
-
-        exp_g = np.exp((p.gamma - 1.0) * psi_phys)
-        exp_a = np.exp((p.alpha - 1.0) * psi_phys)
-        return {
-            "advection": -phi_u * self.product(u_spec, du_s),
-            "pressure": -phi_psi * p.gamma * self.pointwise_projected(exp_g * dpsi),
-            "viscosity": phi_psi * self.pointwise_projected(exp_a * d2u),
-            "viscosity_gradient":
-                phi_psi * p.alpha * self.pointwise_projected(exp_a * dpsi * du),
+        psi, u, dpsi, du, d2u, d2psi = samples
+        if self.product_n == self.n:
+            f_u, f_dpsi, f_du, f_d2psi = u, dpsi, du, d2psi
+        else:
+            f_u, f_dpsi, f_du, f_d2psi = to_physical(spec[[1, 2, 3, 5]], self.product_n)
+        exp_g = np.exp((p.gamma - 1.0) * psi)
+        exp_a = np.exp((p.alpha - 1.0) * psi)
+        products = [f_u * f_dpsi, f_u * f_du, f_dpsi * f_d2psi]
+        pointwise = [exp_g * dpsi, exp_a * d2u, exp_a * dpsi * du]
+        if dW is not None and self.noise_on:
+            coeffs = self.noise.coefficient_fields(self.grid.x, np.exp(psi), u)
+            pointwise.append(dW @ coeffs)
+        if self.product_n == self.n:
+            rows = products + pointwise
+            s = self.project_rows(np.stack(rows), self.term_masks[: len(rows)])
+        else:
+            s = np.concatenate((self.project_rows(np.stack(products), self.qmask),
+                                self.project_rows(np.stack(pointwise), self.band)))
+        terms = {
+            "transport": -phi_u * s[0],
+            "advection": -phi_u * s[1],
             # d/dx(sqrt(rho)''/sqrt(rho)) = (psi''' + psi'psi'')/2: the 1/2 is
             # what the energy functional's capillary term dissipates against
-            "quantum": 0.5 * phi_psi * self.product(dpsi_s, d2psi_s),
+            "quantum": 0.5 * phi_psi * s[2],
+            "pressure": -phi_psi * p.gamma * s[3],
+            "viscosity": phi_psi * s[4],
+            "viscosity_gradient": phi_psi * p.alpha * s[5],
         }
+        if len(s) == 7:
+            terms["forcing"] = phi_u * s[6]
+        return terms
 
-    def explicit_u_spec(self, psi_spec: np.ndarray, u_spec: np.ndarray,
-                        psi_phys: np.ndarray, phi_u: float, phi_psi: float,
+    def explicit_u_spec(self, terms: dict[str, np.ndarray], u_spec: np.ndarray,
                         nu_bar: float) -> np.ndarray:
         """All momentum terms outside the implicit 2x2 block."""
-        terms = self.u_terms(psi_spec, u_spec, psi_phys, phi_u, phi_psi)
         out = terms["advection"] + terms["pressure"]
         # viscosity minus the share handled implicitly
         out = out + terms["viscosity"] + nu_bar * self.k2 * u_spec
         return out + terms["viscosity_gradient"] + terms["quantum"]
-
-    def forcing_spec(self, dW: np.ndarray, psi_phys: np.ndarray, u_phys: np.ndarray,
-                     phi_u: float) -> np.ndarray:
-        """phi(|u|) * sum_k F_k(x, rho, u) dW_k, projected onto the Galerkin band."""
-        rho = np.exp(psi_phys)
-        coeffs = self.noise.coefficient_fields(self.grid.x, rho, u_phys)
-        return phi_u * self.pointwise_projected(dW @ coeffs)
 
     def nu_bar(self, psi_phys: np.ndarray, phi_psi: float) -> float:
         if self.cfg.implicit_visc_floor is not None:
@@ -240,32 +303,37 @@ class _Stepper:
 
     # --- full step -------------------------------------------------------
 
-    def step_imex(self, psi_spec: np.ndarray, u_spec: np.ndarray,
-                  psi_phys: np.ndarray, u_phys: np.ndarray,
-                  dW: np.ndarray | None, norms: tuple[float, float],
+    def step_imex(self, spec: np.ndarray, samples: np.ndarray,
+                  norms: Sequence[float], dW: np.ndarray | None,
                   ) -> tuple[np.ndarray, np.ndarray]:
         """One IMEX step from a checked state.
 
-        psi_phys and u_phys are the state's collocation samples and norms its
+        spec and samples are the state's ``sample`` rows and norms its
         W^{2,inf} norms (psi, u); dW is the step's increment, or None.
         """
+        psi_spec, u_spec = spec[0], spec[1]
         phi_psi = self.phi(norms[0])
         phi_u = self.phi(norms[1])
-        nu_bar = self.nu_bar(psi_phys, phi_psi)
+        nu_bar = self.nu_bar(samples[0], phi_psi)
 
-        n_psi = self.transport_spec(psi_spec, u_spec, phi_u)
-        n_u = self.explicit_u_spec(psi_spec, u_spec, psi_phys, phi_u, phi_psi, nu_bar)
-        s_u = np.zeros_like(u_spec)
-        if dW is not None and self.noise_on:
-            s_u = self.forcing_spec(dW, psi_phys, u_phys, phi_u)
+        terms = self.explicit_terms(spec, samples, phi_u, phi_psi, dW)
+        n_psi = terms["transport"]
+        n_u = self.explicit_u_spec(terms, u_spec, nu_bar)
+        s_u = terms.get("forcing", np.zeros_like(u_spec))
 
         psi_pred, u_pred = self.cn_solve(psi_spec, u_spec, n_psi, n_u, s_u, nu_bar)
 
         # trapezoidal corrector on the transport term only (mass accuracy)
-        phi_u_pred = self.phi(w2inf_norm(u_pred, self.grid))
-        n_psi_pred = self.transport_spec(psi_pred, u_pred, phi_u_pred)
+        n_psi_pred = self.transport_spec(psi_pred, u_pred, self.predictor_phi(u_pred))
         n_psi_avg = 0.5 * (n_psi + n_psi_pred)
         return self.cn_solve(psi_spec, u_spec, n_psi_avg, n_u, s_u, nu_bar)
+
+
+def _sampled_state(spec: np.ndarray, samples: np.ndarray, t: float) -> State:
+    """The State of ``sample`` rows; its fields equal RealField.from_spectral's."""
+    psi, u = (RealField(_frozen(samples[i].copy()), _frozen(spec[i].copy()))
+              for i in (0, 1))
+    return State(psi=psi, u=u, time=t)
 
 
 def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
@@ -273,12 +341,11 @@ def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
     """Advance one time step; raises NumericalBlowupError if the input state
     fails the state check."""
     stepper = _Stepper(grid, params, cfg, noise)
-    psi_spec, u_spec = state.psi.spectral, state.u.spectral
-    psi_phys, u_phys = stepper.phys(psi_spec), stepper.phys(u_spec)
-    stepper.check_state(psi_phys, u_phys, state.time)
+    spec, samples = stepper.sample(state.psi.spectral, state.u.spectral)
+    stepper.check_state(samples[0], samples[1], state.time)
     dW = sample_increment(seed, step_index, stepper.dt, noise) if stepper.noise_on else None
-    norms = (w2inf_norm(psi_spec, grid), w2inf_norm(u_spec, grid))
-    psi_new, u_new = stepper.step_imex(psi_spec, u_spec, psi_phys, u_phys, dW, norms)
+    norms = w2inf_norm(spec[:2], grid)
+    psi_new, u_new = stepper.step_imex(spec, samples, norms, dW)
     return State(
         psi=RealField.from_spectral(psi_new, grid),
         u=RealField.from_spectral(u_new, grid),
@@ -301,8 +368,8 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
     n_steps = cfg.n_steps
     radius = params.cutoff_radius if params.enable_cutoff else np.inf
 
-    psi_spec = initial.psi.spectral.copy()
-    u_spec = initial.u.spectral.copy()
+    psi_spec = initial.psi.spectral
+    u_spec = initial.u.spectral
     t = initial.time
 
     records: list[functionals.MonitorRecord] = []
@@ -310,27 +377,22 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
     event: StoppingEvent | None = None
     steps_taken = 0
 
-    def current_state() -> State:
-        return State(psi=RealField.from_spectral(psi_spec, grid),
-                     u=RealField.from_spectral(u_spec, grid), time=t)
-
     for i in range(n_steps + 1):
-        # the samples the next step needs anyway are the ones checked, so the
-        # check costs no transform except on the last state
-        psi_phys = stepper.phys(psi_spec)
-        u_phys = stepper.phys(u_spec)
+        # the checked samples are the ones the next step, the monitor record
+        # and the final state use
+        spec, samples = stepper.sample(psi_spec, u_spec)
         try:
-            stepper.check_state(psi_phys, u_phys, t)
+            stepper.check_state(samples[0], samples[1], t)
         except NumericalBlowupError as exc:
             event = StoppingEvent(kind="numerical_blowup", time=exc.time,
                                   triggering_norm=float("inf"), which="none")
             break
-        norm_psi = w2inf_norm(psi_spec, grid)
-        norm_u = w2inf_norm(u_spec, grid)
+        norm_psi, norm_u = w2inf_norm(spec[:2], grid)
         trace[i] = (t, norm_psi, norm_u)
         if monitors.collect_records and (i % monitors.stride == 0 or i == n_steps):
             records.append(functionals.compute_record(
-                current_state(), params, grid, w2inf_psi=norm_psi, w2inf_u=norm_u))
+                _sampled_state(spec, samples, t), params, grid,
+                w2inf_psi=norm_psi, w2inf_u=norm_u))
         worst = max(norm_psi, norm_u)
         if worst >= radius:
             event = StoppingEvent(
@@ -347,14 +409,14 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
             dW = sample_increment(path_seed, i, dt, noise)
         else:
             dW = None
-        psi_spec, u_spec = stepper.step_imex(psi_spec, u_spec, psi_phys, u_phys,
-                                             dW, (norm_psi, norm_u))
+        psi_spec, u_spec = stepper.step_imex(spec, samples, (norm_psi, norm_u), dW)
         t = initial.time + (i + 1) * dt
         steps_taken = i + 1
 
     assert event is not None
     checked = steps_taken + (event.kind != "numerical_blowup")
-    return PathResult(records=records, event=event, final_state=current_state(),
+    return PathResult(records=records, event=event,
+                      final_state=_sampled_state(spec, samples, t),
                       norm_trace=trace[:checked].copy(),
                       n_steps_taken=steps_taken)
 

@@ -30,22 +30,28 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def to_spectral(values: np.ndarray) -> np.ndarray:
-    """Mean-normalized half-spectrum ``rfft(values) / n`` of n samples."""
-    return np.fft.rfft(values) / values.shape[0]
+    """Mean-normalized half-spectrum ``rfft(values) / n`` of n samples.
+
+    A stack of fields (samples along the last axis) is transformed row by row
+    in one call.
+    """
+    return np.fft.rfft(values) / values.shape[-1]
 
 
 def to_physical(spec: np.ndarray, n: int) -> np.ndarray:
     """Samples on n equispaced points of a mean-normalized half-spectrum.
 
     When n exceeds the spectrum's own grid, irfft zero-pads the missing
-    modes, which is spectral interpolation onto the finer grid.
+    modes, which is spectral interpolation onto the finer grid. A stack of
+    spectra (modes along the last axis) is transformed row by row in one call.
     """
     return np.fft.irfft(spec * n, n=n)
 
 
 def ddx(values: np.ndarray, order: int) -> np.ndarray:
-    """Spectral derivative of periodic samples on their own grid (no band limit)."""
-    n = values.shape[0]
+    """Spectral derivative of periodic samples (along the last axis) on their
+    own grid, with no band limit."""
+    n = values.shape[-1]
     k = 2.0 * np.pi * np.fft.rfftfreq(n, 1.0 / n)
     return np.fft.irfft(np.fft.rfft(values) * (1j * k) ** order, n=n)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qns1d.functionals import compute_record
 from qns1d.integrator import (
     IntegratorConfigError,
     MonitorSpec,
@@ -210,6 +211,59 @@ class TestSimulatePath:
         res = simulate_path(st, cfg, params, noisy, 3, grid64, MonitorSpec(stride=20))
         masses = [r.mass for r in res.records]
         assert max(abs(m - masses[0]) for m in masses) / masses[0] < 1e-6
+
+
+class TestStackedKernels:
+    def test_five_transforms_per_step(self, grid64, monkeypatch):
+        # per state one inverse at n and one oversampled inverse for the
+        # norms; per step one forward for the explicit terms and one inverse
+        # plus one forward for the corrector's transport, the predictor's
+        # sup-norm being certified away
+        params, st = small_setup(grid64)
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        cfg = StepConfig(dt=1e-3, t_end=0.012)
+        res = simulate_path(st, cfg, params, NoiseModel(base_amplitude=0.2), 3, grid64,
+                            MonitorSpec(collect_records=False))
+        assert res.event.kind == "completed" and res.n_steps_taken == cfg.n_steps
+        assert len(calls) == 5 * cfg.n_steps + 2
+
+    def test_step_replays_path_on_padded_grid(self):
+        # m = n/2 puts the products on a padded grid; the public step() and
+        # simulate_path run the same kernels and draw the same increments
+        grid = TorusGrid(32, 16)
+        params, st = small_setup(grid)
+        noisy = NoiseModel(base_amplitude=0.2)
+        cfg = StepConfig(dt=1e-3, t_end=0.01)
+        res = simulate_path(st, cfg, params, noisy, 9, grid, MonitorSpec(stride=4))
+        assert res.event.kind == "completed"
+        state = st
+        for i in range(cfg.n_steps):
+            state = step(state, cfg, params, noisy, 9, i, grid)
+        assert np.array_equal(state.psi.spectral, res.final_state.psi.spectral)
+        assert np.array_equal(state.u.spectral, res.final_state.u.spectral)
+
+    def test_records_and_final_state_reuse_checked_samples(self, grid64):
+        params, st = small_setup(grid64)
+        cfg = StepConfig(dt=1e-3, t_end=0.006)
+        res = simulate_path(st, cfg, params, NoiseModel(base_amplitude=0.2), 5, grid64,
+                            MonitorSpec(stride=3))
+        final = res.final_state
+        rebuilt = State(RealField.from_spectral(final.psi.spectral, grid64),
+                        RealField.from_spectral(final.u.spectral, grid64), final.time)
+        for got, want in ((final.psi, rebuilt.psi), (final.u, rebuilt.u)):
+            assert got.physical.tobytes() == want.physical.tobytes()
+            assert not got.physical.flags.writeable and not got.spectral.flags.writeable
+        _, norm_psi, norm_u = res.norm_trace[-1]
+        record = compute_record(rebuilt, params, grid64, w2inf_psi=norm_psi, w2inf_u=norm_u)
+        assert res.records[-1].to_row() == record.to_row()
 
 
 class TestStrongConvergence:

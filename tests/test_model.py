@@ -25,24 +25,34 @@ def physical(spec, grid):
     return RealField.from_spectral(spec, grid).physical
 
 
+def sampled(stepper, st):
+    """The stepper's sample rows and W^{2,inf} norms (psi, u) of a state."""
+    spec, samples = stepper.sample(st.psi.spectral, st.u.spectral)
+    return spec, samples, w2inf_norm(spec[:2], stepper.grid)
+
+
 def factors(stepper, st):
     """Cut-off factors (phi_u, phi_psi) of a state, as the stepper applies them."""
-    return (stepper.phi(w2inf_norm(st.u.spectral, stepper.grid)),
-            stepper.phi(w2inf_norm(st.psi.spectral, stepper.grid)))
+    _, _, (norm_psi, norm_u) = sampled(stepper, st)
+    return stepper.phi(norm_u), stepper.phi(norm_psi)
+
+
+def explicit_terms(stepper, st):
+    """The stepper's explicit terms of a state, with its own cut-off factors."""
+    spec, samples, _ = sampled(stepper, st)
+    return stepper.explicit_terms(spec, samples, *factors(stepper, st))
 
 
 def rhs_psi(stepper, st):
     """d psi/dt: the explicit transport plus the divergence of the implicit block."""
-    phi_u, _ = factors(stepper, st)
-    transport = stepper.transport_spec(st.psi.spectral, st.u.spectral, phi_u)
+    transport = explicit_terms(stepper, st)["transport"]
     return transport - 1j * stepper.k * st.u.spectral
 
 
 def u_terms(stepper, st):
     """The five explicit momentum terms plus the implicit block's dispersion."""
-    phi_u, phi_psi = factors(stepper, st)
-    terms = stepper.u_terms(st.psi.spectral, st.u.spectral, st.psi.physical,
-                            phi_u, phi_psi)
+    terms = explicit_terms(stepper, st)
+    del terms["transport"]
     terms["dispersion"] = -1j * stepper.hk3 * st.psi.spectral
     return terms
 
@@ -50,9 +60,7 @@ def u_terms(stepper, st):
 def rhs_u(stepper, st):
     """Deterministic du/dt: the explicit terms with no implicit viscosity share,
     plus the dispersion."""
-    phi_u, phi_psi = factors(stepper, st)
-    explicit = stepper.explicit_u_spec(st.psi.spectral, st.u.spectral, st.psi.physical,
-                                       phi_u, phi_psi, 0.0)
+    explicit = stepper.explicit_u_spec(explicit_terms(stepper, st), st.u.spectral, 0.0)
     return explicit - 1j * stepper.hk3 * st.psi.spectral
 
 
@@ -118,6 +126,28 @@ class TestW2Inf:
         brute = max(np.max(np.abs(trig_eval(f, grid64, x_fine, order=o)))
                     for o in (0, 1, 2))
         assert w2inf_norm(f.spectral, grid64) == pytest.approx(brute, rel=1e-6)
+
+    def test_stack_matches_rows(self, grid64, rng):
+        rows = [band_limited(grid64, rng, amplitude=a).spectral for a in (0.3, 1.0, 4.0)]
+        assert w2inf_norm(np.stack(rows), grid64) == [w2inf_norm(r, grid64) for r in rows]
+
+    @pytest.mark.parametrize("n, m", [(64, 21), (64, 32), (256, 85)])
+    def test_wiener_bound_dominates(self, n, m, rng):
+        # the predictor's certified skip of its sup-norm rests on this bound
+        grid = TorusGrid(n, m)
+        stepper = make_stepper(grid)
+        for amplitude in (0.1, 1.0, 30.0):
+            spec = band_limited(grid, rng, amplitude=amplitude).spectral.copy()
+            spec[0] = rng.standard_normal()
+            bound = np.max(stepper.wiener @ np.abs(spec))
+            assert w2inf_norm(spec, grid) <= bound
+        # one mode at a time the bound is tight, up to the 8x grid missing the
+        # peak by at most pi/16 in phase; the Nyquist mode counts twice too
+        for j in range(1, m + 1):
+            spec = np.zeros(grid.n_half, dtype=complex)
+            spec[j] = 0.7 - 0.2j
+            bound = np.max(stepper.wiener @ np.abs(spec))
+            assert np.cos(np.pi / 16) * bound <= w2inf_norm(spec, grid) <= bound * (1 + 1e-12)
 
 
 class TestRhsPsi:
@@ -257,6 +287,41 @@ class TestRhsU:
             assert np.max(np.abs(physical(terms[name], grid64))) == 0.0, name
         # the dispersion term is linear and carries no cut-off
         assert np.max(np.abs(physical(terms["dispersion"], grid64))) > 0.0
+
+    @pytest.mark.parametrize("where", ["certified", "between_norm_and_bound", "bridge",
+                                       "saturated", "cutoff_off"])
+    def test_predictor_phi_equals_phi_of_norm(self, grid64, rng, where):
+        # the radius sits above the Wiener bound, between the norm and the
+        # bound, or below the norm (phi in the bridge, or 0)
+        u = band_limited(grid64, rng, amplitude=0.5).spectral
+        norm = w2inf_norm(u, grid64)
+        bound = np.max(make_stepper(grid64).wiener @ np.abs(u))
+        assert norm < bound
+        radius = {"certified": 2.0 * bound, "between_norm_and_bound": 0.5 * (norm + bound),
+                  "bridge": norm - 0.5, "saturated": norm - 2.0,
+                  "cutoff_off": norm - 0.5}[where]
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius,
+                             enable_cutoff=where != "cutoff_off")
+        stepper = make_stepper(grid64, params)
+        assert stepper.predictor_phi(u) == stepper.phi(norm)
+        if where == "bridge":
+            assert 0.0 < stepper.phi(norm) < 1.0
+
+    @pytest.mark.parametrize("n, m", [(64, 21), (32, 16)])
+    def test_stacked_products_equal_product_kernel(self, n, m, rng):
+        # the state's products share one forward transform with the
+        # projections; the corrector forms its transport through product()
+        grid = TorusGrid(n, m)
+        stepper = make_stepper(grid, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e6))
+        st = State(band_limited(grid, rng, amplitude=0.2), band_limited(grid, rng))
+        terms = explicit_terms(stepper, st)
+        phi_u, phi_psi = factors(stepper, st)
+        psi_s, u_s = st.psi.spectral, st.u.spectral
+        dpsi_s, du_s = psi_s * stepper.ik, u_s * stepper.ik
+        assert np.array_equal(terms["transport"], stepper.transport_spec(psi_s, u_s, phi_u))
+        assert np.array_equal(terms["advection"], -phi_u * stepper.product(u_s, du_s))
+        assert np.array_equal(terms["quantum"],
+                              0.5 * phi_psi * stepper.product(dpsi_s, -stepper.k2 * psi_s))
 
     def test_psi_clamp_raises(self, grid64):
         st = make_state(grid64, np.full(64, 60.0), np.zeros(64))

@@ -21,9 +21,11 @@ def make_state(grid, psi_values, u_values):
 def forcing_field(state, dW, model, params, grid):
     """The stepper's forcing of one increment, with the state's own cut-off factor."""
     stepper = make_stepper(grid, params, model)
-    phi_u = stepper.phi(w2inf_norm(state.u.spectral, grid))
-    spec = stepper.forcing_spec(dW, state.psi.physical, state.u.physical, phi_u)
-    return RealField.from_spectral(spec, grid)
+    spec, samples = stepper.sample(state.psi.spectral, state.u.spectral)
+    norm_psi, norm_u = w2inf_norm(spec[:2], grid)
+    terms = stepper.explicit_terms(spec, samples, stepper.phi(norm_u),
+                                   stepper.phi(norm_psi), dW)
+    return RealField.from_spectral(terms["forcing"], grid)
 
 
 class TestNoiseModel:

@@ -7,13 +7,16 @@ from qns1d.spectral import (
     RealField,
     TorusGrid,
     UsageError,
+    ddx,
     derivative,
     l2_norm,
     project,
+    resample,
     to_physical,
+    to_spectral,
 )
 
-from conftest import band_limited, make_stepper
+from conftest import band_limited, make_stepper, oracle_mode_coefficients
 
 
 def dealias_product(a, b, grid):
@@ -181,3 +184,43 @@ class TestDealiasProduct:
             oracle = convolution_product(a, b, g, keep=g.dealias_cut)
             assert np.max(np.abs(prod.spectral[: g.dealias_cut + 1] - oracle)) < 1e-14
             assert np.all(prod.spectral[g.dealias_cut + 1:] == 0.0)
+
+    def test_padded_grid_matches_quadrature_oracle(self, rng):
+        # m = n/2: products are formed on product_n = 44 points, not on n = 32
+        g = TorusGrid(32, 16)
+        assert make_stepper(g).product_n == 44
+        a = band_limited(g, rng)
+        b = band_limited(g, rng)
+        prod = dealias_product(a, b, g)
+        fine = resample(a, g, 1024) * resample(b, g, 1024)
+        oracle = oracle_mode_coefficients(fine, g.dealias_cut)
+        assert np.max(np.abs(prod.spectral[: g.dealias_cut + 1] - oracle)) < 1e-14
+        assert np.all(prod.spectral[g.dealias_cut + 1:] == 0.0)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestStackedTransforms:
+    """A stack of rows transforms bit for bit like its rows one at a time.
+
+    The step kernels transform every field of a step in a few stacked calls
+    and stay bit-identical to per-field transforms only while this holds.
+    """
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 6, 7])
+    @pytest.mark.parametrize("n", [32, 64, 256, 1024])
+    def test_rows_transform_one_at_a_time(self, n, rows, rng):
+        values = rng.standard_normal((rows, n))
+        spec = to_spectral(values)
+        assert all(same_bits(spec[i], to_spectral(values[i])) for i in range(rows))
+        for n_out in (n, 8 * n):  # the collocation grid and the zero-padded sup-norm grid
+            out = to_physical(spec, n_out)
+            assert all(same_bits(out[i], to_physical(spec[i], n_out)) for i in range(rows))
+
+    def test_stacked_derivative(self, rng):
+        values = rng.standard_normal((3, 64))
+        for order in (1, 2):
+            out = ddx(values, order)
+            assert all(same_bits(out[i], ddx(values[i], order)) for i in range(3))
