@@ -17,12 +17,14 @@ from .model import DomainError, ModelParams, State, w2inf_norm
 from .spectral import RealField, TorusGrid, ddx, hs_norm, resample
 
 QUAD_OVERSAMPLE = 2
+# oversampling of the entropy-identity residuals and the combination check
+IDENTITY_OVERSAMPLE = 4
 # exponent of the monitored no-vacuum norm ||1/rho||_inf^BETA
 BETA = 1.0
 
 
-def _fine(field: RealField, grid: TorusGrid, ov: int) -> np.ndarray:
-    return resample(field, grid, ov * grid.n_collocation)
+def _fine(field: RealField, grid: TorusGrid) -> np.ndarray:
+    return resample(field, grid, QUAD_OVERSAMPLE * grid.n_collocation)
 
 
 def _quad(values: np.ndarray) -> float:
@@ -58,16 +60,15 @@ class MonitorRecord:
         ]
 
 
-def mass(state: State, grid: TorusGrid, oversample: int = QUAD_OVERSAMPLE) -> float:
+def mass(state: State, grid: TorusGrid) -> float:
     """Total mass: integral of rho = exp(psi) over the torus."""
-    return _quad(np.exp(_fine(state.psi, grid, oversample)))
+    return _quad(np.exp(_fine(state.psi, grid)))
 
 
-def energy(state: State, params: ModelParams, grid: TorusGrid,
-           oversample: int = QUAD_OVERSAMPLE) -> float:
+def energy(state: State, params: ModelParams, grid: TorusGrid) -> float:
     """Integral of rho*u^2/2 + rho^gamma/(gamma-1) + |d/dx sqrt(rho)|^2."""
-    psi = _fine(state.psi, grid, oversample)
-    u = _fine(state.u, grid, oversample)
+    psi = _fine(state.psi, grid)
+    u = _fine(state.u, grid)
     dpsi = ddx(psi, 1)
     rho = np.exp(psi)
     integrand = (0.5 * rho * u**2
@@ -76,30 +77,21 @@ def energy(state: State, params: ModelParams, grid: TorusGrid,
     return _quad(integrand)
 
 
-def energy_dissipation_rate(state: State, params: ModelParams, grid: TorusGrid,
-                            oversample: int = QUAD_OVERSAMPLE) -> float:
+def energy_dissipation_rate(state: State, params: ModelParams, grid: TorusGrid) -> float:
     """Viscous dissipation: integral of rho^alpha |du/dx|^2."""
-    psi = _fine(state.psi, grid, oversample)
-    du = ddx(_fine(state.u, grid, oversample), 1)
+    psi = _fine(state.psi, grid)
+    du = ddx(_fine(state.u, grid), 1)
     return _quad(np.exp(params.alpha * psi) * du**2)
 
 
-def effective_velocity(state: State, params: ModelParams, grid: TorusGrid) -> RealField:
-    """V = u + Q with Q = rho^(alpha-2) * drho/dx = exp((alpha-1)psi) * dpsi/dx.
+def bd_entropy(state: State, params: ModelParams, grid: TorusGrid) -> float:
+    """Energy functional with the velocity replaced by the effective velocity.
 
-    For alpha = 0 the viscosity is the constant 1 and Q = drho/dx / rho^2,
-    which is the same formula.
+    V = u + Q with Q = rho^(alpha-2) * drho/dx = exp((alpha-1)psi) * dpsi/dx;
+    for alpha = 0 (viscosity constant 1) that is the same formula.
     """
-    dpsi = ddx(state.psi.physical, 1)
-    q = np.exp((params.alpha - 1.0) * state.psi.physical) * dpsi
-    return RealField.from_physical(state.u.physical + q, grid)
-
-
-def bd_entropy(state: State, params: ModelParams, grid: TorusGrid,
-               oversample: int = QUAD_OVERSAMPLE) -> float:
-    """Energy functional with the velocity replaced by the effective velocity."""
-    psi = _fine(state.psi, grid, oversample)
-    u = _fine(state.u, grid, oversample)
+    psi = _fine(state.psi, grid)
+    u = _fine(state.u, grid)
     dpsi = ddx(psi, 1)
     rho = np.exp(psi)
     v = u + np.exp((params.alpha - 1.0) * psi) * dpsi
@@ -109,8 +101,8 @@ def bd_entropy(state: State, params: ModelParams, grid: TorusGrid,
     return _quad(integrand)
 
 
-def bd_dissipation_terms(state: State, params: ModelParams, grid: TorusGrid,
-                         oversample: int = QUAD_OVERSAMPLE) -> tuple[float, float, float]:
+def bd_dissipation_terms(state: State, params: ModelParams,
+                         grid: TorusGrid) -> tuple[float, float, float]:
     """The weighted entropy-dissipation integrals, reported individually.
 
     For alpha != 0:
@@ -121,7 +113,7 @@ def bd_dissipation_terms(state: State, params: ModelParams, grid: TorusGrid,
     (1/2) int (d^2 log rho)^2 and the quartic slot is zero.
     """
     gamma, alpha = params.gamma, params.alpha
-    psi = _fine(state.psi, grid, oversample)
+    psi = _fine(state.psi, grid)
     rho = np.exp(psi)
     p1 = 0.5 * (gamma + alpha - 1.0)
     d_pressure = ddx(rho**p1, 1)
@@ -138,7 +130,7 @@ def bd_dissipation_terms(state: State, params: ModelParams, grid: TorusGrid,
 
 
 def bd_pressure_identity_residual(rho: RealField, params: ModelParams,
-                                  grid: TorusGrid, oversample: int = 4) -> float:
+                                  grid: TorusGrid) -> float:
     """|LHS - RHS| of the pressure-entropy identity, both sides by quadrature.
 
     LHS = int d(rho^gamma)/dx * Q dx with Q = rho^(alpha-2) * drho/dx;
@@ -149,7 +141,7 @@ def bd_pressure_identity_residual(rho: RealField, params: ModelParams,
         raise DomainError("gamma + alpha = 1 degenerates the pressure identity")
     if np.any(rho.physical <= 0.0):
         raise DomainError("density must be strictly positive pointwise")
-    r = np.abs(resample(rho, grid, oversample * grid.n_collocation))
+    r = np.abs(resample(rho, grid, IDENTITY_OVERSAMPLE * grid.n_collocation))
     q = r ** (alpha - 2.0) * ddx(r, 1)
     lhs = _quad(ddx(r**gamma, 1) * q)
     rhs = (4.0 * gamma / (gamma + alpha - 1.0) ** 2
@@ -157,8 +149,7 @@ def bd_pressure_identity_residual(rho: RealField, params: ModelParams,
     return abs(lhs - rhs)
 
 
-def bd_quantum_identity_residual(rho: RealField, alpha: float, grid: TorusGrid,
-                                 oversample: int = 4) -> float:
+def bd_quantum_identity_residual(rho: RealField, alpha: float, grid: TorusGrid) -> float:
     """|I_direct - I_closed| for the theta = alpha/2 entropy-dissipation identity.
 
     I_direct = 2 * int d/dx(rho^(alpha-1) drho/dx) * (d^2 sqrt(rho)/sqrt(rho)) dx;
@@ -170,7 +161,7 @@ def bd_quantum_identity_residual(rho: RealField, alpha: float, grid: TorusGrid,
         raise DomainError("alpha = 0 uses the separate log-density dissipation branch")
     if np.any(rho.physical <= 0.0):
         raise DomainError("density must be strictly positive pointwise")
-    r = np.abs(resample(rho, grid, oversample * grid.n_collocation))
+    r = np.abs(resample(rho, grid, IDENTITY_OVERSAMPLE * grid.n_collocation))
     bohm = ddx(np.sqrt(r), 2) / np.sqrt(r)
     i_direct = 2.0 * _quad(ddx(r ** (alpha - 1.0) * ddx(r, 1), 1) * bohm)
     half = r ** (0.5 * alpha)
@@ -193,8 +184,7 @@ def functional_inequality_margin(f: RealField, grid: TorusGrid,
     return lhs - rhs
 
 
-def nonneg_combination_check(rho: RealField, alpha: float, grid: TorusGrid,
-                             oversample: int = 4) -> float:
+def nonneg_combination_check(rho: RealField, alpha: float, grid: TorusGrid) -> float:
     """Lower bound for the quantum dissipation pair: 16(3-2a)/(9a^3) * quartic integral.
 
     Combines the quartic slot with the second-order slot bounded below through
@@ -204,7 +194,7 @@ def nonneg_combination_check(rho: RealField, alpha: float, grid: TorusGrid,
     """
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
-    r = np.abs(resample(rho, grid, oversample * grid.n_collocation))
+    r = np.abs(resample(rho, grid, IDENTITY_OVERSAMPLE * grid.n_collocation))
     quartic = _quad(r ** (-alpha) * ddx(r ** (0.5 * alpha), 1) ** 4)
     value = 16.0 * (3.0 - 2.0 * alpha) / (9.0 * alpha**3) * quartic
     if alpha <= 1.5 and value < -1e-10:
@@ -214,14 +204,9 @@ def nonneg_combination_check(rho: RealField, alpha: float, grid: TorusGrid,
     return value
 
 
-def regularity_budget(state: State, params: ModelParams, grid: TorusGrid) -> float:
-    """Composite budget monitor: ||psi||^2_{H^{s+1}} + ||u||^2_{H^s} at the monitor order."""
-    s = params.monitor_order
-    return hs_norm(state.psi, s + 1, grid) ** 2 + hs_norm(state.u, s, grid) ** 2
-
-
-def min_density(state: State, grid: TorusGrid, oversample: int = 8) -> float:
-    psi_min = float(np.min(resample(state.psi, grid, oversample * grid.n_collocation)))
+def min_density(state: State, grid: TorusGrid) -> float:
+    """Minimum of rho = exp(psi), sampled on an 8x finer grid."""
+    psi_min = float(np.min(resample(state.psi, grid, 8 * grid.n_collocation)))
     return float(np.exp(psi_min))
 
 

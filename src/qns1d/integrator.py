@@ -11,8 +11,9 @@ splitting.
 
 The array kernels of ``_Stepper`` are the only implementation of the
 right-hand side. ``simulate_path`` runs the one state check (finite values,
-|psi| within the clamp) on every state, the last included, before its norms
-and monitor record are taken; a failed check ends the path as a blow-up.
+|psi| within the clamp, finite W^{2,inf} norms) on every state, the last
+included, before its norm trace row and monitor record are written; a failed
+check ends the path as a blow-up.
 
 Transforms run over stacked rows, a few calls per step rather than one per
 field. A state costs two: one inverse of [psi, u, psi', u', u'', psi''] on
@@ -274,32 +275,38 @@ class _Stepper:
         # remainder turns anti-diffusive
         return phi_psi * float(np.exp(np.min((self.params.alpha - 1.0) * psi_phys)))
 
-    def cn_solve(self, psi_spec: np.ndarray, u_spec: np.ndarray,
-                 n_psi: np.ndarray, n_u: np.ndarray, s_u: np.ndarray,
-                 nu_bar: float) -> tuple[np.ndarray, np.ndarray]:
+    def cn_solve(self, b1: np.ndarray, b2: np.ndarray, diag: np.ndarray,
+                 kb2: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One Crank-Nicolson solve of the per-mode 2x2 skew/viscous block.
 
         The implicit block is d psi = -ik u dt, d u = -(i/2) k^3 psi dt
-        - nu k^2 u dt (the dispersion carries the Bohm factor 1/2).
+        - nu k^2 u dt (the dispersion carries the Bohm factor 1/2). b1 and b2
+        are the right-hand sides of the psi and u rows; diag = 1 + (dt/2) nu k^2,
+        kb2 = (dt/2) i k b2 and det, the block's determinant, depend only on
+        the step, so ``step_imex`` builds them once for both of its solves.
         """
         hdt = 0.5 * self.dt
-        hk3 = self.hk3
-        b1 = psi_spec + hdt * (-1j * self.k * u_spec) + self.dt * n_psi
-        b2 = (u_spec + hdt * (-1j * hk3 * psi_spec - nu_bar * self.k2 * u_spec)
-              + self.dt * n_u + s_u)
-        det = 1.0 + hdt * nu_bar * self.k2 + 0.5 * hdt * hdt * self.k2 * self.k2
-        psi_new = ((1.0 + hdt * nu_bar * self.k2) * b1 - hdt * 1j * self.k * b2) / det
-        u_new = (-hdt * 1j * hk3 * b1 + b2) / det
+        psi_new = (diag * b1 - kb2) / det
+        u_new = (-hdt * 1j * self.hk3 * b1 + b2) / det
         return np.where(self.band, psi_new, 0.0), np.where(self.band, u_new, 0.0)
 
-    def check_state(self, psi_phys: np.ndarray, u_phys: np.ndarray, t: float) -> None:
-        """Raise NumericalBlowupError on non-finite samples or |psi| beyond the clamp."""
+    def check_state(self, spec: np.ndarray, samples: np.ndarray, t: float) -> list[float]:
+        """The W^{2,inf} norms (psi, u) of a state given as ``sample`` rows.
+
+        Raises NumericalBlowupError on non-finite samples, |psi| beyond the
+        clamp, or a non-finite norm.
+        """
+        psi_phys, u_phys = samples[0], samples[1]
         if not (np.all(np.isfinite(psi_phys)) and np.all(np.isfinite(u_phys))):
             raise NumericalBlowupError("non-finite values in state", t)
         peak = float(np.max(np.abs(psi_phys)))
         if peak > self.cfg.blowup_clamp:
             raise NumericalBlowupError(
                 f"|psi| reached {peak:.3g} beyond clamp {self.cfg.blowup_clamp}", t)
+        norms = w2inf_norm(spec[:2], self.grid)
+        if not np.all(np.isfinite(norms)):
+            raise NumericalBlowupError("non-finite W^{2,inf} norm", t)
+        return norms
 
     # --- full step -------------------------------------------------------
 
@@ -321,12 +328,21 @@ class _Stepper:
         n_u = self.explicit_u_spec(terms, u_spec, nu_bar)
         s_u = terms.get("forcing", np.zeros_like(u_spec))
 
-        psi_pred, u_pred = self.cn_solve(psi_spec, u_spec, n_psi, n_u, s_u, nu_bar)
+        # predictor and corrector differ only in the transport term of b1
+        hdt = 0.5 * self.dt
+        b1_linear = psi_spec + hdt * (-1j * self.k * u_spec)
+        b2 = (u_spec + hdt * (-1j * self.hk3 * psi_spec - nu_bar * self.k2 * u_spec)
+              + self.dt * n_u + s_u)
+        diag = 1.0 + hdt * nu_bar * self.k2
+        det = diag + 0.5 * hdt * hdt * self.k2 * self.k2
+        kb2 = hdt * 1j * self.k * b2
+
+        psi_pred, u_pred = self.cn_solve(b1_linear + self.dt * n_psi, b2, diag, kb2, det)
 
         # trapezoidal corrector on the transport term only (mass accuracy)
         n_psi_pred = self.transport_spec(psi_pred, u_pred, self.predictor_phi(u_pred))
         n_psi_avg = 0.5 * (n_psi + n_psi_pred)
-        return self.cn_solve(psi_spec, u_spec, n_psi_avg, n_u, s_u, nu_bar)
+        return self.cn_solve(b1_linear + self.dt * n_psi_avg, b2, diag, kb2, det)
 
 
 def _sampled_state(spec: np.ndarray, samples: np.ndarray, t: float) -> State:
@@ -342,9 +358,8 @@ def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
     fails the state check."""
     stepper = _Stepper(grid, params, cfg, noise)
     spec, samples = stepper.sample(state.psi.spectral, state.u.spectral)
-    stepper.check_state(samples[0], samples[1], state.time)
+    norms = stepper.check_state(spec, samples, state.time)
     dW = sample_increment(seed, step_index, stepper.dt, noise) if stepper.noise_on else None
-    norms = w2inf_norm(spec[:2], grid)
     psi_new, u_new = stepper.step_imex(spec, samples, norms, dW)
     return State(
         psi=RealField.from_spectral(psi_new, grid),
@@ -382,12 +397,11 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
         # and the final state use
         spec, samples = stepper.sample(psi_spec, u_spec)
         try:
-            stepper.check_state(samples[0], samples[1], t)
+            norm_psi, norm_u = stepper.check_state(spec, samples, t)
         except NumericalBlowupError as exc:
             event = StoppingEvent(kind="numerical_blowup", time=exc.time,
                                   triggering_norm=float("inf"), which="none")
             break
-        norm_psi, norm_u = w2inf_norm(spec[:2], grid)
         trace[i] = (t, norm_psi, norm_u)
         if monitors.collect_records and (i % monitors.stride == 0 or i == n_steps):
             records.append(functionals.compute_record(

@@ -70,10 +70,6 @@ class State:
     u: RealField
     time: float = 0.0
 
-    @property
-    def rho(self) -> np.ndarray:
-        return np.exp(self.psi.physical)
-
 
 def cutoff_phi(y: float, radius: float) -> float:
     """Smooth cut-off: 1 on [0, R], 0 on [R+1, inf), C^2 quintic bridge between.
@@ -106,18 +102,16 @@ def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float | list[float]:
     for order in (1, 2):
         derivs[..., order, :] = spec * (1j * grid.k_half) ** order
     fine = to_physical(derivs, W2INF_OVERSAMPLE * grid.n_collocation)
-    peaks = np.max(np.abs(fine), axis=-1).reshape(-1, 3).tolist()
-    # Python's max with 0.0 first skips a NaN order, where np.maximum would
-    # propagate it
-    norms = [max(0.0, *orders) for orders in peaks]
-    return norms if spec.ndim > 1 else norms[0]
+    # np.max propagates a NaN order, so a state whose derivatives overflow
+    # has a non-finite norm
+    norms = np.max(np.abs(fine), axis=(-2, -1))
+    return norms.tolist() if spec.ndim > 1 else float(norms)
 
 
-def quantum_identity_residual(rho: RealField, grid: TorusGrid,
-                              oversample: int = 2) -> float:
+def quantum_identity_residual(rho: RealField, grid: TorusGrid) -> float:
     """sup-norm residual of 2*rho*d/dx(sqrt(rho)''/sqrt(rho)) = d/dx(rho*(log rho)'').
 
-    Both sides are evaluated pseudo-spectrally on an oversampled grid, with
+    Both sides are evaluated pseudo-spectrally on a 2x oversampled grid, with
     every composition (sqrt, log, quotients, products) band-limited to the
     Galerkin band before the next derivative, so the residual tracks the
     band-limitation error of the grid and decays spectrally in m_modes for
@@ -126,7 +120,7 @@ def quantum_identity_residual(rho: RealField, grid: TorusGrid,
     if np.any(rho.physical <= 0.0):
         raise DomainError("density must be strictly positive pointwise")
     n = grid.n_collocation
-    n_fine = oversample * n
+    n_fine = 2 * n
     # n/3 is the alias-free band of the evaluation grid itself
     cap = min(grid.m_modes, n // 3)
     k = 2.0 * np.pi * np.arange(n_fine // 2 + 1)

@@ -76,15 +76,17 @@ class NoiseModel:
         envelope = np.tanh(u) * rho / (1.0 + rho)
         return self.amplitudes[:, None] * waves * envelope[None, :]
 
-    def verify_bounds(self, n_samples: int = 10000, seed: int = 0) -> dict:
-        """Sampled check of the structural hypotheses on a random (x, rho, u) lattice.
+    def verify_bounds(self) -> dict:
+        """Sampled check of the structural hypotheses on a random (x, rho, u) lattice
+        of 10000 points.
 
         Checks |F_k| <= a_k, first three partials of (x, rho, u) within the
         constructed constants, F_k(.,0,0) = 0, and the linear growth bound
         sum_k |F_k| <= (sum a_k)(1 + |u|). Returns the measured margins;
         raises NoiseConfigError on violation.
         """
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
+        n_samples = 10000
         h = 1e-4
         x = rng.uniform(0.0, 1.0, n_samples)
         rho = rng.uniform(4.0 * h, 10.0, n_samples)  # keep FD stencils inside rho >= 0

@@ -60,17 +60,16 @@ def ddx(values: np.ndarray, order: int) -> np.ndarray:
 class TorusGrid:
     """Collocation points, wavenumbers and mode masks for one resolution.
 
-    ``wavenumbers`` holds the signed values 2*pi*j for j in [-n/2, n/2) in
-    standard FFT ordering; ``k_half`` is the non-negative half used with the
-    real FFT. ``dealias_mask`` (over the half spectrum) is True exactly for
-    j <= floor(2*m_modes/3) when dealiasing is on, else for j <= m_modes.
+    ``k_half`` holds the wavenumbers 2*pi*j, j = 0..n/2, of the half
+    spectrum used with the real FFT. ``dealias_mask`` (over the half
+    spectrum) is True exactly for j <= floor(2*m_modes/3) when dealiasing is
+    on, else for j <= m_modes.
     """
 
     n_collocation: int
     m_modes: int
     dealias: bool = True
     x: np.ndarray = field(init=False, repr=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False)
     k_half: np.ndarray = field(init=False, repr=False)
     dealias_mask: np.ndarray = field(init=False, repr=False)
     dealias_cut: int = field(init=False)
@@ -89,8 +88,6 @@ class TorusGrid:
                 "2/3-rule dealiasing needs n >= 4m/3"
             )
         object.__setattr__(self, "x", _frozen(np.arange(n) / n))
-        j_signed = np.fft.fftfreq(n, d=1.0 / n)
-        object.__setattr__(self, "wavenumbers", _frozen(2.0 * np.pi * j_signed))
         j_half = np.arange(n // 2 + 1)
         object.__setattr__(self, "k_half", _frozen(2.0 * np.pi * j_half))
         cut = (2 * m) // 3 if self.dealias else m
@@ -133,33 +130,11 @@ class RealField:
         phys = to_physical(coeffs, grid.n_collocation)
         return cls(_frozen(phys), _frozen(coeffs.copy()))
 
-    @property
-    def n(self) -> int:
-        return self.physical.shape[0]
-
 
 def project(field: RealField, grid: TorusGrid) -> RealField:
     """L2-orthogonal projection onto the Galerkin band |j| <= m_modes."""
     spec = field.spectral.copy()
     spec[grid.m_modes + 1 :] = 0.0
-    return RealField.from_spectral(spec, grid)
-
-
-def derivative(field: RealField, order: int, grid: TorusGrid) -> RealField:
-    """Spectral derivative: multiply coefficients by (i*k)^order.
-
-    Applied as `order` successive multiplications by i*k, which are exact
-    swap-negate-scale operations, so composing first derivatives is
-    bit-identical to one higher-order call. The Nyquist mode is zeroed for
-    odd orders (its sine component is not representable on the grid).
-    """
-    if order < 1 or order > 4:
-        raise UsageError(f"derivative order must be in 1..4, got {order}")
-    spec = field.spectral.copy()
-    for _ in range(order):
-        spec = spec * (1j * grid.k_half)
-    if order % 2 == 1:
-        spec[-1] = 0.0
     return RealField.from_spectral(spec, grid)
 
 

@@ -21,7 +21,7 @@ from .functionals import (
 from .integrator import StepConfig, strong_convergence_order
 from .model import ModelParams, State, quantum_identity_residual
 from .noise import NoiseModel
-from .spectral import RealField, TorusGrid, ddx, project, resample
+from .spectral import RealField, TorusGrid, ddx, resample
 
 
 @dataclass(frozen=True)
@@ -49,26 +49,25 @@ def _check(suite: str, name: str, value: float, threshold: float,
                        runtime_s=time.perf_counter() - t0, detail=detail or {})
 
 
-def density_corpus(grid: TorusGrid, count: int = 20, seed: int = 42,
-                   amplitude: float = 0.3) -> list[RealField]:
-    """Random smooth strictly positive densities rho = exp(band-limited psi)."""
+def density_corpus(grid: TorusGrid, count: int = 20, seed: int = 42) -> list[RealField]:
+    """Random smooth strictly positive densities rho = exp(band-limited psi),
+    mode j of psi with standard deviation 0.3/j."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         psi = np.zeros(grid.n_collocation)
         for j in range(1, 5):
-            psi += (rng.normal(0.0, amplitude / j) * np.cos(2 * np.pi * j * grid.x)
-                    + rng.normal(0.0, amplitude / j) * np.sin(2 * np.pi * j * grid.x))
+            psi += (rng.normal(0.0, 0.3 / j) * np.cos(2 * np.pi * j * grid.x)
+                    + rng.normal(0.0, 0.3 / j) * np.sin(2 * np.pi * j * grid.x))
         out.append(RealField.from_physical(np.exp(psi), grid))
     return out
 
 
-def positive_field_corpus(grid: TorusGrid, count: int = 100,
-                          seed: int = 7) -> list[RealField]:
-    """Random positive band-limited fields (band-limited bump plus a floor)."""
-    rng = np.random.default_rng(seed)
+def positive_field_corpus(grid: TorusGrid) -> list[RealField]:
+    """100 random positive band-limited fields (band-limited bump plus a floor)."""
+    rng = np.random.default_rng(7)
     out = []
-    for _ in range(count):
+    for _ in range(100):
         f = np.zeros(grid.n_collocation)
         for j in range(1, 9):
             f += (rng.normal(0.0, 1.0 / j**2) * np.cos(2 * np.pi * j * grid.x)
@@ -130,7 +129,7 @@ def suite_inequality_916() -> list[CheckResult]:
     grid = TorusGrid(256, 85)
     t0 = time.perf_counter()
     margins = [functional_inequality_margin(f, grid)
-               for f in positive_field_corpus(grid, count=100)]
+               for f in positive_field_corpus(grid)]
     results.append(_check("inequality-916", "margin-nonnegative-100-fields",
                           min(margins), -1e-10, ">=", t0))
 
@@ -189,7 +188,7 @@ def suite_noise_bounds() -> list[CheckResult]:
     results = []
     t0 = time.perf_counter()
     model = NoiseModel()
-    report = model.verify_bounds(n_samples=10000)
+    report = model.verify_bounds()
     results.append(_check("noise-bounds", "family-bounds-lattice",
                           report["worst_partial_over_bound"], 1.0, "<=", t0, report))
     t0 = time.perf_counter()

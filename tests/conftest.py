@@ -32,16 +32,6 @@ def band_limited(grid: TorusGrid, rng: np.random.Generator, amplitude: float = 1
     return RealField.from_spectral(spec, grid)
 
 
-def oracle_mode_coefficients(values_fine: np.ndarray, n_modes: int) -> np.ndarray:
-    """Half-spectrum coefficients by direct quadrature sums, c_j = <f, e^{2 pi i j x}>."""
-    n = values_fine.shape[0]
-    x = np.arange(n) / n
-    out = np.zeros(n_modes + 1, dtype=complex)
-    for j in range(n_modes + 1):
-        out[j] = np.mean(values_fine * np.exp(-2j * np.pi * j * x))
-    return out
-
-
 def make_stepper(grid: TorusGrid, params=None, noise=None):
     """The production step kernels for one grid; the step size is irrelevant to them."""
     if params is None:

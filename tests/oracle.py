@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from .model import W2INF_OVERSAMPLE, ModelParams, State, cutoff_phi
-from .spectral import RealField, TorusGrid
+from qns1d.model import W2INF_OVERSAMPLE, ModelParams, State, cutoff_phi
+from qns1d.spectral import RealField, TorusGrid
 
 
 class CflError(ValueError):
@@ -113,6 +113,16 @@ def convolution_product(a: RealField, b: RealField, grid: TorusGrid,
             if -m <= q <= m and p in ca and q in cb:
                 total += ca[p] * cb[q]
         out[j] = total
+    return out
+
+
+def oracle_mode_coefficients(values_fine: np.ndarray, n_modes: int) -> np.ndarray:
+    """Half-spectrum coefficients by direct quadrature sums, c_j = <f, e^{2 pi i j x}>."""
+    n = values_fine.shape[0]
+    x = np.arange(n) / n
+    out = np.zeros(n_modes + 1, dtype=complex)
+    for j in range(n_modes + 1):
+        out[j] = np.mean(values_fine * np.exp(-2j * np.pi * j * x))
     return out
 
 

@@ -184,7 +184,7 @@ def test_criterion_07_bd_dissipation_nonnegative(energy_budget_runs):
     res = simulate_path(st, StepConfig(dt=5e-4, t_end=0.1), params, NO_NOISE,
                         0, grid, MonitorSpec(stride=20, collect_records=False))
     combo = nonneg_combination_check(
-        RealField.from_physical(res.final_state.rho, grid), 1.4, grid)
+        RealField.from_physical(np.exp(res.final_state.psi.physical), grid), 1.4, grid)
     ok = worst >= -1e-12 and combo >= -1e-10
     report(7, "BD dissipation nonnegativity", ok, time.perf_counter() - t0, 60.0,
            f"min bd_term {worst:.2e} over {n_records} records "

@@ -308,10 +308,15 @@ class TestVerifyCommand:
         assert main(["verify", "nope"]) == EXIT_CONFIG_ERROR
 
 
-def test_cli_import_leaves_oracle_and_scipy_unloaded():
-    src = Path(qns1d.cli.__file__).resolve().parents[1]
-    code = ("import sys, qns1d.cli; "
-            "print([m for m in ('scipy', 'qns1d.oracle') if m in sys.modules])")
+def test_cli_import_loads_whole_package_and_no_scipy():
+    # the package ships only what the CLI runs: a module under src/qns1d
+    # that the CLI never imports is test-only code in the wrong place
+    package = Path(qns1d.cli.__file__).resolve().parent
+    code = ("import json, sys, qns1d.cli; print(json.dumps("
+            "[m for m in sys.modules if m.split('.')[0] in ('qns1d', 'scipy')]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(src)), check=True)
-    assert out.stdout.strip() == "[]"
+                         env=dict(os.environ, PYTHONPATH=str(package.parent)), check=True)
+    loaded = set(json.loads(out.stdout))
+    modules = {f"qns1d.{f.stem}" for f in package.glob("*.py") if f.stem != "__init__"}
+    assert modules - loaded == set()
+    assert {m for m in loaded if m.split(".")[0] == "scipy"} == set()

@@ -7,21 +7,19 @@ from qns1d.functionals import (
     bd_pressure_identity_residual,
     bd_quantum_identity_residual,
     compute_record,
-    effective_velocity,
     energy,
     energy_dissipation_rate,
     functional_inequality_margin,
     mass,
     min_density,
     nonneg_combination_check,
-    regularity_budget,
     vacuum_statistics,
 )
 from qns1d.model import DomainError, ModelParams, State
-from qns1d.oracle import dense_quadrature, fd_derivative, trig_eval
 from qns1d.spectral import RealField, TorusGrid, project
 
 from conftest import band_limited
+from oracle import dense_quadrature, fd_derivative, trig_eval
 
 # modified Bessel I_0(1) = integral of exp(sin 2 pi x); frozen from the series
 BESSEL_I0_1 = 1.2660658777520084
@@ -95,28 +93,46 @@ class TestEnergy:
 
 
 class TestEffectiveVelocity:
+    """bd_entropy against quadrature, with the effective velocity V = u + Q
+    in closed form."""
+
+    @staticmethod
+    def entropy_oracle(st, params, grid, v):
+        dpsi = RealField.from_spectral(st.psi.spectral * 1j * grid.k_half, grid)
+
+        def integrand(x, psi, dp):
+            rho = np.exp(psi)
+            return (0.5 * rho * v(x) ** 2 + np.exp(params.gamma * psi) / (params.gamma - 1)
+                    + 0.25 * dp**2 * rho)
+
+        return dense_quadrature(integrand, [st.psi, dpsi], grid, oversample=8)
+
     def test_constant_density_gives_u(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.7)
         st = make_state(grid64, np.full(64, 0.4), np.sin(2 * np.pi * grid64.x))
-        v = effective_velocity(st, params, grid64)
-        assert np.max(np.abs(v.physical - st.u.physical)) < 1e-13
+        expected = self.entropy_oracle(st, params, grid64, lambda x: np.sin(2 * np.pi * x))
+        assert bd_entropy(st, params, grid64) == pytest.approx(expected, rel=1e-13)
 
     def test_alpha_one_logarithmic_reduction(self, grid64):
+        # alpha = 1: Q = dpsi/dx
         params = ModelParams(gamma=1.5, alpha=1.0)
         st = make_state(grid64, 0.2 * np.cos(2 * np.pi * grid64.x),
                         0.1 * np.sin(2 * np.pi * grid64.x))
-        v = effective_velocity(st, params, grid64)
-        dpsi = np.fft.irfft(st.psi.spectral * 1j * grid64.k_half * 64, 64)
-        assert np.max(np.abs(v.physical - (st.u.physical + dpsi))) < 1e-12
+        expected = self.entropy_oracle(
+            st, params, grid64,
+            lambda x: 0.1 * np.sin(2 * np.pi * x) - 0.4 * np.pi * np.sin(2 * np.pi * x))
+        assert bd_entropy(st, params, grid64) == pytest.approx(expected, rel=1e-13)
 
     def test_alpha_half_closed_form(self, grid256):
         # rho = 2 + cos: Q = rho^(-1.5) * drho pointwise
         params = ModelParams(gamma=1.5, alpha=0.5)
         rho_vals = 2.0 + np.cos(2 * np.pi * grid256.x)
         st = make_state(grid256, np.log(rho_vals), np.zeros(256))
-        v = effective_velocity(st, params, grid256)
-        expected = rho_vals ** (-1.5) * (-2 * np.pi * np.sin(2 * np.pi * grid256.x))
-        assert np.max(np.abs(v.physical - expected)) < 1e-10
+        expected = self.entropy_oracle(
+            st, params, grid256,
+            lambda x: ((2.0 + np.cos(2 * np.pi * x)) ** (-1.5)
+                       * (-2 * np.pi * np.sin(2 * np.pi * x))))
+        assert bd_entropy(st, params, grid256) == pytest.approx(expected, rel=1e-13)
 
 
 class TestBdEntropy:
@@ -301,8 +317,6 @@ class TestRecordsAndVacuum:
         assert all(t >= 0.0 for t in rec.bd_terms)
         assert rec.inv_rho_beta_norm == pytest.approx(rec.min_rho**-1.0)
         assert rec.min_rho == pytest.approx(min_density(st, grid64))
-        assert regularity_budget(st, params, grid64) == pytest.approx(
-            rec.hs_norms[0] ** 2 + rec.hs_norms[1] ** 2)
 
     def test_vacuum_statistics_constant_path(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5)

@@ -11,10 +11,11 @@ from qns1d.integrator import (
     step,
     strong_convergence_order,
 )
-from qns1d.model import ModelParams, State, w2inf_norm
+from qns1d.model import ModelParams, NumericalBlowupError, State, w2inf_norm
 from qns1d.noise import NoiseModel, sample_increment
-from qns1d.oracle import linear_propagator, reference_trajectory
 from qns1d.spectral import RealField, TorusGrid, l2_norm, project
+
+from oracle import linear_propagator, reference_trajectory
 
 NO_NOISE = NoiseModel(base_amplitude=0.0)
 
@@ -192,6 +193,26 @@ class TestSimulatePath:
         assert res.n_steps_taken == 1
         assert res.norm_trace.shape == (1, 3)
         assert [r.time for r in res.records] == [0.0]
+
+    @pytest.mark.parametrize("cutoff", [True, False])
+    def test_nonfinite_norm_is_blowup(self, grid64, cutoff):
+        # u = 1e305 cos(40 pi x) has finite samples that pass the state check,
+        # but its derivatives overflow and the sup-norm's u'' row is NaN;
+        # the cut-off must not read that norm as a finite threshold hit
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e6, enable_cutoff=cutoff)
+        u = np.zeros(grid64.n_half, dtype=complex)
+        u[20] = 5e304
+        st = State(RealField.from_spectral(np.zeros_like(u), grid64),
+                   RealField.from_spectral(u, grid64), 0.0)
+        cfg = StepConfig(dt=1e-4, t_end=1e-3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = simulate_path(st, cfg, params, NO_NOISE, 0, grid64)
+            with pytest.raises(NumericalBlowupError):
+                step(st, cfg, params, NO_NOISE, 0, 0, grid64)
+        assert res.event.kind == "numerical_blowup"
+        assert res.event.time == 0.0
+        assert res.records == []
+        assert res.norm_trace.shape == (0, 3)
 
     def test_mass_drift_quarters(self, grid64):
         params, st = small_setup(grid64)

@@ -10,10 +10,10 @@ from qns1d.model import (
     quantum_identity_residual,
     w2inf_norm,
 )
-from qns1d.oracle import trig_eval
 from qns1d.spectral import RealField, TorusGrid, UsageError, project
 
-from conftest import band_limited, make_stepper, oracle_mode_coefficients
+from conftest import band_limited, make_stepper
+from oracle import oracle_mode_coefficients, trig_eval
 
 
 def make_state(grid, psi_values, u_values, t=0.0):
@@ -196,8 +196,9 @@ class TestRhsPsi:
         bad[3] = np.nan
         psi = RealField.from_physical(bad, grid64)
         st = State(psi, RealField.from_physical(np.zeros(64), grid64), 1.25)
+        stepper = make_stepper(grid64)
         with pytest.raises(NumericalBlowupError) as err:
-            make_stepper(grid64).check_state(st.psi.physical, st.u.physical, st.time)
+            stepper.check_state(*stepper.sample(st.psi.spectral, st.u.spectral), st.time)
         assert err.value.time == 1.25
 
 
@@ -325,8 +326,9 @@ class TestRhsU:
 
     def test_psi_clamp_raises(self, grid64):
         st = make_state(grid64, np.full(64, 60.0), np.zeros(64))
+        stepper = make_stepper(grid64)
         with pytest.raises(NumericalBlowupError):
-            make_stepper(grid64).check_state(st.psi.physical, st.u.physical, st.time)
+            stepper.check_state(*stepper.sample(st.psi.spectral, st.u.spectral), st.time)
 
 
 class TestQuantumIdentity:

@@ -48,7 +48,7 @@ class TestNoiseModel:
             NoiseModel(**kwargs)
 
     def test_bounds_verification_passes(self):
-        report = NoiseModel().verify_bounds(n_samples=10000)
+        report = NoiseModel().verify_bounds()
         assert report["partials_ok"] and report["growth_ok"]
         assert report["vanishes_at_rest"] == 0.0
 
@@ -140,7 +140,7 @@ class TestForcing:
         dt = 0.01
         n = 10000
         draws = np.stack([sample_increment(77, i, dt, m) for i in range(n)])
-        coeffs = m.coefficient_fields(grid64.x, st.rho, st.u.physical)
+        coeffs = m.coefficient_fields(grid64.x, np.exp(st.psi.physical), st.u.physical)
         fields = draws @ coeffs
         point_std = np.sqrt(np.sum(coeffs**2, axis=0) * dt)
         bound = 4.0 * np.max(point_std) / np.sqrt(n)

@@ -6,7 +6,9 @@ import pytest
 from qns1d.integrator import MonitorSpec, StepConfig, simulate_path
 from qns1d.model import ModelParams, State
 from qns1d.noise import NoiseModel
-from qns1d.oracle import (
+from qns1d.spectral import RealField, TorusGrid, l2_norm, project
+
+from oracle import (
     CflError,
     OracleReport,
     dense_quadrature,
@@ -16,7 +18,6 @@ from qns1d.oracle import (
     rk4_stability_limit,
     trig_eval,
 )
-from qns1d.spectral import RealField, TorusGrid, l2_norm, project
 
 BESSEL_I0_1 = 1.2660658777520084
 
