@@ -4,6 +4,16 @@ All integrals are evaluated by periodic trapezoid quadrature (the grid mean)
 on an oversampled grid: the integrands are non-polynomial in the spectral
 coefficients (powers and exponentials of rho), so quadrature on the bare
 collocation grid would alias.
+
+``compute_record`` is the only code that evaluates the monitored
+functionals. It resamples [psi, u] onto the QUAD_OVERSAMPLE grid in one
+stacked transform and takes every first derivative in one stacked ``ddx``:
+psi', u', (rho^((gamma+alpha-1)/2))' and (rho^(alpha/2))' (unused for
+alpha = 0). One more ``ddx`` takes the one second derivative,
+(rho^(alpha/2))'' or, for alpha = 0, psi''. The 8x resample of psi for
+min rho makes six transforms per record. numpy transforms each row of a
+stack exactly as it transforms that row alone, so the stacking changes no
+bit of a record.
 """
 
 from __future__ import annotations
@@ -14,17 +24,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import DomainError, ModelParams, State, w2inf_norm
-from .spectral import RealField, TorusGrid, ddx, hs_norm, resample
+from .spectral import RealField, TorusGrid, ddx, hs_norm, resample, to_physical
 
 QUAD_OVERSAMPLE = 2
 # oversampling of the entropy-identity residuals and the combination check
 IDENTITY_OVERSAMPLE = 4
 # exponent of the monitored no-vacuum norm ||1/rho||_inf^BETA
 BETA = 1.0
-
-
-def _fine(field: RealField, grid: TorusGrid) -> np.ndarray:
-    return resample(field, grid, QUAD_OVERSAMPLE * grid.n_collocation)
 
 
 def _quad(values: np.ndarray) -> float:
@@ -36,15 +42,22 @@ class MonitorRecord:
     """Time-stamped values of every tracked functional."""
 
     time: float
-    mass: float
-    energy: float
-    energy_dissipation_rate: float
+    mass: float  # int rho, rho = exp(psi)
+    energy: float  # int rho*u^2/2 + rho^gamma/(gamma-1) + |d/dx sqrt(rho)|^2
+    energy_dissipation_rate: float  # int rho^alpha |du/dx|^2
+    # the energy integrand with u replaced by the effective velocity
+    # V = u + rho^(alpha-2) drho/dx = u + exp((alpha-1)psi) dpsi/dx
     bd_entropy: float
+    # the weighted entropy-dissipation integrals; for alpha != 0
+    #   (4*gamma/(gamma+alpha-1)^2 * int |d rho^((gamma+alpha-1)/2)|^2,
+    #    4/alpha^2                * int |d^2 rho^(alpha/2)|^2,
+    #    4(4-3*alpha)/(3*alpha^3)  * int rho^(-alpha) |d rho^(alpha/2)|^4);
+    # for alpha = 0 the second slot is (1/2) int (d^2 log rho)^2, the third 0
     bd_terms: tuple[float, float, float]
-    min_rho: float
-    inv_rho_beta_norm: float
-    hs_norms: tuple[float, float]
-    w2inf_norms: tuple[float, float]
+    min_rho: float  # min of rho, sampled on an 8x finer grid
+    inv_rho_beta_norm: float  # min_rho^(-BETA)
+    hs_norms: tuple[float, float]  # H^(s+1) of psi, H^s of u; s = monitor_order
+    w2inf_norms: tuple[float, float]  # W^{2,inf} norms of psi, u
 
     CSV_HEADER = (
         "time,mass,energy,energy_dissipation_rate,bd_entropy,"
@@ -60,78 +73,9 @@ class MonitorRecord:
         ]
 
 
-def mass(state: State, grid: TorusGrid) -> float:
-    """Total mass: integral of rho = exp(psi) over the torus."""
-    return _quad(np.exp(_fine(state.psi, grid)))
-
-
-def energy(state: State, params: ModelParams, grid: TorusGrid) -> float:
-    """Integral of rho*u^2/2 + rho^gamma/(gamma-1) + |d/dx sqrt(rho)|^2."""
-    psi = _fine(state.psi, grid)
-    u = _fine(state.u, grid)
-    dpsi = ddx(psi, 1)
-    rho = np.exp(psi)
-    integrand = (0.5 * rho * u**2
-                 + np.exp(params.gamma * psi) / (params.gamma - 1.0)
-                 + 0.25 * dpsi**2 * rho)
-    return _quad(integrand)
-
-
-def energy_dissipation_rate(state: State, params: ModelParams, grid: TorusGrid) -> float:
-    """Viscous dissipation: integral of rho^alpha |du/dx|^2."""
-    psi = _fine(state.psi, grid)
-    du = ddx(_fine(state.u, grid), 1)
-    return _quad(np.exp(params.alpha * psi) * du**2)
-
-
-def bd_entropy(state: State, params: ModelParams, grid: TorusGrid) -> float:
-    """Energy functional with the velocity replaced by the effective velocity.
-
-    V = u + Q with Q = rho^(alpha-2) * drho/dx = exp((alpha-1)psi) * dpsi/dx;
-    for alpha = 0 (viscosity constant 1) that is the same formula.
-    """
-    psi = _fine(state.psi, grid)
-    u = _fine(state.u, grid)
-    dpsi = ddx(psi, 1)
-    rho = np.exp(psi)
-    v = u + np.exp((params.alpha - 1.0) * psi) * dpsi
-    integrand = (0.5 * rho * v**2
-                 + np.exp(params.gamma * psi) / (params.gamma - 1.0)
-                 + 0.25 * dpsi**2 * rho)
-    return _quad(integrand)
-
-
-def bd_dissipation_terms(state: State, params: ModelParams,
-                         grid: TorusGrid) -> tuple[float, float, float]:
-    """The weighted entropy-dissipation integrals, reported individually.
-
-    For alpha != 0:
-      ( 4*gamma/(gamma+alpha-1)^2 * int |d rho^((gamma+alpha-1)/2)|^2,
-        4/alpha^2               * int |d^2 rho^(alpha/2)|^2,
-        4(4-3*alpha)/(3*alpha^3) * int rho^(-alpha) |d rho^(alpha/2)|^4 )
-    For alpha = 0 (viscosity constant 1) the second-order slot is
-    (1/2) int (d^2 log rho)^2 and the quartic slot is zero.
-    """
-    gamma, alpha = params.gamma, params.alpha
-    psi = _fine(state.psi, grid)
-    rho = np.exp(psi)
-    p1 = 0.5 * (gamma + alpha - 1.0)
-    d_pressure = ddx(rho**p1, 1)
-    term1 = 4.0 * gamma / (gamma + alpha - 1.0) ** 2 * _quad(d_pressure**2)
-    if alpha == 0.0:
-        term2 = 0.5 * _quad(ddx(psi, 2) ** 2)
-        term3 = 0.0
-    else:
-        half = rho ** (0.5 * alpha)
-        term2 = 4.0 / alpha**2 * _quad(ddx(half, 2) ** 2)
-        term3 = (4.0 * (4.0 - 3.0 * alpha) / (3.0 * alpha**3)
-                 * _quad(rho ** (-alpha) * ddx(half, 1) ** 4))
-    return (term1, term2, term3)
-
-
 def bd_pressure_identity_residual(rho: RealField, params: ModelParams,
-                                  grid: TorusGrid) -> float:
-    """|LHS - RHS| of the pressure-entropy identity, both sides by quadrature.
+                                  grid: TorusGrid) -> tuple[float, float]:
+    """(|LHS - RHS|, RHS) of the pressure-entropy identity, both sides by quadrature.
 
     LHS = int d(rho^gamma)/dx * Q dx with Q = rho^(alpha-2) * drho/dx;
     RHS = 4*gamma/(gamma+alpha-1)^2 * int |d rho^((gamma+alpha-1)/2)/dx|^2.
@@ -146,7 +90,7 @@ def bd_pressure_identity_residual(rho: RealField, params: ModelParams,
     lhs = _quad(ddx(r**gamma, 1) * q)
     rhs = (4.0 * gamma / (gamma + alpha - 1.0) ** 2
            * _quad(ddx(r ** (0.5 * (gamma + alpha - 1.0)), 1) ** 2))
-    return abs(lhs - rhs)
+    return abs(lhs - rhs), rhs
 
 
 def bd_quantum_identity_residual(rho: RealField, alpha: float, grid: TorusGrid) -> float:
@@ -172,8 +116,9 @@ def bd_quantum_identity_residual(rho: RealField, alpha: float, grid: TorusGrid) 
 
 
 def functional_inequality_margin(f: RealField, grid: TorusGrid,
-                                 oversample: int = 8) -> float:
-    """(9/16) int (f'')^2 - int |d sqrt(f)/dx|^4; nonnegative for positive f in H^2."""
+                                 oversample: int = 8) -> tuple[float, float]:
+    """(margin, LHS) of the 9/16 inequality: LHS = (9/16) int (f'')^2, and the
+    margin LHS - int |d sqrt(f)/dx|^4 is nonnegative for positive f in H^2."""
     if np.any(f.physical <= 0.0):
         raise DomainError("field must be strictly positive pointwise")
     vals = resample(f, grid, oversample * grid.n_collocation)
@@ -181,7 +126,7 @@ def functional_inequality_margin(f: RealField, grid: TorusGrid,
         raise DomainError("field must stay positive on the oversampled grid")
     lhs = 9.0 / 16.0 * _quad(ddx(vals, 2) ** 2)
     rhs = _quad(ddx(np.sqrt(vals), 1) ** 4)
-    return lhs - rhs
+    return lhs - rhs, lhs
 
 
 def nonneg_combination_check(rho: RealField, alpha: float, grid: TorusGrid) -> float:
@@ -204,29 +149,50 @@ def nonneg_combination_check(rho: RealField, alpha: float, grid: TorusGrid) -> f
     return value
 
 
-def min_density(state: State, grid: TorusGrid) -> float:
-    """Minimum of rho = exp(psi), sampled on an 8x finer grid."""
-    psi_min = float(np.min(resample(state.psi, grid, 8 * grid.n_collocation)))
-    return float(np.exp(psi_min))
+def _energy_density(rho: np.ndarray, v: np.ndarray, psi: np.ndarray,
+                    dpsi: np.ndarray, gamma: float) -> np.ndarray:
+    """rho*v^2/2 + rho^gamma/(gamma-1) + |d/dx sqrt(rho)|^2, with |d sqrt(rho)|^2 = rho*psi'^2/4."""
+    return (0.5 * rho * v**2
+            + np.exp(gamma * psi) / (gamma - 1.0)
+            + 0.25 * dpsi**2 * rho)
 
 
 def compute_record(state: State, params: ModelParams, grid: TorusGrid,
                    w2inf_psi: float | None = None,
                    w2inf_u: float | None = None) -> MonitorRecord:
-    """Evaluate every monitored functional on one state."""
+    """Evaluate every monitored functional on one state.
+
+    The W^{2,inf} norms are the caller's when given, else taken here.
+    """
+    gamma, alpha = params.gamma, params.alpha
     s = params.monitor_order
-    rho_min = min_density(state, grid)
+    psi, u = to_physical(np.stack((state.psi.spectral, state.u.spectral)),
+                         QUAD_OVERSAMPLE * grid.n_collocation)
+    rho = np.exp(psi)
+    half = rho ** (0.5 * alpha)
+    dpsi, du, d_pressure, d_half = ddx(
+        np.stack((psi, u, rho ** (0.5 * (gamma + alpha - 1.0)), half)), 1)
+    if alpha == 0.0:
+        second_order = 0.5 * _quad(ddx(psi, 2) ** 2)
+        quartic = 0.0
+    else:
+        second_order = 4.0 / alpha**2 * _quad(ddx(half, 2) ** 2)
+        quartic = (4.0 * (4.0 - 3.0 * alpha) / (3.0 * alpha**3)
+                   * _quad(rho ** (-alpha) * d_half ** 4))
+    v = u + np.exp((alpha - 1.0) * psi) * dpsi
+    rho_min = float(np.exp(np.min(resample(state.psi, grid, 8 * grid.n_collocation))))
     if w2inf_psi is None:
         w2inf_psi = w2inf_norm(state.psi.spectral, grid)
     if w2inf_u is None:
         w2inf_u = w2inf_norm(state.u.spectral, grid)
     return MonitorRecord(
         time=state.time,
-        mass=mass(state, grid),
-        energy=energy(state, params, grid),
-        energy_dissipation_rate=energy_dissipation_rate(state, params, grid),
-        bd_entropy=bd_entropy(state, params, grid),
-        bd_terms=bd_dissipation_terms(state, params, grid),
+        mass=_quad(rho),
+        energy=_quad(_energy_density(rho, u, psi, dpsi, gamma)),
+        energy_dissipation_rate=_quad(np.exp(alpha * psi) * du**2),
+        bd_entropy=_quad(_energy_density(rho, v, psi, dpsi, gamma)),
+        bd_terms=(4.0 * gamma / (gamma + alpha - 1.0) ** 2 * _quad(d_pressure**2),
+                  second_order, quartic),
         min_rho=rho_min,
         inv_rho_beta_norm=rho_min ** (-BETA),
         hs_norms=(hs_norm(state.psi, s + 1, grid), hs_norm(state.u, s, grid)),

@@ -50,7 +50,7 @@ from .model import (
     w2inf_norm,
 )
 from .noise import NoiseModel, derive_path_seed, sample_increment
-from .spectral import RealField, TorusGrid, _frozen, l2_norm, to_physical, to_spectral
+from .spectral import RealField, TorusGrid, _frozen, hs_norm, to_physical, to_spectral
 
 # relative margin below the cut-off radius for the predictor's Wiener bound,
 # covering rounding in the bound's sum and in the sup-norm's transform
@@ -151,6 +151,8 @@ class _Stepper:
         need = 2 * grid.m_modes + grid.dealias_cut + 2
         self.product_n = self.n if self.n >= need else need + (need % 2)
         self.noise_on = noise.base_amplitude > 0.0
+        # a_k sin(2 pi k x) on the grid, the state-free factor of the forcing
+        self.noise_waves = noise.waves(grid.x) if self.noise_on else None
         # Wiener-algebra bound of the W^{2,inf} norm, sup|d^o f/dx^o| <=
         # sum_j mult_j |c_j| k_j^o: on the oversampled grid every mode but
         # j = 0 is interior to the real transform and so counts twice
@@ -238,7 +240,7 @@ class _Stepper:
         products = [f_u * f_dpsi, f_u * f_du, f_dpsi * f_d2psi]
         pointwise = [exp_g * dpsi, exp_a * d2u, exp_a * dpsi * du]
         if dW is not None and self.noise_on:
-            coeffs = self.noise.coefficient_fields(self.grid.x, np.exp(psi), u)
+            coeffs = self.noise.coefficient_fields(self.noise_waves, np.exp(psi), u)
             pointwise.append(dW @ coeffs)
         if self.product_n == self.n:
             rows = products + pointwise
@@ -511,7 +513,7 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
                     raise NumericalBlowupError("coarse level stopped", res.event.time)
                 diff = RealField.from_spectral(
                     res.final_state.u.spectral - ref.final_state.u.spectral, grid)
-                errs_p.append(l2_norm(diff, grid))
+                errs_p.append(hs_norm(diff, 0, grid))
         except NumericalBlowupError:
             excluded += 1
             continue

@@ -37,7 +37,7 @@ class NoiseModel:
 
     k_modes: int = 16
     amplitude_decay: float = 6.0
-    base_amplitude: float = 0.05
+    base_amplitude: float = 0.0
     shape: str = "trig_density_weighted"
     amplitudes: np.ndarray = field(init=False, repr=False)
     derivative_bounds: np.ndarray = field(init=False, repr=False)
@@ -67,14 +67,19 @@ class NoiseModel:
     def amplitude_sum(self) -> float:
         return float(np.sum(self.amplitudes))
 
-    def coefficient_fields(self, x: np.ndarray, rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """F_k(x, rho(x), u(x)) for all k, shape (k_modes, len(x))."""
+    def waves(self, x: np.ndarray) -> np.ndarray:
+        """a_k * sin(2*pi*k*x) for all k, shape (k_modes, len(x)); built once per grid."""
         ks = np.arange(1, self.k_modes + 1, dtype=float)
-        waves = np.sin(2.0 * np.pi * np.outer(ks, x))
+        return self.amplitudes[:, None] * np.sin(2.0 * np.pi * np.outer(ks, x))
+
+    def coefficient_fields(self, waves: np.ndarray, rho: np.ndarray,
+                           u: np.ndarray) -> np.ndarray:
+        """F_k(x, rho(x), u(x)) for all k, shape (k_modes, len(x)), from the
+        ``waves`` of the points x."""
         if self.shape == "off":
-            return self.amplitudes[:, None] * waves
+            return waves
         envelope = np.tanh(u) * rho / (1.0 + rho)
-        return self.amplitudes[:, None] * waves * envelope[None, :]
+        return waves * envelope[None, :]
 
     def verify_bounds(self) -> dict:
         """Sampled check of the structural hypotheses on a random (x, rho, u) lattice
@@ -92,9 +97,10 @@ class NoiseModel:
         rho = rng.uniform(4.0 * h, 10.0, n_samples)  # keep FD stencils inside rho >= 0
         u = rng.uniform(-10.0, 10.0, n_samples)
 
-        f = self.coefficient_fields(x, rho, u)
+        waves = self.waves(x)
+        f = self.coefficient_fields(waves, rho, u)
         amp_ok = np.max(np.abs(f), axis=1) <= self.amplitudes + 1e-15
-        vanish = float(np.max(np.abs(self.coefficient_fields(x, np.zeros(1), np.zeros(1)))))
+        vanish = float(np.max(np.abs(self.coefficient_fields(waves, np.zeros(1), np.zeros(1)))))
         growth_lhs = float(np.max(np.sum(np.abs(f), axis=0) / (1.0 + np.abs(u))))
         growth_c = self.amplitude_sum()
 
@@ -109,7 +115,8 @@ class NoiseModel:
                 for step_mult, weight in offsets:
                     shifted = [a.copy() for a in args]
                     shifted[axis] = shifted[axis] + step_mult * h
-                    acc += weight * self.coefficient_fields(*shifted)
+                    acc += weight * self.coefficient_fields(self.waves(shifted[0]),
+                                                            *shifted[1:])
                 deriv = acc / h**order
                 worst_partial = np.maximum(worst_partial, np.max(np.abs(deriv), axis=1))
         partial_ok = worst_partial <= self.derivative_bounds * (1.0 + 1e-3) + 1e-9

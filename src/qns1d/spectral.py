@@ -153,12 +153,6 @@ def _mode_multiplicity(grid: TorusGrid) -> np.ndarray:
     return mult
 
 
-def l2_norm(field: RealField, grid: TorusGrid) -> float:
-    """Spectral L2 norm (Parseval): |f_0|^2 + 2*sum_{0<j<n/2} |f_j|^2 + |f_{n/2}|^2."""
-    c2 = np.abs(field.spectral) ** 2
-    return float(np.sqrt(np.sum(_mode_multiplicity(grid) * c2)))
-
-
 def hs_norm(field: RealField, s: float, grid: TorusGrid) -> float:
     """Sobolev H^s norm, diagonal in the Fourier basis: (sum (1+k^2)^s |f_j|^2)^1/2."""
     c2 = np.abs(field.spectral) ** 2

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -99,7 +100,8 @@ class TestValidation:
 
     def test_schema_defaults_match_validation(self):
         # a config of required fields only: every default the schema documents
-        # must be the value validation fills in
+        # must be the value validation fills in, and the field default of the
+        # dataclass the block builds
         schema = json.loads(SCHEMA.read_text())
         minimal = {
             "grid": {"n_collocation": 64, "m_modes": 21},
@@ -125,10 +127,14 @@ class TestValidation:
                     # not stored: validation accepts this one value only
                     assert prop["enum"] == [prop["default"]] == ["imex_cn"]
                     continue
-                value = getattr(built[block], name)
-                if isinstance(value, tuple):
-                    value = list(value)
-                assert value == prop["default"], f"{block}.{name}"
+                values = [getattr(built[block], name)]
+                if block != "output":
+                    field = {f.name: f for f in dataclasses.fields(built[block])}[name]
+                    values.append(field.default)
+                for value in values:
+                    if isinstance(value, tuple):
+                        value = list(value)
+                    assert value == prop["default"], f"{block}.{name}"
         assert n_defaults == 15
 
 

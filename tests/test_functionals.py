@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 
 from qns1d.functionals import (
-    bd_dissipation_terms,
-    bd_entropy,
     bd_pressure_identity_residual,
     bd_quantum_identity_residual,
     compute_record,
-    energy,
-    energy_dissipation_rate,
     functional_inequality_margin,
-    mass,
-    min_density,
     nonneg_combination_check,
     vacuum_statistics,
 )
@@ -23,6 +17,30 @@ from oracle import dense_quadrature, fd_derivative, trig_eval
 
 # modified Bessel I_0(1) = integral of exp(sin 2 pi x); frozen from the series
 BESSEL_I0_1 = 1.2660658777520084
+# compute_record needs model parameters even where a field ignores them
+ANY_PARAMS = ModelParams(gamma=1.5, alpha=0.5)
+
+
+# the monitored functionals, each read from the one record that evaluates them
+
+def mass(state, grid):
+    return compute_record(state, ANY_PARAMS, grid).mass
+
+
+def energy(state, params, grid):
+    return compute_record(state, params, grid).energy
+
+
+def energy_dissipation_rate(state, params, grid):
+    return compute_record(state, params, grid).energy_dissipation_rate
+
+
+def bd_entropy(state, params, grid):
+    return compute_record(state, params, grid).bd_entropy
+
+
+def bd_dissipation_terms(state, params, grid):
+    return compute_record(state, params, grid).bd_terms
 
 
 def make_state(grid, psi_values, u_values):
@@ -219,19 +237,19 @@ class TestBdIdentities:
     def test_pressure_identity_constant(self, grid64):
         rho = RealField.from_physical(np.full(64, 1.7), grid64)
         params = ModelParams(gamma=2.0, alpha=0.0)
-        assert bd_pressure_identity_residual(rho, params, grid64) < 1e-14
+        assert bd_pressure_identity_residual(rho, params, grid64)[0] < 1e-14
 
     def test_pressure_identity_spec_example(self, grid256):
         rho = RealField.from_physical(2.0 + np.cos(2 * np.pi * grid256.x), grid256)
         params = ModelParams(gamma=2.0, alpha=0.0)
-        assert bd_pressure_identity_residual(rho, params, grid256) < 1e-9
+        assert bd_pressure_identity_residual(rho, params, grid256)[0] < 1e-9
 
     def test_pressure_identity_random(self, grid256, rng):
         for _ in range(5):
             psi = band_limited(grid256, rng, amplitude=0.3, max_mode=4)
             rho = RealField.from_physical(np.exp(psi.physical), grid256)
             params = ModelParams(gamma=1.5, alpha=0.5)
-            assert bd_pressure_identity_residual(rho, params, grid256) < 1e-8
+            assert bd_pressure_identity_residual(rho, params, grid256)[0] < 1e-8
 
     def test_pressure_identity_degenerate_exponent(self, grid64):
         rho = RealField.from_physical(np.full(64, 1.0), grid64)
@@ -259,11 +277,11 @@ class TestBdIdentities:
 class TestFunctionalInequality:
     def test_constant_margin_zero(self, grid64):
         f = RealField.from_physical(np.full(64, 2.0), grid64)
-        assert functional_inequality_margin(f, grid64) == 0.0
+        assert functional_inequality_margin(f, grid64)[0] == 0.0
 
     def test_cosine_profile_positive_and_matches_quadrature(self, grid64):
         f = RealField.from_physical(1.0 + 0.5 * np.cos(2 * np.pi * grid64.x), grid64)
-        margin = functional_inequality_margin(f, grid64)
+        margin, lhs_got = functional_inequality_margin(f, grid64)
         assert margin > 0.0
         n_fine = 4096
         x = np.arange(n_fine) / n_fine
@@ -272,13 +290,14 @@ class TestFunctionalInequality:
         lhs = 9.0 / 16.0 * np.mean(fd_derivative(vals, 2, h) ** 2)
         rhs = np.mean(fd_derivative(np.sqrt(vals), 1, h) ** 4)
         assert margin == pytest.approx(lhs - rhs, rel=1e-8)
+        assert lhs_got == pytest.approx(lhs, rel=1e-8)
 
     def test_random_fields_nonnegative(self, grid256, rng):
         for _ in range(20):
             f = band_limited(grid256, rng, amplitude=1.0, max_mode=8)
             shifted = RealField.from_physical(
                 f.physical - f.physical.min() + 0.4 * np.ptp(f.physical) + 1e-3, grid256)
-            assert functional_inequality_margin(shifted, grid256) >= -1e-10
+            assert functional_inequality_margin(shifted, grid256)[0] >= -1e-10
 
     def test_nonpositive_rejected(self, grid64):
         f = RealField.from_physical(np.cos(2 * np.pi * grid64.x), grid64)
@@ -316,7 +335,30 @@ class TestRecordsAndVacuum:
         assert rec.mass > 0.0 and rec.min_rho > 0.0 and rec.energy >= 0.0
         assert all(t >= 0.0 for t in rec.bd_terms)
         assert rec.inv_rho_beta_norm == pytest.approx(rec.min_rho**-1.0)
-        assert rec.min_rho == pytest.approx(min_density(st, grid64))
+        # the minimum of exp(psi) on 8n points, by FFT-free trigonometric sums
+        x8 = np.arange(8 * 64) / (8 * 64)
+        assert rec.min_rho == pytest.approx(float(np.exp(np.min(trig_eval(psi, grid64, x8)))))
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.0])
+    def test_six_transforms_per_record(self, grid64, rng, monkeypatch, alpha):
+        # one stacked resample of [psi, u], one forward and one inverse for the
+        # stacked first derivatives, the same for the second derivative, and
+        # the 8x resample for min rho; the W^{2,inf} norms come from the caller
+        # as in simulate_path
+        params = ModelParams(gamma=1.5, alpha=alpha)
+        psi = band_limited(grid64, rng, amplitude=0.3, max_mode=5)
+        st = State(psi, band_limited(grid64, rng, amplitude=0.3, max_mode=5), 0.0)
+        calls = []
+        for name in ("rfft", "irfft"):
+            original = getattr(np.fft, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        compute_record(st, params, grid64, w2inf_psi=1.0, w2inf_u=1.0)
+        assert len(calls) == 6
 
     def test_vacuum_statistics_constant_path(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5)

@@ -48,15 +48,15 @@ class TestNoiseModel:
             NoiseModel(**kwargs)
 
     def test_bounds_verification_passes(self):
-        report = NoiseModel().verify_bounds()
+        report = NoiseModel(base_amplitude=0.05).verify_bounds()
         assert report["partials_ok"] and report["growth_ok"]
         assert report["vanishes_at_rest"] == 0.0
 
     def test_additive_shape_ignores_state(self):
         m = NoiseModel(shape="off", base_amplitude=0.1)
         x = np.linspace(0, 1, 32, endpoint=False)
-        f1 = m.coefficient_fields(x, np.full(32, 0.5), np.full(32, -2.0))
-        f2 = m.coefficient_fields(x, np.full(32, 3.0), np.full(32, 4.0))
+        f1 = m.coefficient_fields(m.waves(x), np.full(32, 0.5), np.full(32, -2.0))
+        f2 = m.coefficient_fields(m.waves(x), np.full(32, 3.0), np.full(32, 4.0))
         assert np.array_equal(f1, f2)
 
 
@@ -101,21 +101,21 @@ class TestForcing:
 
     def test_zero_increment(self, grid64):
         st = make_state(grid64, np.zeros(64), np.ones(64))
-        m = NoiseModel()
+        m = NoiseModel(base_amplitude=0.05)
         inc = np.zeros(m.k_modes)
         out = forcing_field(st, inc, m, self.params, grid64)
         assert np.max(np.abs(out.physical)) == 0.0
 
     def test_vanishes_at_rest(self, grid64):
         st = make_state(grid64, 0.1 * np.cos(2 * np.pi * grid64.x), np.zeros(64))
-        m = NoiseModel()
+        m = NoiseModel(base_amplitude=0.05)
         inc = sample_increment(5, 0, 0.01, m)
         out = forcing_field(st, inc, m, self.params, grid64)
         assert np.max(np.abs(out.physical)) == 0.0
 
     def test_single_mode_closed_form(self, grid64):
         st = make_state(grid64, np.zeros(64), np.ones(64))
-        m = NoiseModel()
+        m = NoiseModel(base_amplitude=0.05)
         dW = np.zeros(m.k_modes)
         dW[2] = 1.0
         out = forcing_field(st, dW, m, self.params, grid64)
@@ -125,7 +125,7 @@ class TestForcing:
     def test_linearity_in_increment(self, grid64, rng):
         st = make_state(grid64, 0.2 * np.cos(2 * np.pi * grid64.x),
                         0.3 * np.sin(2 * np.pi * grid64.x))
-        m = NoiseModel()
+        m = NoiseModel(base_amplitude=0.05)
         w1 = rng.standard_normal(m.k_modes)
         w2 = rng.standard_normal(m.k_modes)
         f = lambda w: forcing_field(st, w, m, self.params, grid64).physical
@@ -140,7 +140,8 @@ class TestForcing:
         dt = 0.01
         n = 10000
         draws = np.stack([sample_increment(77, i, dt, m) for i in range(n)])
-        coeffs = m.coefficient_fields(grid64.x, np.exp(st.psi.physical), st.u.physical)
+        coeffs = m.coefficient_fields(m.waves(grid64.x), np.exp(st.psi.physical),
+                                      st.u.physical)
         fields = draws @ coeffs
         point_std = np.sqrt(np.sum(coeffs**2, axis=0) * dt)
         bound = 4.0 * np.max(point_std) / np.sqrt(n)
@@ -152,7 +153,8 @@ class TestForcing:
             psi = band_limited(grid64, rng, amplitude=0.4).physical
             u = band_limited(grid64, rng, amplitude=0.8).physical
             rho = np.exp(psi)
-            g_sum = rho * np.sum(np.abs(m.coefficient_fields(grid64.x, rho, u)), axis=0)
+            g_sum = rho * np.sum(np.abs(m.coefficient_fields(m.waves(grid64.x), rho, u)),
+                                 axis=0)
             bound = m.amplitude_sum() * (np.max(rho) + np.max(rho) * np.max(np.abs(u)))
             assert np.max(g_sum) <= bound + 1e-12
 
@@ -160,14 +162,14 @@ class TestForcing:
         st = make_state(grid64, np.zeros(64), 2.0 * np.sin(2 * np.pi * grid64.x))
         # |u''| ~ 2*(2pi)^2 = 79; radius far below it
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=10.0)
-        m = NoiseModel()
+        m = NoiseModel(base_amplitude=0.05)
         inc = sample_increment(3, 0, 0.01, m)
         out = forcing_field(st, inc, m, params, grid64)
         assert np.max(np.abs(out.physical)) == 0.0
 
     def test_projected_to_band(self, grid64):
         st = make_state(grid64, np.zeros(64), np.ones(64))
-        m = NoiseModel(k_modes=30)  # waves beyond the Galerkin band
+        m = NoiseModel(k_modes=30, base_amplitude=0.05)  # waves beyond the Galerkin band
         inc = np.ones(30)
         out = forcing_field(st, inc, m, self.params, grid64)
         assert np.all(out.spectral[grid64.m_modes + 1:] == 0.0)

@@ -6,7 +6,7 @@ import pytest
 from qns1d.integrator import MonitorSpec, StepConfig, simulate_path
 from qns1d.model import ModelParams, State
 from qns1d.noise import NoiseModel
-from qns1d.spectral import RealField, TorusGrid, l2_norm, project
+from qns1d.spectral import RealField, TorusGrid, hs_norm, project
 
 from oracle import (
     CflError,
@@ -107,7 +107,8 @@ class TestReferenceTrajectory:
                         0.1 * np.sin(2 * np.pi * grid.x))
         a = reference_trajectory(st, params, grid, t_end=0.02, dt_fine=2e-4)
         b = reference_trajectory(st, params, grid, t_end=0.02, dt_fine=1e-4)
-        diff = l2_norm(RealField.from_spectral(a.u.spectral - b.u.spectral, grid), grid)
+        diff = hs_norm(RealField.from_spectral(a.u.spectral - b.u.spectral, grid),
+                       0, grid)
         assert diff < 1e-10
 
     def test_imex_discrepancy_first_order(self):
@@ -121,8 +122,8 @@ class TestReferenceTrajectory:
         for dt in (2e-3, 1e-3):
             res = simulate_path(st, StepConfig(dt=dt, t_end=0.02), params, noise,
                                 0, grid, MonitorSpec(collect_records=False))
-            errs.append(l2_norm(RealField.from_spectral(
-                res.final_state.u.spectral - ref.u.spectral, grid), grid))
+            errs.append(hs_norm(RealField.from_spectral(
+                res.final_state.u.spectral - ref.u.spectral, grid), 0, grid))
         assert errs[1] < 0.75 * errs[0]
 
     def test_stability_limit_monotone_in_m(self):

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,7 +9,7 @@ from qns1d.spectral import (
     RealField,
     TorusGrid,
     ddx,
-    l2_norm,
+    hs_norm,
     project,
     resample,
     to_physical,
@@ -79,7 +82,7 @@ class TestTransforms:
         g = TorusGrid(n, n // 3)
         f = band_limited(g, rng)
         quad = float(np.sqrt(np.mean(f.physical**2)))
-        assert l2_norm(f, g) == pytest.approx(quad, rel=1e-10)
+        assert hs_norm(f, 0, g) == pytest.approx(quad, rel=1e-10)
 
 
 class TestProjection:
@@ -108,7 +111,7 @@ class TestProjection:
         norm_f = float(np.sqrt(np.mean(f.physical**2)))
         norm_p = float(np.sqrt(np.mean(p.physical**2)))
         assert norm_p <= norm_f + 1e-14
-        assert l2_norm(p, grid64) <= l2_norm(f, grid64) + 1e-14
+        assert hs_norm(p, 0, grid64) <= hs_norm(f, 0, grid64) + 1e-14
 
     def test_orthogonality_of_remainder(self, grid64, rng):
         f = RealField.from_physical(rng.standard_normal(64), grid64)
@@ -208,3 +211,12 @@ class TestStackedTransforms:
         for order in (1, 2):
             out = ddx(values, order)
             assert all(same_bits(out[i], ddx(values[i], order)) for i in range(3))
+
+
+def test_numpy_fft_used_only_in_spectral():
+    # every transform goes through spectral's wrappers, so a count of
+    # numpy.fft calls sees all of them
+    src = Path(__file__).resolve().parents[1] / "src" / "qns1d"
+    pattern = re.compile(r"\bnp\.fft\b|\bnumpy\.fft\b|\bimport fft\b|\bfft import\b")
+    users = sorted(f.name for f in src.glob("*.py") if pattern.search(f.read_text()))
+    assert users == ["spectral.py"]
