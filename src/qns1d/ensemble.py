@@ -136,13 +136,15 @@ def run_path(cfg: EnsembleConfig, index: int, initial: State, step_cfg: StepConf
 
     The path's seed comes from (master_seed, index). With a radius sweep
     configured, the path runs with cut-off radius max(r_sweep) and every
-    threshold's hit time is read off its norm trace.
+    threshold's hit time is read off its norm trace, which is exact from
+    min(r_sweep) up.
     """
     seed = derive_path_seed(cfg.master_seed, index)
+    resolve = min(cfg.r_sweep) if cfg.r_sweep else None
     if cfg.r_sweep:
         params = replace(params, cutoff_radius=max(cfg.r_sweep))
     result = simulate_path(initial, step_cfg, params, noise, seed, grid,
-                           MonitorSpec(stride=cfg.output_stride))
+                           MonitorSpec(stride=cfg.output_stride, resolve_radius=resolve))
     hits = tuple(first_hit_times(result, cfg.r_sweep)) if cfg.r_sweep else ()
     summary = PathSummary(
         path_index=index,

@@ -162,12 +162,13 @@ def compute_record(state: State, params: ModelParams, grid: TorusGrid,
                    w2inf_u: float | None = None) -> MonitorRecord:
     """Evaluate every monitored functional on one state.
 
-    The W^{2,inf} norms are the caller's when given, else taken here.
+    The W^{2,inf} norms are the caller's when both are given, else both are
+    taken here in one stacked transform.
     """
     gamma, alpha = params.gamma, params.alpha
     s = params.monitor_order
-    psi, u = to_physical(np.stack((state.psi.spectral, state.u.spectral)),
-                         QUAD_OVERSAMPLE * grid.n_collocation)
+    spec = np.stack((state.psi.spectral, state.u.spectral))
+    psi, u = to_physical(spec, QUAD_OVERSAMPLE * grid.n_collocation)
     rho = np.exp(psi)
     half = rho ** (0.5 * alpha)
     dpsi, du, d_pressure, d_half = ddx(
@@ -181,10 +182,8 @@ def compute_record(state: State, params: ModelParams, grid: TorusGrid,
                    * _quad(rho ** (-alpha) * d_half ** 4))
     v = u + np.exp((alpha - 1.0) * psi) * dpsi
     rho_min = float(np.exp(np.min(resample(state.psi, grid, 8 * grid.n_collocation))))
-    if w2inf_psi is None:
-        w2inf_psi = w2inf_norm(state.psi.spectral, grid)
-    if w2inf_u is None:
-        w2inf_u = w2inf_norm(state.u.spectral, grid)
+    if w2inf_psi is None or w2inf_u is None:
+        w2inf_psi, w2inf_u = w2inf_norm(spec, grid)
     return MonitorRecord(
         time=state.time,
         mass=_quad(rho),

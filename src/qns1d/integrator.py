@@ -16,22 +16,25 @@ included, before its norm trace row and monitor record are written; a failed
 check ends the path as a blow-up.
 
 Transforms run over stacked rows, a few calls per step rather than one per
-field. A state costs two: one inverse of [psi, u, psi', u', u'', psi''] on
+field. A state costs one: an inverse of [psi, u, psi', u', u'', psi''] on
 the collocation grid, whose first two rows the state check reads and whose
-samples the monitor record and the step reuse, and one oversampled inverse
-of derivative orders 0..2 of psi and u for both W^{2,inf} norms. A step
-costs three: one forward transform of the seven explicit-term rows (three
-dealiased products, four band projections), and one inverse and one forward
-for the corrector's transport. A grid too coarse for alias-free products
-adds one inverse for the product factors and one forward. numpy transforms
-each row of a stack exactly as it transforms that row alone, so stacking
-changes no bit of the result.
+samples the monitor record and the step reuse. A state whose exact norms are
+read adds one oversampled inverse of derivative orders 0..2 of psi and u for
+both W^{2,inf} norms. A step costs three: one forward transform of the seven
+explicit-term rows (three dealiased products, four band projections), and
+one inverse and one forward for the corrector's transport. A grid too coarse
+for alias-free products adds one inverse for the product factors and one
+forward. numpy transforms each row of a stack exactly as it transforms that
+row alone, so stacking changes no bit of the result.
 
 The corrector's cut-off factor phi(|u_pred|) skips its sup-norm when it
 cannot matter. cutoff_phi is exactly 1 on [0, R], and the Wiener-algebra
 bound max_o sum_j mult_j |c_j| k_j^o dominates the W^{2,inf} norm, so a
 bound at or below R (less a relative slack of ``_BOUND_SLACK`` for rounding)
 fixes phi = 1 with no transform; otherwise the norm is taken as before.
+The state check certifies the same way, since below R the exact norm moves
+neither phi nor the stopping test: its exact norms are read only on recorded
+states, the last state, and where a bound could reach the resolve radius.
 """
 
 from __future__ import annotations
@@ -46,14 +49,16 @@ from .model import (
     ModelParams,
     NumericalBlowupError,
     State,
+    W2INF_OVERSAMPLE,
     cutoff_phi,
     w2inf_norm,
 )
 from .noise import NoiseModel, derive_path_seed, sample_increment
 from .spectral import RealField, TorusGrid, _frozen, hs_norm, to_physical, to_spectral
 
-# relative margin below the cut-off radius for the predictor's Wiener bound,
-# covering rounding in the bound's sum and in the sup-norm's transform
+# relative margin below a radius for the Wiener bounds of the predictor and
+# the state check, covering rounding in the bound's sum and in the sup-norm's
+# transform
 _BOUND_SLACK = 1e-9
 
 
@@ -103,6 +108,9 @@ class MonitorSpec:
 
     stride: int = 1
     collect_records: bool = True
+    # a norm trace row is exact wherever either norm could reach this radius;
+    # None: the path's own cut-off radius
+    resolve_radius: float | None = None
 
 
 @dataclass(frozen=True)
@@ -110,13 +118,15 @@ class PathResult:
     """One trajectory: monitor series, per-step norm trace, terminal event.
 
     The norm trace and the records cover only states that passed the state
-    check, so a path that blows up has no row for its diverged state.
+    check, so a path that blows up has no row for its diverged state. Below
+    the monitors' resolve radius, a row of a state without a record may hold
+    the norms' Wiener bounds, which are at least the norms.
     """
 
     records: list[functionals.MonitorRecord]
     event: StoppingEvent
     final_state: State
-    norm_trace: np.ndarray  # columns: time, |psi|_W2inf, |u|_W2inf
+    norm_trace: np.ndarray  # columns: time, |psi|_W2inf, |u|_W2inf (or bounds)
     n_steps_taken: int
 
 
@@ -159,8 +169,11 @@ class _Stepper:
         mult = np.full(grid.n_half, 2.0)
         mult[0] = 1.0
         self.wiener = np.stack([mult, mult * self.k, mult * self.k2])
-        radius = params.cutoff_radius if params.enable_cutoff else np.inf
-        self.certified_radius = radius / (1.0 + _BOUND_SLACK)
+        self.radius = params.cutoff_radius if params.enable_cutoff else np.inf
+        self.certified_radius = self.radius / (1.0 + _BOUND_SLACK)
+        # the exact norm's transform scales the spectra by its 8n points, so
+        # bounds above this could hide an overflow that the check must see
+        self.finite_floor = np.finfo(float).max / (W2INF_OVERSAMPLE * self.n)
 
     # --- small kernels -------------------------------------------------
 
@@ -292,11 +305,14 @@ class _Stepper:
         u_new = (-hdt * 1j * self.hk3 * b1 + b2) / det
         return np.where(self.band, psi_new, 0.0), np.where(self.band, u_new, 0.0)
 
-    def check_state(self, spec: np.ndarray, samples: np.ndarray, t: float) -> list[float]:
+    def check_state(self, spec: np.ndarray, samples: np.ndarray, t: float,
+                    resolve: float | None = None) -> list[float]:
         """The W^{2,inf} norms (psi, u) of a state given as ``sample`` rows.
 
-        Raises NumericalBlowupError on non-finite samples, |psi| beyond the
-        clamp, or a non-finite norm.
+        Wiener bounds that both stay below ``resolve`` (by the relative slack)
+        come back in place of the norms, with no transform. Raises
+        NumericalBlowupError on non-finite samples, |psi| beyond the clamp,
+        or a non-finite norm.
         """
         psi_phys, u_phys = samples[0], samples[1]
         if not (np.all(np.isfinite(psi_phys)) and np.all(np.isfinite(u_phys))):
@@ -305,6 +321,11 @@ class _Stepper:
         if peak > self.cfg.blowup_clamp:
             raise NumericalBlowupError(
                 f"|psi| reached {peak:.3g} beyond clamp {self.cfg.blowup_clamp}", t)
+        if resolve is not None:
+            floor = min(resolve / (1.0 + _BOUND_SLACK), self.finite_floor)
+            b_psi, b_u = np.max(self.wiener @ np.abs(spec[:2]).T, axis=0).tolist()
+            if b_psi <= floor and b_u <= floor:
+                return [b_psi, b_u]
         norms = w2inf_norm(spec[:2], self.grid)
         if not np.all(np.isfinite(norms)):
             raise NumericalBlowupError("non-finite W^{2,inf} norm", t)
@@ -360,7 +381,7 @@ def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
     fails the state check."""
     stepper = _Stepper(grid, params, cfg, noise)
     spec, samples = stepper.sample(state.psi.spectral, state.u.spectral)
-    norms = stepper.check_state(spec, samples, state.time)
+    norms = stepper.check_state(spec, samples, state.time, stepper.radius)
     dW = sample_increment(seed, step_index, stepper.dt, noise) if stepper.noise_on else None
     psi_new, u_new = stepper.step_imex(spec, samples, norms, dW)
     return State(
@@ -383,7 +404,8 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
     stepper = _Stepper(grid, params, cfg, noise)
     dt = stepper.dt
     n_steps = cfg.n_steps
-    radius = params.cutoff_radius if params.enable_cutoff else np.inf
+    radius = stepper.radius
+    resolve = radius if monitors.resolve_radius is None else min(radius, monitors.resolve_radius)
 
     psi_spec = initial.psi.spectral
     u_spec = initial.u.spectral
@@ -398,14 +420,16 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
         # the checked samples are the ones the next step, the monitor record
         # and the final state use
         spec, samples = stepper.sample(psi_spec, u_spec)
+        record = monitors.collect_records and (i % monitors.stride == 0 or i == n_steps)
         try:
-            norm_psi, norm_u = stepper.check_state(spec, samples, t)
+            norm_psi, norm_u = stepper.check_state(
+                spec, samples, t, None if record or i == n_steps else resolve)
         except NumericalBlowupError as exc:
             event = StoppingEvent(kind="numerical_blowup", time=exc.time,
                                   triggering_norm=float("inf"), which="none")
             break
         trace[i] = (t, norm_psi, norm_u)
-        if monitors.collect_records and (i % monitors.stride == 0 or i == n_steps):
+        if record:
             records.append(functionals.compute_record(
                 _sampled_state(spec, samples, t), params, grid,
                 w2inf_psi=norm_psi, w2inf_u=norm_u))
@@ -440,10 +464,11 @@ def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
 def first_hit_times(result: PathResult, radii: Sequence[float]) -> list[float | None]:
     """Threshold-crossing times read off the recorded per-step norm series.
 
-    Valid for any radius at or below the radius the path ran with, because
-    trajectories for different cut-off radii coincide until the smaller
-    threshold is reached. A path that ended in numerical blow-up counts as
-    stopped at the blow-up time for thresholds it never reached.
+    Valid for radii from the path's resolve radius up to the radius it ran
+    with: trajectories for different cut-off radii coincide until the smaller
+    threshold is reached, and rows below the resolve radius may hold bounds.
+    A path that ended in numerical blow-up counts as stopped at the blow-up
+    time for thresholds it never reached.
     """
     worst = np.maximum(result.norm_trace[:, 1], result.norm_trace[:, 2])
     times = result.norm_trace[:, 0]

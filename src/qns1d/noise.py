@@ -16,6 +16,7 @@ of call order.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,14 +151,28 @@ def _philox(path_seed: int, domain: int, step_index: int) -> np.random.Generator
     return np.random.Generator(bg)
 
 
+# the increment generator of the last path seed, one per thread
+_last_increment = threading.local()
+
+
 def sample_increment(path_seed: int, step_index: int, dt: float,
                      model: NoiseModel) -> np.ndarray:
     """One step's Gaussian increments dW_k ~ N(0, dt), k = 1..k_modes; pure in
-    (path_seed, step_index)."""
+    (path_seed, step_index): before each draw the last seed's generator is set
+    to a fresh stream's state at counter [0, _DOMAIN_INCREMENT, step_index, 0]."""
     if dt <= 0.0:
         raise NoiseConfigError(f"dt must be positive, got {dt}")
-    gen = _philox(path_seed, _DOMAIN_INCREMENT, step_index)
-    return gen.standard_normal(model.k_modes) * np.sqrt(dt)
+    last = _last_increment
+    if getattr(last, "seed", None) != path_seed:
+        last.gen = _philox(path_seed, _DOMAIN_INCREMENT, 0)
+        fresh = last.gen.bit_generator.state
+        # the same state in plain Python values, which the setter reads fastest
+        last.state = dict(fresh, buffer=fresh["buffer"].tolist(),
+                          state={k: v.tolist() for k, v in fresh["state"].items()})
+        last.seed = path_seed
+    last.state["state"]["counter"][2] = step_index
+    last.gen.bit_generator.state = last.state
+    return last.gen.standard_normal(model.k_modes) * np.sqrt(dt)
 
 
 def initial_data_generator(path_seed: int) -> np.random.Generator:

@@ -9,9 +9,10 @@ from qns1d.ensemble import (
     run_ensemble,
     run_path,
 )
-from qns1d.integrator import StepConfig
+from qns1d.cli import validate_config
+from qns1d.integrator import MonitorSpec, StepConfig, first_hit_times, simulate_path
 from qns1d.model import ModelParams, State
-from qns1d.noise import NoiseModel
+from qns1d.noise import NoiseModel, derive_path_seed
 from qns1d.spectral import RealField, TorusGrid, project
 
 
@@ -123,6 +124,35 @@ class TestEnsembleRuns:
         assert all(b <= a for a, b in zip(fracs, fracs[1:]))
         radii = [row.radius for row in summary.stopping]
         assert radii == sorted(radii)
+
+    def test_sweep_hit_times_match_exact_trace(self):
+        # the criterion-10 sweep, shortened: run_path resolves the trace from
+        # min(r_sweep) up, and its hit times equal those of an exact trace
+        cfg = validate_config({
+            "grid": {"n_collocation": 64, "m_modes": 21, "dealias": True},
+            "model": {"gamma": 1.5, "alpha": 0.5, "cutoff_radius": 300.0,
+                      "monitor_order": 4,
+                      "initial_condition": {"kind": "harmonic_perturbation",
+                                            "rho0": 1.0, "eps": 0.1, "modes": [1],
+                                            "velocity_eps": 0.1, "velocity_modes": [1]}},
+            "noise": {"k_modes": 16, "base_amplitude": 0.2, "amplitude_decay": 3.0,
+                      "shape": "trig_density_weighted"},
+            "integration": {"dt": 5e-4, "t_end": 0.05, "scheme": "imex_cn"},
+            "ensemble": {"n_paths": 6, "master_seed": 64, "moment_orders": [1, 2],
+                         "r_sweep": [6.0, 9.0, 300.0], "output_stride": 10},
+            "output": {"directory": "runs/vacuum", "per_path_csv": False},
+        })
+        ecfg = cfg.ensemble
+        hit_any = False
+        for i in range(ecfg.n_paths):
+            seed = derive_path_seed(ecfg.master_seed, i)
+            st = cfg.initial_factory(i, seed)
+            summary, _ = run_path(ecfg, i, st, cfg.step, cfg.params, cfg.noise, cfg.grid)
+            exact = simulate_path(st, cfg.step, cfg.params, cfg.noise, seed, cfg.grid,
+                                  MonitorSpec(stride=10, resolve_radius=0.0))
+            assert summary.hit_times == tuple(first_hit_times(exact, ecfg.r_sweep))
+            hit_any |= summary.hit_times[0] is not None
+        assert hit_any
 
     def test_degenerate_flag_all_blowup(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5, enable_cutoff=False)

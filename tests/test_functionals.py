@@ -359,6 +359,10 @@ class TestRecordsAndVacuum:
             monkeypatch.setattr(np.fft, name, counted)
         compute_record(st, params, grid64, w2inf_psi=1.0, w2inf_u=1.0)
         assert len(calls) == 6
+        # without the caller's norms, one stacked oversampled inverse more
+        calls.clear()
+        compute_record(st, params, grid64)
+        assert len(calls) == 7
 
     def test_vacuum_statistics_constant_path(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,15 +159,45 @@ class TestSimulatePath:
         noisy = NoiseModel(base_amplitude=1.0, amplitude_decay=2.0)
         run = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=20.0)
         cfg = StepConfig(dt=5e-4, t_end=0.5)
-        res = simulate_path(st, cfg, run, noisy, 7, grid64,
-                            MonitorSpec(collect_records=False))
         radii = [4.0, 6.0, 8.0, 12.0]
+        res = simulate_path(st, cfg, run, noisy, 7, grid64,
+                            MonitorSpec(collect_records=False, resolve_radius=min(radii)))
         hits = first_hit_times(res, radii)
         seen = [t for t in hits if t is not None]
         assert seen == sorted(seen)
         for r1, r2 in zip(hits, hits[1:]):
             if r1 is None:
                 assert r2 is None
+
+    @pytest.mark.parametrize("case", ["no_noise", "multiplicative", "additive", "padded",
+                                      "tau_R_hit"])
+    def test_certified_rows_change_nothing_else(self, case):
+        # resolve radius 0 takes the exact norm on every state; the default
+        # certifies states whose Wiener bounds stay below the cut-off radius
+        grid = TorusGrid(32, 16) if case == "padded" else TorusGrid(64, 21)
+        params, st = small_setup(grid)
+        noise = {"no_noise": NO_NOISE,
+                 "additive": NoiseModel(base_amplitude=0.2, shape="off"),
+                 "tau_R_hit": NoiseModel(base_amplitude=1.0, amplitude_decay=2.0),
+                 }.get(case, NoiseModel(base_amplitude=0.2))
+        if case == "tau_R_hit":
+            params = replace(params, cutoff_radius=6.0)
+        cfg = StepConfig(dt=1e-3, t_end=0.05)
+        certified, exact = (simulate_path(st, cfg, params, noise, 11, grid,
+                                          MonitorSpec(stride=7, resolve_radius=r))
+                            for r in (None, 0.0))
+        assert certified.event == exact.event
+        assert (certified.event.kind == "tau_R_hit") == (case == "tau_R_hit")
+        assert [r.to_row() for r in certified.records] == [r.to_row() for r in exact.records]
+        for field in ("psi", "u"):
+            assert np.array_equal(getattr(certified.final_state, field).spectral,
+                                  getattr(exact.final_state, field).spectral)
+        assert np.array_equal(certified.norm_trace[:, 0], exact.norm_trace[:, 0])
+        rows, exact_rows = certified.norm_trace[:, 1:], exact.norm_trace[:, 1:]
+        changed = np.any(rows != exact_rows, axis=1)
+        assert changed.any() and not changed[-1]
+        assert np.all(exact_rows <= rows)
+        assert np.all(rows[changed] <= params.cutoff_radius)
 
     def test_blowup_event(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5, enable_cutoff=False)
@@ -235,11 +267,14 @@ class TestSimulatePath:
 
 
 class TestStackedKernels:
-    def test_five_transforms_per_step(self, grid64, monkeypatch):
-        # per state one inverse at n and one oversampled inverse for the
-        # norms; per step one forward for the explicit terms and one inverse
+    @pytest.mark.parametrize("stride", [None, 3])
+    def test_four_transforms_per_certified_step(self, grid64, monkeypatch, stride):
+        # per state one inverse at n, the state check's norms being certified
+        # away; per step one forward for the explicit terms and one inverse
         # plus one forward for the corrector's transport, the predictor's
-        # sup-norm being certified away
+        # sup-norm being certified away too. The last state adds the
+        # oversampled inverse of its exact norms; so does each recorded state
+        # before it, whose record takes compute_record's six transforms.
         params, st = small_setup(grid64)
         calls = []
         for name in ("rfft", "irfft"):
@@ -251,10 +286,14 @@ class TestStackedKernels:
 
             monkeypatch.setattr(np.fft, name, counted)
         cfg = StepConfig(dt=1e-3, t_end=0.012)
+        monitors = (MonitorSpec(collect_records=False) if stride is None
+                    else MonitorSpec(stride=stride))
         res = simulate_path(st, cfg, params, NoiseModel(base_amplitude=0.2), 3, grid64,
-                            MonitorSpec(collect_records=False))
+                            monitors)
         assert res.event.kind == "completed" and res.n_steps_taken == cfg.n_steps
-        assert len(calls) == 5 * cfg.n_steps + 2
+        n_records = len(res.records)
+        assert n_records == (0 if stride is None else 5)
+        assert len(calls) == 4 * cfg.n_steps + 2 + max(n_records - 1, 0) + 6 * n_records
 
     def test_step_replays_path_on_padded_grid(self):
         # m = n/2 puts the products on a padded grid; the public step() and

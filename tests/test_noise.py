@@ -6,6 +6,7 @@ from qns1d.noise import (
     NoiseConfigError,
     NoiseModel,
     derive_path_seed,
+    initial_data_generator,
     sample_increment,
 )
 from qns1d.spectral import RealField, TorusGrid, project
@@ -86,6 +87,21 @@ class TestSampling:
         draws = np.stack([sample_increment(31, i, dt, m) for i in range(100000)])
         cov = float(np.mean(draws[:, 0] * draws[:, 1]))
         assert abs(cov) < 4.0 / np.sqrt(100000) * dt
+
+    def test_increments_match_fresh_streams(self):
+        # the reused generator must draw what a freshly built one draws, for
+        # interleaved seeds and steps, also after an initial-data stream
+        m = NoiseModel()
+        dt = 0.01
+        seeds = [derive_path_seed(5, p) for p in range(3)]
+        for count, (seed, step) in enumerate(
+                (s, i) for i in (0, 7, 3, 2**40) for s in seeds + seeds[::-1]):
+            if count == 5:
+                initial_data_generator(seed).standard_normal(4)
+            bg = np.random.Philox(counter=[0, 0, step, 0],
+                                  key=[np.uint64(seed), np.uint64(0x9E3779B97F4A7C15)])
+            want = np.random.Generator(bg).standard_normal(m.k_modes) * np.sqrt(dt)
+            assert np.array_equal(sample_increment(seed, step, dt, m), want)
 
     def test_path_seed_derivation_stable(self):
         assert derive_path_seed(42, 3) == derive_path_seed(42, 3)
