@@ -3,9 +3,10 @@
 The dynamics are written in the log-density variable psi = log(rho), so
 rho = exp(psi) is positive by construction. The momentum equation collects
 six contributions: advection, pressure, viscosity, viscosity gradient,
-dispersion and the quadratic quantum term, with smooth cut-off factors of
-the W^{2,inf} norms of u and psi applied to all but the dispersion. The
-right-hand side itself lives in the integrator's step kernels.
+dispersion and the quadratic quantum term. The paper's smooth cut-off
+factors of the W^{2,inf} norms of u and psi are 1 below the radius R, where
+a path stops; the right-hand side itself, and the one place the cut-off
+acts (the corrector's transport), live in the integrator's step kernels.
 """
 
 from __future__ import annotations

@@ -3,11 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from qns1d import integrator
 from qns1d.functionals import compute_record
 from qns1d.integrator import (
     IntegratorConfigError,
     MonitorSpec,
     StepConfig,
+    _Stepper,
     first_hit_times,
     simulate_path,
     step,
@@ -15,7 +17,7 @@ from qns1d.integrator import (
 )
 from qns1d.model import ModelParams, NumericalBlowupError, State, w2inf_norm
 from qns1d.noise import NoiseModel, sample_increment
-from qns1d.spectral import RealField, TorusGrid, hs_norm, project
+from qns1d.spectral import RealField, TorusGrid, UsageError, hs_norm, project
 
 from oracle import linear_propagator, reference_trajectory
 
@@ -70,6 +72,45 @@ class TestStepKernel:
         cfg = StepConfig(dt=1e-3, t_end=1e-2)
         out = step(st, cfg, params, noisy, 11, 0, grid64)
         assert np.array_equal(out.u.spectral, st.u.spectral)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 2.0])
+    def test_step_raises_at_and_beyond_radius(self, grid64, offset):
+        # simulate_path stops at the first state whose norm reaches R, so the
+        # step's terms carry no cut-off and step() refuses such a state: at
+        # R, in the bridge, and past it
+        _, st = small_setup(grid64)
+        norm = max(w2inf_norm(np.stack([st.psi.spectral, st.u.spectral]), grid64))
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=norm - offset)
+        with pytest.raises(UsageError):
+            step(st, StepConfig(dt=1e-3, t_end=1e-3), params, NO_NOISE, 0, 0, grid64)
+
+    def test_predictor_phi_acts_in_the_bridge(self, grid64, monkeypatch):
+        # a state below R whose predictor lands in the bridge (R, R + 1): the
+        # corrector's transport factor is where phi_R acts, and nowhere else
+        st = make_state(grid64, 0.3 * np.cos(2 * np.pi * grid64.x),
+                        0.3 * np.sin(2 * np.pi * grid64.x))
+        cfg = StepConfig(dt=1e-3, t_end=1e-3)
+        predicted = []
+        original = _Stepper.predictor_phi
+
+        def spy(self, u_spec):
+            predicted.append(u_spec.copy())
+            return original(self, u_spec)
+
+        monkeypatch.setattr(_Stepper, "predictor_phi", spy)
+        free = step(st, cfg, ModelParams(gamma=1.5, alpha=0.5), NO_NOISE, 0, 0, grid64)
+        radius = w2inf_norm(predicted[0], grid64) - 0.5
+        assert max(w2inf_norm(np.stack([st.psi.spectral, st.u.spectral]), grid64)) < radius
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius)
+        cut = step(st, cfg, params, NO_NOISE, 0, 0, grid64)
+        assert np.array_equal(predicted[1], predicted[0])
+        assert 0.0 < original(_Stepper(grid64, params, cfg, NO_NOISE), predicted[1]) < 1.0
+        monkeypatch.setattr(_Stepper, "predictor_phi", lambda self, u_spec: 1.0)
+        unit = step(st, cfg, params, NO_NOISE, 0, 0, grid64)
+        assert not np.array_equal(cut.psi.spectral, unit.psi.spectral)
+        # with phi = 1 the step is that of a radius it never reaches
+        for field in ("psi", "u"):
+            assert np.array_equal(getattr(unit, field).spectral, getattr(free, field).spectral)
 
     @pytest.mark.parametrize("mode", [1, 4])
     def test_linear_regime_matches_matrix_exponential(self, mode):
@@ -168,6 +209,18 @@ class TestSimulatePath:
         for r1, r2 in zip(hits, hits[1:]):
             if r1 is None:
                 assert r2 is None
+
+    def test_hit_times_below_resolve_radius_raise(self, grid64):
+        # with the default monitors the resolve radius is R itself, so rows
+        # below it may hold Wiener bounds and cannot place a lower threshold
+        params, st = small_setup(grid64)
+        params = replace(params, cutoff_radius=300.0)
+        res = simulate_path(st, StepConfig(dt=1e-3, t_end=0.01), params,
+                            NoiseModel(base_amplitude=0.2), 3, grid64)
+        assert res.resolve_radius == 300.0
+        assert first_hit_times(res, [300.0]) == [None]
+        with pytest.raises(ValueError):
+            first_hit_times(res, [3.0])
 
     @pytest.mark.parametrize("case", ["no_noise", "multiplicative", "additive", "padded",
                                       "tau_R_hit"])
@@ -336,6 +389,15 @@ class TestStrongConvergence:
         dts = [t_end * 2.0**-e for e in (6, 7, 8, 9)]
         conv = strong_convergence_order(st, params, NO_NOISE, grid, dts, 1, 0, t_end)
         assert 0.8 <= conv.order <= 2.2
+
+    def test_noise_free_paths_draw_no_increments(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(integrator, "sample_increment", lambda *args: draws.append(args))
+        grid = TorusGrid(32, 10)
+        params, st = small_setup(grid)
+        conv = strong_convergence_order(st, params, NO_NOISE, grid, [0.0025, 0.005, 0.01],
+                                        1, 0, 0.02)
+        assert conv.n_paths_used == 1 and draws == []
 
     def test_rejects_non_dyadic_levels(self):
         grid = TorusGrid(32, 10)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qns1d.integrator import StepConfig, step
 from qns1d.model import (
     DomainError,
     ModelParams,
@@ -10,6 +11,7 @@ from qns1d.model import (
     quantum_identity_residual,
     w2inf_norm,
 )
+from qns1d.noise import NoiseModel
 from qns1d.spectral import RealField, TorusGrid, UsageError, project
 
 from conftest import band_limited, make_stepper
@@ -25,22 +27,9 @@ def physical(spec, grid):
     return RealField.from_spectral(spec, grid).physical
 
 
-def sampled(stepper, st):
-    """The stepper's sample rows and W^{2,inf} norms (psi, u) of a state."""
-    spec, samples = stepper.sample(st.psi.spectral, st.u.spectral)
-    return spec, samples, w2inf_norm(spec[:2], stepper.grid)
-
-
-def factors(stepper, st):
-    """Cut-off factors (phi_u, phi_psi) of a state, as the stepper applies them."""
-    _, _, (norm_psi, norm_u) = sampled(stepper, st)
-    return stepper.phi(norm_u), stepper.phi(norm_psi)
-
-
 def explicit_terms(stepper, st):
-    """The stepper's explicit terms of a state, with its own cut-off factors."""
-    spec, samples, _ = sampled(stepper, st)
-    return stepper.explicit_terms(spec, samples, *factors(stepper, st))
+    """The stepper's explicit terms of a state."""
+    return stepper.explicit_terms(*stepper.sample(st.psi.spectral, st.u.spectral))
 
 
 def rhs_psi(stepper, st):
@@ -257,37 +246,36 @@ class TestRhsU:
             assert np.max(np.abs(got - expected)) / scale < 1e-9, name
 
     def test_cutoff_inactivity_bitwise(self, grid64):
+        # below both radii a whole step, the predictor's phi included, is
+        # the same bit for bit
         psi = 0.1 * np.cos(2 * np.pi * grid64.x)
         u = 0.1 * np.sin(2 * np.pi * grid64.x)
         st = make_state(grid64, psi, u)
-        norm = max(w2inf_norm(st.psi.spectral, grid64), w2inf_norm(st.u.spectral, grid64))
-        small = make_stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=2 * norm))
-        large = make_stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=4 * norm))
-        assert factors(small, st) == (1.0, 1.0)
-        assert np.array_equal(rhs_psi(small, st), rhs_psi(large, st))
-        assert np.array_equal(rhs_u(small, st), rhs_u(large, st))
-
-    def test_cutoff_factors_range(self, grid64):
-        psi = 0.1 * np.cos(2 * np.pi * grid64.x)
-        u = 0.5 * np.sin(2 * np.pi * grid64.x)
-        st = make_state(grid64, psi, u)
-        n_u = w2inf_norm(st.u.spectral, grid64)
-        # place the u-norm inside the bridge, psi-norm under the plateau
-        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=n_u - 0.5)
-        phi_u, phi_psi = factors(make_stepper(grid64, params), st)
-        assert 0.0 < phi_u < 1.0
-        assert phi_psi == 1.0
+        norm = max(w2inf_norm(np.stack([st.psi.spectral, st.u.spectral]), grid64))
+        cfg = StepConfig(dt=1e-3, t_end=1e-3)
+        small, large = (step(st, cfg, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=r),
+                             NoiseModel(base_amplitude=0.2), 4, 0, grid64)
+                        for r in (2 * norm, 4 * norm))
+        for field in ("psi", "u"):
+            assert np.array_equal(getattr(small, field).spectral,
+                                  getattr(large, field).spectral)
 
     def test_saturated_cutoff_zeroes_truncated_terms(self, grid64):
+        # a predicted state at or beyond R + 1 loses the corrector's
+        # transport; the explicit terms of a state carry no cut-off
         psi = 0.1 * np.cos(2 * np.pi * grid64.x)
         u = 0.5 * np.sin(2 * np.pi * grid64.x)
         st = make_state(grid64, psi, u)
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=0.05)
-        terms = u_terms(make_stepper(grid64, params), st)
-        for name in ("advection", "pressure", "viscosity", "viscosity_gradient", "quantum"):
-            assert np.max(np.abs(physical(terms[name], grid64))) == 0.0, name
-        # the dispersion term is linear and carries no cut-off
-        assert np.max(np.abs(physical(terms["dispersion"], grid64))) > 0.0
+        stepper = make_stepper(grid64, params)
+        phi = stepper.predictor_phi(st.u.spectral)
+        assert phi == 0.0
+        transport = stepper.transport_spec(st.psi.spectral, st.u.spectral, phi)
+        assert np.max(np.abs(physical(transport, grid64))) == 0.0
+        terms = explicit_terms(stepper, st)
+        terms["dispersion"] = -1j * stepper.hk3 * st.psi.spectral
+        for name, term in terms.items():
+            assert np.max(np.abs(physical(term, grid64))) > 0.0, name
 
     @pytest.mark.parametrize("where", ["certified", "between_norm_and_bound", "bridge",
                                        "saturated", "cutoff_off"])
@@ -316,13 +304,12 @@ class TestRhsU:
         stepper = make_stepper(grid, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e6))
         st = State(band_limited(grid, rng, amplitude=0.2), band_limited(grid, rng))
         terms = explicit_terms(stepper, st)
-        phi_u, phi_psi = factors(stepper, st)
         psi_s, u_s = st.psi.spectral, st.u.spectral
         dpsi_s, du_s = psi_s * stepper.ik, u_s * stepper.ik
-        assert np.array_equal(terms["transport"], stepper.transport_spec(psi_s, u_s, phi_u))
-        assert np.array_equal(terms["advection"], -phi_u * stepper.product(u_s, du_s))
+        assert np.array_equal(terms["transport"], stepper.transport_spec(psi_s, u_s, 1.0))
+        assert np.array_equal(terms["advection"], -stepper.product(u_s, du_s))
         assert np.array_equal(terms["quantum"],
-                              0.5 * phi_psi * stepper.product(dpsi_s, -stepper.k2 * psi_s))
+                              0.5 * stepper.product(dpsi_s, -stepper.k2 * psi_s))
 
     def test_psi_clamp_raises(self, grid64):
         st = make_state(grid64, np.full(64, 60.0), np.zeros(64))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qns1d.model import ModelParams, State, w2inf_norm
+from qns1d.model import ModelParams, State
 from qns1d.noise import (
     NoiseConfigError,
     NoiseModel,
@@ -20,12 +20,9 @@ def make_state(grid, psi_values, u_values):
 
 
 def forcing_field(state, dW, model, params, grid):
-    """The stepper's forcing of one increment, with the state's own cut-off factor."""
+    """The stepper's forcing of one increment."""
     stepper = make_stepper(grid, params, model)
-    spec, samples = stepper.sample(state.psi.spectral, state.u.spectral)
-    norm_psi, norm_u = w2inf_norm(spec[:2], grid)
-    terms = stepper.explicit_terms(spec, samples, stepper.phi(norm_u),
-                                   stepper.phi(norm_psi), dW)
+    terms = stepper.explicit_terms(*stepper.sample(state.psi.spectral, state.u.spectral), dW)
     return RealField.from_spectral(terms["forcing"], grid)
 
 
@@ -173,15 +170,6 @@ class TestForcing:
                                  axis=0)
             bound = m.amplitude_sum() * (np.max(rho) + np.max(rho) * np.max(np.abs(u)))
             assert np.max(g_sum) <= bound + 1e-12
-
-    def test_saturated_cutoff_kills_forcing(self, grid64):
-        st = make_state(grid64, np.zeros(64), 2.0 * np.sin(2 * np.pi * grid64.x))
-        # |u''| ~ 2*(2pi)^2 = 79; radius far below it
-        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=10.0)
-        m = NoiseModel(base_amplitude=0.05)
-        inc = sample_increment(3, 0, 0.01, m)
-        out = forcing_field(st, inc, m, params, grid64)
-        assert np.max(np.abs(out.physical)) == 0.0
 
     def test_projected_to_band(self, grid64):
         st = make_state(grid64, np.zeros(64), np.ones(64))
