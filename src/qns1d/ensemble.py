@@ -2,10 +2,14 @@
 
 Each path gets its own seed lineage derived from (master_seed, path_index),
 so paths are independent, embarrassingly parallel, and individually
-replayable. ``run_path`` is the one function that runs path ``index`` of an
-ensemble: ``run_ensemble`` maps it over the paths, and the CLI's ``replay``
-calls it for a single path. The merge works on per-path summaries keyed by
-path index and is therefore independent of completion order.
+replayable. ``run_paths`` is the one function that runs paths of an
+ensemble: it steps them as one batch, in lockstep, through one
+``simulate_path`` call, and every path comes out bit for bit as it would
+alone. ``run_ensemble`` gives each worker one contiguous block of paths as
+one batch, and the CLI's ``replay`` runs a single path through ``run_path``,
+a batch of one. The merge works on per-path summaries keyed by path index
+and is therefore independent of completion order and of how the paths were
+split.
 
 A radius sweep replays the same Brownian path for every threshold: since the
 cut-off is inactive until the smallest threshold is reached, trajectories for
@@ -23,7 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .functionals import MonitorRecord, VacuumSummary, vacuum_statistics
-from .integrator import MonitorSpec, StepConfig, first_hit_times, simulate_path
+from .integrator import MonitorSpec, PathResult, StepConfig, first_hit_times, simulate_path
 from .model import ModelParams, State
 from .noise import NoiseModel, derive_path_seed
 from .spectral import TorusGrid
@@ -129,57 +133,78 @@ def jackknife_moment(values: np.ndarray, order: int) -> MomentEstimate:
     return MomentEstimate(value=est, stderr=se)
 
 
-def run_path(cfg: EnsembleConfig, index: int, initial: State, step_cfg: StepConfig,
-             params: ModelParams, noise: NoiseModel, grid: TorusGrid,
-             ) -> tuple[PathSummary, list[MonitorRecord]]:
-    """Run path ``index`` of the ensemble ``cfg`` from ``initial``.
-
-    The path's seed comes from (master_seed, index). With a radius sweep
-    configured, the path runs with cut-off radius max(r_sweep) and every
-    threshold's hit time is read off its norm trace, which is exact from
-    min(r_sweep) up.
-    """
-    seed = derive_path_seed(cfg.master_seed, index)
-    resolve = min(cfg.r_sweep) if cfg.r_sweep else None
-    if cfg.r_sweep:
-        params = replace(params, cutoff_radius=max(cfg.r_sweep))
-    result = simulate_path(initial, step_cfg, params, noise, seed, grid,
-                           MonitorSpec(stride=cfg.output_stride, resolve_radius=resolve))
-    hits = tuple(first_hit_times(result, cfg.r_sweep)) if cfg.r_sweep else ()
-    summary = PathSummary(
+def _path_summary(cfg: EnsembleConfig, index: int, seed: int,
+                  result: PathResult) -> PathSummary:
+    """The reduction payload of path ``index``, with its sweep's hit times."""
+    return PathSummary(
         path_index=index,
         path_seed=seed,
         event_kind=result.event.kind,
         event_time=result.event.time,
         sup_values=_sup_values(result.records),
         min_rho=min((r.min_rho for r in result.records), default=float("nan")),
-        hit_times=hits,
+        hit_times=tuple(first_hit_times(result, cfg.r_sweep)) if cfg.r_sweep else (),
     )
-    return summary, result.records
+
+
+def run_paths(cfg: EnsembleConfig, indices: Sequence[int], initials: Sequence[State],
+              step_cfg: StepConfig, params: ModelParams, noise: NoiseModel,
+              grid: TorusGrid) -> list[tuple[PathSummary, list[MonitorRecord]]]:
+    """Run paths ``indices`` of the ensemble ``cfg`` from ``initials`` as one batch.
+
+    One ``simulate_path`` call steps them in lockstep; each path comes out
+    bit for bit as it would alone. A path's seed comes from (master_seed,
+    index). With a radius sweep configured, the paths run with cut-off
+    radius max(r_sweep) and every threshold's hit time is read off their
+    norm traces, which are exact from min(r_sweep) up. Returns each path's
+    summary and monitor records, in the order of ``indices``.
+    """
+    seeds = [derive_path_seed(cfg.master_seed, i) for i in indices]
+    resolve = min(cfg.r_sweep) if cfg.r_sweep else None
+    if cfg.r_sweep:
+        params = replace(params, cutoff_radius=max(cfg.r_sweep))
+    results = simulate_path(list(initials), step_cfg, params, noise, seeds, grid,
+                            MonitorSpec(stride=cfg.output_stride, resolve_radius=resolve))
+    return [(_path_summary(cfg, i, seed, r), r.records)
+            for i, seed, r in zip(indices, seeds, results)]
+
+
+def run_path(cfg: EnsembleConfig, index: int, initial: State, step_cfg: StepConfig,
+             params: ModelParams, noise: NoiseModel, grid: TorusGrid,
+             ) -> tuple[PathSummary, list[MonitorRecord]]:
+    """Run path ``index`` of the ensemble ``cfg`` from ``initial``: ``run_paths``
+    with a batch of one, as the CLI's ``replay`` does."""
+    return run_paths(cfg, [index], [initial], step_cfg, params, noise, grid)[0]
 
 
 def run_ensemble(cfg: EnsembleConfig, initial: State | Callable[[int, int], State],
                  step_cfg: StepConfig, params: ModelParams, noise: NoiseModel,
                  grid: TorusGrid, n_workers: int = 1,
                  ) -> tuple[EnsembleSummary, list[list[MonitorRecord]]]:
-    """Run n_paths independent trajectories through ``run_path`` and merge them.
+    """Run n_paths independent trajectories through ``run_paths`` and merge them.
 
     ``initial`` is either a fixed state or a factory (path_index, path_seed)
     -> State for random initial data. The initial states are built here, in
     the parent process: a factory may be a closure, which cannot be pickled.
-    Returns the merged summary and every path's monitor records.
+    The paths are split into n_workers contiguous blocks, and each worker
+    runs its block as one batch. Every path is bit-identical however the
+    paths are split, so the result does not depend on n_workers. Returns the
+    merged summary and every path's monitor records.
     """
-    indices = range(cfg.n_paths)
+    indices = list(range(cfg.n_paths))
     states = [initial(i, derive_path_seed(cfg.master_seed, i)) if callable(initial)
               else initial for i in indices]
-    run = functools.partial(run_path, cfg, step_cfg=step_cfg, params=params,
+    run = functools.partial(run_paths, cfg, step_cfg=step_cfg, params=params,
                             noise=noise, grid=grid)
-    if n_workers > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outputs = list(pool.map(run, indices, states))
+    blocks = [block.tolist() for block in np.array_split(indices, max(1, n_workers))
+              if block.size]
+    if len(blocks) > 1:
+        with ProcessPoolExecutor(max_workers=len(blocks)) as pool:
+            parts = list(pool.map(run, blocks, [[states[i] for i in b] for b in blocks]))
     else:
-        outputs = list(map(run, indices, states))
+        parts = [run(indices, states)]
 
+    outputs = [o for part in parts for o in part]
     summaries = [o[0] for o in outputs]
     record_series = [o[1] for o in outputs]
     return merge_summaries(summaries, cfg, params, record_series), record_series

@@ -46,6 +46,20 @@ states, the last state, and where a bound could reach the resolve radius.
 The step's small kernels fill preallocated rows through ``out=`` and reuse
 the (k, dt)-only factors built once per run. Each factor keeps the operand
 order of the expression it stands for, since regrouping changes rounding.
+
+Paths run in batches. The kernels take an optional leading path axis, and
+``simulate_path`` steps a batch of paths in lockstep from one workspace, so
+each numpy call and each transform of a step serves every path of the batch:
+a step makes the same transform calls for P paths as for one (Lord, Powell &
+Shardlow, An Introduction to Computational Stochastic PDEs, 2014; the
+leading batch axis of SDE libraries such as torchsde). A single path runs as
+a batch of one. The batch changes no bit of any path: elementwise operations
+and row-wise transforms do not mix paths; the forcing and the Wiener bounds
+are stacks of the products one path would form, which numpy hands to the
+same BLAS routine path by path (one matrix product over all paths would
+round differently); reductions run per path; nu_bar, the predictor's phi,
+the state check, the exact norms, the increments and the records are taken
+per path. A path that stops leaves the stepped rows, and the others go on.
 """
 
 from __future__ import annotations
@@ -156,7 +170,10 @@ class _Stepper:
 
     Spectra are mean-normalized half-spectra (rfft/n). All kernels take and
     return raw arrays; the public functions wrap them in State/RealField. A
-    state enters the kernels as the rows of ``sample``.
+    state enters the kernels as the rows of ``sample``. The kernels also take
+    a leading path axis: spectra of shape (P, n_half) stand for P paths, and
+    a stack of rows then has shape (rows, P, .), so that ``rows[j]`` is row j
+    of every path, as it is of one path's stack.
     """
 
     def __init__(self, grid: TorusGrid, params: ModelParams, cfg: StepConfig,
@@ -184,7 +201,7 @@ class _Stepper:
         self.term_scale = np.array([-1.0, -1.0, 0.5, -params.gamma, 1.0, params.alpha, 1.0],
                                    dtype=complex)[:, None]
         # psi's exponents in rho^(gamma-1), rho^(alpha-1) and rho
-        self.psi_rates = np.array([params.gamma - 1.0, params.alpha - 1.0, 1.0])[:, None]
+        self.psi_rates = np.array([params.gamma - 1.0, params.alpha - 1.0, 1.0])
         self.dt = cfg.dt_effective
         # the step's (k, dt)-only factors, each in its expression's operand order
         self.hdt = hdt = 0.5 * self.dt
@@ -218,10 +235,11 @@ class _Stepper:
                ) -> tuple[np.ndarray, np.ndarray]:
         """Spectra and collocation samples of the rows [psi, u, psi', u', u'', psi''].
 
-        One stacked inverse transform. The state check reads the first two
-        rows, the explicit terms all six.
+        One stacked inverse transform, also for a stack of paths: spectra of
+        shape (P, n_half) give rows of shape (6, P, .). The state check reads
+        the first two rows, the explicit terms all six.
         """
-        spec = np.empty((6, self.n_half), dtype=complex)
+        spec = np.empty((6,) + np.shape(psi_spec), dtype=complex)
         spec[0] = psi_spec
         spec[1] = u_spec
         np.multiply(spec[:2], self.ik, out=spec[2:4])
@@ -242,7 +260,7 @@ class _Stepper:
         retained band to be alias-free; the product keeps the modes of the
         grid's dealias_mask.
         """
-        factors = np.empty((2, self.n_half), dtype=complex)
+        factors = np.empty((2,) + np.shape(a_spec), dtype=complex)
         factors[0] = a_spec
         factors[1] = b_spec
         a, b = to_physical(factors, self.product_n)
@@ -253,14 +271,24 @@ class _Stepper:
             return 1.0
         return cutoff_phi(norm, self.params.cutoff_radius)
 
-    def predictor_phi(self, u_spec: np.ndarray) -> float:
+    def predictor_phi(self, u_spec: np.ndarray) -> float | np.ndarray:
         """phi(|u|) of the predictor, taking its sup-norm only where it can matter.
 
         cutoff_phi is exactly 1 at and below the radius, and the Wiener bound
         dominates the norm, so a bound that stays below the radius (by a
         relative slack for rounding) gives phi = 1 without the transform.
+        One spectrum gives a float; a stack of shape (P, n_half) gives one
+        factor per path, as a (P, 1) column, each from its own bound or norm.
         """
-        bound = float((self.wiener @ np.abs(u_spec)).max())
+        # a stack of matrix-vector products: each path's bound has the bits
+        # of wiener @ |u| alone
+        bounds = np.matmul(self.wiener, np.abs(u_spec)[..., None]).max(axis=(-2, -1))
+        if bounds.ndim == 0:
+            return self._phi_of_bound(float(bounds), u_spec)
+        return np.array([self._phi_of_bound(b, u)
+                         for b, u in zip(bounds.tolist(), u_spec)])[:, None]
+
+    def _phi_of_bound(self, bound: float, u_spec: np.ndarray) -> float:
         if bound <= self.certified_radius:
             return self.phi(bound)
         return self.phi(w2inf_norm(u_spec, self.grid))
@@ -268,8 +296,11 @@ class _Stepper:
     # --- right-hand sides ----------------------------------------------
 
     def transport_spec(self, psi_spec: np.ndarray, u_spec: np.ndarray,
-                       phi_u: float) -> np.ndarray:
-        """-phi(|u|) * u * dpsi/dx as a half-spectrum, from the spectra alone."""
+                       phi_u: float | np.ndarray) -> np.ndarray:
+        """-phi(|u|) * u * dpsi/dx as a half-spectrum, from the spectra alone.
+
+        For a stack of paths, phi_u is a (P, 1) column of per-path factors.
+        """
         return -phi_u * self.product(u_spec, psi_spec * self.ik)
 
     def explicit_terms(self, spec: np.ndarray, samples: np.ndarray,
@@ -285,21 +316,25 @@ class _Stepper:
 
         All terms share one forward transform. On a padded product grid the
         product factors take one more inverse transform, and the products
-        and the projections take one forward transform each.
+        and the projections take one forward transform each. Stacked
+        ``sample`` rows of P paths, with dW of shape (P, k_modes), give terms
+        of shape (P, n_half) from the same transforms.
         """
         psi, u, dpsi, du, d2u, d2psi = samples
+        lead = samples.shape[1:-1]
         forcing = dW is not None and self.noise_on
         n_rows = 7 if forcing else 6
         if self.product_n == self.n:
             f_u, f_dpsi, f_du, f_d2psi = u, dpsi, du, d2psi
-            rows = np.empty((n_rows, self.n))
+            rows = np.empty((n_rows,) + lead + (self.n,))
             products, pointwise = rows[:3], rows[3:]
         else:
             f_u, f_dpsi, f_du, f_d2psi = to_physical(spec[[1, 2, 3, 5]], self.product_n)
-            products = np.empty((3, self.product_n))
-            pointwise = np.empty((n_rows - 3, self.n))
+            products = np.empty((3,) + lead + (self.product_n,))
+            pointwise = np.empty((n_rows - 3,) + lead + (self.n,))
         # rho^(gamma-1), rho^(alpha-1), and rho for the forcing
-        exp_g, exp_a, *rho = np.exp(self.psi_rates[: 3 if forcing else 2] * psi)
+        exp_g, exp_a, *rho = np.exp(np.multiply.outer(self.psi_rates[: 3 if forcing else 2],
+                                                      psi))
         np.multiply(f_u, f_dpsi, out=products[0])
         np.multiply(f_u, f_du, out=products[1])
         np.multiply(f_dpsi, f_d2psi, out=products[2])
@@ -308,43 +343,53 @@ class _Stepper:
         np.multiply(exp_a, dpsi, out=pointwise[2])
         np.multiply(pointwise[2], du, out=pointwise[2])
         if forcing:
-            pointwise[3] = dW @ self.noise.coefficient_fields(self.noise_waves, rho[0], u)
+            # a stack of vector-matrix products: each path's forcing has the
+            # bits of dW @ fields alone, which one matrix product would not
+            fields = self.noise.coefficient_fields(self.noise_waves, rho[0], u)
+            pointwise[3] = np.matmul(dW[..., None, :], fields)[..., 0, :]
         if self.product_n == self.n:
             s = to_spectral(rows)
-            s[:3, self.product_end:] = 0.0
-            s[3:, self.band_end:] = 0.0
+            s[:3, ..., self.product_end:] = 0.0
+            s[3:, ..., self.band_end:] = 0.0
         else:
             s = np.concatenate((self.project_rows(products, self.product_end),
                                 self.project_rows(pointwise, self.band_end)))
         # d/dx(sqrt(rho)''/sqrt(rho)) = (psi''' + psi'psi'')/2: the quantum
         # row's 1/2 is what the energy functional's capillary term
         # dissipates against
-        s = self.term_scale[:n_rows] * s
-        terms = {"transport": s[0], "advection": s[1], "quantum": s[2], "pressure": s[3],
-                 "viscosity": s[4], "viscosity_gradient": s[5]}
-        if forcing:
-            terms["forcing"] = s[6]
-        return terms
+        np.multiply(self.term_scale[:n_rows] if s.ndim == 2 else self.term_scale[:n_rows, None],
+                    s, out=s)
+        names = ("transport", "advection", "quantum", "pressure", "viscosity",
+                 "viscosity_gradient", "forcing")
+        return dict(zip(names, s))
 
-    def explicit_u_spec(self, terms: dict[str, np.ndarray], u_spec: np.ndarray,
-                        nu_bar: float) -> np.ndarray:
-        """All momentum terms outside the implicit 2x2 block."""
+    def explicit_u_spec(self, terms: dict[str, np.ndarray],
+                        implicit_share: np.ndarray) -> np.ndarray:
+        """All momentum terms outside the implicit 2x2 block.
+
+        ``implicit_share`` is nu_bar * k^2 * u_spec, the viscosity that the
+        Crank-Nicolson block takes; ``step_imex`` forms it once for both of
+        its uses.
+        """
         out = terms["advection"] + terms["pressure"]
         # viscosity minus the share handled implicitly
         out += terms["viscosity"]
-        out += nu_bar * self.k2 * u_spec
+        out += implicit_share
         out += terms["viscosity_gradient"]
         out += terms["quantum"]
         return out
 
-    def nu_bar(self, psi_phys: np.ndarray) -> float:
+    def nu_bar(self, psi_phys: np.ndarray) -> float | np.ndarray:
+        """The implicit viscosity: a scalar for one path's samples of psi, a
+        (P, 1) column for a stack of P paths, or the configured floor."""
         if self.cfg.implicit_visc_floor is not None:
             return self.cfg.implicit_visc_floor
         # Crank-Nicolson damps the stiff modes of the explicit remainder
         # (rho^(alpha-1) - nu_bar) u'' only if nu_bar >= max rho^(alpha-1);
         # this min falls short wherever rho^(alpha-1) varies. ROADMAP.md's
         # open item on the implicit viscosity at that maximum changes it.
-        return float(np.exp(((self.params.alpha - 1.0) * psi_phys).min()))
+        return np.exp(((self.params.alpha - 1.0) * psi_phys).min(axis=-1,
+                                                                 keepdims=psi_phys.ndim > 1))
 
     def cn_solve(self, b1: np.ndarray, b2: np.ndarray, diag: np.ndarray,
                  kb2: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -356,40 +401,71 @@ class _Stepper:
         kb2 = (dt/2) i k b2 and det, the block's determinant, depend only on
         the step, so ``step_imex`` builds them once for both of its solves.
         """
-        new = np.empty((2, self.n_half), dtype=complex)
+        new = np.empty((2,) + np.shape(b2), dtype=complex)
         np.multiply(diag, b1, out=new[0])
         np.subtract(new[0], kb2, out=new[0])
         np.multiply(self.neg_hdt_ihk3, b1, out=new[1])
         np.add(new[1], b2, out=new[1])
         np.divide(new, det, out=new)
-        new[:, self.band_end:] = 0.0
+        new[..., self.band_end:] = 0.0
         return new[0], new[1]
+
+    def check_states(self, spec: np.ndarray, samples: np.ndarray, exact: Sequence[bool],
+                     resolve: float | None,
+                     ) -> tuple[list[list[float] | None], list[str | None]]:
+        """The state check of P states given as stacked ``sample`` rows (6, P, .).
+
+        Returns each state's W^{2,inf} norms [psi, u], or None where the
+        state fails the check, and why it fails: non-finite samples, |psi|
+        beyond the clamp, or a non-finite norm. A state not marked ``exact``
+        whose Wiener bounds both stay below ``resolve`` (by the relative
+        slack) gets its bounds in place of the norms, with no transform.
+        Every other state takes its own oversampled transform: that
+        transform is bound by arithmetic, so stacking it across paths would
+        only add memory.
+        """
+        # the sup of |.| is NaN or inf exactly when a sample is not finite
+        peaks = np.abs(samples[:2]).max(axis=-1).T.tolist()
+        clamp = self.cfg.blowup_clamp
+        norms: list[list[float] | None] = [None] * len(peaks)
+        failures: list[str | None] = [None] * len(peaks)
+        to_bound, to_norm = [], []
+        for p, ((peak_psi, peak_u), read_norm) in enumerate(zip(peaks, exact)):
+            if not (math.isfinite(peak_psi) and math.isfinite(peak_u)):
+                failures[p] = "non-finite values in state"
+            elif peak_psi > clamp:
+                failures[p] = f"|psi| reached {peak_psi:.3g} beyond clamp {clamp}"
+            else:
+                (to_norm if read_norm else to_bound).append(p)
+        if to_bound:
+            floor = min(resolve / (1.0 + _BOUND_SLACK), self.finite_floor)
+            rows = spec[:2] if len(to_bound) == len(peaks) else spec[:2, to_bound]
+            # a stack of matrix products: each state's bounds have the bits
+            # of wiener @ |spec[:2]|.T alone
+            bounds = np.matmul(self.wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2)
+            for p, pair in zip(to_bound, bounds.tolist()):
+                if pair[0] <= floor and pair[1] <= floor:
+                    norms[p] = pair
+                else:
+                    to_norm.append(p)
+        for p in to_norm:
+            pair = w2inf_norm(spec[:2, p], self.grid)
+            if math.isfinite(pair[0]) and math.isfinite(pair[1]):
+                norms[p] = pair
+            else:
+                failures[p] = "non-finite W^{2,inf} norm"
+        return norms, failures
 
     def check_state(self, spec: np.ndarray, samples: np.ndarray, t: float,
                     resolve: float | None = None) -> list[float]:
-        """The W^{2,inf} norms (psi, u) of a state given as ``sample`` rows.
-
-        Wiener bounds that both stay below ``resolve`` (by the relative slack)
-        come back in place of the norms, with no transform. Raises
-        NumericalBlowupError on non-finite samples, |psi| beyond the clamp,
-        or a non-finite norm.
-        """
-        # the sup of |.| is NaN or inf exactly when a sample is not finite
-        peak_psi, peak_u = np.abs(samples[:2]).max(axis=1).tolist()
-        if not (math.isfinite(peak_psi) and math.isfinite(peak_u)):
-            raise NumericalBlowupError("non-finite values in state", t)
-        if peak_psi > self.cfg.blowup_clamp:
-            raise NumericalBlowupError(
-                f"|psi| reached {peak_psi:.3g} beyond clamp {self.cfg.blowup_clamp}", t)
-        if resolve is not None:
-            floor = min(resolve / (1.0 + _BOUND_SLACK), self.finite_floor)
-            b_psi, b_u = (self.wiener @ np.abs(spec[:2]).T).max(axis=0).tolist()
-            if b_psi <= floor and b_u <= floor:
-                return [b_psi, b_u]
-        norms = w2inf_norm(spec[:2], self.grid)
-        if not (math.isfinite(norms[0]) and math.isfinite(norms[1])):
-            raise NumericalBlowupError("non-finite W^{2,inf} norm", t)
-        return norms
+        """``check_states`` of one state at time t, raising
+        NumericalBlowupError where it fails; ``resolve`` None reads the
+        exact norms."""
+        norms, failures = self.check_states(spec[:, None], samples[:, None],
+                                            [resolve is None], resolve)
+        if failures[0] is not None:
+            raise NumericalBlowupError(failures[0], t)
+        return norms[0]
 
     # --- full step -------------------------------------------------------
 
@@ -398,20 +474,24 @@ class _Stepper:
         """One IMEX step from a checked state below the cut-off radius.
 
         spec and samples are the state's ``sample`` rows; dW is the step's
-        increment, or None.
+        increment, or None. Stacked rows of P paths, with dW of shape
+        (P, k_modes), step every path at once: nu_bar and the predictor's phi
+        are taken per path, and each path's new spectra have the bits of its
+        step alone.
         """
         psi_spec, u_spec = spec[0], spec[1]
         nu_bar = self.nu_bar(samples[0])
+        implicit_share = nu_bar * self.k2 * u_spec
 
         terms = self.explicit_terms(spec, samples, dW)
         n_psi = terms["transport"]
-        n_u = self.explicit_u_spec(terms, u_spec, nu_bar)
+        n_u = self.explicit_u_spec(terms, implicit_share)
         s_u = terms.get("forcing", self.zero_half)
 
         # predictor and corrector differ only in the transport term of b1
         hdt = self.hdt
         b1_linear = psi_spec + hdt * (self.neg_ik * u_spec)
-        b2 = (u_spec + hdt * (self.neg_ihk3 * psi_spec - nu_bar * self.k2 * u_spec)
+        b2 = (u_spec + hdt * (self.neg_ihk3 * psi_spec - implicit_share)
               + self.dt * n_u + s_u)
         diag = 1.0 + hdt * nu_bar * self.k2
         det = diag + self.half_hdt2_k4
@@ -456,77 +536,160 @@ def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
     )
 
 
-def simulate_path(initial: State, cfg: StepConfig, params: ModelParams,
-                  noise: NoiseModel, path_seed: int, grid: TorusGrid,
+# collocation points stepped in lockstep at most (paths times n): a larger
+# batch runs in consecutive groups of at least one path. This bounds the
+# step's stacked arrays, and so the peak memory, while per-call overhead is
+# already spread over many paths.
+_LOCKSTEP_POINTS = 2048
+
+
+class PathBatch(tuple):
+    """The PathResults of one batched ``simulate_path`` call, in input order.
+
+    ``n_steps_taken`` is the batch's total: the steps taken by all its paths.
+    """
+
+    __slots__ = ()
+
+    @property
+    def n_steps_taken(self) -> int:
+        return sum(r.n_steps_taken for r in self)
+
+
+def simulate_path(initial: State | Sequence[State], cfg: StepConfig, params: ModelParams,
+                  noise: NoiseModel, path_seed: int | Sequence[int], grid: TorusGrid,
                   monitors: MonitorSpec = MonitorSpec(),
-                  increments: Sequence[np.ndarray] | None = None) -> PathResult:
-    """Advance until t_end, a norm-threshold hit, or numerical blow-up.
+                  increments: np.ndarray | Sequence | None = None) -> PathResult | PathBatch:
+    """Advance paths until t_end, a norm-threshold hit, or numerical blow-up.
+
+    One State with one path seed gives a PathResult. A sequence of States
+    with one seed each gives a PathBatch: the paths step in lockstep from
+    one workspace, their spectra stacked along a leading path axis, so each
+    numpy call and transform of a step serves every path. A path that stops
+    leaves the stepped rows; the others go on. Each path's result is bit for
+    bit the result of running it alone, which is how a single State runs:
+    as a batch of one.
 
     Fully reproducible from (config, path_seed): the noise stream is a pure
     function of (path_seed, step_index). Pre-summed increments may be passed
-    for shared-path refinement studies.
+    for shared-path refinement studies, of shape (n_steps, k_modes) for one
+    path and (P, n_steps, k_modes) for a batch of P.
     """
     stepper = _Stepper(grid, params, cfg, noise)
-    dt = stepper.dt
-    n_steps = cfg.n_steps
-    radius = stepper.radius
+    if isinstance(initial, State):
+        incs = None if increments is None else np.asarray(increments)[None]
+        return _run_lockstep(stepper, [initial], [path_seed], monitors, incs)[0]
+    initials, seeds = list(initial), list(path_seed)
+    incs = None if increments is None else np.asarray(increments)
+    if len(seeds) != len(initials) or (incs is not None and len(incs) != len(initials)):
+        raise ValueError("a batch needs one path seed, and one increment series if any, "
+                         "per initial state")
+    results: list[PathResult] = []
+    size = max(1, _LOCKSTEP_POINTS // grid.n_collocation)
+    for start in range(0, len(initials), size):
+        group = slice(start, start + size)
+        results += _run_lockstep(stepper, initials[group], seeds[group], monitors,
+                                 None if incs is None else incs[group])
+    return PathBatch(results)
+
+
+def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[int],
+                  monitors: MonitorSpec, increments: np.ndarray | None) -> list[PathResult]:
+    """The paths of ``simulate_path``, stepped in lockstep, in input order.
+
+    Row r of the stepped arrays is path ``active[r]``. Each row gets its own
+    state check, record, stopping test, increment and predictor phi.
+    """
+    dt, n_steps, radius = stepper.dt, stepper.cfg.n_steps, stepper.radius
     resolve = radius if monitors.resolve_radius is None else min(radius, monitors.resolve_radius)
-
-    psi_spec = initial.psi.spectral
-    u_spec = initial.u.spectral
-    t = initial.time
-
-    records: list[functionals.MonitorRecord] = []
-    trace = np.zeros((n_steps + 1, 3))
-    event: StoppingEvent | None = None
-    steps_taken = 0
+    results: list[PathResult] = [None] * len(initials)  # type: ignore[list-item]
+    records: list[list[functionals.MonitorRecord]] = [[] for _ in initials]
+    # each path's checked norms; the trace's times follow from t0, i and dt
+    norm_rows: list[list[list[float]]] = [[] for _ in initials]
+    t0 = [s.time for s in initials]
+    active = list(range(len(initials)))
+    worst: list[float] = []
+    psi_spec = np.stack([s.psi.spectral for s in initials])
+    u_spec = np.stack([s.u.spectral for s in initials])
 
     for i in range(n_steps + 1):
         # the checked samples are the ones the next step, the monitor record
         # and the final state use
         spec, samples = stepper.sample(psi_spec, u_spec)
-        record = monitors.collect_records and (i % monitors.stride == 0 or i == n_steps)
+        last = i == n_steps
+        record = monitors.collect_records and (i % monitors.stride == 0 or last)
         # a bound seldom certifies right after an exact norm at or beyond
         # the resolve radius, so such a state takes the norm directly
-        exact = record or i == n_steps or (i > 0 and worst >= resolve)
-        try:
-            norm_psi, norm_u = stepper.check_state(spec, samples, t,
-                                                   None if exact else resolve)
-        except NumericalBlowupError as exc:
-            event = StoppingEvent(kind="numerical_blowup", time=exc.time,
-                                  triggering_norm=float("inf"), which="none")
+        if record or last or i == 0:
+            exact = [record or last] * len(active)
+        else:
+            exact = [w >= resolve for w in worst]
+        norms, failures = stepper.check_states(spec, samples, exact, resolve)
+        going, worst = [], []
+        for row, p in enumerate(active):
+            t = t0[p] + i * dt if i else t0[p]
+            pair = norms[row]
+            if pair is not None:
+                norm_rows[p].append(pair)
+                if record:
+                    records[p].append(functionals.compute_record(
+                        _sampled_state(spec[:, row], samples[:, row], t), stepper.params,
+                        stepper.grid, w2inf_psi=pair[0], w2inf_u=pair[1]))
+                top = max(pair)
+                if top < radius and not last:
+                    going.append(row)
+                    worst.append(top)
+                    continue
+            results[p] = PathResult(
+                records=records[p], event=_stopping_event(failures[row], pair, t, radius),
+                final_state=_sampled_state(spec[:, row], samples[:, row], t),
+                norm_trace=_norm_trace(t0[p], dt, norm_rows[p]), n_steps_taken=i,
+                resolve_radius=resolve)
+        if not going:
             break
-        trace[i] = (t, norm_psi, norm_u)
-        if record:
-            records.append(functionals.compute_record(
-                _sampled_state(spec, samples, t), params, grid,
-                w2inf_psi=norm_psi, w2inf_u=norm_u))
-        worst = max(norm_psi, norm_u)
-        if worst >= radius:
-            event = StoppingEvent(
-                kind="tau_R_hit", time=t, triggering_norm=worst,
-                which="psi" if norm_psi >= norm_u else "u")
-            break
-        if i == n_steps:
-            event = StoppingEvent(kind="completed", time=t,
-                                  triggering_norm=worst, which="none")
-            break
+        if len(going) < len(active):
+            active = [active[row] for row in going]
+            spec, samples = spec[:, going], samples[:, going]
         if increments is not None:
-            dW = np.asarray(increments[i])
+            dW = increments[active, i]
         elif stepper.noise_on:
-            dW = sample_increment(path_seed, i, dt, noise)
+            dW = np.array([sample_increment(seeds[p], i, dt, stepper.noise) for p in active])
         else:
             dW = None
-        psi_spec, u_spec = stepper.step_imex(spec, samples, dW)
-        t = initial.time + (i + 1) * dt
-        steps_taken = i + 1
+        if len(active) == 1:
+            # a lone path steps without the path axis: broadcasting the
+            # (k, dt)-only factors against a stack costs more than it saves
+            one = stepper.step_imex(spec[:, 0], samples[:, 0], None if dW is None else dW[0])
+            psi_spec, u_spec = one[0][None], one[1][None]
+        else:
+            psi_spec, u_spec = stepper.step_imex(spec, samples, dW)
 
-    assert event is not None
-    checked = steps_taken + (event.kind != "numerical_blowup")
-    return PathResult(records=records, event=event,
-                      final_state=_sampled_state(spec, samples, t),
-                      norm_trace=trace[:checked].copy(),
-                      n_steps_taken=steps_taken, resolve_radius=resolve)
+    return results
+
+
+def _norm_trace(t0: float, dt: float, norms: list[list[float]]) -> np.ndarray:
+    """Rows (time, |psi|, |u|) of a path's checked states 0, 1, ...; state
+    i > 0 is at t0 + i * dt, as the stepping loop counts it."""
+    trace = np.empty((len(norms), 3))
+    trace[:, 0] = t0 + np.arange(len(norms)) * dt
+    trace[:1, 0] = t0
+    trace[:, 1:] = np.reshape(norms, (-1, 2))
+    return trace
+
+
+def _stopping_event(failure: str | None, norms: list[float] | None, t: float,
+                    radius: float) -> StoppingEvent:
+    """How a path stops at a checked state: its check failed, its norm
+    reached the radius, or it is the last state."""
+    if failure is not None:
+        return StoppingEvent(kind="numerical_blowup", time=t,
+                             triggering_norm=float("inf"), which="none")
+    norm_psi, norm_u = norms
+    top = max(norm_psi, norm_u)
+    if top >= radius:
+        return StoppingEvent(kind="tau_R_hit", time=t, triggering_norm=top,
+                             which="psi" if norm_psi >= norm_u else "u")
+    return StoppingEvent(kind="completed", time=t, triggering_norm=top, which="none")
 
 
 def first_hit_times(result: PathResult, radii: Sequence[float]) -> list[float | None]:
@@ -571,8 +734,10 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
     """Pathwise self-convergence: slope of log E||u_fine - u_dt||_L2 vs log dt.
 
     All levels replay the same Brownian path: coarse increments are sums of
-    the finest level's increments. Paths that blow up at any level are
-    excluded and counted; more than 20% exclusions is a diagnostic failure.
+    the finest level's increments. Each level runs its paths as one batch.
+    Paths that blow up at any level are excluded and counted, and a level
+    runs only the paths that completed every finer one; more than 20%
+    exclusions is a diagnostic failure.
     """
     dts = sorted(float(d) for d in dt_levels)
     dt_fine = dts[0]
@@ -584,45 +749,39 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
             raise IntegratorConfigError("dt_levels must be integer multiples of the finest")
         ratios.append(round(r))
 
-    errors = np.zeros(len(dts) - 1)
-    used = 0
-    excluded = 0
+    seeds = [derive_path_seed(master_seed, p) for p in range(n_paths)]
     # a noise-free path ignores its increments, so it draws none
     noise_on = noise.base_amplitude > 0.0
-    for p in range(n_paths):
-        seed = derive_path_seed(master_seed, p)
-        fine_incs = (np.stack([sample_increment(seed, i, dt_fine, noise)
-                               for i in range(n_fine)]) if noise_on else None)
-        try:
-            cfg = StepConfig(dt=dt_fine, t_end=t_end)
-            ref = simulate_path(initial, cfg, params, noise, seed, grid,
-                                MonitorSpec(collect_records=False),
-                                increments=fine_incs)
-            if ref.event.kind != "completed":
-                excluded += 1
-                continue
-            errs_p = []
-            for r, d in zip(ratios, dts[1:]):
-                coarse = (fine_incs[: (n_fine // r) * r].reshape(-1, r, noise.k_modes)
-                          .sum(axis=1) if noise_on else None)
-                cfg_c = StepConfig(dt=d, t_end=t_end)
-                res = simulate_path(initial, cfg_c, params, noise, seed, grid,
-                                    MonitorSpec(collect_records=False),
-                                    increments=coarse)
-                if res.event.kind != "completed":
-                    raise NumericalBlowupError("coarse level stopped", res.event.time)
+    fine_incs = (np.stack([np.stack([sample_increment(seed, i, dt_fine, noise)
+                                     for i in range(n_fine)]) for seed in seeds])
+                 if noise_on else None)
+    monitors = MonitorSpec(collect_records=False)
+    refs = simulate_path([initial] * n_paths, StepConfig(dt=dt_fine, t_end=t_end), params,
+                         noise, seeds, grid, monitors, increments=fine_incs)
+    # the paths still in the study, and their errors level by level
+    kept = [p for p in range(n_paths) if refs[p].event.kind == "completed"]
+    errs: dict[int, list[float]] = {p: [] for p in kept}
+    for r, d in zip(ratios, dts[1:]):
+        coarse = (np.stack([fine_incs[p, : (n_fine // r) * r].reshape(-1, r, noise.k_modes)
+                            .sum(axis=1) for p in kept]) if noise_on else None)
+        level = simulate_path([initial] * len(kept), StepConfig(dt=d, t_end=t_end), params,
+                              noise, [seeds[p] for p in kept], grid, monitors,
+                              increments=coarse)
+        for p, res in zip(kept, level):
+            if res.event.kind == "completed":
                 diff = RealField.from_spectral(
-                    res.final_state.u.spectral - ref.final_state.u.spectral, grid)
-                errs_p.append(hs_norm(diff, 0, grid))
-        except NumericalBlowupError:
-            excluded += 1
-            continue
-        errors += np.asarray(errs_p)
-        used += 1
+                    res.final_state.u.spectral - refs[p].final_state.u.spectral, grid)
+                errs[p].append(hs_norm(diff, 0, grid))
+        kept = [p for p, res in zip(kept, level) if res.event.kind == "completed"]
 
+    used = len(kept)
+    excluded = n_paths - used
     if used == 0 or excluded > 0.2 * n_paths:
         raise IntegratorConfigError(
             f"too many excluded paths in convergence study: {excluded}/{n_paths}")
+    errors = np.zeros(len(dts) - 1)
+    for p in kept:  # in path order, as the sum's rounding depends on it
+        errors += np.asarray(errs[p])
     errors /= used
     slope = float(np.polyfit(np.log(dts[1:]), np.log(errors), 1)[0])
     return ConvergenceResult(order=slope, dts=tuple(dts[1:]), errors=tuple(errors),

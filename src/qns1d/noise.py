@@ -76,11 +76,13 @@ class NoiseModel:
     def coefficient_fields(self, waves: np.ndarray, rho: np.ndarray,
                            u: np.ndarray) -> np.ndarray:
         """F_k(x, rho(x), u(x)) for all k, shape (k_modes, len(x)), from the
-        ``waves`` of the points x."""
+        ``waves`` of the points x. Stacked rho and u of P paths, shape
+        (P, len(x)), give shape (P, k_modes, len(x)); the additive family
+        gives ``waves`` itself for any stack."""
         if self.shape == "off":
             return waves
         envelope = np.tanh(u) * rho / (1.0 + rho)
-        return waves * envelope[None, :]
+        return waves * envelope[..., None, :]
 
     def verify_bounds(self) -> dict:
         """Sampled check of the structural hypotheses on a random (x, rho, u) lattice
@@ -151,28 +153,34 @@ def _philox(path_seed: int, domain: int, step_index: int) -> np.random.Generator
     return np.random.Generator(bg)
 
 
-# the increment generator of the last path seed, one per thread
-_last_increment = threading.local()
+# one increment generator per thread, and a fresh stream's state in plain
+# Python values, which the state setter reads fastest
+_increments = threading.local()
 
 
 def sample_increment(path_seed: int, step_index: int, dt: float,
                      model: NoiseModel) -> np.ndarray:
     """One step's Gaussian increments dW_k ~ N(0, dt), k = 1..k_modes; pure in
-    (path_seed, step_index): before each draw the last seed's generator is set
-    to a fresh stream's state at counter [0, _DOMAIN_INCREMENT, step_index, 0]."""
+    (path_seed, step_index).
+
+    Before each draw the thread's generator is set to the state of a fresh
+    stream: key [path_seed, 0x9E3779B97F4A7C15] and counter
+    [0, _DOMAIN_INCREMENT, step_index, 0]. Only key and counter depend on the
+    draw, so a change of seed, as in a batch of paths stepped in lockstep,
+    costs no more than a change of step.
+    """
     if dt <= 0.0:
         raise NoiseConfigError(f"dt must be positive, got {dt}")
-    last = _last_increment
-    if getattr(last, "seed", None) != path_seed:
-        last.gen = _philox(path_seed, _DOMAIN_INCREMENT, 0)
-        fresh = last.gen.bit_generator.state
-        # the same state in plain Python values, which the setter reads fastest
-        last.state = dict(fresh, buffer=fresh["buffer"].tolist(),
-                          state={k: v.tolist() for k, v in fresh["state"].items()})
-        last.seed = path_seed
-    last.state["state"]["counter"][2] = step_index
-    last.gen.bit_generator.state = last.state
-    return last.gen.standard_normal(model.k_modes) * np.sqrt(dt)
+    local = _increments
+    if not hasattr(local, "gen"):
+        local.gen = _philox(0, _DOMAIN_INCREMENT, 0)
+        fresh = local.gen.bit_generator.state
+        local.state = dict(fresh, buffer=fresh["buffer"].tolist(),
+                           state={k: v.tolist() for k, v in fresh["state"].items()})
+    local.state["state"]["key"][0] = int(path_seed)
+    local.state["state"]["counter"][2] = step_index
+    local.gen.bit_generator.state = local.state
+    return local.gen.standard_normal(model.k_modes) * np.sqrt(dt)
 
 
 def initial_data_generator(path_seed: int) -> np.random.Generator:

@@ -35,7 +35,9 @@ def to_spectral(values: np.ndarray) -> np.ndarray:
     A stack of fields (samples along the last axis) is transformed row by row
     in one call.
     """
-    return np.fft.rfft(values) / values.shape[-1]
+    spec = np.fft.rfft(values)
+    spec /= values.shape[-1]
+    return spec
 
 
 def to_physical(spec: np.ndarray, n: int) -> np.ndarray:

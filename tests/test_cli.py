@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import qns1d.cli
+import qns1d.ensemble
+import qns1d.integrator
 from qns1d.cli import (
     ConfigValidationError,
     EXIT_BLOWUP_DOMINATED,
@@ -278,6 +280,37 @@ class TestReplay:
         fractions = {float(r[0]): float(r[1]) for r in rows[1:]}
         assert fractions[8.0] == 1.0
         assert 0.0 < fractions[12.0] < 1.0
+
+    def test_one_simulate_path_call_per_batch(self, tmp_path, monkeypatch):
+        # sweep-r runs its paths as one batch, and replay as a batch of one;
+        # the batch's n_steps_taken is the path-steps of the seed manifest,
+        # and the public integrator name is not called again underneath
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        calls = {"ensemble": [], "integrator": []}
+        for name, module in (("ensemble", qns1d.ensemble), ("integrator", qns1d.integrator)):
+            def counted(*args, _original=module.simulate_path, _calls=calls[name], **kwargs):
+                result = _original(*args, **kwargs)
+                _calls.append(result.n_steps_taken)
+                return result
+
+            monkeypatch.setattr(module, "simulate_path", counted)
+        cfg = base_config("runs/count", **{
+            "noise.base_amplitude": 0.5,
+            "noise.amplitude_decay": 2.0,
+            "integration.t_end": 0.1,
+            "ensemble.n_paths": 4,
+            "ensemble.r_sweep": [8.0, 12.0],
+            "model.initial_condition.random_amplitude": 0.5,
+        })
+        assert main(["sweep-r", str(write_config(tmp_path, cfg))]) == EXIT_OK
+        run_dir = tmp_path / "runs/count"
+        paths = json.loads((run_dir / "seed_manifest.json").read_text())["paths"]
+        dt = cfg["integration"]["dt"]
+        steps = [round(p["event_time"] / dt) for p in paths]
+        assert min(steps) < max(steps)
+        assert calls == {"ensemble": [sum(steps)], "integrator": []}
+        assert main(["replay", str(run_dir), "--path-index", "1"]) == EXIT_OK
+        assert calls == {"ensemble": [sum(steps), steps[1]], "integrator": []}
 
     @pytest.mark.parametrize("manifest", [
         {"schema_version": 1},

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qns1d import ensemble
 from qns1d.ensemble import (
     EnsembleConfig,
     EnsembleConfigError,
@@ -153,6 +154,55 @@ class TestEnsembleRuns:
             assert summary.hit_times == tuple(first_hit_times(exact, ecfg.r_sweep))
             hit_any |= summary.hit_times[0] is not None
         assert hit_any
+
+    def test_workers_and_replay_match_one_batch(self, grid64):
+        # the paths run as one batch with one worker and as two batches with
+        # two; every summary and record agrees, and so does a replay of each
+        # path through run_path, a batch of one
+        params, _, _ = base_setup(grid64)
+        cfg = StepConfig(dt=5e-4, t_end=0.05)
+        noise = NoiseModel(base_amplitude=0.5, amplitude_decay=2.0)
+        ecfg = EnsembleConfig(n_paths=5, master_seed=17, r_sweep=(6.0, 9.0), output_stride=7)
+
+        def factory(index, seed):
+            a = 0.04 + 0.03 * index
+            return make_state(grid64, a * np.cos(2 * np.pi * grid64.x),
+                              a * np.sin(2 * np.pi * grid64.x))
+
+        serial = run_ensemble(ecfg, factory, cfg, params, noise, grid64, n_workers=1)
+        pooled = run_ensemble(ecfg, factory, cfg, params, noise, grid64, n_workers=2)
+        ends = [(kind, time) for _, _, kind, time in serial[0].path_events]
+        assert {kind for kind, _ in ends} == {"tau_R_hit", "completed"}
+        assert len(set(ends)) == ecfg.n_paths - 1  # two paths complete
+        assert pooled[0] == serial[0]
+        assert ([[r.to_row() for r in rs] for rs in pooled[1]]
+                == [[r.to_row() for r in rs] for rs in serial[1]])
+        for i in range(ecfg.n_paths):
+            summary, records = run_path(ecfg, i, factory(i, 0), cfg, params, noise, grid64)
+            assert summary.path_index == i
+            assert (summary.path_index, summary.path_seed, summary.event_kind,
+                    summary.event_time) == serial[0].path_events[i]
+            assert [r.to_row() for r in records] == [r.to_row() for r in serial[1][i]]
+
+    def test_one_simulate_path_call_per_batch(self, grid64, monkeypatch):
+        calls = []
+        original = ensemble.simulate_path
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((len(result), result.n_steps_taken))
+            return result
+
+        monkeypatch.setattr(ensemble, "simulate_path", counted)
+        params, st, cfg = base_setup(grid64)
+        noise = NoiseModel(base_amplitude=1.0, amplitude_decay=2.0)
+        ecfg = EnsembleConfig(n_paths=6, master_seed=17, r_sweep=(5.0, 8.0))
+        summary, _ = run_ensemble(ecfg, st, cfg, params, noise, grid64)
+        steps = sum(round(event[3] / cfg.dt_effective) for event in summary.path_events)
+        assert calls == [(6, steps)]
+        assert steps < ecfg.n_paths * cfg.n_steps
+        run_path(ecfg, 2, st, cfg, params, noise, grid64)
+        assert calls[1] == (1, round(summary.path_events[2][3] / cfg.dt_effective))
 
     def test_degenerate_flag_all_blowup(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5, enable_cutoff=False)

@@ -8,6 +8,7 @@ from qns1d.functionals import compute_record
 from qns1d.integrator import (
     IntegratorConfigError,
     MonitorSpec,
+    PathBatch,
     StepConfig,
     _Stepper,
     first_hit_times,
@@ -16,7 +17,7 @@ from qns1d.integrator import (
     strong_convergence_order,
 )
 from qns1d.model import ModelParams, NumericalBlowupError, State, w2inf_norm
-from qns1d.noise import NoiseModel, sample_increment
+from qns1d.noise import NoiseModel, derive_path_seed, sample_increment
 from qns1d.spectral import RealField, TorusGrid, UsageError, hs_norm, project
 
 from oracle import linear_propagator, reference_trajectory
@@ -320,14 +321,17 @@ class TestSimulatePath:
 
 
 class TestStackedKernels:
-    @pytest.mark.parametrize("stride", [None, 3])
-    def test_four_transforms_per_certified_step(self, grid64, monkeypatch, stride):
+    @pytest.mark.parametrize("stride, paths", [(None, None), (3, None), (None, 5), (3, 5)],
+                             ids=["None", "3", "None-batch5", "3-batch5"])
+    def test_four_transforms_per_certified_step(self, grid64, monkeypatch, stride, paths):
         # per state one inverse at n, the state check's norms being certified
         # away; per step one forward for the explicit terms and one inverse
         # plus one forward for the corrector's transport, the predictor's
         # sup-norm being certified away too. The last state adds the
         # oversampled inverse of its exact norms; so does each recorded state
-        # before it, whose record takes compute_record's six transforms.
+        # before it, whose record takes compute_record's six transforms. A
+        # batch shares the per-state and per-step transforms; only the exact
+        # norms and the records are taken per path.
         params, st = small_setup(grid64)
         calls = []
         for name in ("rfft", "irfft"):
@@ -341,12 +345,18 @@ class TestStackedKernels:
         cfg = StepConfig(dt=1e-3, t_end=0.012)
         monitors = (MonitorSpec(collect_records=False) if stride is None
                     else MonitorSpec(stride=stride))
-        res = simulate_path(st, cfg, params, NoiseModel(base_amplitude=0.2), 3, grid64,
-                            monitors)
-        assert res.event.kind == "completed" and res.n_steps_taken == cfg.n_steps
-        n_records = len(res.records)
+        noise = NoiseModel(base_amplitude=0.2)
+        if paths is None:
+            results = [simulate_path(st, cfg, params, noise, 3, grid64, monitors)]
+        else:
+            results = simulate_path([st] * paths, cfg, params, noise, list(range(paths)),
+                                    grid64, monitors)
+        assert all(r.event.kind == "completed" and r.n_steps_taken == cfg.n_steps
+                   for r in results)
+        n_records = len(results[0].records)
         assert n_records == (0 if stride is None else 5)
-        assert len(calls) == 4 * cfg.n_steps + 2 + max(n_records - 1, 0) + 6 * n_records
+        per_path = 1 + max(n_records - 1, 0) + 6 * n_records
+        assert len(calls) == 4 * cfg.n_steps + 1 + len(results) * per_path
 
     def test_step_replays_path_on_padded_grid(self):
         # m = n/2 puts the products on a padded grid; the public step() and
@@ -379,6 +389,125 @@ class TestStackedKernels:
         assert res.records[-1].to_row() == record.to_row()
 
 
+def assert_same_path(got, want):
+    """Two PathResults agree bit for bit."""
+    assert got.event == want.event
+    assert got.n_steps_taken == want.n_steps_taken
+    assert got.resolve_radius == want.resolve_radius
+    assert got.norm_trace.tobytes() == want.norm_trace.tobytes()
+    assert got.norm_trace.shape == want.norm_trace.shape
+    assert [r.to_row() for r in got.records] == [r.to_row() for r in want.records]
+    assert got.final_state.time == want.final_state.time
+    for field in ("psi", "u"):
+        for rep in ("spectral", "physical"):
+            assert (getattr(getattr(got.final_state, field), rep).tobytes()
+                    == getattr(getattr(want.final_state, field), rep).tobytes())
+
+
+def shifted_harmonic(grid, amplitude, offset=0.0):
+    """psi = offset + a cos(2 pi x), u = a sin(2 pi x), projected to the band."""
+    return make_state(grid, offset + amplitude * np.cos(2 * np.pi * grid.x),
+                      amplitude * np.sin(2 * np.pi * grid.x))
+
+
+STRONG = NoiseModel(base_amplitude=1.0, amplitude_decay=2.0)
+
+# name: grid, noise, radius, cutoff, amplitudes, stride, resolve radius, t_end
+BATCH_CASES = {
+    "n32-none": ((32, 10), NO_NOISE, 500.0, True, (0.1, 0.2, 0.3), 4, None, 0.03),
+    "n64-additive": ((64, 21), NoiseModel(base_amplitude=0.2, shape="off"), 500.0, True,
+                     (0.1, 0.1, 0.2), 7, None, 0.03),
+    "n64-multiplicative": ((64, 21), NoiseModel(base_amplitude=0.2), 500.0, True,
+                           (0.1, 0.1, 0.2, 0.3), 7, None, 0.03),
+    "n64-cutoff-off": ((64, 21), NoiseModel(base_amplitude=0.2), 500.0, False,
+                       (0.1, 0.3), None, None, 0.03),
+    "n64-tau-R-sweep": ((64, 21), STRONG, 8.0, True, (0.02, 0.05, 0.1, 0.15), 3, 4.0, 0.05),
+    "n256-multiplicative": ((256, 85), NoiseModel(base_amplitude=0.2), 500.0, True,
+                            (0.1, 0.2), 2, None, 0.004),
+    "padded-additive": ((32, 16), NoiseModel(base_amplitude=0.2, shape="off"), 500.0, True,
+                        (0.1, 0.2), 4, None, 0.03),
+    "padded-tau-R": ((32, 16), STRONG, 8.0, True, (0.03, 0.1, 0.05), None, None, 0.05),
+}
+
+
+class TestPathBatch:
+    @pytest.mark.parametrize("case", list(BATCH_CASES))
+    def test_batch_matches_single_runs(self, case):
+        (n, m), noise, radius, cutoff, amplitudes, stride, resolve, t_end = BATCH_CASES[case]
+        grid = TorusGrid(n, m)
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius, enable_cutoff=cutoff)
+        monitors = MonitorSpec(stride=stride or 1, collect_records=stride is not None,
+                               resolve_radius=resolve)
+        cfg = StepConfig(dt=5e-4 if n < 256 else 2e-4, t_end=t_end)
+        states = [shifted_harmonic(grid, a) for a in amplitudes]
+        seeds = [derive_path_seed(12, p) for p in range(len(states))]
+        batch = simulate_path(states, cfg, params, noise, seeds, grid, monitors)
+        assert isinstance(batch, PathBatch) and len(batch) == len(states)
+        for got, st, seed in zip(batch, states, seeds):
+            assert_same_path(got, simulate_path(st, cfg, params, noise, seed, grid, monitors))
+        assert batch.n_steps_taken == sum(r.n_steps_taken for r in batch)
+        if "tau-R" in case:
+            kinds = {r.event.kind for r in batch}
+            assert kinds == {"tau_R_hit", "completed"}
+
+    @pytest.mark.parametrize("n, m", [(32, 10), (32, 16)])
+    def test_paths_leave_the_batch_at_different_steps(self, n, m):
+        # rho = e^psi with a mean of psi of 14-18 drives the pressure hard
+        # enough that paths stop as tau_R hits or blow-ups at different
+        # steps, while the others go on stepping to the horizon
+        grid = TorusGrid(n, m)
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e6)
+        noise = NoiseModel(base_amplitude=0.2)
+        cfg = StepConfig(dt=1e-3, t_end=0.05)
+        monitors = MonitorSpec(stride=5)
+        states = [shifted_harmonic(grid, 0.1, c) for c in (0.0, 14.0, 15.0, 16.0, 18.0)]
+        seeds = list(range(len(states)))
+        batch = simulate_path(states, cfg, params, noise, seeds, grid, monitors)
+        for got, st, seed in zip(batch, states, seeds):
+            assert_same_path(got, simulate_path(st, cfg, params, noise, seed, grid, monitors))
+        kinds = [r.event.kind for r in batch]
+        assert set(kinds) == {"completed", "tau_R_hit", "numerical_blowup"}
+        ends = [r.n_steps_taken for r in batch if r.event.kind != "completed"]
+        assert len(set(ends)) == len(ends) and max(ends) < cfg.n_steps
+        assert batch.n_steps_taken == sum(r.n_steps_taken for r in batch)
+
+    def test_supplied_increments_match_sampled(self, grid64):
+        params, _ = small_setup(grid64)
+        noise = NoiseModel(base_amplitude=0.2)
+        cfg = StepConfig(dt=1e-3, t_end=0.02)
+        states = [shifted_harmonic(grid64, a) for a in (0.1, 0.2, 0.15)]
+        seeds = [4, 5, 6]
+        incs = np.array([[sample_increment(s, i, cfg.dt_effective, noise)
+                          for i in range(cfg.n_steps)] for s in seeds])
+        supplied = simulate_path(states, cfg, params, noise, [0, 0, 0], grid64,
+                                 MonitorSpec(stride=4), increments=incs)
+        for got, st, seed, inc in zip(supplied, states, seeds, incs):
+            assert_same_path(got, simulate_path(st, cfg, params, noise, seed, grid64,
+                                                MonitorSpec(stride=4)))
+            assert_same_path(got, simulate_path(st, cfg, params, noise, 0, grid64,
+                                                MonitorSpec(stride=4), increments=inc))
+
+    def test_lockstep_groups_match_one_group(self, grid64, monkeypatch):
+        # a batch larger than the lockstep group runs group by group
+        params, _ = small_setup(grid64)
+        noise = NoiseModel(base_amplitude=0.2)
+        cfg = StepConfig(dt=1e-3, t_end=0.01)
+        states = [shifted_harmonic(grid64, 0.05 * (p + 1)) for p in range(5)]
+        whole = simulate_path(states, cfg, params, noise, list(range(5)), grid64)
+        monkeypatch.setattr(integrator, "_LOCKSTEP_POINTS", 2 * grid64.n_collocation)
+        grouped = simulate_path(states, cfg, params, noise, list(range(5)), grid64)
+        assert len(grouped) == 5
+        for got, want in zip(grouped, whole):
+            assert_same_path(got, want)
+
+    def test_batch_needs_one_seed_per_state(self, grid64):
+        params, st = small_setup(grid64)
+        cfg = StepConfig(dt=1e-3, t_end=0.01)
+        with pytest.raises(ValueError):
+            simulate_path([st, st], cfg, params, NO_NOISE, [1], grid64)
+        assert simulate_path([], cfg, params, NO_NOISE, [], grid64) == PathBatch()
+
+
 class TestStrongConvergence:
     def test_deterministic_order_at_least_one(self):
         # the first-order splitting mixes with second-order pieces (CN block,
@@ -398,6 +527,27 @@ class TestStrongConvergence:
         conv = strong_convergence_order(st, params, NO_NOISE, grid, [0.0025, 0.005, 0.01],
                                         1, 0, 0.02)
         assert conv.n_paths_used == 1 and draws == []
+
+    def test_one_batch_per_level(self, monkeypatch):
+        # every path of a dt level steps in one simulate_path call, and the
+        # batches' step counts add up to each path's steps at every level
+        calls = []
+        original = integrator.simulate_path
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((len(result), result.n_steps_taken))
+            return result
+
+        monkeypatch.setattr(integrator, "simulate_path", counted)
+        grid = TorusGrid(32, 10)
+        params, st = small_setup(grid)
+        t_end = 0.02
+        dts = [0.0025, 0.005, 0.01]
+        conv = strong_convergence_order(st, params, NoiseModel(base_amplitude=0.05), grid,
+                                        dts, 3, 0, t_end)
+        assert conv.n_paths_used == 3
+        assert calls == [(3, 3 * round(t_end / d)) for d in dts]
 
     def test_rejects_non_dyadic_levels(self):
         grid = TorusGrid(32, 10)

@@ -49,7 +49,8 @@ def u_terms(stepper, st):
 def rhs_u(stepper, st):
     """Deterministic du/dt: the explicit terms with no implicit viscosity share,
     plus the dispersion."""
-    explicit = stepper.explicit_u_spec(explicit_terms(stepper, st), st.u.spectral, 0.0)
+    explicit = stepper.explicit_u_spec(explicit_terms(stepper, st),
+                                       0.0 * stepper.k2 * st.u.spectral)
     return explicit - 1j * stepper.hk3 * st.psi.spectral
 
 
