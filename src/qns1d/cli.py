@@ -1,12 +1,12 @@
 """Batch command-line interface: simulate, verify, sweep-r, replay.
 
 Configs are JSON with one block per module (grid, model, noise, integration,
-ensemble, output); the shipped schema file (docs/config.schema.json)
-documents every field. Validation aggregates all violations into a single
-report before any computation starts. Run artifacts (config snapshot, seed
-manifest, summary, per-path monitor CSVs) land in one run directory and are
-sufficient to replay any path bit-identically: ``replay`` runs the path
-through ``ensemble.run_path``, the same function the ensemble ran it with.
+ensemble, output); docs/config.schema.json documents every field, validation
+rejects any other, and all violations go into one report before any
+computation starts. Run artifacts (config snapshot, seed manifest, summary,
+per-path monitor CSVs) land in one run directory and are sufficient to replay
+any path bit-identically: ``replay`` runs the path through
+``ensemble.run_path``, the same function the ensemble ran it with.
 
 Exit codes: 0 success, 2 config/validation error, 3 blow-up-dominated run,
 1 failed verification checks.
@@ -43,6 +43,20 @@ EXIT_CONFIG_ERROR = 2
 EXIT_BLOWUP_DOMINATED = 3
 
 IC_KINDS = ("constant", "harmonic_perturbation", "file")
+
+# each block's (required, optional) keys, as docs/config.schema.json lists them
+BLOCK_KEYS = {
+    "grid": (("n_collocation", "m_modes"), ("dealias",)),
+    "model": (("gamma", "alpha", "initial_condition"),
+              ("cutoff_radius", "monitor_order", "enable_cutoff")),
+    "noise": ((), ("k_modes", "base_amplitude", "amplitude_decay", "shape")),
+    "integration": (("dt", "t_end"), ("scheme", "blowup_clamp")),
+    "ensemble": (("n_paths", "master_seed"), ("moment_orders", "r_sweep", "output_stride")),
+    "output": (("directory",), ("per_path_csv",)),
+}
+IC_KEYS = (("kind",), ("rho0", "eps", "modes", "velocity_eps", "velocity_modes",
+                       "random_amplitude", "path"))
+FLAGS = ("dealias", "enable_cutoff", "per_path_csv")  # JSON booleans only
 
 
 class ConfigValidationError(ValueError):
@@ -81,80 +95,77 @@ def load_config(path: str | Path) -> dict:
 def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigValidationError(["config: top level must be an object"])
-    problems: list[str] = []
+    problems = [f"{name}: unknown block" for name in raw if name not in BLOCK_KEYS]
 
-    def need_block(name: str) -> dict:
-        block = raw.get(name)
-        if not isinstance(block, dict):
+    def complete(where: str, block: dict, required: tuple, optional: tuple) -> bool:
+        """Report the block's missing and unknown keys and non-boolean flags;
+        True if no key is missing."""
+        missing = [key for key in required if key not in block]
+        problems.extend(f"{where}.{key}: required" for key in missing)
+        for key, value in block.items():
+            if key not in required + optional:
+                problems.append(f"{where}.{key}: unknown key")
+            elif key in FLAGS and not isinstance(value, bool):
+                problems.append(f"{where}.{key}: must be true or false, got {value!r}")
+        return not missing
+
+    def block(name: str) -> dict | None:
+        value = raw.get(name)
+        if not isinstance(value, dict):
             problems.append(f"{name}: missing or not an object")
-            return {}
-        return block
+            return None
+        return value if complete(name, value, *BLOCK_KEYS[name]) else None
 
-    g = need_block("grid")
-    m = need_block("model")
-    nz = need_block("noise")
-    it = need_block("integration")
-    en = need_block("ensemble")
-    out = need_block("output")
+    blocks = {name: block(name) for name in BLOCK_KEYS}
 
-    grid = params = noise = step = ens = None
-    try:
-        grid = TorusGrid(n_collocation=int(g.get("n_collocation", 0)),
-                         m_modes=int(g.get("m_modes", 0)),
-                         dealias=bool(g.get("dealias", True)))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"grid: {exc}")
-    try:
-        params = ModelParams(gamma=float(m.get("gamma", 0.0)),
-                             alpha=float(m.get("alpha", -1.0)),
-                             cutoff_radius=float(m.get("cutoff_radius", 1e6)),
-                             monitor_order=int(m.get("monitor_order", 4)),
-                             enable_cutoff=bool(m.get("enable_cutoff", True)))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"model: {exc}")
-    try:
-        noise = NoiseModel(k_modes=int(nz.get("k_modes", 16)),
-                           amplitude_decay=float(nz.get("amplitude_decay", 6.0)),
-                           base_amplitude=float(nz.get("base_amplitude", 0.0)),
-                           shape=str(nz.get("shape", "trig_density_weighted")))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"noise: {exc}")
-    try:
-        floor = it.get("implicit_visc_floor")
-        step = StepConfig(dt=float(it.get("dt", 0.0)),
-                          t_end=float(it.get("t_end", 0.0)),
-                          implicit_visc_floor=(None if floor is None else float(floor)),
-                          blowup_clamp=float(it.get("blowup_clamp", 50.0)))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"integration: {exc}")
-    scheme = it.get("scheme", "imex_cn")
-    if scheme != "imex_cn":
-        problems.append(f"integration.scheme: must be 'imex_cn', got {scheme!r}")
-    try:
-        sweep = en.get("r_sweep")
-        ens = EnsembleConfig(n_paths=int(en.get("n_paths", 1)),
-                             master_seed=int(en.get("master_seed", 0)),
-                             moment_orders=tuple(en.get("moment_orders", [1, 2])),
-                             r_sweep=(tuple(float(r) for r in sweep) if sweep else None),
-                             output_stride=int(en.get("output_stride", 1)))
-    except (ValueError, TypeError) as exc:
-        problems.append(f"ensemble: {exc}")
+    def build(name: str, make: Callable[[dict], object]) -> object | None:
+        """make(block), or None where the block is incomplete or make rejects it."""
+        if blocks[name] is not None:
+            try:
+                return make(blocks[name])
+            except (ValueError, TypeError) as exc:
+                problems.append(f"{name}: {exc}")
+        return None
 
-    ic = m.get("initial_condition")
-    factory = None
-    density_bound = 1.0
-    if not isinstance(ic, dict):
-        problems.append("model.initial_condition: missing or not an object")
-    elif grid is not None:
+    grid = build("grid", lambda g: TorusGrid(
+        n_collocation=int(g["n_collocation"]), m_modes=int(g["m_modes"]),
+        dealias=bool(g.get("dealias", True))))
+    params = build("model", lambda m: ModelParams(
+        gamma=float(m["gamma"]), alpha=float(m["alpha"]),
+        cutoff_radius=float(m.get("cutoff_radius", 1e6)),
+        monitor_order=int(m.get("monitor_order", 4)),
+        enable_cutoff=bool(m.get("enable_cutoff", True))))
+    noise = build("noise", lambda nz: NoiseModel(
+        k_modes=int(nz.get("k_modes", 16)), amplitude_decay=float(nz.get("amplitude_decay", 6.0)),
+        base_amplitude=float(nz.get("base_amplitude", 0.0)),
+        shape=str(nz.get("shape", "trig_density_weighted"))))
+    step = build("integration", lambda it: StepConfig(
+        dt=float(it["dt"]), t_end=float(it["t_end"]),
+        blowup_clamp=float(it.get("blowup_clamp", 50.0))))
+    ens = build("ensemble", lambda en: EnsembleConfig(
+        n_paths=int(en["n_paths"]), master_seed=int(en["master_seed"]),
+        moment_orders=tuple(en.get("moment_orders", [1, 2])),
+        r_sweep=tuple(float(r) for r in en["r_sweep"]) if en.get("r_sweep") else None,
+        output_stride=int(en.get("output_stride", 1))))
+    m, it, out = blocks["model"], blocks["integration"], blocks["output"]
+    if it is not None and it.get("scheme", "imex_cn") != "imex_cn":
+        problems.append(f"integration.scheme: must be 'imex_cn', got {it['scheme']!r}")
+
+    factory, density_bound = None, 1.0
+    ic = None if m is None else m["initial_condition"]
+    if m is not None and not isinstance(ic, dict):
+        problems.append("model.initial_condition: not an object")
+    elif (ic is not None and complete("model.initial_condition", ic, *IC_KEYS)
+          and grid is not None):
         try:
             factory, density_bound = build_initial_factory(ic, grid, base_dir)
         except (ValueError, TypeError, OSError) as exc:
             problems.append(f"model.initial_condition: {exc}")
 
-    directory = out.get("directory")
-    if not directory or not isinstance(directory, str):
+    directory = None if out is None else out["directory"]
+    if out is not None and not (directory and isinstance(directory, str)):
         problems.append("output.directory: required string")
-    per_path_csv = bool(out.get("per_path_csv", False))
+    per_path_csv = out is not None and bool(out.get("per_path_csv", False))
 
     if ens is not None and ens.r_sweep and params is not None:
         if max(ens.r_sweep) > params.cutoff_radius:

@@ -55,6 +55,9 @@ class EnsembleConfig:
     def __post_init__(self) -> None:
         if self.n_paths < 1:
             raise EnsembleConfigError("n_paths must be at least 1")
+        if self.master_seed < 0:
+            # SeedSequence takes no negative entropy
+            raise EnsembleConfigError("master_seed must be nonnegative")
         if any(p not in VALID_MOMENT_ORDERS for p in self.moment_orders):
             raise EnsembleConfigError(f"moment orders must lie in {VALID_MOMENT_ORDERS}")
         if self.output_stride < 1:

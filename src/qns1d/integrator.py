@@ -35,13 +35,14 @@ below R, so its own factors phi(|psi|) and phi(|u|) would be 1 and the
 explicit terms carry none. Only the predicted state of the step into the
 hit can leave [0, R].
 
-The corrector's factor skips its sup-norm when it cannot matter. The
-Wiener-algebra bound max_o sum_j mult_j |c_j| k_j^o dominates the W^{2,inf}
-norm, so a bound at or below R (less a relative slack of ``_BOUND_SLACK``
-for rounding) fixes phi = 1 with no transform; otherwise the norm is taken.
-The state check certifies the same way, since below R the exact norm moves
-neither phi nor the stopping test: its exact norms are read only on recorded
-states, the last state, and where a bound could reach the resolve radius.
+One rule, ``_Stepper.certified_norms``, reads the Wiener bounds and the
+sup-norm. The Wiener-algebra bound max_o sum_j mult_j |c_j| k_j^o dominates
+the W^{2,inf} norm, so a bound at or below a threshold (less a relative slack
+``_BOUND_SLACK`` for rounding) stands in for the norm with no transform. The
+corrector's threshold is R, where phi is exactly 1. The state check's is the
+resolve radius, below which the norm moves neither phi nor the stopping
+test; it is -inf, the exact norm, on recorded states, on the last state, and
+after a norm at or beyond the resolve radius.
 
 The step's small kernels fill preallocated rows through ``out=`` and reuse
 the (k, dt)-only factors built once per run. Each factor keeps the operand
@@ -106,7 +107,6 @@ class StepConfig:
 
     dt: float
     t_end: float
-    implicit_visc_floor: float | None = None  # None: refreshed min of rho^(alpha-1)
     # exponent clamp: exp() overflows silently long before float64 infinities help
     blowup_clamp: float = 50.0
 
@@ -115,8 +115,9 @@ class StepConfig:
             raise IntegratorConfigError("dt and t_end must be positive")
         if self.dt > self.t_end:
             raise IntegratorConfigError("dt must not exceed t_end")
-        if self.implicit_visc_floor is not None and self.implicit_visc_floor < 0.0:
-            raise IntegratorConfigError("implicit_visc_floor must be nonnegative")
+        if not self.blowup_clamp > 0.0:
+            # |psi| >= 0 would pass any clamp <= 0 at t = 0
+            raise IntegratorConfigError("blowup_clamp must be positive")
 
     @property
     def n_steps(self) -> int:
@@ -224,7 +225,6 @@ class _Stepper:
         mult[0] = 1.0
         self.wiener = np.stack([mult, mult * self.k, mult * self.k2])
         self.radius = params.cutoff_radius if params.enable_cutoff else np.inf
-        self.certified_radius = self.radius / (1.0 + _BOUND_SLACK)
         # the exact norm's transform scales the spectra by its 8n points, so
         # bounds above this could hide an overflow that the check must see
         self.finite_floor = np.finfo(float).max / (W2INF_OVERSAMPLE * self.n)
@@ -267,31 +267,37 @@ class _Stepper:
         return self.project_rows(a * b, self.product_end)
 
     def phi(self, norm: float) -> float:
-        if not self.params.enable_cutoff:
-            return 1.0
-        return cutoff_phi(norm, self.params.cutoff_radius)
+        return cutoff_phi(norm, self.radius)
+
+    def certified_norms(self, rows: np.ndarray, below: Sequence[float]) -> list[list[float]]:
+        """The W^{2,inf} norms of P states' fields, or their Wiener bounds.
+
+        ``rows`` are the F fields of each state, spectra of shape (F, P, n_half),
+        and ``below`` has one threshold per state. A state whose bounds all
+        stay at or below its threshold, less the relative slack
+        ``_BOUND_SLACK`` and never above ``finite_floor``, gets its bounds;
+        any other state, and always one at -inf, gets the exact norms from
+        its own oversampled transform, which is bound by arithmetic and so is
+        not stacked across states. Returns each state's F values in order.
+        """
+        # a stack of matrix products: each state's bounds have the bits of
+        # wiener @ |rows[:, p]|.T alone
+        bounds = np.matmul(self.wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2)
+        norms = bounds.tolist()
+        for p, limit in enumerate(below):
+            floor = min(limit / (1.0 + _BOUND_SLACK), self.finite_floor)
+            if not all(b <= floor for b in norms[p]):
+                norms[p] = w2inf_norm(rows[:, p], self.grid)
+        return norms
 
     def predictor_phi(self, u_spec: np.ndarray) -> float | np.ndarray:
-        """phi(|u|) of the predictor, taking its sup-norm only where it can matter.
-
-        cutoff_phi is exactly 1 at and below the radius, and the Wiener bound
-        dominates the norm, so a bound that stays below the radius (by a
-        relative slack for rounding) gives phi = 1 without the transform.
-        One spectrum gives a float; a stack of shape (P, n_half) gives one
-        factor per path, as a (P, 1) column, each from its own bound or norm.
-        """
-        # a stack of matrix-vector products: each path's bound has the bits
-        # of wiener @ |u| alone
-        bounds = np.matmul(self.wiener, np.abs(u_spec)[..., None]).max(axis=(-2, -1))
-        if bounds.ndim == 0:
-            return self._phi_of_bound(float(bounds), u_spec)
-        return np.array([self._phi_of_bound(b, u)
-                         for b, u in zip(bounds.tolist(), u_spec)])[:, None]
-
-    def _phi_of_bound(self, bound: float, u_spec: np.ndarray) -> float:
-        if bound <= self.certified_radius:
-            return self.phi(bound)
-        return self.phi(w2inf_norm(u_spec, self.grid))
+        """phi(|u|) of the predictor from its ``certified_norms`` below R, where
+        phi is exactly 1: a float for one spectrum, and a (P, 1) column of
+        per-path factors for a stack of shape (P, n_half)."""
+        if u_spec.ndim == 1:
+            return self.phi(self.certified_norms(u_spec[None, None], [self.radius])[0][0])
+        norms = self.certified_norms(u_spec[None], [self.radius] * len(u_spec))
+        return np.array([self.phi(norm) for norm, in norms])[:, None]
 
     # --- right-hand sides ----------------------------------------------
 
@@ -380,10 +386,8 @@ class _Stepper:
         return out
 
     def nu_bar(self, psi_phys: np.ndarray) -> float | np.ndarray:
-        """The implicit viscosity: a scalar for one path's samples of psi, a
-        (P, 1) column for a stack of P paths, or the configured floor."""
-        if self.cfg.implicit_visc_floor is not None:
-            return self.cfg.implicit_visc_floor
+        """The implicit viscosity: a scalar for one path's samples of psi, or
+        a (P, 1) column for a stack of P paths."""
         # Crank-Nicolson damps the stiff modes of the explicit remainder
         # (rho^(alpha-1) - nu_bar) u'' only if nu_bar >= max rho^(alpha-1);
         # this min falls short wherever rho^(alpha-1) varies. ROADMAP.md's
@@ -410,59 +414,42 @@ class _Stepper:
         new[..., self.band_end:] = 0.0
         return new[0], new[1]
 
-    def check_states(self, spec: np.ndarray, samples: np.ndarray, exact: Sequence[bool],
-                     resolve: float | None,
+    def check_states(self, spec: np.ndarray, samples: np.ndarray, below: Sequence[float],
                      ) -> tuple[list[list[float] | None], list[str | None]]:
         """The state check of P states given as stacked ``sample`` rows (6, P, .).
 
         Returns each state's W^{2,inf} norms [psi, u], or None where the
         state fails the check, and why it fails: non-finite samples, |psi|
-        beyond the clamp, or a non-finite norm. A state not marked ``exact``
-        whose Wiener bounds both stay below ``resolve`` (by the relative
-        slack) gets its bounds in place of the norms, with no transform.
-        Every other state takes its own oversampled transform: that
-        transform is bound by arithmetic, so stacking it across paths would
-        only add memory.
+        beyond the clamp, or a non-finite norm. The norms are the
+        ``certified_norms`` of [psi, u] with the state's threshold in
+        ``below``, where -inf takes the exact norms.
         """
         # the sup of |.| is NaN or inf exactly when a sample is not finite
         peaks = np.abs(samples[:2]).max(axis=-1).T.tolist()
         clamp = self.cfg.blowup_clamp
         norms: list[list[float] | None] = [None] * len(peaks)
         failures: list[str | None] = [None] * len(peaks)
-        to_bound, to_norm = [], []
-        for p, ((peak_psi, peak_u), read_norm) in enumerate(zip(peaks, exact)):
+        for p, (peak_psi, peak_u) in enumerate(peaks):
             if not (math.isfinite(peak_psi) and math.isfinite(peak_u)):
                 failures[p] = "non-finite values in state"
             elif peak_psi > clamp:
                 failures[p] = f"|psi| reached {peak_psi:.3g} beyond clamp {clamp}"
-            else:
-                (to_norm if read_norm else to_bound).append(p)
-        if to_bound:
-            floor = min(resolve / (1.0 + _BOUND_SLACK), self.finite_floor)
-            rows = spec[:2] if len(to_bound) == len(peaks) else spec[:2, to_bound]
-            # a stack of matrix products: each state's bounds have the bits
-            # of wiener @ |spec[:2]|.T alone
-            bounds = np.matmul(self.wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2)
-            for p, pair in zip(to_bound, bounds.tolist()):
-                if pair[0] <= floor and pair[1] <= floor:
+        passed = [p for p, failure in enumerate(failures) if failure is None]
+        if passed:
+            rows = spec[:2] if len(passed) == len(peaks) else spec[:2, passed]
+            checked = self.certified_norms(rows, [below[p] for p in passed])
+            for p, pair in zip(passed, checked):
+                if math.isfinite(pair[0]) and math.isfinite(pair[1]):
                     norms[p] = pair
                 else:
-                    to_norm.append(p)
-        for p in to_norm:
-            pair = w2inf_norm(spec[:2, p], self.grid)
-            if math.isfinite(pair[0]) and math.isfinite(pair[1]):
-                norms[p] = pair
-            else:
-                failures[p] = "non-finite W^{2,inf} norm"
+                    failures[p] = "non-finite W^{2,inf} norm"
         return norms, failures
 
     def check_state(self, spec: np.ndarray, samples: np.ndarray, t: float,
-                    resolve: float | None = None) -> list[float]:
-        """``check_states`` of one state at time t, raising
-        NumericalBlowupError where it fails; ``resolve`` None reads the
-        exact norms."""
-        norms, failures = self.check_states(spec[:, None], samples[:, None],
-                                            [resolve is None], resolve)
+                    below: float = -math.inf) -> list[float]:
+        """``check_states`` of one state at time t, by default with its exact
+        norms, raising NumericalBlowupError where it fails."""
+        norms, failures = self.check_states(spec[:, None], samples[:, None], [below])
         if failures[0] is not None:
             raise NumericalBlowupError(failures[0], t)
         return norms[0]
@@ -608,7 +595,8 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
     norm_rows: list[list[list[float]]] = [[] for _ in initials]
     t0 = [s.time for s in initials]
     active = list(range(len(initials)))
-    worst: list[float] = []
+    # each active path's last checked norm
+    worst = [0.0] * len(initials)
     psi_spec = np.stack([s.psi.spectral for s in initials])
     u_spec = np.stack([s.u.spectral for s in initials])
 
@@ -618,13 +606,11 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
         spec, samples = stepper.sample(psi_spec, u_spec)
         last = i == n_steps
         record = monitors.collect_records and (i % monitors.stride == 0 or last)
-        # a bound seldom certifies right after an exact norm at or beyond
-        # the resolve radius, so such a state takes the norm directly
-        if record or last or i == 0:
-            exact = [record or last] * len(active)
-        else:
-            exact = [w >= resolve for w in worst]
-        norms, failures = stepper.check_states(spec, samples, exact, resolve)
+        # recorded and last states take the exact norms; a bound seldom
+        # certifies right after a norm at or beyond the resolve radius, so
+        # such a state takes the norm directly too
+        below = [-math.inf if record or last or w >= resolve else resolve for w in worst]
+        norms, failures = stepper.check_states(spec, samples, below)
         going, worst = [], []
         for row, p in enumerate(active):
             t = t0[p] + i * dt if i else t0[p]

@@ -17,6 +17,8 @@ from qns1d.cli import (
     EXIT_BLOWUP_DOMINATED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    BLOCK_KEYS,
+    IC_KEYS,
     main,
     validate_config,
 )
@@ -137,7 +139,66 @@ class TestValidation:
                     if isinstance(value, tuple):
                         value = list(value)
                     assert value == prop["default"], f"{block}.{name}"
-        assert n_defaults == 15
+        assert n_defaults == 14
+
+    def test_accepted_keys_match_schema(self):
+        schema = json.loads(SCHEMA.read_text())
+        assert list(BLOCK_KEYS) == schema["required"] == list(schema["properties"])
+        blocks = dict(schema["properties"])
+        blocks["model.initial_condition"] = blocks["model"]["properties"]["initial_condition"]
+        accepted = dict(BLOCK_KEYS, **{"model.initial_condition": IC_KEYS})
+        for name, spec in blocks.items():
+            required, optional = accepted[name]
+            assert list(required) == spec.get("required", []), name
+            assert set(required + optional) == set(spec["properties"]), name
+            assert spec["additionalProperties"] is False, name
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("outputs", {"directory": "x"}),
+        ("model.cutof_radius", 10.0),
+        ("model.initial_condition.velocity_mode", [1]),
+        ("integration.implicit_visc_floor", 1.0),
+    ])
+    def test_unknown_blocks_and_keys_rejected(self, tmp_path, dotted, value):
+        # a misspelt key would otherwise leave its default silently in force
+        cfg = base_config(str(tmp_path), **{dotted: value})
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(cfg)
+        assert [p for p in err.value.problems if p.startswith(dotted + ":")]
+
+    @pytest.mark.parametrize("key", ["n_paths", "master_seed"])
+    def test_required_ensemble_keys(self, tmp_path, key):
+        cfg = base_config(str(tmp_path))
+        del cfg["ensemble"][key]
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(cfg)
+        assert err.value.problems == [f"ensemble.{key}: required"]
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("grid.dealias", "false"), ("model.enable_cutoff", "false"),
+        ("output.per_path_csv", 1),
+    ])
+    def test_flags_must_be_booleans(self, tmp_path, dotted, value):
+        cfg = base_config(str(tmp_path), **{dotted: value})
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(cfg)
+        assert [p for p in err.value.problems if p.startswith(dotted + ":")]
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("integration.blowup_clamp", 0.0), ("integration.blowup_clamp", -1.0),
+        ("ensemble.master_seed", -1),
+    ])
+    def test_clamp_and_seed_out_of_range_exit_2(self, tmp_path, monkeypatch, dotted, value):
+        # a clamp <= 0 would end every path as a blow-up at t = 0, and a
+        # negative seed has no seed lineage
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        out = tmp_path / "should_not_exist"
+        cfg = base_config(str(out), **{dotted: value})
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(cfg)
+        assert [p for p in err.value.problems if p.startswith(dotted.split(".")[0] + ":")]
+        assert main(["simulate", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
 
 
 class TestSimulate:

@@ -36,6 +36,7 @@ class TestEnsembleConfig:
         dict(n_paths=2, master_seed=1, moment_orders=(5,)),
         dict(n_paths=2, master_seed=1, r_sweep=(0.0, 1.0)),
         dict(n_paths=2, master_seed=1, output_stride=0),
+        dict(n_paths=2, master_seed=-1),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(EnsembleConfigError):

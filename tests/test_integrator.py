@@ -1,4 +1,7 @@
+import ast
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,7 +45,8 @@ class TestStepConfig:
         dict(dt=0.0, t_end=1.0),
         dict(dt=0.1, t_end=0.05),
         dict(dt=0.1, t_end=-1.0),
-        dict(dt=0.1, t_end=1.0, implicit_visc_floor=-1.0),
+        dict(dt=0.1, t_end=1.0, blowup_clamp=0.0),
+        dict(dt=0.1, t_end=1.0, blowup_clamp=-1.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(IntegratorConfigError):
@@ -116,7 +120,8 @@ class TestStepKernel:
     @pytest.mark.parametrize("mode", [1, 4])
     def test_linear_regime_matches_matrix_exponential(self, mode):
         # infinitesimal data: per-step error is O(dt^2) against the exact
-        # rotation of the linearized constant-coefficient system
+        # rotation of the linearized constant-coefficient system, whose
+        # viscosity 1 is rho^(alpha-1) = nu_bar here up to 1e-8
         grid = TorusGrid(64, 21)
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=100.0)
         amp = 1e-8
@@ -127,7 +132,7 @@ class TestStepKernel:
         k = 2 * np.pi * mode
         errs = []
         for dt in (2e-4, 1e-4):
-            cfg = StepConfig(dt=dt, t_end=dt, implicit_visc_floor=1.0)
+            cfg = StepConfig(dt=dt, t_end=dt)
             out = step(st, cfg, params, NO_NOISE, 0, 0, grid)
             exact = linear_propagator(k, params.gamma, 1.0, dt) @ np.array([amp, 0.0])
             err = np.hypot(abs(out.psi.spectral[mode] - exact[0]),
@@ -387,6 +392,65 @@ class TestStackedKernels:
         _, norm_psi, norm_u = res.norm_trace[-1]
         record = compute_record(rebuilt, params, grid64, w2inf_psi=norm_psi, w2inf_u=norm_u)
         assert res.records[-1].to_row() == record.to_row()
+
+
+class TestCertifiedNorms:
+    def test_mixed_thresholds_in_one_call(self, grid64):
+        # per state: its Wiener bounds where both stay below its threshold,
+        # and otherwise the exact norms, whatever the other states get
+        stepper = _Stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=500.0),
+                           StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+        rng = np.random.default_rng(3)
+        decay = np.exp(-np.arange(grid64.n_half) / 3.0)
+        rows = (rng.standard_normal((2, 5, grid64.n_half))
+                + 1j * rng.standard_normal((2, 5, grid64.n_half))) * decay
+        rows[..., 0] = rows[..., 0].real
+        rows[:, 4] = 0.0
+        # a finite bound above finite_floor, which the oversampled transform overflows
+        rows[1, 4, 20] = 1e303
+        alone = [(stepper.wiener @ np.abs(rows[:, p]).T).max(axis=0).tolist()
+                 for p in range(5)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = [w2inf_norm(rows[:, p], grid64) for p in range(5)]
+        assert math.inf > alone[4][1] > stepper.finite_floor
+        below = [max(alone[0]) * 1.01,  # certified
+                 max(alone[1]) * 0.99,  # a bound above the threshold
+                 -math.inf,  # always exact
+                 max(alone[3]) * (1.0 + 1e-12),  # within the slack: exact
+                 math.inf]  # above finite_floor: exact
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = stepper.certified_norms(rows, below)
+        assert got[0] == alone[0] and got[0] != exact[0]
+        for p in (1, 2, 3, 4):
+            assert np.array_equal(got[p], exact[p], equal_nan=True), p
+        assert not np.isfinite(exact[4]).all()
+
+    def test_bounds_and_sup_norms_read_only_in_certified_norms(self):
+        # the bound-or-norm choice exists once: every read of the stepper's
+        # Wiener weights and every sup-norm call in the integrator lies in
+        # _Stepper.certified_norms
+        reads = []
+
+        class Reads(ast.NodeVisitor):
+            scope = ["<module>"]
+
+            def visit_FunctionDef(self, node):
+                self.scope.append(node.name)
+                self.generic_visit(node)
+                self.scope.pop()
+
+            def visit_Attribute(self, node):
+                if node.attr == "wiener" and isinstance(node.ctx, ast.Load):
+                    reads.append(("wiener", self.scope[-1]))
+                self.generic_visit(node)
+
+            def visit_Name(self, node):
+                if node.id == "w2inf_norm":
+                    reads.append(("w2inf_norm", self.scope[-1]))
+
+        Reads().visit(ast.parse(Path(integrator.__file__).read_text()))
+        assert sorted(reads) == [("w2inf_norm", "certified_norms"),
+                                 ("wiener", "certified_norms")]
 
 
 def assert_same_path(got, want):

@@ -10,7 +10,8 @@ monitor rows and hit times of paths on the n = 32, 64 and 256 grids and the
 padded (32, 16) grid, with no, additive and multiplicative noise; the
 public ``step()`` below the cut-off radius; and ``strong_convergence_order``.
 Some paths end ``tau_R_hit`` and one ends ``numerical_blowup``; the sweep
-paths run with a resolve radius below R, as ``sweep-r`` does. ``--cases``
+paths run with a resolve radius below R, as ``sweep-r`` does, one at a time
+and as one batch of eight, whose states are certified together. ``--cases``
 also prints one digest per case, to find the case that moved.
 """
 
@@ -25,6 +26,7 @@ import numpy as np
 
 from qns1d.integrator import (
     MonitorSpec,
+    PathResult,
     StepConfig,
     first_hit_times,
     simulate_path,
@@ -83,12 +85,29 @@ def path_case(d: Digest, grid: str, noise: str, seed: int, dt: float, t_end: flo
                            resolve_radius=resolve)
     res = simulate_path(harmonic(g, amplitude), StepConfig(dt=dt, t_end=t_end), params,
                         NOISE[noise], seed, g, monitors)
+    add_result(d, res, radii)
+
+
+def add_result(d: Digest, res: PathResult, radii: tuple[float, ...]) -> None:
     e = res.event
     d.add(e.kind, e.time, e.triggering_norm, e.which, res.n_steps_taken, res.norm_trace)
     d.add_state(res.final_state)
     d.add([r.to_row() for r in res.records])
     if radii:
         d.add(first_hit_times(res, radii))
+
+
+def sweep_batch_case(d: Digest) -> None:
+    """Eight sweep paths in one simulate_path call: some never reach the
+    resolve radius, some cross it, and some leave the batch at R."""
+    g = GRIDS["n64"]
+    params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=8.0)
+    seeds = [derive_path_seed(20240501, index) for index in range(8)]
+    batch = simulate_path([harmonic(g, 0.02 * (p + 1)) for p in range(8)],
+                          StepConfig(dt=5e-4, t_end=0.1), params, NOISE["strong"], seeds, g,
+                          MonitorSpec(stride=7, resolve_radius=4.0))
+    for res in batch:
+        add_result(d, res, (4.0, 6.0, 8.0))
 
 
 def cases() -> dict[str, Callable[[Digest], None]]:
@@ -128,6 +147,7 @@ def cases() -> dict[str, Callable[[Digest], None]]:
         out[f"sweep_tau_R_{seed}"] = (lambda d, s=seed: path_case(
             d, "n64", "strong", s, 5e-4, 0.2, radius=8.0, stride=None, resolve=4.0,
             radii=(4.0, 6.0, 8.0)))
+    out["sweep_batch"] = sweep_batch_case
     out["step_n64"] = lambda d: step_case(d, "n64")
     out["step_padded"] = lambda d: step_case(d, "padded")
     for noise in ("none", "additive", "multiplicative"):
