@@ -2,11 +2,12 @@
 
 Configs are JSON with one block per module (grid, model, noise, integration,
 ensemble, output); docs/config.schema.json documents every field, validation
-rejects any other, and all violations go into one report before any
-computation starts. Run artifacts (config snapshot, seed manifest, summary,
-per-path monitor CSVs) land in one run directory and are sufficient to replay
-any path bit-identically: ``replay`` runs the path through
-``ensemble.run_path``, the same function the ensemble ran it with.
+rejects any other and any boolean, integer or number field of another JSON
+type, and all violations go into one report before any computation starts.
+Run artifacts (config snapshot, seed manifest, summary, per-path monitor
+CSVs) land in one run directory and are sufficient to replay any path
+bit-identically: ``replay`` runs the path through ``ensemble.run_path``, the
+same function the ensemble ran it with.
 
 Exit codes: 0 success, 2 config/validation error, 3 blow-up-dominated run,
 1 failed verification checks.
@@ -57,6 +58,12 @@ BLOCK_KEYS = {
 IC_KEYS = (("kind",), ("rho0", "eps", "modes", "velocity_eps", "velocity_modes",
                        "random_amplitude", "path"))
 FLAGS = ("dealias", "enable_cutoff", "per_path_csv")  # JSON booleans only
+# the schema's "integer" and "number" fields: a bool, a string or (for an
+# integer) a fraction is reported, not converted
+INTEGERS = ("n_collocation", "m_modes", "monitor_order", "k_modes", "n_paths", "master_seed",
+            "output_stride")
+NUMBERS = ("gamma", "alpha", "cutoff_radius", "rho0", "eps", "velocity_eps", "random_amplitude",
+           "base_amplitude", "amplitude_decay", "dt", "t_end", "blowup_clamp")
 
 
 class ConfigValidationError(ValueError):
@@ -92,22 +99,36 @@ def load_config(path: str | Path) -> dict:
             [f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"])
 
 
+def _type_problem(key: str, value: object) -> str | None:
+    """What a field's JSON value should have been, where its type is wrong."""
+    if key in FLAGS and not isinstance(value, bool):
+        return "must be true or false"
+    if key in INTEGERS and (isinstance(value, bool) or not isinstance(value, int)):
+        return "must be an integer"
+    if key in NUMBERS and (isinstance(value, bool) or not isinstance(value, (int, float))):
+        return "must be a number"
+    return None
+
+
 def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigValidationError(["config: top level must be an object"])
     problems = [f"{name}: unknown block" for name in raw if name not in BLOCK_KEYS]
 
     def complete(where: str, block: dict, required: tuple, optional: tuple) -> bool:
-        """Report the block's missing and unknown keys and non-boolean flags;
-        True if no key is missing."""
+        """Report the block's missing and unknown keys and its flags, integers
+        and numbers of another JSON type; True if no key is missing or
+        mistyped."""
         missing = [key for key in required if key not in block]
         problems.extend(f"{where}.{key}: required" for key in missing)
+        ok = not missing
         for key, value in block.items():
             if key not in required + optional:
                 problems.append(f"{where}.{key}: unknown key")
-            elif key in FLAGS and not isinstance(value, bool):
-                problems.append(f"{where}.{key}: must be true or false, got {value!r}")
-        return not missing
+            elif (expected := _type_problem(key, value)) is not None:
+                problems.append(f"{where}.{key}: {expected}, got {value!r}")
+                ok = False
+        return ok
 
     def block(name: str) -> dict | None:
         value = raw.get(name)

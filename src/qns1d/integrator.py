@@ -45,8 +45,9 @@ test; it is -inf, the exact norm, on recorded states, on the last state, and
 after a norm at or beyond the resolve radius.
 
 The step's small kernels fill preallocated rows through ``out=`` and reuse
-the (k, dt)-only factors built once per run. Each factor keeps the operand
-order of the expression it stands for, since regrouping changes rounding.
+the (k, dt)-only factors, which are rebuilt only when the stepped rows
+change. Each factor keeps the operand order of the expression it stands for,
+since regrouping changes rounding.
 
 Paths run in batches. The kernels take an optional leading path axis, and
 ``simulate_path`` steps a batch of paths in lockstep from one workspace, so
@@ -61,6 +62,14 @@ same BLAS routine path by path (one matrix product over all paths would
 round differently); reductions run per path; nu_bar, the predictor's phi,
 the state check, the exact norms, the increments and the records are taken
 per path. A path that stops leaves the stepped rows, and the others go on.
+
+The paths of a batch may differ in dt and in their number of steps, so every
+dt level of a refinement study steps in one batch. Where the stepped rows'
+dt differ, the (k, dt)-only factors are per-row: (P, 1) columns and
+(P, n_half) rows, each row with the bits of its own dt's scalar factor, and
+an elementwise product with a row gives the bits of the product with that
+scalar. Where they agree, and for a lone path, the factors stay scalars. A
+path leaves the stepped rows at its own last step.
 """
 
 from __future__ import annotations
@@ -203,14 +212,9 @@ class _Stepper:
                                    dtype=complex)[:, None]
         # psi's exponents in rho^(gamma-1), rho^(alpha-1) and rho
         self.psi_rates = np.array([params.gamma - 1.0, params.alpha - 1.0, 1.0])
-        self.dt = cfg.dt_effective
-        # the step's (k, dt)-only factors, each in its expression's operand order
-        self.hdt = hdt = 0.5 * self.dt
         self.neg_ik = -1j * self.k
         self.neg_ihk3 = -1j * self.hk3
-        self.half_hdt2_k4 = 0.5 * hdt * hdt * self.k2 * self.k2
-        self.neg_hdt_ihk3 = -hdt * 1j * self.hk3
-        self.hdt_ik = hdt * 1j * self.k
+        self.use_dts([cfg.dt_effective])
         self.zero_half = _frozen(np.zeros(grid.n_half, dtype=complex))
         # alias-free quadratic products need n >= 2m + cut + 2
         need = 2 * grid.m_modes + grid.dealias_cut + 2
@@ -228,6 +232,21 @@ class _Stepper:
         # the exact norm's transform scales the spectra by its 8n points, so
         # bounds above this could hide an overflow that the check must see
         self.finite_floor = np.finfo(float).max / (W2INF_OVERSAMPLE * self.n)
+
+    def use_dts(self, dts: Sequence[float]) -> None:
+        """Build the step's (k, dt)-only factors for rows stepping by ``dts``.
+
+        Equal dts give scalars and vectors over k; dts that differ give (P, 1)
+        columns and (P, n_half) rows, which the kernels broadcast against a
+        stack of P paths. Each factor keeps its expression's operand order,
+        and a row's factor has the bits of its own dt's scalar one, so every
+        path steps as it would alone.
+        """
+        self.dt = dt = dts[0] if all(d == dts[0] for d in dts) else np.array(dts)[:, None]
+        self.hdt = hdt = 0.5 * dt
+        self.half_hdt2_k4 = 0.5 * hdt * hdt * self.k2 * self.k2
+        self.neg_hdt_ihk3 = -hdt * 1j * self.hk3
+        self.hdt_ik = hdt * 1j * self.k
 
     # --- small kernels -------------------------------------------------
 
@@ -543,81 +562,104 @@ class PathBatch(tuple):
         return sum(r.n_steps_taken for r in self)
 
 
-def simulate_path(initial: State | Sequence[State], cfg: StepConfig, params: ModelParams,
-                  noise: NoiseModel, path_seed: int | Sequence[int], grid: TorusGrid,
-                  monitors: MonitorSpec = MonitorSpec(),
+def simulate_path(initial: State | Sequence[State], cfg: StepConfig | Sequence[StepConfig],
+                  params: ModelParams, noise: NoiseModel, path_seed: int | Sequence[int],
+                  grid: TorusGrid, monitors: MonitorSpec = MonitorSpec(),
                   increments: np.ndarray | Sequence | None = None) -> PathResult | PathBatch:
     """Advance paths until t_end, a norm-threshold hit, or numerical blow-up.
 
     One State with one path seed gives a PathResult. A sequence of States
     with one seed each gives a PathBatch: the paths step in lockstep from
     one workspace, their spectra stacked along a leading path axis, so each
-    numpy call and transform of a step serves every path. A path that stops
-    leaves the stepped rows; the others go on. Each path's result is bit for
-    bit the result of running it alone, which is how a single State runs:
-    as a batch of one.
+    numpy call and transform of a step serves every path. A batch takes one
+    StepConfig for all its paths or one per path; paths may differ in dt and
+    t_end, so a batch can hold every level of a refinement study, but not in
+    blowup_clamp. A path that stops, or reaches its own last step, leaves the
+    stepped rows; the others go on. Each path's result is bit for bit the
+    result of running it alone, which is how a single State runs: as a batch
+    of one.
 
     Fully reproducible from (config, path_seed): the noise stream is a pure
     function of (path_seed, step_index). Pre-summed increments may be passed
-    for shared-path refinement studies, of shape (n_steps, k_modes) for one
-    path and (P, n_steps, k_modes) for a batch of P.
+    for shared-path refinement studies: of shape (n_steps, k_modes) for one
+    path, and for a batch one such array per path, each with its own
+    n_steps, or one array of shape (P, n_steps, k_modes).
     """
-    stepper = _Stepper(grid, params, cfg, noise)
     if isinstance(initial, State):
-        incs = None if increments is None else np.asarray(increments)[None]
-        return _run_lockstep(stepper, [initial], [path_seed], monitors, incs)[0]
+        incs = None if increments is None else [np.asarray(increments)]
+        return _run_lockstep(_Stepper(grid, params, cfg, noise), [initial], [path_seed],
+                             [cfg], monitors, incs)[0]
     initials, seeds = list(initial), list(path_seed)
-    incs = None if increments is None else np.asarray(increments)
-    if len(seeds) != len(initials) or (incs is not None and len(incs) != len(initials)):
-        raise ValueError("a batch needs one path seed, and one increment series if any, "
-                         "per initial state")
+    cfgs = [cfg] * len(initials) if isinstance(cfg, StepConfig) else list(cfg)
+    incs = None if increments is None else [np.asarray(inc) for inc in increments]
+    if not (len(seeds) == len(cfgs) == len(initials)
+            and (incs is None or len(incs) == len(initials))):
+        raise ValueError("a batch needs one path seed and one step config, and one increment "
+                         "series if any, per initial state")
+    if incs is not None and any(len(inc) < c.n_steps for inc, c in zip(incs, cfgs)):
+        raise ValueError("a path's increment series is shorter than its steps")
+    if len({c.blowup_clamp for c in cfgs}) > 1:
+        raise ValueError("the paths of a batch must share blowup_clamp")
+    if not initials:
+        return PathBatch()
+    stepper = _Stepper(grid, params, cfgs[0], noise)
     results: list[PathResult] = []
     size = max(1, _LOCKSTEP_POINTS // grid.n_collocation)
     for start in range(0, len(initials), size):
         group = slice(start, start + size)
-        results += _run_lockstep(stepper, initials[group], seeds[group], monitors,
-                                 None if incs is None else incs[group])
+        results += _run_lockstep(stepper, initials[group], seeds[group], cfgs[group],
+                                 monitors, None if incs is None else incs[group])
     return PathBatch(results)
 
 
 def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[int],
-                  monitors: MonitorSpec, increments: np.ndarray | None) -> list[PathResult]:
+                  cfgs: Sequence[StepConfig], monitors: MonitorSpec,
+                  increments: Sequence[np.ndarray] | None) -> list[PathResult]:
     """The paths of ``simulate_path``, stepped in lockstep, in input order.
 
     Row r of the stepped arrays is path ``active[r]``. Each row gets its own
-    state check, record, stopping test, increment and predictor phi.
+    dt, state check, record, stopping test, increment and predictor phi, and
+    its own last state at its own step count: paths of different dt and
+    t_end leave the stepped rows at their own last steps. ``increments`` has
+    one (n_steps, k_modes) array per path, or is None. The stepper's
+    (k, dt)-only factors are rebuilt whenever the stepped rows change.
     """
-    dt, n_steps, radius = stepper.dt, stepper.cfg.n_steps, stepper.radius
+    radius = stepper.radius
     resolve = radius if monitors.resolve_radius is None else min(radius, monitors.resolve_radius)
+    dts = [c.dt_effective for c in cfgs]
+    ends = [c.n_steps for c in cfgs]
     results: list[PathResult] = [None] * len(initials)  # type: ignore[list-item]
     records: list[list[functionals.MonitorRecord]] = [[] for _ in initials]
-    # each path's checked norms; the trace's times follow from t0, i and dt
-    norm_rows: list[list[list[float]]] = [[] for _ in initials]
+    # each path's checked norms, row i for state i; the trace's times follow
+    # from t0, i and dt
+    norm_rows = [np.empty((end + 1, 2)) for end in ends]
     t0 = [s.time for s in initials]
     active = list(range(len(initials)))
+    stepper.use_dts(dts)
     # each active path's last checked norm
     worst = [0.0] * len(initials)
     psi_spec = np.stack([s.psi.spectral for s in initials])
     u_spec = np.stack([s.u.spectral for s in initials])
 
-    for i in range(n_steps + 1):
+    for i in range(max(ends) + 1):
         # the checked samples are the ones the next step, the monitor record
         # and the final state use
         spec, samples = stepper.sample(psi_spec, u_spec)
-        last = i == n_steps
-        record = monitors.collect_records and (i % monitors.stride == 0 or last)
+        strided = monitors.collect_records and i % monitors.stride == 0
+        lasts = [i == ends[p] for p in active]
         # recorded and last states take the exact norms; a bound seldom
         # certifies right after a norm at or beyond the resolve radius, so
         # such a state takes the norm directly too
-        below = [-math.inf if record or last or w >= resolve else resolve for w in worst]
+        below = [-math.inf if strided or last or w >= resolve else resolve
+                 for w, last in zip(worst, lasts)]
         norms, failures = stepper.check_states(spec, samples, below)
         going, worst = [], []
-        for row, p in enumerate(active):
-            t = t0[p] + i * dt if i else t0[p]
+        for row, (p, last) in enumerate(zip(active, lasts)):
+            t = t0[p] + i * dts[p] if i else t0[p]
             pair = norms[row]
             if pair is not None:
-                norm_rows[p].append(pair)
-                if record:
+                norm_rows[p][i] = pair
+                if strided or (last and monitors.collect_records):
                     records[p].append(functionals.compute_record(
                         _sampled_state(spec[:, row], samples[:, row], t), stepper.params,
                         stepper.grid, w2inf_psi=pair[0], w2inf_u=pair[1]))
@@ -629,22 +671,24 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
             results[p] = PathResult(
                 records=records[p], event=_stopping_event(failures[row], pair, t, radius),
                 final_state=_sampled_state(spec[:, row], samples[:, row], t),
-                norm_trace=_norm_trace(t0[p], dt, norm_rows[p]), n_steps_taken=i,
-                resolve_radius=resolve)
+                norm_trace=_norm_trace(t0[p], dts[p], norm_rows[p][: i + (pair is not None)]),
+                n_steps_taken=i, resolve_radius=resolve)
         if not going:
             break
         if len(going) < len(active):
             active = [active[row] for row in going]
             spec, samples = spec[:, going], samples[:, going]
+            stepper.use_dts([dts[p] for p in active])
         if increments is not None:
-            dW = increments[active, i]
+            dW = np.array([increments[p][i] for p in active])
         elif stepper.noise_on:
-            dW = np.array([sample_increment(seeds[p], i, dt, stepper.noise) for p in active])
+            dW = np.array([sample_increment(seeds[p], i, dts[p], stepper.noise)
+                           for p in active])
         else:
             dW = None
         if len(active) == 1:
-            # a lone path steps without the path axis: broadcasting the
-            # (k, dt)-only factors against a stack costs more than it saves
+            # a lone path steps without the path axis, with its own scalar
+            # factors: broadcasting them against a stack costs more than it saves
             one = stepper.step_imex(spec[:, 0], samples[:, 0], None if dW is None else dW[0])
             psi_spec, u_spec = one[0][None], one[1][None]
         else:
@@ -653,13 +697,14 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
     return results
 
 
-def _norm_trace(t0: float, dt: float, norms: list[list[float]]) -> np.ndarray:
-    """Rows (time, |psi|, |u|) of a path's checked states 0, 1, ...; state
-    i > 0 is at t0 + i * dt, as the stepping loop counts it."""
+def _norm_trace(t0: float, dt: float, norms: np.ndarray) -> np.ndarray:
+    """Rows (time, |psi|, |u|) of a path's checked states 0, 1, ..., from
+    their norms' rows; state i > 0 is at t0 + i * dt, as the stepping loop
+    counts it."""
     trace = np.empty((len(norms), 3))
     trace[:, 0] = t0 + np.arange(len(norms)) * dt
     trace[:1, 0] = t0
-    trace[:, 1:] = np.reshape(norms, (-1, 2))
+    trace[:, 1:] = norms
     return trace
 
 
@@ -720,10 +765,12 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
     """Pathwise self-convergence: slope of log E||u_fine - u_dt||_L2 vs log dt.
 
     All levels replay the same Brownian path: coarse increments are sums of
-    the finest level's increments. Each level runs its paths as one batch.
-    Paths that blow up at any level are excluded and counted, and a level
-    runs only the paths that completed every finer one; more than 20%
-    exclusions is a diagnostic failure.
+    the finest level's increments. Every path of every level, the reference
+    included, steps in one ``simulate_path`` batch of mixed dt. Exclusions
+    are applied to the results afterwards, level by level from the finest:
+    a path that blows up at any level is excluded and counted, and its
+    errors at the levels it completed are dropped. More than 20% exclusions
+    is a diagnostic failure.
     """
     dts = sorted(float(d) for d in dt_levels)
     dt_fine = dts[0]
@@ -741,24 +788,30 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
     fine_incs = (np.stack([np.stack([sample_increment(seed, i, dt_fine, noise)
                                      for i in range(n_fine)]) for seed in seeds])
                  if noise_on else None)
-    monitors = MonitorSpec(collect_records=False)
-    refs = simulate_path([initial] * n_paths, StepConfig(dt=dt_fine, t_end=t_end), params,
-                         noise, seeds, grid, monitors, increments=fine_incs)
+    # rows level by level, the reference first: row level * n_paths + p is
+    # path p. The lockstep groups of a large study then hold rows of like
+    # length together.
+    cfgs = [StepConfig(dt=d, t_end=t_end) for d in dts for _ in range(n_paths)]
+    incs = None
+    if noise_on:
+        incs = list(fine_incs)
+        for r in ratios:
+            incs += [fine_incs[p, : (n_fine // r) * r].reshape(-1, r, noise.k_modes).sum(axis=1)
+                     for p in range(n_paths)]
+    runs = simulate_path([initial] * len(cfgs), cfgs, params, noise, seeds * len(dts), grid,
+                         MonitorSpec(collect_records=False), increments=incs)
+    refs = runs[:n_paths]
     # the paths still in the study, and their errors level by level
     kept = [p for p in range(n_paths) if refs[p].event.kind == "completed"]
     errs: dict[int, list[float]] = {p: [] for p in kept}
-    for r, d in zip(ratios, dts[1:]):
-        coarse = (np.stack([fine_incs[p, : (n_fine // r) * r].reshape(-1, r, noise.k_modes)
-                            .sum(axis=1) for p in kept]) if noise_on else None)
-        level = simulate_path([initial] * len(kept), StepConfig(dt=d, t_end=t_end), params,
-                              noise, [seeds[p] for p in kept], grid, monitors,
-                              increments=coarse)
-        for p, res in zip(kept, level):
-            if res.event.kind == "completed":
+    for level in range(1, len(dts)):
+        results = runs[level * n_paths: (level + 1) * n_paths]
+        for p in kept:
+            if results[p].event.kind == "completed":
                 diff = RealField.from_spectral(
-                    res.final_state.u.spectral - refs[p].final_state.u.spectral, grid)
+                    results[p].final_state.u.spectral - refs[p].final_state.u.spectral, grid)
                 errs[p].append(hs_norm(diff, 0, grid))
-        kept = [p for p, res in zip(kept, level) if res.event.kind == "completed"]
+        kept = [p for p in kept if results[p].event.kind == "completed"]
 
     used = len(kept)
     excluded = n_paths - used

@@ -19,6 +19,8 @@ from qns1d.cli import (
     EXIT_OK,
     BLOCK_KEYS,
     IC_KEYS,
+    INTEGERS,
+    NUMBERS,
     main,
     validate_config,
 )
@@ -152,6 +154,12 @@ class TestValidation:
             assert list(required) == spec.get("required", []), name
             assert set(required + optional) == set(spec["properties"]), name
             assert spec["additionalProperties"] is False, name
+        typed = {"integer": set(), "number": set()}
+        for spec in blocks.values():
+            for key, prop in spec["properties"].items():
+                if prop.get("type") in ("integer", "number"):
+                    typed[prop["type"]].add(key)
+        assert typed == {"integer": set(INTEGERS), "number": set(NUMBERS)}
 
     @pytest.mark.parametrize("dotted, value", [
         ("outputs", {"directory": "x"}),
@@ -197,6 +205,25 @@ class TestValidation:
         with pytest.raises(ConfigValidationError) as err:
             validate_config(cfg)
         assert [p for p in err.value.problems if p.startswith(dotted.split(".")[0] + ":")]
+        assert main(["simulate", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("ensemble.master_seed", 1.5), ("ensemble.n_paths", True),
+        ("grid.n_collocation", 64.9), ("ensemble.output_stride", 5.0),
+        ("model.gamma", "1.5"), ("model.alpha", False), ("integration.dt", "1e-3"),
+        ("model.initial_condition.rho0", True),
+    ])
+    def test_typed_fields_checked_not_coerced(self, tmp_path, monkeypatch, dotted, value):
+        # an integer field takes only a JSON integer, a number field no bool
+        # or string; converting would silently run another config
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        out = tmp_path / "should_not_exist"
+        cfg = base_config(str(out), **{dotted: value})
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(cfg)
+        assert [p for p in err.value.problems if p.startswith(dotted + ":")]
         assert main(["simulate", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG_ERROR
         assert not out.exists()
 

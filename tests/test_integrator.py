@@ -571,6 +571,64 @@ class TestPathBatch:
             simulate_path([st, st], cfg, params, NO_NOISE, [1], grid64)
         assert simulate_path([], cfg, params, NO_NOISE, [], grid64) == PathBatch()
 
+    @pytest.mark.parametrize("supplied", [False, True], ids=["sampled", "ragged-increments"])
+    def test_mixed_dt_batch_matches_single_runs(self, supplied):
+        # three dt values and two horizons in one batch: the 0.1 path stops
+        # at tau_R early, the coarse paths leave at their own last steps, and
+        # the finest path takes its last 50 steps alone
+        grid = TorusGrid(64, 21)
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=8.0)
+        cfgs = [StepConfig(dt=5e-4, t_end=0.05), StepConfig(dt=1e-3, t_end=0.05),
+                StepConfig(dt=2e-3, t_end=0.04), StepConfig(dt=1e-3, t_end=0.05)]
+        states = [shifted_harmonic(grid, a) for a in (0.05, 0.05, 0.02, 0.1)]
+        seeds = [derive_path_seed(12, p) for p in range(len(states))]
+        incs = ([np.array([sample_increment(seed, i, cfg.dt_effective, STRONG)
+                           for i in range(cfg.n_steps)]) for seed, cfg in zip(seeds, cfgs)]
+                if supplied else None)
+        monitors = MonitorSpec(stride=3, resolve_radius=4.0)
+        batch = simulate_path(states, cfgs, params, STRONG, seeds, grid, monitors,
+                              increments=incs)
+        for p, got in enumerate(batch):
+            # events, norm traces, records and final states, byte for byte
+            assert_same_path(got, simulate_path(states[p], cfgs[p], params, STRONG, seeds[p],
+                                                grid, monitors,
+                                                increments=None if incs is None else incs[p]))
+        assert [r.event.kind for r in batch] == ["completed"] * 3 + ["tau_R_hit"]
+        assert [r.n_steps_taken for r in batch[:3]] == [100, 50, 20]
+        assert batch[3].n_steps_taken < 20
+
+    def test_mixed_dts_give_each_row_its_own_factors(self, grid64):
+        # equal dts keep scalar factors; differing dts give per-row factors
+        # with the bits of each dt's scalar ones
+        stepper = _Stepper(grid64, small_setup(grid64)[0], StepConfig(dt=1e-3, t_end=1e-3),
+                           NO_NOISE)
+        names = ("dt", "hdt", "half_hdt2_k4", "neg_hdt_ihk3", "hdt_ik")
+        dts = [5e-4, 1e-3, 2e-3]
+        alone = []
+        for dt in dts:
+            stepper.use_dts([dt, dt])
+            assert np.ndim(stepper.dt) == np.ndim(stepper.hdt) == 0
+            alone.append([np.broadcast_to(getattr(stepper, name), grid64.n_half)
+                          for name in names])
+        stepper.use_dts(dts)
+        for j, name in enumerate(names):
+            rows = np.broadcast_to(getattr(stepper, name), (len(dts), grid64.n_half))
+            for p in range(len(dts)):
+                assert rows[p].tobytes() == alone[p][j].tobytes(), (name, p)
+
+    def test_batch_rejects_mixed_clamps_and_short_increments(self, grid64):
+        params, st = small_setup(grid64)
+        cfg = StepConfig(dt=1e-3, t_end=0.01)
+        noise = NoiseModel(base_amplitude=0.2)
+        with pytest.raises(ValueError):
+            simulate_path([st, st], [cfg, replace(cfg, blowup_clamp=10.0)], params, NO_NOISE,
+                          [1, 2], grid64)
+        with pytest.raises(ValueError):
+            simulate_path([st], [cfg, cfg], params, NO_NOISE, [1], grid64)
+        with pytest.raises(ValueError):
+            simulate_path([st], cfg, params, noise, [1], grid64,
+                          increments=[np.zeros((cfg.n_steps - 1, noise.k_modes))])
+
 
 class TestStrongConvergence:
     def test_deterministic_order_at_least_one(self):
@@ -592,9 +650,10 @@ class TestStrongConvergence:
                                         1, 0, 0.02)
         assert conv.n_paths_used == 1 and draws == []
 
-    def test_one_batch_per_level(self, monkeypatch):
-        # every path of a dt level steps in one simulate_path call, and the
-        # batches' step counts add up to each path's steps at every level
+    def test_one_batch_for_all_levels(self, monkeypatch):
+        # every path of every dt level, the reference included, steps in one
+        # simulate_path call, whose step count adds up each path's steps at
+        # every level
         calls = []
         original = integrator.simulate_path
 
@@ -611,7 +670,36 @@ class TestStrongConvergence:
         conv = strong_convergence_order(st, params, NoiseModel(base_amplitude=0.05), grid,
                                         dts, 3, 0, t_end)
         assert conv.n_paths_used == 3
-        assert calls == [(3, 3 * round(t_end / d)) for d in dts]
+        assert calls == [(3 * len(dts), 3 * sum(round(t_end / d) for d in dts))]
+
+    def test_exclusions_applied_level_by_level(self, monkeypatch):
+        # path 3 of master seed 28 reaches R = 9.82 at the dt = t_end/16
+        # level only. It leaves the study there: its errors at every level are
+        # dropped, though its coarser levels complete. The values are those of
+        # running each level only on the paths that completed every finer one.
+        events = []
+        original = integrator.simulate_path
+
+        def spied(*args, **kwargs):
+            result = original(*args, **kwargs)
+            events.extend((r.event.kind, r.n_steps_taken) for r in result)
+            return result
+
+        monkeypatch.setattr(integrator, "simulate_path", spied)
+        grid = TorusGrid(32, 10)
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=9.82)
+        st = small_setup(grid)[1]
+        t_end = 0.04
+        dts = [t_end / 32, t_end / 16, t_end / 8, t_end / 4]
+        conv = strong_convergence_order(st, params, STRONG, grid, dts, 5, 28, t_end)
+        stopped = [e for e in events if e[0] != "completed"]
+        assert len(stopped) == 1 and stopped[0][0] == "tau_R_hit" and stopped[0][1] < 16
+        assert (conv.n_paths_used, conv.n_excluded) == (4, 1)
+        assert conv.dts == (0.0025, 0.005, 0.01)
+        assert conv.errors == pytest.approx(
+            (0.0003484264034596372, 0.0009911693145650212, 0.002523720667953193),
+            rel=1e-12, abs=0.0)
+        assert conv.order == pytest.approx(1.4283131892319705, rel=1e-12, abs=0.0)
 
     def test_rejects_non_dyadic_levels(self):
         grid = TorusGrid(32, 10)

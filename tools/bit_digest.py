@@ -11,7 +11,8 @@ padded (32, 16) grid, with no, additive and multiplicative noise; the
 public ``step()`` below the cut-off radius; and ``strong_convergence_order``.
 Some paths end ``tau_R_hit`` and one ends ``numerical_blowup``; the sweep
 paths run with a resolve radius below R, as ``sweep-r`` does, one at a time
-and as one batch of eight, whose states are certified together. ``--cases``
+and as one batch of eight, whose states are certified together; and one
+batch mixes three dt levels, as ``strong_convergence_order`` does. ``--cases``
 also prints one digest per case, to find the case that moved.
 """
 
@@ -34,7 +35,7 @@ from qns1d.integrator import (
     strong_convergence_order,
 )
 from qns1d.model import ModelParams, State
-from qns1d.noise import NoiseModel, derive_path_seed
+from qns1d.noise import NoiseModel, derive_path_seed, sample_increment
 from qns1d.spectral import RealField, TorusGrid, project
 
 GRIDS = {"n32": TorusGrid(32, 10), "n64": TorusGrid(64, 21), "n256": TorusGrid(256, 85),
@@ -110,6 +111,25 @@ def sweep_batch_case(d: Digest) -> None:
         add_result(d, res, (4.0, 6.0, 8.0))
 
 
+def mixed_dt_batch_case(d: Digest) -> None:
+    """Four paths of three dt levels and two horizons in one simulate_path
+    call on the padded grid, with ragged supplied increments: the coarse
+    paths leave at their own last steps, one path leaves at tau_R early, and
+    the finest path steps its tail alone."""
+    g = GRIDS["padded"]
+    params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=8.0)
+    model = NOISE["strong"]
+    cfgs = [StepConfig(dt=dt, t_end=t_end)
+            for dt, t_end in ((5e-4, 0.05), (1e-3, 0.05), (2e-3, 0.04), (1e-3, 0.05))]
+    seeds = [derive_path_seed(20240501, index) for index in range(len(cfgs))]
+    incs = [np.array([sample_increment(seed, i, cfg.dt_effective, model)
+                      for i in range(cfg.n_steps)]) for seed, cfg in zip(seeds, cfgs)]
+    batch = simulate_path([harmonic(g, a) for a in (0.05, 0.05, 0.02, 0.1)], cfgs, params,
+                          model, seeds, g, MonitorSpec(stride=3), increments=incs)
+    for res in batch:
+        add_result(d, res, ())
+
+
 def cases() -> dict[str, Callable[[Digest], None]]:
     out = {
         "n32_none": lambda d: path_case(d, "n32", "none", 0, 1e-3, 0.05),
@@ -148,6 +168,7 @@ def cases() -> dict[str, Callable[[Digest], None]]:
             d, "n64", "strong", s, 5e-4, 0.2, radius=8.0, stride=None, resolve=4.0,
             radii=(4.0, 6.0, 8.0)))
     out["sweep_batch"] = sweep_batch_case
+    out["mixed_dt_batch"] = mixed_dt_batch_case
     out["step_n64"] = lambda d: step_case(d, "n64")
     out["step_padded"] = lambda d: step_case(d, "padded")
     for noise in ("none", "additive", "multiplicative"):
