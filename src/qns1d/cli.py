@@ -2,8 +2,8 @@
 
 Configs are JSON with one block per module (grid, model, noise, integration,
 ensemble, output); docs/config.schema.json documents every field, validation
-rejects any other and any boolean, integer or number field of another JSON
-type, and all violations go into one report before any computation starts.
+rejects any other and any field or array item of another JSON type, and all
+violations go into one report before any computation starts.
 Run artifacts (config snapshot, seed manifest, summary, per-path monitor
 CSVs) land in one run directory and are sufficient to replay any path
 bit-identically: ``replay`` runs the path through ``ensemble.run_path``, the
@@ -64,6 +64,12 @@ INTEGERS = ("n_collocation", "m_modes", "monitor_order", "k_modes", "n_paths", "
             "output_stride")
 NUMBERS = ("gamma", "alpha", "cutoff_radius", "rho0", "eps", "velocity_eps", "random_amplitude",
            "base_amplitude", "amplitude_decay", "dt", "t_end", "blowup_clamp")
+# the kind of each typed field, and of each array field's items (EnsembleConfig
+# checks the moment orders' range)
+KINDS = {**dict.fromkeys(FLAGS, "flag"), **dict.fromkeys(INTEGERS, "integer"),
+         **dict.fromkeys(NUMBERS, "number")}
+ITEM_KINDS = {"modes": "integer", "velocity_modes": "integer", "r_sweep": "number",
+              "moment_orders": "integer"}
 
 
 class ConfigValidationError(ValueError):
@@ -99,13 +105,14 @@ def load_config(path: str | Path) -> dict:
             [f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"])
 
 
-def _type_problem(key: str, value: object) -> str | None:
-    """What a field's JSON value should have been, where its type is wrong."""
-    if key in FLAGS and not isinstance(value, bool):
+def _type_problem(kind: str | None, value: object) -> str | None:
+    """What a JSON value of a kind of field should have been, where its type is wrong."""
+    integer = isinstance(value, int) and not isinstance(value, bool)
+    if kind == "flag" and not isinstance(value, bool):
         return "must be true or false"
-    if key in INTEGERS and (isinstance(value, bool) or not isinstance(value, int)):
+    if kind == "integer" and not integer:
         return "must be an integer"
-    if key in NUMBERS and (isinstance(value, bool) or not isinstance(value, (int, float))):
+    if kind == "number" and not (integer or isinstance(value, float)):
         return "must be a number"
     return None
 
@@ -116,8 +123,8 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     problems = [f"{name}: unknown block" for name in raw if name not in BLOCK_KEYS]
 
     def complete(where: str, block: dict, required: tuple, optional: tuple) -> bool:
-        """Report the block's missing and unknown keys and its flags, integers
-        and numbers of another JSON type; True if no key is missing or
+        """Report the block's missing and unknown keys and its fields and
+        array items of another JSON type; True if no key is missing or
         mistyped."""
         missing = [key for key in required if key not in block]
         problems.extend(f"{where}.{key}: required" for key in missing)
@@ -125,9 +132,15 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         for key, value in block.items():
             if key not in required + optional:
                 problems.append(f"{where}.{key}: unknown key")
-            elif (expected := _type_problem(key, value)) is not None:
-                problems.append(f"{where}.{key}: {expected}, got {value!r}")
-                ok = False
+                continue
+            parts = ([(f"[{j}]", ITEM_KINDS[key], item) for j, item in enumerate(value)]
+                     if key in ITEM_KINDS and isinstance(value, list)
+                     else [("", KINDS.get(key), value)])
+            mistyped = [f"{where}.{key}{part}: {expected}, got {item!r}"
+                        for part, kind, item in parts
+                        if (expected := _type_problem(kind, item)) is not None]
+            problems.extend(mistyped)
+            ok = ok and not mistyped
         return ok
 
     def block(name: str) -> dict | None:

@@ -6,14 +6,15 @@ coefficients (powers and exponentials of rho), so quadrature on the bare
 collocation grid would alias.
 
 ``compute_record`` is the only code that evaluates the monitored
-functionals. It resamples [psi, u] onto the QUAD_OVERSAMPLE grid in one
-stacked transform and takes every first derivative in one stacked ``ddx``:
-psi', u', (rho^((gamma+alpha-1)/2))' and (rho^(alpha/2))' (unused for
-alpha = 0). One more ``ddx`` takes the one second derivative,
-(rho^(alpha/2))'' or, for alpha = 0, psi''. The 8x resample of psi for
-min rho makes six transforms per record. numpy transforms each row of a
-stack exactly as it transforms that row alone, so the stacking changes no
-bit of a record.
+functionals, on one State or on P States in one stacked pass. It resamples
+[psi, u] onto the QUAD_OVERSAMPLE grid in one stacked transform and takes
+every first derivative in one stacked ``ddx``: psi', u',
+(rho^((gamma+alpha-1)/2))' and (rho^(alpha/2))' (unused for alpha = 0). One
+more ``ddx`` takes the one second derivative, (rho^(alpha/2))'' or, for
+alpha = 0, psi''. The 8x resample of psi for min rho makes six transforms
+per pass. numpy's transforms, and its means, sums and mins along the last,
+contiguous axis, treat each row of a stack as they treat that row alone, so
+the stacking changes no bit of a record.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ IDENTITY_OVERSAMPLE = 4
 BETA = 1.0
 
 
-def _quad(values: np.ndarray) -> float:
-    return float(np.mean(values))
+def _quad(values: np.ndarray) -> float | np.ndarray:
+    """Grid mean along the last axis: a float for one field, one per row for a stack."""
+    means = np.mean(values, axis=-1)
+    return float(means) if means.ndim == 0 else means
 
 
 @dataclass(frozen=True)
@@ -157,17 +160,22 @@ def _energy_density(rho: np.ndarray, v: np.ndarray, psi: np.ndarray,
             + 0.25 * dpsi**2 * rho)
 
 
-def compute_record(state: State, params: ModelParams, grid: TorusGrid,
-                   w2inf_psi: float | None = None,
-                   w2inf_u: float | None = None) -> MonitorRecord:
-    """Evaluate every monitored functional on one state.
+def compute_record(states: State | Sequence[State], params: ModelParams, grid: TorusGrid,
+                   w2inf_psi: float | Sequence[float] | None = None,
+                   w2inf_u: float | Sequence[float] | None = None,
+                   ) -> MonitorRecord | list[MonitorRecord]:
+    """Evaluate every monitored functional on one state, or on a sequence of
+    states in one stacked pass that gives each its own record's bits.
 
-    The W^{2,inf} norms are the caller's when both are given, else both are
-    taken here in one stacked transform.
+    The W^{2,inf} norms, one value per state, are the caller's when both are
+    given, else both are taken here in one stacked transform.
     """
+    given = w2inf_psi is not None and w2inf_u is not None
+    if one := isinstance(states, State):
+        states, w2inf_psi, w2inf_u = [states], [w2inf_psi], [w2inf_u]
     gamma, alpha = params.gamma, params.alpha
     s = params.monitor_order
-    spec = np.stack((state.psi.spectral, state.u.spectral))
+    spec = np.array([[st.psi.spectral for st in states], [st.u.spectral for st in states]])
     psi, u = to_physical(spec, QUAD_OVERSAMPLE * grid.n_collocation)
     rho = np.exp(psi)
     half = rho ** (0.5 * alpha)
@@ -175,28 +183,25 @@ def compute_record(state: State, params: ModelParams, grid: TorusGrid,
         np.stack((psi, u, rho ** (0.5 * (gamma + alpha - 1.0)), half)), 1)
     if alpha == 0.0:
         second_order = 0.5 * _quad(ddx(psi, 2) ** 2)
-        quartic = 0.0
+        quartic = np.zeros(len(states))
     else:
         second_order = 4.0 / alpha**2 * _quad(ddx(half, 2) ** 2)
         quartic = (4.0 * (4.0 - 3.0 * alpha) / (3.0 * alpha**3)
                    * _quad(rho ** (-alpha) * d_half ** 4))
     v = u + np.exp((alpha - 1.0) * psi) * dpsi
-    rho_min = float(np.exp(np.min(resample(state.psi, grid, 8 * grid.n_collocation))))
-    if w2inf_psi is None or w2inf_u is None:
+    rho_min = np.exp(np.min(to_physical(spec[0], 8 * grid.n_collocation), axis=-1))
+    if not given:
         w2inf_psi, w2inf_u = w2inf_norm(spec, grid)
-    return MonitorRecord(
-        time=state.time,
-        mass=_quad(rho),
-        energy=_quad(_energy_density(rho, u, psi, dpsi, gamma)),
-        energy_dissipation_rate=_quad(np.exp(alpha * psi) * du**2),
-        bd_entropy=_quad(_energy_density(rho, v, psi, dpsi, gamma)),
-        bd_terms=(4.0 * gamma / (gamma + alpha - 1.0) ** 2 * _quad(d_pressure**2),
-                  second_order, quartic),
-        min_rho=rho_min,
-        inv_rho_beta_norm=rho_min ** (-BETA),
-        hs_norms=(hs_norm(state.psi, s + 1, grid), hs_norm(state.u, s, grid)),
-        w2inf_norms=(w2inf_psi, w2inf_u),
-    )
+    cols = (
+        _quad(rho), _quad(_energy_density(rho, u, psi, dpsi, gamma)),
+        _quad(np.exp(alpha * psi) * du**2), _quad(_energy_density(rho, v, psi, dpsi, gamma)),
+        4.0 * gamma / (gamma + alpha - 1.0) ** 2 * _quad(d_pressure**2), second_order, quartic,
+        rho_min, hs_norm(spec[0], s + 1, grid), hs_norm(spec[1], s, grid))
+    records = [MonitorRecord(st.time, mass, energy, rate, bd, (pressure, second, quart), low,
+                             low ** (-BETA), (hs_psi, hs_u), (w_psi, w_u))
+               for st, (mass, energy, rate, bd, pressure, second, quart, low, hs_psi, hs_u),
+               w_psi, w_u in zip(states, zip(*(c.tolist() for c in cols)), w2inf_psi, w2inf_u)]
+    return records[0] if one else records
 
 
 @dataclass(frozen=True)

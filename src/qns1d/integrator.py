@@ -18,14 +18,14 @@ check ends the path as a blow-up.
 Transforms run over stacked rows, a few calls per step rather than one per
 field. A state costs one: an inverse of [psi, u, psi', u', u'', psi''] on
 the collocation grid, whose first two rows the state check reads and whose
-samples the monitor record and the step reuse. A state whose exact norms are
-read adds one oversampled inverse of derivative orders 0..2 of psi and u for
-both W^{2,inf} norms. A step costs three: one forward transform of the seven
-explicit-term rows (three dealiased products, four band projections), and
-one inverse and one forward for the corrector's transport. A grid too coarse
-for alias-free products adds one inverse for the product factors and one
-forward. numpy transforms each row of a stack exactly as it transforms that
-row alone, so stacking changes no bit of the result.
+samples the monitor record and the step reuse. The states whose exact norms
+are read add one oversampled inverse of derivative orders 0..2 of psi and u
+for all their W^{2,inf} norms. A step costs three: one forward transform of
+the seven explicit-term rows (three dealiased products, four band
+projections), and one inverse and one forward for the corrector's transport.
+A grid too coarse for alias-free products adds one inverse for the product
+factors and one forward. numpy transforms each row of a stack exactly as it
+transforms that row alone, so stacking changes no bit of the result.
 
 The cut-off phi_R acts only through the corrector's transport factor
 phi(|u_pred|). ``simulate_path`` stops at the first checked state whose
@@ -60,8 +60,9 @@ and row-wise transforms do not mix paths; the forcing and the Wiener bounds
 are stacks of the products one path would form, which numpy hands to the
 same BLAS routine path by path (one matrix product over all paths would
 round differently); reductions run per path; nu_bar, the predictor's phi,
-the state check, the exact norms, the increments and the records are taken
-per path. A path that stops leaves the stepped rows, and the others go on.
+the state check and the increments are taken per path, while a step's exact
+norms take one stacked transform and its records one ``compute_record``
+pass. A path that stops leaves the stepped rows, and the others go on.
 
 The paths of a batch may differ in dt and in their number of steps, so every
 dt level of a refinement study steps in one batch. Where the stepped rows'
@@ -295,18 +296,19 @@ class _Stepper:
         and ``below`` has one threshold per state. A state whose bounds all
         stay at or below its threshold, less the relative slack
         ``_BOUND_SLACK`` and never above ``finite_floor``, gets its bounds;
-        any other state, and always one at -inf, gets the exact norms from
-        its own oversampled transform, which is bound by arithmetic and so is
-        not stacked across states. Returns each state's F values in order.
+        the other states, and always those at -inf, get their exact norms,
+        all from one oversampled transform. Returns each state's F values in
+        order.
         """
         # a stack of matrix products: each state's bounds have the bits of
         # wiener @ |rows[:, p]|.T alone
         bounds = np.matmul(self.wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2)
         norms = bounds.tolist()
-        for p, limit in enumerate(below):
-            floor = min(limit / (1.0 + _BOUND_SLACK), self.finite_floor)
-            if not all(b <= floor for b in norms[p]):
-                norms[p] = w2inf_norm(rows[:, p], self.grid)
+        floors = [min(limit / (1.0 + _BOUND_SLACK), self.finite_floor) for limit in below]
+        exact = [p for p, floor in enumerate(floors) if not all(b <= floor for b in norms[p])]
+        if exact:
+            for p, pair in zip(exact, w2inf_norm(rows[:, exact].swapaxes(0, 1), self.grid)):
+                norms[p] = pair
         return norms
 
     def predictor_phi(self, u_spec: np.ndarray) -> float | np.ndarray:
@@ -439,9 +441,9 @@ class _Stepper:
 
         Returns each state's W^{2,inf} norms [psi, u], or None where the
         state fails the check, and why it fails: non-finite samples, |psi|
-        beyond the clamp, or a non-finite norm. The norms are the
-        ``certified_norms`` of [psi, u] with the state's threshold in
-        ``below``, where -inf takes the exact norms.
+        beyond the clamp, or a non-finite norm. The norms of the states that
+        pass come from one ``certified_norms`` call, each state with its
+        threshold in ``below``, where -inf takes the exact norms.
         """
         # the sup of |.| is NaN or inf exactly when a sample is not finite
         peaks = np.abs(samples[:2]).max(axis=-1).T.tolist()
@@ -620,8 +622,9 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
     Row r of the stepped arrays is path ``active[r]``. Each row gets its own
     dt, state check, record, stopping test, increment and predictor phi, and
     its own last state at its own step count: paths of different dt and
-    t_end leave the stepped rows at their own last steps. ``increments`` has
-    one (n_steps, k_modes) array per path, or is None. The stepper's
+    t_end leave the stepped rows at their own last steps. A checked state's
+    recorded rows take one ``functionals.compute_record`` call. ``increments``
+    has one (n_steps, k_modes) array per path, or is None. The stepper's
     (k, dt)-only factors are rebuilt whenever the stepped rows change.
     """
     radius = stepper.radius
@@ -653,16 +656,23 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
         below = [-math.inf if strided or last or w >= resolve else resolve
                  for w, last in zip(worst, lasts)]
         norms, failures = stepper.check_states(spec, samples, below)
+        times = [t0[p] + i * dts[p] if i else t0[p] for p in active]
+        rec_rows = ([row for row, last in enumerate(lasts)
+                     if norms[row] is not None and (strided or last)]
+                    if monitors.collect_records else [])
+        if rec_rows:
+            # one stacked pass through the module attribute, which a tracer may wrap
+            new = functionals.compute_record(
+                [_sampled_state(spec[:, r], samples[:, r], times[r]) for r in rec_rows],
+                stepper.params, stepper.grid, w2inf_psi=[norms[r][0] for r in rec_rows],
+                w2inf_u=[norms[r][1] for r in rec_rows])
+            for row, record in zip(rec_rows, new):
+                records[active[row]].append(record)
         going, worst = [], []
-        for row, (p, last) in enumerate(zip(active, lasts)):
-            t = t0[p] + i * dts[p] if i else t0[p]
+        for row, (p, last, t) in enumerate(zip(active, lasts, times)):
             pair = norms[row]
             if pair is not None:
                 norm_rows[p][i] = pair
-                if strided or (last and monitors.collect_records):
-                    records[p].append(functionals.compute_record(
-                        _sampled_state(spec[:, row], samples[:, row], t), stepper.params,
-                        stepper.grid, w2inf_psi=pair[0], w2inf_u=pair[1]))
                 top = max(pair)
                 if top < radius and not last:
                     going.append(row)
@@ -808,9 +818,8 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
         results = runs[level * n_paths: (level + 1) * n_paths]
         for p in kept:
             if results[p].event.kind == "completed":
-                diff = RealField.from_spectral(
-                    results[p].final_state.u.spectral - refs[p].final_state.u.spectral, grid)
-                errs[p].append(hs_norm(diff, 0, grid))
+                errs[p].append(hs_norm(results[p].final_state.u.spectral
+                                       - refs[p].final_state.u.spectral, 0, grid))
         kept = [p for p in kept if results[p].event.kind == "completed"]
 
     used = len(kept)

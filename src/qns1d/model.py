@@ -91,11 +91,11 @@ def cutoff_phi(y: float, radius: float) -> float:
 def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float | list[float]:
     """max over derivative orders 0..2 of the sup of |d^j f/dx^j|.
 
-    ``spec`` is the mean-normalized half-spectrum of f, or a stack of them
-    (one field per row), in which case the norms come back as a list in row
-    order. Sup norms are taken on a W2INF_OVERSAMPLE-times finer grid
-    (spectral interpolation); the plain grid undersamples peaks of high
-    modes. All fields and orders share one inverse transform.
+    ``spec`` is the mean-normalized half-spectrum of f, or a stack of them,
+    (F, n_half) or (P, F, n_half), whose norms come back as (nested) lists.
+    Sup norms are taken on a W2INF_OVERSAMPLE-times finer grid (spectral
+    interpolation); the plain grid undersamples peaks of high modes. All
+    rows and orders share one inverse transform, which changes no row's bits.
     """
     spec = np.asarray(spec)
     derivs = np.empty(spec.shape[:-1] + (3, spec.shape[-1]), dtype=complex)
@@ -103,9 +103,10 @@ def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float | list[float]:
     for order in (1, 2):
         derivs[..., order, :] = spec * (1j * grid.k_half) ** order
     fine = to_physical(derivs, W2INF_OVERSAMPLE * grid.n_collocation)
+    np.abs(fine, out=fine)
     # np.max propagates a NaN order, so a state whose derivatives overflow
     # has a non-finite norm
-    norms = np.max(np.abs(fine), axis=(-2, -1))
+    norms = np.max(fine, axis=(-2, -1))
     return norms.tolist() if spec.ndim > 1 else float(norms)
 
 

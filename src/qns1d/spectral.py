@@ -155,8 +155,10 @@ def _mode_multiplicity(grid: TorusGrid) -> np.ndarray:
     return mult
 
 
-def hs_norm(field: RealField, s: float, grid: TorusGrid) -> float:
-    """Sobolev H^s norm, diagonal in the Fourier basis: (sum (1+k^2)^s |f_j|^2)^1/2."""
-    c2 = np.abs(field.spectral) ** 2
+def hs_norm(field: RealField | np.ndarray, s: float, grid: TorusGrid) -> float | np.ndarray:
+    """Sobolev H^s norm, diagonal in the Fourier basis: (sum (1+k^2)^s |f_j|^2)^1/2;
+    a stack of half-spectra gives one norm per row, summed along the last axis."""
+    c2 = np.abs(field.spectral if isinstance(field, RealField) else field) ** 2
     w = (1.0 + grid.k_half**2) ** s
-    return float(np.sqrt(np.sum(_mode_multiplicity(grid) * w * c2)))
+    norms = np.sqrt(np.sum(_mode_multiplicity(grid) * w * c2, axis=-1))
+    return float(norms) if norms.ndim == 0 else norms

@@ -227,6 +227,37 @@ class TestValidation:
         assert main(["simulate", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG_ERROR
         assert not out.exists()
 
+    @pytest.mark.parametrize("dotted, value, problem", [
+        ("model.initial_condition.modes", [1.7],
+         "model.initial_condition.modes[0]: must be an integer, got 1.7"),
+        ("model.initial_condition.velocity_modes", [1, "2"],
+         "model.initial_condition.velocity_modes[1]: must be an integer, got '2'"),
+        ("ensemble.r_sweep", ["6", 9.0, 100.0], "ensemble.r_sweep[0]: must be a number, got '6'"),
+        ("ensemble.r_sweep", [6.0, True], "ensemble.r_sweep[1]: must be a number, got True"),
+        ("ensemble.moment_orders", [True, 2],
+         "ensemble.moment_orders[0]: must be an integer, got True"),
+        ("ensemble.moment_orders", [1, 2.0],
+         "ensemble.moment_orders[1]: must be an integer, got 2.0"),
+    ], ids=["modes_fraction", "velocity_modes_string", "r_sweep_string", "r_sweep_bool",
+            "moment_orders_bool", "moment_orders_float"])
+    def test_array_items_checked_not_coerced(self, tmp_path, monkeypatch, dotted, value,
+                                             problem):
+        # each item of an array field is checked against the schema's item
+        # type; converting it would silently run another config
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        out = tmp_path / "should_not_exist"
+        cfg = base_config(str(out), **{dotted: value})
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(cfg)
+        assert problem in err.value.problems
+        assert main(["simulate", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    def test_numeric_array_items_accepted(self, tmp_path):
+        cfg = base_config(str(tmp_path), **{"ensemble.r_sweep": [6, 9.0, 100],
+                                           "model.initial_condition.modes": [1, 2]})
+        assert validate_config(cfg).ensemble.r_sweep == (6.0, 9.0, 100.0)
+
 
 class TestSimulate:
     def test_constant_state_constant_monitors(self, tmp_path, monkeypatch):

@@ -364,6 +364,25 @@ class TestRecordsAndVacuum:
         compute_record(st, params, grid64)
         assert len(calls) == 7
 
+    @pytest.mark.parametrize("given", [False, True], ids=["own_norms", "caller_norms"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.4])
+    @pytest.mark.parametrize("n, m", [(64, 21), (256, 85), (48, 16)])
+    def test_sequence_gives_each_state_its_own_record(self, rng, n, m, alpha, given):
+        # a sequence of States is one stacked pass, and each of its records
+        # has the bits of its State's record alone
+        grid = TorusGrid(n, m)
+        params = ModelParams(gamma=1.5, alpha=alpha)
+        states = [State(band_limited(grid, rng, amplitude=0.1 * (p + 1), max_mode=6),
+                        band_limited(grid, rng, amplitude=0.1 * (p + 1), max_mode=6), 0.01 * p)
+                  for p in range(6)]
+        norms = ({"w2inf_psi": rng.uniform(0.0, 10.0, 6).tolist(),
+                  "w2inf_u": rng.uniform(0.0, 10.0, 6).tolist()} if given else {})
+        got = compute_record(states, params, grid, **norms)
+        alone = [compute_record(st, params, grid, **{k: v[p] for k, v in norms.items()})
+                 for p, st in enumerate(states)]
+        assert isinstance(got, list)
+        assert [r.to_row() for r in got] == [r.to_row() for r in alone]
+
     def test_vacuum_statistics_constant_path(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5)
         st = make_state(grid64, np.full(64, np.log(2.0)), np.zeros(64))

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qns1d import integrator
+from qns1d import functionals, integrator
 from qns1d.functionals import compute_record
 from qns1d.integrator import (
     IntegratorConfigError,
@@ -335,8 +335,9 @@ class TestStackedKernels:
         # sup-norm being certified away too. The last state adds the
         # oversampled inverse of its exact norms; so does each recorded state
         # before it, whose record takes compute_record's six transforms. A
-        # batch shares the per-state and per-step transforms; only the exact
-        # norms and the records are taken per path.
+        # batch shares every transform: the exact norms of its paths' states
+        # take one oversampled inverse, and their records one compute_record
+        # pass, so P paths make the transforms of one.
         params, st = small_setup(grid64)
         calls = []
         for name in ("rfft", "irfft"):
@@ -361,7 +362,38 @@ class TestStackedKernels:
         n_records = len(results[0].records)
         assert n_records == (0 if stride is None else 5)
         per_path = 1 + max(n_records - 1, 0) + 6 * n_records
-        assert len(calls) == 4 * cfg.n_steps + 1 + len(results) * per_path
+        assert len(calls) == 4 * cfg.n_steps + 1 + per_path
+
+    def test_one_record_pass_per_recorded_step(self, grid64, monkeypatch):
+        # the recorded states of a batch take one compute_record call per
+        # recorded step, and each path keeps the records it has alone; a run
+        # without records makes no call
+        params, st = small_setup(grid64)
+        cfg = StepConfig(dt=1e-3, t_end=0.012)
+        noise = NoiseModel(base_amplitude=0.2)
+        seeds = list(range(8))
+        initials = [make_state(grid64, a * np.cos(2 * np.pi * grid64.x),
+                               a * np.sin(2 * np.pi * grid64.x))
+                    for a in np.linspace(0.05, 0.4, 8)]
+        alone = [simulate_path(s0, cfg, params, noise, seed, grid64, MonitorSpec(stride=3))
+                 for s0, seed in zip(initials, seeds)]
+        calls = []
+        original = functionals.compute_record
+
+        def counted(states, *args, **kwargs):
+            calls.append(1 if isinstance(states, State) else len(states))
+            return original(states, *args, **kwargs)
+
+        monkeypatch.setattr(functionals, "compute_record", counted)
+        batch = simulate_path(initials, cfg, params, noise, seeds, grid64, MonitorSpec(stride=3))
+        # steps 0, 3, 6, 9 and the last, 12
+        assert calls == [8] * 5
+        for got, want in zip(batch, alone):
+            assert_same_path(got, want)
+        calls.clear()
+        simulate_path(initials, cfg, params, noise, seeds, grid64,
+                      MonitorSpec(collect_records=False))
+        assert calls == []
 
     def test_step_replays_path_on_padded_grid(self):
         # m = n/2 puts the products on a padded grid; the public step() and
@@ -395,9 +427,10 @@ class TestStackedKernels:
 
 
 class TestCertifiedNorms:
-    def test_mixed_thresholds_in_one_call(self, grid64):
+    def test_mixed_thresholds_in_one_call(self, grid64, monkeypatch):
         # per state: its Wiener bounds where both stay below its threshold,
-        # and otherwise the exact norms, whatever the other states get
+        # and otherwise the exact norms, whatever the other states get; the
+        # states that take exact norms share one oversampled transform
         stepper = _Stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=500.0),
                            StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
         rng = np.random.default_rng(3)
@@ -418,8 +451,16 @@ class TestCertifiedNorms:
                  -math.inf,  # always exact
                  max(alone[3]) * (1.0 + 1e-12),  # within the slack: exact
                  math.inf]  # above finite_floor: exact
+        calls = []
+
+        def counted(spec, grid):
+            calls.append(np.shape(spec))
+            return w2inf_norm(spec, grid)
+
+        monkeypatch.setattr(integrator, "w2inf_norm", counted)
         with np.errstate(over="ignore", invalid="ignore"):
             got = stepper.certified_norms(rows, below)
+        assert calls == [(4, 2, grid64.n_half)]
         assert got[0] == alone[0] and got[0] != exact[0]
         for p in (1, 2, 3, 4):
             assert np.array_equal(got[p], exact[p], equal_nan=True), p

@@ -12,8 +12,11 @@ public ``step()`` below the cut-off radius; and ``strong_convergence_order``.
 Some paths end ``tau_R_hit`` and one ends ``numerical_blowup``; the sweep
 paths run with a resolve radius below R, as ``sweep-r`` does, one at a time
 and as one batch of eight, whose states are certified together; and one
-batch mixes three dt levels, as ``strong_convergence_order`` does. ``--cases``
-also prints one digest per case, to find the case that moved.
+batch mixes three dt levels, as ``strong_convergence_order`` does. Every
+case runs alpha = 0.5 except two recorded batches at alpha = 0 and 1: the
+records of alpha = 0 take psi'' for their second-order slot and a zero
+quartic slot. ``--cases`` also prints one digest per case, to find the case
+that moved.
 """
 
 from __future__ import annotations
@@ -130,6 +133,19 @@ def mixed_dt_batch_case(d: Digest) -> None:
         add_result(d, res, ())
 
 
+def alpha_batch_case(d: Digest, alpha: float) -> None:
+    """Five recorded paths at viscosity exponent alpha in one simulate_path
+    call, their records taken together at every fourth step and the last."""
+    g = GRIDS["n64"]
+    params = ModelParams(gamma=1.5, alpha=alpha, cutoff_radius=8.0)
+    seeds = [derive_path_seed(2024, index) for index in range(5)]
+    batch = simulate_path([harmonic(g, 0.025 * (p + 1)) for p in range(5)],
+                          StepConfig(dt=5e-4, t_end=0.05), params, NOISE["strong"], seeds, g,
+                          MonitorSpec(stride=4, resolve_radius=4.0))
+    for res in batch:
+        add_result(d, res, (4.0, 6.0, 8.0))
+
+
 def cases() -> dict[str, Callable[[Digest], None]]:
     out = {
         "n32_none": lambda d: path_case(d, "n32", "none", 0, 1e-3, 0.05),
@@ -169,6 +185,8 @@ def cases() -> dict[str, Callable[[Digest], None]]:
             radii=(4.0, 6.0, 8.0)))
     out["sweep_batch"] = sweep_batch_case
     out["mixed_dt_batch"] = mixed_dt_batch_case
+    for alpha in (0.0, 1.0):
+        out[f"records_alpha{alpha:g}"] = lambda d, a=alpha: alpha_batch_case(d, a)
     out["step_n64"] = lambda d: step_case(d, "n64")
     out["step_padded"] = lambda d: step_case(d, "padded")
     for noise in ("none", "additive", "multiplicative"):
