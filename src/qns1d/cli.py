@@ -1,9 +1,12 @@
 """Batch command-line interface: simulate, verify, sweep-r, replay.
 
 Configs are JSON with one block per module (grid, model, noise, integration,
-ensemble, output); docs/config.schema.json documents every field, validation
-rejects any other and any field or array item of another JSON type, and all
-violations go into one report before any computation starts.
+ensemble, output). The package ships their JSON schema as
+config.schema.json, and validation interprets that schema: it documents
+every field and supplies every default, any other key and any value the
+schema rejects is reported, and so are the rules it cannot state (such as eps
+against rho0). All violations go into one report before any computation
+starts.
 Run artifacts (config snapshot, seed manifest, summary, per-path monitor
 CSVs) land in one run directory and are sufficient to replay any path
 bit-identically: ``replay`` runs the path through ``ensemble.run_path``, the
@@ -18,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import operator
 import os
 import sys
 import time
@@ -43,33 +47,8 @@ EXIT_VERIFY_FAILED = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_BLOWUP_DOMINATED = 3
 
-IC_KINDS = ("constant", "harmonic_perturbation", "file")
-
-# each block's (required, optional) keys, as docs/config.schema.json lists them
-BLOCK_KEYS = {
-    "grid": (("n_collocation", "m_modes"), ("dealias",)),
-    "model": (("gamma", "alpha", "initial_condition"),
-              ("cutoff_radius", "monitor_order", "enable_cutoff")),
-    "noise": ((), ("k_modes", "base_amplitude", "amplitude_decay", "shape")),
-    "integration": (("dt", "t_end"), ("scheme", "blowup_clamp")),
-    "ensemble": (("n_paths", "master_seed"), ("moment_orders", "r_sweep", "output_stride")),
-    "output": (("directory",), ("per_path_csv",)),
-}
-IC_KEYS = (("kind",), ("rho0", "eps", "modes", "velocity_eps", "velocity_modes",
-                       "random_amplitude", "path"))
-FLAGS = ("dealias", "enable_cutoff", "per_path_csv")  # JSON booleans only
-# the schema's "integer" and "number" fields: a bool, a string or (for an
-# integer) a fraction is reported, not converted
-INTEGERS = ("n_collocation", "m_modes", "monitor_order", "k_modes", "n_paths", "master_seed",
-            "output_stride")
-NUMBERS = ("gamma", "alpha", "cutoff_radius", "rho0", "eps", "velocity_eps", "random_amplitude",
-           "base_amplitude", "amplitude_decay", "dt", "t_end", "blowup_clamp")
-# the kind of each typed field, and of each array field's items (EnsembleConfig
-# checks the moment orders' range)
-KINDS = {**dict.fromkeys(FLAGS, "flag"), **dict.fromkeys(INTEGERS, "integer"),
-         **dict.fromkeys(NUMBERS, "number")}
-ITEM_KINDS = {"modes": "integer", "velocity_modes": "integer", "r_sweep": "number",
-              "moment_orders": "integer"}
+CONFIG_SCHEMA = json.loads(
+    Path(__file__).with_name("config.schema.json").read_text(encoding="utf-8"))
 
 
 class ConfigValidationError(ValueError):
@@ -96,64 +75,83 @@ class RunConfig:
 
 def load_config(path: str | Path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigValidationError([f"config file not found: {path}"])
     except json.JSONDecodeError as exc:
         raise ConfigValidationError(
             [f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"])
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigValidationError([f"cannot read config {path}: {exc}"])
 
 
-def _type_problem(kind: str | None, value: object) -> str | None:
-    """What a JSON value of a kind of field should have been, where its type is wrong."""
-    integer = isinstance(value, int) and not isinstance(value, bool)
-    if kind == "flag" and not isinstance(value, bool):
-        return "must be true or false"
-    if kind == "integer" and not integer:
-        return "must be an integer"
-    if kind == "number" and not (integer or isinstance(value, float)):
-        return "must be a number"
-    return None
+# each JSON type: the Python types json.load reads it as, and its name in a report
+_JSON_TYPES = {"object": (dict, "an object"), "array": (list, "an array"),
+               "string": (str, "a string"), "boolean": (bool, "true or false"),
+               "integer": (int, "an integer"), "number": ((int, float), "a number"),
+               "null": (type(None), "null")}
+_BOUNDS = (("minimum", ">=", operator.ge), ("exclusiveMinimum", ">", operator.gt),
+           ("maximum", "<=", operator.le))
+
+
+def _has_type(value: object, json_type: str) -> bool:
+    """Whether a value that ``json.load`` returned has a JSON Schema type.
+
+    A bool is never a number. An integer field takes only an integer literal:
+    JSON Schema 2020-12 also counts an integral float such as 1e9 as an
+    integer, but ``json.load`` reads it as a float, and converting that back
+    need not give the integer written (int(1e23) is 99999999999999991611392).
+    """
+    if isinstance(value, bool) and json_type in ("integer", "number"):
+        return False
+    return isinstance(value, _JSON_TYPES[json_type][0])
+
+
+def _interpret(spec: dict, value: object, where: str, problems: list[str]) -> object:
+    """Check a JSON value against a schema node, appending each violation to
+    ``problems`` as ``where: ...``, and return the value as validation uses it:
+    objects with their absent properties' defaults filled in, arrays as
+    tuples and numbers as floats."""
+    types = spec.get("type", [])
+    types = [types] if isinstance(types, str) else types
+    if types and not any(_has_type(value, t) for t in types):
+        expected = " or ".join(_JSON_TYPES[t][1] for t in types)
+        problems.append(f"{where}: must be {expected}, got {value!r}")
+        return value
+    # type-strict, so that True does not match 1
+    if "enum" in spec and not any(type(value) is type(e) and value == e for e in spec["enum"]):
+        problems.append(f"{where}: must be {' or '.join(map(repr, spec['enum']))}, got {value!r}")
+    for keyword, sign, holds in _BOUNDS:
+        if keyword in spec and not holds(value, spec[keyword]):  # NaN holds no bound
+            problems.append(f"{where}: must be {sign} {spec[keyword]}, got {value!r}")
+    if isinstance(value, list):
+        return tuple(_interpret(spec.get("items", {}), item, f"{where}[{j}]", problems)
+                     for j, item in enumerate(value))
+    if isinstance(value, dict):
+        props, prefix = spec.get("properties", {}), f"{where}." if where else ""
+        problems.extend(f"{prefix}{key}: required"
+                        for key in spec.get("required", ()) if key not in value)
+        if spec.get("additionalProperties") is False:
+            problems.extend(f"{prefix}{key}: unknown {'key' if where else 'block'}"
+                            for key in value if key not in props)
+        given = {key: prop["default"] for key, prop in props.items() if "default" in prop}
+        return {key: _interpret(props[key], item, prefix + key, problems)
+                for key, item in {**given, **value}.items() if key in props}
+    return float(value) if "number" in types else value
 
 
 def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigValidationError(["config: top level must be an object"])
-    problems = [f"{name}: unknown block" for name in raw if name not in BLOCK_KEYS]
-
-    def complete(where: str, block: dict, required: tuple, optional: tuple) -> bool:
-        """Report the block's missing and unknown keys and its fields and
-        array items of another JSON type; True if no key is missing or
-        mistyped."""
-        missing = [key for key in required if key not in block]
-        problems.extend(f"{where}.{key}: required" for key in missing)
-        ok = not missing
-        for key, value in block.items():
-            if key not in required + optional:
-                problems.append(f"{where}.{key}: unknown key")
-                continue
-            parts = ([(f"[{j}]", ITEM_KINDS[key], item) for j, item in enumerate(value)]
-                     if key in ITEM_KINDS and isinstance(value, list)
-                     else [("", KINDS.get(key), value)])
-            mistyped = [f"{where}.{key}{part}: {expected}, got {item!r}"
-                        for part, kind, item in parts
-                        if (expected := _type_problem(kind, item)) is not None]
-            problems.extend(mistyped)
-            ok = ok and not mistyped
-        return ok
-
-    def block(name: str) -> dict | None:
-        value = raw.get(name)
-        if not isinstance(value, dict):
-            problems.append(f"{name}: missing or not an object")
-            return None
-        return value if complete(name, value, *BLOCK_KEYS[name]) else None
-
-    blocks = {name: block(name) for name in BLOCK_KEYS}
+    problems: list[str] = []
+    cfg = _interpret(CONFIG_SCHEMA, raw, "", problems)
+    # a block the schema passed, or None; only the rules it cannot state remain
+    blocks = {name: None if any(p.startswith((name + ":", name + ".")) for p in problems)
+              else cfg[name] for name in CONFIG_SCHEMA["properties"]}
 
     def build(name: str, make: Callable[[dict], object]) -> object | None:
-        """make(block), or None where the block is incomplete or make rejects it."""
+        """make(block), or None where the block is invalid or make rejects it."""
         if blocks[name] is not None:
             try:
                 return make(blocks[name])
@@ -161,45 +159,24 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
                 problems.append(f"{name}: {exc}")
         return None
 
-    grid = build("grid", lambda g: TorusGrid(
-        n_collocation=int(g["n_collocation"]), m_modes=int(g["m_modes"]),
-        dealias=bool(g.get("dealias", True))))
+    grid = build("grid", lambda g: TorusGrid(**g))
     params = build("model", lambda m: ModelParams(
-        gamma=float(m["gamma"]), alpha=float(m["alpha"]),
-        cutoff_radius=float(m.get("cutoff_radius", 1e6)),
-        monitor_order=int(m.get("monitor_order", 4)),
-        enable_cutoff=bool(m.get("enable_cutoff", True))))
-    noise = build("noise", lambda nz: NoiseModel(
-        k_modes=int(nz.get("k_modes", 16)), amplitude_decay=float(nz.get("amplitude_decay", 6.0)),
-        base_amplitude=float(nz.get("base_amplitude", 0.0)),
-        shape=str(nz.get("shape", "trig_density_weighted"))))
+        **{key: v for key, v in m.items() if key != "initial_condition"}))
+    noise = build("noise", lambda nz: NoiseModel(**nz))
     step = build("integration", lambda it: StepConfig(
-        dt=float(it["dt"]), t_end=float(it["t_end"]),
-        blowup_clamp=float(it.get("blowup_clamp", 50.0))))
-    ens = build("ensemble", lambda en: EnsembleConfig(
-        n_paths=int(en["n_paths"]), master_seed=int(en["master_seed"]),
-        moment_orders=tuple(en.get("moment_orders", [1, 2])),
-        r_sweep=tuple(float(r) for r in en["r_sweep"]) if en.get("r_sweep") else None,
-        output_stride=int(en.get("output_stride", 1))))
-    m, it, out = blocks["model"], blocks["integration"], blocks["output"]
-    if it is not None and it.get("scheme", "imex_cn") != "imex_cn":
-        problems.append(f"integration.scheme: must be 'imex_cn', got {it['scheme']!r}")
+        **{key: v for key, v in it.items() if key != "scheme"}))
+    ens = build("ensemble", lambda en: EnsembleConfig(**{**en, "r_sweep": en["r_sweep"] or None}))
+    m, out = blocks["model"], blocks["output"]
 
     factory, density_bound = None, 1.0
-    ic = None if m is None else m["initial_condition"]
-    if m is not None and not isinstance(ic, dict):
-        problems.append("model.initial_condition: not an object")
-    elif (ic is not None and complete("model.initial_condition", ic, *IC_KEYS)
-          and grid is not None):
+    if m is not None and grid is not None:
         try:
-            factory, density_bound = build_initial_factory(ic, grid, base_dir)
+            factory, density_bound = build_initial_factory(m["initial_condition"], grid, base_dir)
         except (ValueError, TypeError, OSError) as exc:
             problems.append(f"model.initial_condition: {exc}")
 
-    directory = None if out is None else out["directory"]
-    if out is not None and not (directory and isinstance(directory, str)):
-        problems.append("output.directory: required string")
-    per_path_csv = out is not None and bool(out.get("per_path_csv", False))
+    if out is not None and not out["directory"]:
+        problems.append("output.directory: must be a non-empty string, got ''")
 
     if ens is not None and ens.r_sweep and params is not None:
         if max(ens.r_sweep) > params.cutoff_radius:
@@ -210,43 +187,34 @@ def validate_config(raw: dict, base_dir: Path | None = None) -> RunConfig:
         raise ConfigValidationError(problems)
 
     root = Path(os.environ.get(OUTPUT_ROOT_ENV, "."))
-    out_dir = Path(directory)
+    out_dir = Path(out["directory"])
     if not out_dir.is_absolute():
         out_dir = root / out_dir
     return RunConfig(raw=raw, grid=grid, params=params, noise=noise, step=step,
-                     ensemble=ens, output_dir=out_dir, per_path_csv=per_path_csv,
+                     ensemble=ens, output_dir=out_dir, per_path_csv=out["per_path_csv"],
                      initial_factory=factory, density_bound=density_bound)
 
 
 def build_initial_factory(ic: dict, grid: TorusGrid, base_dir: Path | None,
                           ) -> tuple[Callable[[int, int], State], float]:
-    """Initial-condition factory (path_index, path_seed) -> State.
+    """Initial-condition factory (path_index, path_seed) -> State, from a
+    schema-checked initial_condition block with its defaults filled in.
 
     Densities stay pinned away from vacuum: rho0 - eps_max must be positive,
     and the implied bound C with 1/C <= rho <= C is returned for the manifest.
     """
-    kind = ic.get("kind")
-    if kind not in IC_KINDS:
-        raise ValueError(f"kind must be one of {IC_KINDS}, got {kind!r}")
-
-    if kind == "constant":
-        rho0 = float(ic.get("rho0", 0.0))
-        if rho0 <= 0.0:
-            raise ValueError("rho0 must be positive")
-        psi = RealField.from_physical(np.full(grid.n_collocation, np.log(rho0)), grid)
-        u = RealField.from_physical(np.zeros(grid.n_collocation), grid)
-        state = State(psi, u, 0.0)
-        return (lambda index, seed: state), max(rho0, 1.0 / rho0)
-
+    kind = ic["kind"]
     if kind == "file":
-        path = ic.get("path")
-        if not path:
+        if not ic.get("path"):
             raise ValueError("file kind needs a 'path'")
-        p = Path(path)
+        p = Path(ic["path"])
         if base_dir is not None and not p.is_absolute():
             p = base_dir / p
-        data = np.load(p)
-        psi_vals, u_vals = np.asarray(data["psi"]), np.asarray(data["u"])
+        with open(p, "rb") as fh:
+            data = np.load(fh)
+            if not (isinstance(data, np.lib.npyio.NpzFile) and {"psi", "u"} <= set(data.files)):
+                raise ValueError(f"{p} must be an .npz archive with arrays 'psi' and 'u'")
+            psi_vals, u_vals = data["psi"], data["u"]
         if psi_vals.shape != (grid.n_collocation,) or u_vals.shape != (grid.n_collocation,):
             raise ValueError("file arrays must match n_collocation")
         psi = project(RealField.from_physical(psi_vals, grid), grid)
@@ -255,19 +223,20 @@ def build_initial_factory(ic: dict, grid: TorusGrid, base_dir: Path | None,
         bound = float(np.exp(np.max(np.abs(psi_vals))))
         return (lambda index, seed: state), bound
 
-    rho0 = float(ic.get("rho0", 0.0))
-    eps = float(ic.get("eps", 0.0))
-    modes = [int(j) for j in ic.get("modes", [1])]
-    v_eps = float(ic.get("velocity_eps", 0.0))
-    v_modes = [int(j) for j in ic.get("velocity_modes", modes)]
-    rand_amp = float(ic.get("random_amplitude", 0.0))
-    if rho0 <= 0.0:
-        raise ValueError("rho0 must be positive")
-    if eps < 0.0 or v_eps < 0.0 or rand_amp < 0.0 or rand_amp > 1.0:
-        raise ValueError("eps, velocity_eps must be >= 0 and random_amplitude in [0, 1]")
+    if "rho0" not in ic:
+        raise ValueError(f"{kind} kind needs a 'rho0'")
+    rho0 = ic["rho0"]
+    if kind == "constant":
+        psi = RealField.from_physical(np.full(grid.n_collocation, np.log(rho0)), grid)
+        u = RealField.from_physical(np.zeros(grid.n_collocation), grid)
+        state = State(psi, u, 0.0)
+        return (lambda index, seed: state), max(rho0, 1.0 / rho0)
+
+    eps, modes, v_eps = ic["eps"], ic["modes"], ic["velocity_eps"]
+    v_modes, rand_amp = ic.get("velocity_modes", modes), ic["random_amplitude"]
     if eps * (1.0 + rand_amp) >= rho0:
         raise ValueError("perturbation eps*(1+random_amplitude) must stay below rho0")
-    if any(j < 1 or j > grid.m_modes for j in modes + v_modes):
+    if any(j > grid.m_modes for j in modes + v_modes):
         raise ValueError("perturbation modes must lie in 1..m_modes")
 
     def factory(index: int, seed: int) -> State:

@@ -1,13 +1,17 @@
+import copy
 import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
 import qns1d.cli
 import qns1d.ensemble
@@ -17,16 +21,12 @@ from qns1d.cli import (
     EXIT_BLOWUP_DOMINATED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
-    BLOCK_KEYS,
-    IC_KEYS,
-    INTEGERS,
-    NUMBERS,
     main,
     validate_config,
 )
 from qns1d.functionals import MonitorRecord
 
-SCHEMA = Path(__file__).resolve().parents[1] / "docs" / "config.schema.json"
+SCHEMA = Path(qns1d.cli.__file__).with_name("config.schema.json")
 
 
 def base_config(out_dir: str, **overrides) -> dict:
@@ -62,6 +62,36 @@ def write_config(tmp_path: Path, cfg: dict, name: str = "run.json") -> Path:
     return path
 
 
+# The differential test's inputs: a valid config, each node of the schema and an
+# unknown key in each object as the places to mutate, and what to put there.
+DIFF_BASE = base_config("runs/diff", **{"ensemble.r_sweep": [6.0, 9.0, 100.0]})
+DELETE = object()
+DIFF_VALUES = [DELETE, None, True, False, 0, 1, -1, 3, 0.0, 0.5, 1.5, -0.5, 64.0, 1e9, "",
+               "x", "imex_cn", "off", "file", "constant", [], [0], [1], [2, 1], [1.5], [3.0],
+               ["1"], [True], {}, {"kind": "constant"}]
+
+
+def _schema_targets(spec: dict, prefix: str = "") -> list[str]:
+    targets = [prefix + "extra"]
+    for key, prop in spec.get("properties", {}).items():
+        targets += [prefix + key] + _schema_targets(prop, prefix + key + ".")
+    return targets
+
+
+DIFF_TARGETS = _schema_targets(json.loads(SCHEMA.read_text()))
+SCHEMA_VALIDATOR = Draft202012Validator(json.loads(SCHEMA.read_text()))
+# the rules the schema cannot state: besides an integral float in an integer
+# field, the only reasons validation may reject a config the schema accepts
+DOMAIN_CHECKS = (
+    "grid: ",  # TorusGrid: even n_collocation, m_modes <= n_collocation/2, the 2/3 rule
+    "integration: dt must not exceed t_end",
+    "model.initial_condition: ",  # eps against rho0, modes <= m_modes, each kind's fields
+    "ensemble.r_sweep: largest radius exceeds model.cutoff_radius",
+    "output.directory: must be a non-empty string",
+)
+INTEGRAL_FLOAT = re.compile(r": must be an integer, got -?\d+\.0$")
+
+
 class TestValidation:
     def test_aggregated_report(self, tmp_path):
         cfg = base_config(str(tmp_path / "out"),
@@ -79,10 +109,20 @@ class TestValidation:
         assert main(["simulate", str(path)]) == EXIT_CONFIG_ERROR
         assert not out.exists()
 
-    def test_unreadable_config(self, tmp_path):
+    @pytest.mark.parametrize("content", ["{ not json", b"\xff\xfe{}", None],
+                             ids=["bad_json", "not_utf8", "directory"])
+    def test_unreadable_config(self, tmp_path, capsys, content):
         bad = tmp_path / "broken.json"
-        bad.write_text("{ not json")
+        if content is None:
+            bad.mkdir()
+        elif isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(content)
+        with pytest.raises(ConfigValidationError):
+            qns1d.cli.load_config(bad)
         assert main(["simulate", str(bad)]) == EXIT_CONFIG_ERROR
+        assert "invalid configuration" in capsys.readouterr().err
 
     def test_ic_eps_bound(self, tmp_path):
         cfg = base_config(str(tmp_path), **{"model.initial_condition.eps": 1.5})
@@ -143,24 +183,6 @@ class TestValidation:
                     assert value == prop["default"], f"{block}.{name}"
         assert n_defaults == 14
 
-    def test_accepted_keys_match_schema(self):
-        schema = json.loads(SCHEMA.read_text())
-        assert list(BLOCK_KEYS) == schema["required"] == list(schema["properties"])
-        blocks = dict(schema["properties"])
-        blocks["model.initial_condition"] = blocks["model"]["properties"]["initial_condition"]
-        accepted = dict(BLOCK_KEYS, **{"model.initial_condition": IC_KEYS})
-        for name, spec in blocks.items():
-            required, optional = accepted[name]
-            assert list(required) == spec.get("required", []), name
-            assert set(required + optional) == set(spec["properties"]), name
-            assert spec["additionalProperties"] is False, name
-        typed = {"integer": set(), "number": set()}
-        for spec in blocks.values():
-            for key, prop in spec["properties"].items():
-                if prop.get("type") in ("integer", "number"):
-                    typed[prop["type"]].add(key)
-        assert typed == {"integer": set(INTEGERS), "number": set(NUMBERS)}
-
     @pytest.mark.parametrize("dotted, value", [
         ("outputs", {"directory": "x"}),
         ("model.cutof_radius", 10.0),
@@ -204,7 +226,7 @@ class TestValidation:
         cfg = base_config(str(out), **{dotted: value})
         with pytest.raises(ConfigValidationError) as err:
             validate_config(cfg)
-        assert [p for p in err.value.problems if p.startswith(dotted.split(".")[0] + ":")]
+        assert [p for p in err.value.problems if p.startswith(dotted + ":")]
         assert main(["simulate", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG_ERROR
         assert not out.exists()
 
@@ -256,7 +278,87 @@ class TestValidation:
     def test_numeric_array_items_accepted(self, tmp_path):
         cfg = base_config(str(tmp_path), **{"ensemble.r_sweep": [6, 9.0, 100],
                                            "model.initial_condition.modes": [1, 2]})
-        assert validate_config(cfg).ensemble.r_sweep == (6.0, 9.0, 100.0)
+        r_sweep = validate_config(cfg).ensemble.r_sweep
+        assert r_sweep == (6.0, 9.0, 100.0) and all(type(r) is float for r in r_sweep)
+
+    @pytest.mark.parametrize("dotted, value", [
+        ("model.initial_condition.modes", {}), ("model.initial_condition.velocity_modes", {}),
+        ("ensemble.moment_orders", {}), ("ensemble.r_sweep", 0), ("ensemble.r_sweep", False),
+        ("ensemble.r_sweep", {}),
+    ], ids=["modes", "velocity_modes", "moment_orders", "r_sweep_0", "r_sweep_false",
+            "r_sweep_object"])
+    def test_array_fields_reject_other_types(self, tmp_path, monkeypatch, dotted, value):
+        # an object once iterated as no items, and a falsy r_sweep ran no sweep
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        out = tmp_path / "should_not_exist"
+        cfg = base_config(str(out), **{dotted: value})
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(cfg)
+        assert [p for p in err.value.problems if p.startswith(dotted + ": must be an array")]
+        assert main(["simulate", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    @settings(derandomize=True, max_examples=400, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(DIFF_TARGETS), st.sampled_from(DIFF_VALUES)),
+                    min_size=1, max_size=2))
+    def test_validation_agrees_with_jsonschema(self, mutations):
+        # validation rejects every config the schema rejects, and rejects a
+        # config the schema accepts only by a rule the schema cannot state
+        cfg = copy.deepcopy(DIFF_BASE)
+        for dotted, value in mutations:
+            *parents, leaf = dotted.split(".")
+            node = cfg
+            for key in parents:
+                node = node.get(key) if isinstance(node, dict) else None
+            if isinstance(node, dict):
+                if value is DELETE:
+                    node.pop(leaf, None)
+                else:
+                    node[leaf] = copy.deepcopy(value)
+        try:
+            validate_config(cfg, base_dir=SCHEMA.parent / "no_such_directory")
+            problems = []
+        except ConfigValidationError as exc:
+            problems = exc.problems
+        if SCHEMA_VALIDATOR.is_valid(cfg):
+            assert all(p.startswith(DOMAIN_CHECKS) or INTEGRAL_FLOAT.search(p)
+                       for p in problems), problems
+        else:
+            assert problems, cfg
+
+    def test_schema_uses_only_interpreted_keywords(self):
+        # validation would silently ignore a keyword it does not interpret
+        def keywords(spec: dict) -> set[str]:
+            nested = list(spec.get("properties", {}).values())
+            nested += [spec["items"]] if "items" in spec else []
+            return set(spec).union(*map(keywords, nested))
+        assert keywords(json.loads(SCHEMA.read_text())) <= {
+            "$schema", "title", "description", "type", "enum", "required", "properties",
+            "additionalProperties", "items", "minimum", "exclusiveMinimum", "maximum",
+            "default"}
+
+    @pytest.mark.parametrize("name, arrays", [("state.npz", ("u",)), ("state.npy", None)],
+                             ids=["npz_without_psi", "npy"])
+    def test_malformed_initial_file_exits_2(self, tmp_path, monkeypatch, name, arrays):
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        out = tmp_path / "should_not_exist"
+        if arrays is None:
+            np.save(tmp_path / name, np.zeros(64))
+        else:
+            np.savez(tmp_path / name, **{key: np.zeros(64) for key in arrays})
+        cfg = base_config(str(out), **{"model.initial_condition": {"kind": "file", "path": name}})
+        with pytest.raises(ConfigValidationError) as err:
+            validate_config(cfg, base_dir=tmp_path)
+        assert [p for p in err.value.problems if p.startswith("model.initial_condition: ")]
+        assert main(["simulate", str(write_config(tmp_path, cfg))]) == EXIT_CONFIG_ERROR
+        assert not out.exists()
+
+    def test_initial_file_loaded(self, tmp_path):
+        psi = 0.1 * np.cos(2 * np.pi * np.arange(64) / 64)
+        np.savez(tmp_path / "state.npz", psi=psi, u=np.zeros(64))
+        cfg = base_config(str(tmp_path),
+                          **{"model.initial_condition": {"kind": "file", "path": "state.npz"}})
+        assert validate_config(cfg, base_dir=tmp_path).density_bound == np.exp(0.1)
 
 
 class TestSimulate:
