@@ -73,15 +73,26 @@ class RunConfig:
     density_bound: float  # C with 1/C <= rho0 <= C
 
 
+class _NotJson(ValueError):
+    """A literal that Python's json module reads but JSON does not define."""
+
+
+def _reject_constant(name: str) -> float:
+    # Infinity would pass every lower bound of the schema, and then overflow
+    raise _NotJson(f"{name} is not a JSON value")
+
+
 def load_config(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigValidationError([f"config file not found: {path}"])
     except json.JSONDecodeError as exc:
         raise ConfigValidationError(
             [f"config is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"])
+    except _NotJson as exc:
+        raise ConfigValidationError([f"config is not valid JSON: {exc}"])
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigValidationError([f"cannot read config {path}: {exc}"])
 

@@ -71,6 +71,15 @@ dt differ, the (k, dt)-only factors are per-row: (P, 1) columns and
 an elementwise product with a row gives the bits of the product with that
 scalar. Where they agree, and for a lone path, the factors stay scalars. A
 path leaves the stepped rows at its own last step.
+
+The paths of a batch may also differ in noise model, so the three noise
+modes of a strong-order suite step in one batch too. The stepper groups the
+stepped rows by model, compared by value: each noisy group's forcing is the
+same stack of one-path products, with that model's waves, and a noise-free
+row's forcing is exactly zero, the zero_half that it adds when it steps
+alone. Where the rows share one model, and for a lone path, one stack over
+all rows takes that model's forcing. One increment array serves every row,
+so the models of a batch must share k_modes.
 """
 
 from __future__ import annotations
@@ -192,7 +201,6 @@ class _Stepper:
         self.grid = grid
         self.params = params
         self.cfg = cfg
-        self.noise = noise
         self.n = grid.n_collocation
         self.n_half = grid.n_half
         self.k = grid.k_half
@@ -220,9 +228,10 @@ class _Stepper:
         # alias-free quadratic products need n >= 2m + cut + 2
         need = 2 * grid.m_modes + grid.dealias_cut + 2
         self.product_n = self.n if self.n >= need else need + (need % 2)
-        self.noise_on = noise.base_amplitude > 0.0
-        # a_k sin(2 pi k x) on the grid, the state-free factor of the forcing
-        self.noise_waves = noise.waves(grid.x) if self.noise_on else None
+        # a_k sin(2 pi k x) on the grid, the state-free factor of the forcing,
+        # for each distinct noisy model the stepper has met
+        self.waves: dict[NoiseModel, np.ndarray] = {}
+        self.use_noises([noise])
         # Wiener-algebra bound of the W^{2,inf} norm, sup|d^o f/dx^o| <=
         # sum_j mult_j |c_j| k_j^o: on the oversampled grid every mode but
         # j = 0 is interior to the real transform and so counts twice
@@ -248,6 +257,33 @@ class _Stepper:
         self.half_hdt2_k4 = 0.5 * hdt * hdt * self.k2 * self.k2
         self.neg_hdt_ihk3 = -hdt * 1j * self.hk3
         self.hdt_ik = hdt * 1j * self.k
+
+    def use_noises(self, models: Sequence[NoiseModel]) -> None:
+        """Set the forcing of rows driven by ``models``, one per stepped row.
+
+        Where the rows share one model, compared by value, as a lone path
+        does, ``noise``, ``noise_on`` and ``noise_waves`` are that model's and
+        ``noise_groups`` is None. Otherwise ``noise_groups`` lists each noisy
+        model's rows, the model and its waves, and ``quiet_rows`` the rows of
+        noise-free models, whose forcing is exactly zero, as when they step
+        alone. Each distinct model's waves are built once per stepper. The
+        models share k_modes, so one increment array serves every row.
+        """
+        first = models[0]
+        noisy = [m.base_amplitude > 0.0 for m in models]
+        for m, on in zip(models, noisy):
+            if on and m not in self.waves:
+                self.waves[m] = m.waves(self.grid.x)
+        self.noise = first
+        self.noise_on = any(noisy)
+        self.noise_waves = self.waves.get(first)
+        self.noise_groups = None
+        if self.noise_on and any(m is not first and m != first for m in models):
+            rows: dict[NoiseModel | None, list[int]] = {}
+            for row, (m, on) in enumerate(zip(models, noisy)):
+                rows.setdefault(m if on else None, []).append(row)
+            self.quiet_rows = rows.pop(None, [])
+            self.noise_groups = [(group, m, self.waves[m]) for m, group in rows.items()]
 
     # --- small kernels -------------------------------------------------
 
@@ -336,7 +372,8 @@ class _Stepper:
 
         Keys: transport (continuity equation); advection, pressure, viscosity,
         viscosity_gradient and quantum (momentum equation); and forcing,
-        sum_k F_k dW_k, when dW is given and the noise is on. No term carries
+        sum_k F_k dW_k, when dW is given and some row's noise is on, with the
+        models of ``use_noises``; a noise-free row's is zero. No term carries
         a cut-off factor: every state ``simulate_path`` steps is below R,
         where phi_R is 1. The momentum equation's sixth term, the dispersion,
         is linear and is solved implicitly with coefficient ``hk3``.
@@ -369,11 +406,18 @@ class _Stepper:
         np.multiply(exp_a, d2u, out=pointwise[1])
         np.multiply(exp_a, dpsi, out=pointwise[2])
         np.multiply(pointwise[2], du, out=pointwise[2])
-        if forcing:
+        if forcing and self.noise_groups is None:
             # a stack of vector-matrix products: each path's forcing has the
             # bits of dW @ fields alone, which one matrix product would not
             fields = self.noise.coefficient_fields(self.noise_waves, rho[0], u)
             pointwise[3] = np.matmul(dW[..., None, :], fields)[..., 0, :]
+        elif forcing:
+            # the same stack, one model's rows at a time; a noise-free row
+            # transforms zeros, not whatever its slot held
+            for group, model, waves in self.noise_groups:
+                fields = model.coefficient_fields(waves, rho[0][group], u[group])
+                pointwise[3, group] = np.matmul(dW[group, None, :], fields)[..., 0, :]
+            pointwise[3, self.quiet_rows] = 0.0
         if self.product_n == self.n:
             s = to_spectral(rows)
             s[:3, ..., self.product_end:] = 0.0
@@ -386,6 +430,10 @@ class _Stepper:
         # dissipates against
         np.multiply(self.term_scale[:n_rows] if s.ndim == 2 else self.term_scale[:n_rows, None],
                     s, out=s)
+        if forcing and self.noise_groups is not None:
+            # a noise-free row adds zero_half to b2, as it does alone; the
+            # transform of its zero samples may hold negative zeros
+            s[6, self.quiet_rows] = 0.0
         names = ("transport", "advection", "quantum", "pressure", "viscosity",
                  "viscosity_gradient", "forcing")
         return dict(zip(names, s))
@@ -565,8 +613,9 @@ class PathBatch(tuple):
 
 
 def simulate_path(initial: State | Sequence[State], cfg: StepConfig | Sequence[StepConfig],
-                  params: ModelParams, noise: NoiseModel, path_seed: int | Sequence[int],
-                  grid: TorusGrid, monitors: MonitorSpec = MonitorSpec(),
+                  params: ModelParams, noise: NoiseModel | Sequence[NoiseModel],
+                  path_seed: int | Sequence[int], grid: TorusGrid,
+                  monitors: MonitorSpec = MonitorSpec(),
                   increments: np.ndarray | Sequence | None = None) -> PathResult | PathBatch:
     """Advance paths until t_end, a norm-threshold hit, or numerical blow-up.
 
@@ -574,58 +623,65 @@ def simulate_path(initial: State | Sequence[State], cfg: StepConfig | Sequence[S
     with one seed each gives a PathBatch: the paths step in lockstep from
     one workspace, their spectra stacked along a leading path axis, so each
     numpy call and transform of a step serves every path. A batch takes one
-    StepConfig for all its paths or one per path; paths may differ in dt and
-    t_end, so a batch can hold every level of a refinement study, but not in
-    blowup_clamp. A path that stops, or reaches its own last step, leaves the
-    stepped rows; the others go on. Each path's result is bit for bit the
-    result of running it alone, which is how a single State runs: as a batch
-    of one.
+    StepConfig for all its paths or one per path, and likewise one
+    NoiseModel or one per path. Paths may differ in dt, t_end and noise
+    model, so a batch can hold every level of a refinement study in several
+    noise modes, but not in blowup_clamp or in the models' k_modes. A path
+    that stops, or reaches its own last step, leaves the stepped rows; the
+    others go on. Each path's result is bit for bit the result of running it
+    alone, which is how a single State runs: as a batch of one.
 
     Fully reproducible from (config, path_seed): the noise stream is a pure
     function of (path_seed, step_index). Pre-summed increments may be passed
     for shared-path refinement studies: of shape (n_steps, k_modes) for one
     path, and for a batch one such array per path, each with its own
-    n_steps, or one array of shape (P, n_steps, k_modes).
+    n_steps, or one array of shape (P, n_steps, k_modes). A noise-free path
+    ignores its increments.
     """
     if isinstance(initial, State):
         incs = None if increments is None else [np.asarray(increments)]
         return _run_lockstep(_Stepper(grid, params, cfg, noise), [initial], [path_seed],
-                             [cfg], monitors, incs)[0]
+                             [cfg], [noise], monitors, incs)[0]
     initials, seeds = list(initial), list(path_seed)
     cfgs = [cfg] * len(initials) if isinstance(cfg, StepConfig) else list(cfg)
+    models = [noise] * len(initials) if isinstance(noise, NoiseModel) else list(noise)
     incs = None if increments is None else [np.asarray(inc) for inc in increments]
-    if not (len(seeds) == len(cfgs) == len(initials)
+    if not (len(seeds) == len(cfgs) == len(models) == len(initials)
             and (incs is None or len(incs) == len(initials))):
-        raise ValueError("a batch needs one path seed and one step config, and one increment "
-                         "series if any, per initial state")
+        raise ValueError("a batch needs one path seed, step config and noise model, and one "
+                         "increment series if any, per initial state")
     if incs is not None and any(len(inc) < c.n_steps for inc, c in zip(incs, cfgs)):
         raise ValueError("a path's increment series is shorter than its steps")
     if len({c.blowup_clamp for c in cfgs}) > 1:
         raise ValueError("the paths of a batch must share blowup_clamp")
+    if len({m.k_modes for m in models}) > 1:
+        raise ValueError("the noise models of a batch must share k_modes")
     if not initials:
         return PathBatch()
-    stepper = _Stepper(grid, params, cfgs[0], noise)
+    stepper = _Stepper(grid, params, cfgs[0], models[0])
     results: list[PathResult] = []
     size = max(1, _LOCKSTEP_POINTS // grid.n_collocation)
     for start in range(0, len(initials), size):
         group = slice(start, start + size)
         results += _run_lockstep(stepper, initials[group], seeds[group], cfgs[group],
-                                 monitors, None if incs is None else incs[group])
+                                 models[group], monitors, None if incs is None else incs[group])
     return PathBatch(results)
 
 
 def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[int],
-                  cfgs: Sequence[StepConfig], monitors: MonitorSpec,
+                  cfgs: Sequence[StepConfig], models: Sequence[NoiseModel],
+                  monitors: MonitorSpec,
                   increments: Sequence[np.ndarray] | None) -> list[PathResult]:
     """The paths of ``simulate_path``, stepped in lockstep, in input order.
 
     Row r of the stepped arrays is path ``active[r]``. Each row gets its own
-    dt, state check, record, stopping test, increment and predictor phi, and
-    its own last state at its own step count: paths of different dt and
-    t_end leave the stepped rows at their own last steps. A checked state's
-    recorded rows take one ``functionals.compute_record`` call. ``increments``
-    has one (n_steps, k_modes) array per path, or is None. The stepper's
-    (k, dt)-only factors are rebuilt whenever the stepped rows change.
+    dt, noise model, state check, record, stopping test, increment and
+    predictor phi, and its own last state at its own step count: paths of
+    different dt and t_end leave the stepped rows at their own last steps. A
+    checked state's recorded rows take one ``functionals.compute_record``
+    call. ``increments`` has one (n_steps, k_modes) array per path, or is
+    None; a noise-free path draws none. The stepper's (k, dt)-only factors
+    and its noise groups are rebuilt whenever the stepped rows change.
     """
     radius = stepper.radius
     resolve = radius if monitors.resolve_radius is None else min(radius, monitors.resolve_radius)
@@ -639,6 +695,9 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
     t0 = [s.time for s in initials]
     active = list(range(len(initials)))
     stepper.use_dts(dts)
+    stepper.use_noises(models)
+    # the increment row of a noise-free path, which its forcing never reads
+    no_dW = np.zeros(models[0].k_modes)
     # each active path's last checked norm
     worst = [0.0] * len(initials)
     psi_spec = np.stack([s.psi.spectral for s in initials])
@@ -689,13 +748,14 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
             active = [active[row] for row in going]
             spec, samples = spec[:, going], samples[:, going]
             stepper.use_dts([dts[p] for p in active])
-        if increments is not None:
-            dW = np.array([increments[p][i] for p in active])
-        elif stepper.noise_on:
-            dW = np.array([sample_increment(seeds[p], i, dts[p], stepper.noise)
-                           for p in active])
-        else:
+            stepper.use_noises([models[p] for p in active])
+        if not stepper.noise_on:
             dW = None
+        elif increments is not None:
+            dW = np.array([increments[p][i] for p in active])
+        else:
+            dW = np.array([sample_increment(seeds[p], i, dts[p], models[p])
+                           if models[p].base_amplitude > 0.0 else no_dW for p in active])
         if len(active) == 1:
             # a lone path steps without the path axis, with its own scalar
             # factors: broadcasting them against a stack costs more than it saves
@@ -769,19 +829,34 @@ class ConvergenceResult:
     n_excluded: int
 
 
-def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseModel,
-                             grid: TorusGrid, dt_levels: Sequence[float],
-                             n_paths: int, master_seed: int, t_end: float) -> ConvergenceResult:
+def strong_convergence_order(initial: State, params: ModelParams,
+                             noise: NoiseModel | Sequence[NoiseModel], grid: TorusGrid,
+                             dt_levels: Sequence[float], n_paths: int | Sequence[int],
+                             master_seed: int, t_end: float,
+                             ) -> ConvergenceResult | list[ConvergenceResult]:
     """Pathwise self-convergence: slope of log E||u_fine - u_dt||_L2 vs log dt.
 
     All levels replay the same Brownian path: coarse increments are sums of
-    the finest level's increments. Every path of every level, the reference
-    included, steps in one ``simulate_path`` batch of mixed dt. Exclusions
-    are applied to the results afterwards, level by level from the finest:
-    a path that blows up at any level is excluded and counted, and its
-    errors at the levels it completed are dropped. More than 20% exclusions
-    is a diagnostic failure.
+    the finest level's increments. One model gives one ConvergenceResult; a
+    sequence of models, with one ``n_paths`` each, gives one study per model
+    and a list of their results, path p of every study on the seed of path
+    p. Every path of every level of every study, the references included,
+    steps in one ``simulate_path`` batch of mixed dt and noise model, whose
+    rows run level by level, the references first, so that its lockstep
+    groups hold rows of like length. Each seed's increments are drawn and
+    summed once for all the studies whose models share k_modes.
+
+    Exclusions are applied to each study's results afterwards, level by
+    level from the finest: a path that blows up at any level is excluded and
+    counted, and its errors at the levels it completed are dropped. More
+    than 20% exclusions is a diagnostic failure, raised for the first such
+    study in study order.
     """
+    single = isinstance(noise, NoiseModel)
+    models = [noise] if single else list(noise)
+    counts = [n_paths] * len(models) if isinstance(n_paths, int) else list(n_paths)
+    if len(counts) != len(models):
+        raise ValueError("a convergence study needs one path count per noise model")
     dts = sorted(float(d) for d in dt_levels)
     dt_fine = dts[0]
     n_fine = round(t_end / dt_fine)
@@ -792,30 +867,55 @@ def strong_convergence_order(initial: State, params: ModelParams, noise: NoiseMo
             raise IntegratorConfigError("dt_levels must be integer multiples of the finest")
         ratios.append(round(r))
 
-    seeds = [derive_path_seed(master_seed, p) for p in range(n_paths)]
-    # a noise-free path ignores its increments, so it draws none
-    noise_on = noise.base_amplitude > 0.0
-    fine_incs = (np.stack([np.stack([sample_increment(seed, i, dt_fine, noise)
-                                     for i in range(n_fine)]) for seed in seeds])
-                 if noise_on else None)
-    # rows level by level, the reference first: row level * n_paths + p is
-    # path p. The lockstep groups of a large study then hold rows of like
-    # length together.
-    cfgs = [StepConfig(dt=d, t_end=t_end) for d in dts for _ in range(n_paths)]
-    incs = None
-    if noise_on:
-        incs = list(fine_incs)
-        for r in ratios:
-            incs += [fine_incs[p, : (n_fine // r) * r].reshape(-1, r, noise.k_modes).sum(axis=1)
-                     for p in range(n_paths)]
-    runs = simulate_path([initial] * len(cfgs), cfgs, params, noise, seeds * len(dts), grid,
-                         MonitorSpec(collect_records=False), increments=incs)
-    refs = runs[:n_paths]
+    seeds = [derive_path_seed(master_seed, p) for p in range(max(counts, default=0))]
+    # each seed's increments at every level, finest first, drawn and summed
+    # once for all the studies whose models share k_modes
+    drawn: dict[tuple[int, int], list[np.ndarray]] = {}
+    for model, count in zip(models, counts):
+        if not model.base_amplitude > 0.0:
+            continue  # a noise-free path ignores its increments, so it draws none
+        for seed in seeds[:count]:
+            key = (seed, model.k_modes)
+            if key not in drawn:
+                fine = np.stack([sample_increment(seed, i, dt_fine, model)
+                                 for i in range(n_fine)])
+                drawn[key] = [fine] + [fine[: (n_fine // r) * r].reshape(-1, r, model.k_modes)
+                                       .sum(axis=1) for r in ratios]
+
+    def level_increments(level: int, model: NoiseModel, p: int) -> np.ndarray:
+        if model.base_amplitude > 0.0:
+            return drawn[seeds[p], model.k_modes][level]
+        return np.broadcast_to(np.zeros(model.k_modes), (n_fine, model.k_modes))
+
+    # rows level by level, the references first, and within a level study
+    # by study, so that the lockstep groups hold rows of like length
+    rows = [(level, s, p) for level in range(len(dts))
+            for s, count in enumerate(counts) for p in range(count)]
+    level_cfgs = [StepConfig(dt=d, t_end=t_end) for d in dts]
+    runs = simulate_path([initial] * len(rows), [level_cfgs[level] for level, _, _ in rows],
+                         params, [models[s] for _, s, _ in rows],
+                         [seeds[p] for _, _, p in rows], grid,
+                         MonitorSpec(collect_records=False),
+                         increments=[level_increments(level, models[s], p)
+                                     for level, s, p in rows])
+    # each study's results level by level, in path order
+    studies: list[list[list[PathResult]]] = [[[] for _ in dts] for _ in models]
+    for (level, s, _), run in zip(rows, runs):
+        studies[s][level].append(run)
+    results = [_study_result(levels, dts, grid) for levels in studies]
+    return results[0] if single else results
+
+
+def _study_result(levels: list[list[PathResult]], dts: list[float],
+                  grid: TorusGrid) -> ConvergenceResult:
+    """One study's order from its paths' results, level by level from the
+    reference, with its exclusions applied; raises on more than 20%."""
+    refs = levels[0]
+    n_paths = len(refs)
     # the paths still in the study, and their errors level by level
     kept = [p for p in range(n_paths) if refs[p].event.kind == "completed"]
     errs: dict[int, list[float]] = {p: [] for p in kept}
-    for level in range(1, len(dts)):
-        results = runs[level * n_paths: (level + 1) * n_paths]
+    for results in levels[1:]:
         for p in kept:
             if results[p].event.kind == "completed":
                 errs[p].append(hs_norm(results[p].final_state.u.spectral

@@ -40,8 +40,10 @@ class NoiseModel:
     amplitude_decay: float = 6.0
     base_amplitude: float = 0.0
     shape: str = "trig_density_weighted"
-    amplitudes: np.ndarray = field(init=False, repr=False)
-    derivative_bounds: np.ndarray = field(init=False, repr=False)
+    # derived from the four fields above, so equality and the hash follow
+    # those alone: models equal by value share their waves in a batch
+    amplitudes: np.ndarray = field(init=False, repr=False, compare=False)
+    derivative_bounds: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.k_modes < 1:

@@ -124,6 +124,21 @@ class TestValidation:
         assert main(["simulate", str(bad)]) == EXIT_CONFIG_ERROR
         assert "invalid configuration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_json_constants_exit_2(self, tmp_path, capsys, value):
+        # Python's json writes and reads Infinity, -Infinity and NaN, which
+        # JSON does not define; an infinite t_end used to overflow in n_steps
+        out = tmp_path / "should_not_exist"
+        path = write_config(tmp_path, base_config(str(out), **{"integration.t_end": value}))
+        literal = json.dumps(value)
+        assert literal in path.read_text()
+        with pytest.raises(ConfigValidationError) as err:
+            qns1d.cli.load_config(path)
+        assert err.value.problems == [f"config is not valid JSON: {literal} is not a JSON value"]
+        assert main(["simulate", str(path)]) == EXIT_CONFIG_ERROR
+        assert "is not a JSON value" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ic_eps_bound(self, tmp_path):
         cfg = base_config(str(tmp_path), **{"model.initial_condition.eps": 1.5})
         with pytest.raises(ConfigValidationError):

@@ -2,11 +2,13 @@ import ast
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from qns1d import functionals, integrator
+from qns1d import functionals, integrator, suites
 from qns1d.functionals import compute_record
 from qns1d.integrator import (
     IntegratorConfigError,
@@ -670,6 +672,137 @@ class TestPathBatch:
             simulate_path([st], cfg, params, noise, [1], grid64,
                           increments=[np.zeros((cfg.n_steps - 1, noise.k_modes))])
 
+    def test_batch_rejects_mixed_k_modes(self, grid64):
+        # one increment array serves every row, so the models share k_modes;
+        # a noise-free model counts too
+        params, st = small_setup(grid64)
+        cfg = StepConfig(dt=1e-3, t_end=0.01)
+        for other in (NoiseModel(base_amplitude=0.2, k_modes=8), NoiseModel(k_modes=8)):
+            with pytest.raises(ValueError, match="k_modes"):
+                simulate_path([st, st], cfg, params, [NoiseModel(base_amplitude=0.2), other],
+                              [1, 2], grid64)
+        with pytest.raises(ValueError):
+            simulate_path([st, st], cfg, params, [NO_NOISE], [1, 2], grid64)
+
+    def test_mixed_noise_rows_force_as_they_would_alone(self, grid64):
+        # rows group by model, compared by value; a noise-free row's forcing
+        # is exactly zero_half, and a noisy row's has the bits of its own
+        # model's forcing alone
+        params = small_setup(grid64)[0]
+        stepper = _Stepper(grid64, params, StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+        models = [NoiseModel(base_amplitude=0.2), NO_NOISE, NoiseModel(base_amplitude=0.2),
+                  NoiseModel(base_amplitude=0.2, shape="off")]
+        states = [shifted_harmonic(grid64, a) for a in (0.1, 0.2, 0.3, 0.4)]
+        dW = np.array([sample_increment(7, p, 1e-3, models[0]) for p in range(4)])
+        spec, samples = stepper.sample(np.stack([s.psi.spectral for s in states]),
+                                       np.stack([s.u.spectral for s in states]))
+        stepper.use_noises(models)
+        assert [rows for rows, _, _ in stepper.noise_groups] == [[0, 2], [3]]
+        assert stepper.quiet_rows == [1] and len(stepper.waves) == 2
+        forcing = stepper.explicit_terms(spec, samples, dW)["forcing"]
+        assert forcing[1].tobytes() == stepper.zero_half.tobytes()
+        for p in (0, 2, 3):
+            stepper.use_noises([models[p]])
+            alone = stepper.explicit_terms(spec[:, p], samples[:, p], dW[p])["forcing"]
+            assert forcing[p].tobytes() == alone.tobytes()
+        stepper.use_noises([NoiseModel(base_amplitude=0.2), models[0]])
+        assert stepper.noise_groups is None and len(stepper.waves) == 2
+
+    def test_poisoned_workspace_changes_no_bit(self, monkeypatch):
+        # every array the step allocates with np.empty starts as NaN: a read
+        # of a slot the batch never wrote would show. Three noise modes at
+        # three dts; the 0.1 path stops at tau_R early, and the finest path
+        # takes its last 50 steps alone.
+        grid = TorusGrid(64, 21)
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=8.0)
+        models = [STRONG, NO_NOISE, NoiseModel(base_amplitude=0.2, shape="off"), STRONG,
+                  NO_NOISE]
+        cfgs = [StepConfig(dt=5e-4, t_end=0.05), StepConfig(dt=1e-3, t_end=0.05),
+                StepConfig(dt=2e-3, t_end=0.04), StepConfig(dt=1e-3, t_end=0.05),
+                StepConfig(dt=2e-3, t_end=0.02)]
+        states = [shifted_harmonic(grid, a) for a in (0.05, 0.05, 0.02, 0.1, 0.03)]
+        seeds = [derive_path_seed(12, p) for p in range(len(states))]
+        monitors = MonitorSpec(stride=3, resolve_radius=4.0)
+
+        def run():
+            return simulate_path(states, cfgs, params, models, seeds, grid, monitors)
+
+        clean = run()
+        real_empty = np.empty
+
+        def poisoned(*args, **kwargs):
+            out = real_empty(*args, **kwargs)
+            if out.dtype.kind in "fc":
+                out.fill(np.nan)
+            return out
+
+        monkeypatch.setattr(np, "empty", poisoned)
+        for got, want in zip(run(), clean):
+            assert_same_path(got, want)
+        assert [r.event.kind for r in clean] == ["completed"] * 3 + ["tau_R_hit", "completed"]
+        assert [r.n_steps_taken for r in clean] == [100, 50, 20, clean[3].n_steps_taken, 10]
+        assert clean[3].n_steps_taken < 20
+
+
+# the property test's grids: padded products, an unpadded grid whose size is
+# no power of two, and the sweep grid
+INVARIANCE_GRIDS = {"padded": TorusGrid(32, 16), "n48": TorusGrid(48, 16),
+                    "n64": TorusGrid(64, 21)}
+
+
+@strategies.composite
+def mixed_batches(draw):
+    """A batch of 1-10 paths, each with its own noise mode, dyadic dt, step
+    count, amplitude and seed; at strength 1 some paths reach R = 8."""
+    strength = draw(strategies.sampled_from([0.2, 1.0]))
+    modes = {"none": NO_NOISE,
+             "additive": NoiseModel(base_amplitude=strength, amplitude_decay=2.0, shape="off"),
+             "multiplicative": NoiseModel(base_amplitude=strength, amplitude_decay=2.0)}
+    paths = draw(strategies.lists(strategies.tuples(
+        strategies.sampled_from(sorted(modes)), strategies.sampled_from([9, 10, 11]),
+        strategies.integers(1, 24), strategies.sampled_from([0.02, 0.05, 0.1, 0.15]),
+        strategies.integers(0, 2**64 - 1)), min_size=1, max_size=10))
+    return dict(
+        grid=draw(strategies.sampled_from(sorted(INVARIANCE_GRIDS))),
+        models=[modes[mode] for mode, *_ in paths],
+        cfgs=[StepConfig(dt=2.0**-e, t_end=steps * 2.0**-e) for _, e, steps, *_ in paths],
+        amplitudes=[a for *_, a, _ in paths],
+        seeds=[seed for *_, seed in paths],
+        stride=draw(strategies.sampled_from([None, 1, 3, 7])),
+        resolve=draw(strategies.sampled_from([None, 4.0])),
+        supplied=draw(strategies.booleans()),
+        group=draw(strategies.sampled_from([None, None, 1, 2, 3])))
+
+
+class TestBatchInvariance:
+    @settings(derandomize=True, max_examples=60, database=None, deadline=None)
+    @given(mixed_batches())
+    def test_every_path_equals_its_lone_run(self, case):
+        # whatever the mix of grids, noise modes, dts, stops, monitors,
+        # increments and lockstep group sizes, a path's batch result is its
+        # lone run byte for byte
+        grid = INVARIANCE_GRIDS[case["grid"]]
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=8.0)
+        monitors = MonitorSpec(stride=case["stride"] or 1,
+                               collect_records=case["stride"] is not None,
+                               resolve_radius=case["resolve"])
+        states = [shifted_harmonic(grid, a) for a in case["amplitudes"]]
+        models, cfgs, seeds = case["models"], case["cfgs"], case["seeds"]
+        incs = ([np.array([sample_increment(seed, i, cfg.dt_effective, model)
+                           for i in range(cfg.n_steps)])
+                 for seed, cfg, model in zip(seeds, cfgs, models)]
+                if case["supplied"] else [None] * len(states))
+        points = (integrator._LOCKSTEP_POINTS if case["group"] is None
+                  else case["group"] * grid.n_collocation)
+        with mock.patch.object(integrator, "_LOCKSTEP_POINTS", points):
+            batch = simulate_path(states, cfgs, params, models, seeds, grid, monitors,
+                                  increments=incs if case["supplied"] else None)
+        assert len(batch) == len(states)
+        for p, got in enumerate(batch):
+            assert_same_path(got, simulate_path(states[p], cfgs[p], params, models[p],
+                                                seeds[p], grid, monitors,
+                                                increments=incs[p]))
+
 
 class TestStrongConvergence:
     def test_deterministic_order_at_least_one(self):
@@ -741,6 +874,86 @@ class TestStrongConvergence:
             (0.0003484264034596372, 0.0009911693145650212, 0.002523720667953193),
             rel=1e-12, abs=0.0)
         assert conv.order == pytest.approx(1.4283131892319705, rel=1e-12, abs=0.0)
+
+    def test_studies_in_one_batch_match_separate_studies(self, monkeypatch):
+        # three noise modes in one simulate_path call give each study the
+        # bits of its own call, and the noisy studies share their increments
+        grid = TorusGrid(32, 10)
+        params, st = small_setup(grid)
+        t_end = 0.02
+        dts = [0.0025, 0.005, 0.01]
+        models = [NO_NOISE, NoiseModel(base_amplitude=0.05, shape="off"),
+                  NoiseModel(base_amplitude=0.05)]
+        draws = []
+        original = integrator.sample_increment
+
+        def counted(*args):
+            draws.append(args[:2])
+            return original(*args)
+
+        monkeypatch.setattr(integrator, "sample_increment", counted)
+        together = strong_convergence_order(st, params, models, grid, dts, [1, 3, 2], 5, t_end)
+        assert len(draws) == 3 * round(t_end / dts[0])
+        assert isinstance(together, list) and len(together) == 3
+        for model, count, got in zip(models, [1, 3, 2], together):
+            alone = strong_convergence_order(st, params, model, grid, dts, count, 5, t_end)
+            assert repr(got) == repr(alone)
+        with pytest.raises(ValueError):
+            strong_convergence_order(st, params, models, grid, dts, [1, 2], 5, t_end)
+
+    def test_first_failing_study_raises(self):
+        # the stochastic study of test_exclusions_applied_level_by_level with
+        # four paths excludes 1 of 4; the noise-free study before it passes
+        grid = TorusGrid(32, 10)
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=9.82)
+        st = small_setup(grid)[1]
+        t_end = 0.04
+        dts = [t_end / 32, t_end / 16, t_end / 8, t_end / 4]
+        with pytest.raises(IntegratorConfigError, match="1/4"):
+            strong_convergence_order(st, params, [NO_NOISE, STRONG], grid, dts, [1, 4], 28,
+                                     t_end)
+
+    def test_repeated_studies_change_no_bit(self):
+        # as perfbench's repetitions in one process: no state survives a
+        # call, also across a call at another seed on another grid
+        grid = TorusGrid(32, 10)
+        params, st = small_setup(grid)
+        models = [NO_NOISE, NoiseModel(base_amplitude=0.05, shape="off"),
+                  NoiseModel(base_amplitude=0.05)]
+        dts = [0.0025, 0.005, 0.01]
+
+        def study():
+            return repr(strong_convergence_order(st, params, models, grid, dts, [1, 2, 2], 7,
+                                                 0.02))
+
+        first = study()
+        padded = TorusGrid(32, 16)
+        strong_convergence_order(shifted_harmonic(padded, 0.1), params, models, padded, dts,
+                                 [1, 2, 2], 8, 0.02)
+        assert study() == first
+
+    def test_suite_runs_as_one_batch(self, monkeypatch):
+        # one study call through the suites module attribute, and one
+        # simulate_path call for all three modes: 5 levels of 1 + 2 + 2 paths
+        studies, calls = [], []
+        study, original = suites.strong_convergence_order, integrator.simulate_path
+
+        def counted_study(*args, **kwargs):
+            studies.append(args[2])
+            return study(*args, **kwargs)
+
+        def counted(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append((len(result), result.n_steps_taken))
+            return result
+
+        monkeypatch.setattr(suites, "strong_convergence_order", counted_study)
+        monkeypatch.setattr(integrator, "simulate_path", counted)
+        results = suites.suite_convergence(n_paths=2)
+        assert len(studies) == 1 and len(studies[0]) == 3
+        assert calls == [(25, 39680)]
+        assert [r.name for r in results] == [
+            "strong-order-deterministic", "strong-order-additive", "strong-order-multiplicative"]
 
     def test_rejects_non_dyadic_levels(self):
         grid = TorusGrid(32, 10)

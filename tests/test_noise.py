@@ -45,6 +45,17 @@ class TestNoiseModel:
         with pytest.raises(NoiseConfigError):
             NoiseModel(**kwargs)
 
+    def test_equality_and_hash_follow_the_init_fields(self):
+        # the derived arrays take no part, so equal models compare and hash
+        # equal, as the stepper's grouping of a batch's rows by model needs
+        a, b = NoiseModel(base_amplitude=0.05), NoiseModel(base_amplitude=0.05)
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != NoiseModel(base_amplitude=0.05, shape="off")
+        assert a != NoiseModel(base_amplitude=0.05, k_modes=8)
+        assert a != NoiseModel(base_amplitude=0.0)
+
     def test_bounds_verification_passes(self):
         report = NoiseModel(base_amplitude=0.05).verify_bounds()
         assert report["partials_ok"] and report["growth_ok"]

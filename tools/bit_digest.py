@@ -11,8 +11,9 @@ padded (32, 16) grid, with no, additive and multiplicative noise; the
 public ``step()`` below the cut-off radius; and ``strong_convergence_order``.
 Some paths end ``tau_R_hit`` and one ends ``numerical_blowup``; the sweep
 paths run with a resolve radius below R, as ``sweep-r`` does, one at a time
-and as one batch of eight, whose states are certified together; and one
-batch mixes three dt levels, as ``strong_convergence_order`` does. Every
+and as one batch of eight, whose states are certified together; one batch
+mixes three dt levels, as ``strong_convergence_order`` does, and one mixes
+the three noise modes at two dts, as ``suite_convergence`` does. Every
 case runs alpha = 0.5 except two recorded batches at alpha = 0 and 1: the
 records of alpha = 0 take psi'' for their second-order slot and a zero
 quartic slot. ``--cases`` also prints one digest per case, to find the case
@@ -133,6 +134,28 @@ def mixed_dt_batch_case(d: Digest) -> None:
         add_result(d, res, ())
 
 
+def mixed_noise_batch_case(d: Digest) -> None:
+    """Seven paths of the three noise modes at two dts in one simulate_path
+    call on the n = 32 grid, with ragged supplied increments: the coarse
+    paths leave at step 25, the 0.15 path leaves at tau_R early, and the
+    longest path steps its last 10 steps alone."""
+    g = GRIDS["n32"]
+    params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=10.0)
+    models = [NOISE[name] for name in ("none", "additive", "multiplicative") * 2
+              + ("multiplicative",)]
+    cfgs = [StepConfig(dt=dt, t_end=t_end) for dt, t_end in
+            ((1e-3, 0.06), (1e-3, 0.05), (1e-3, 0.05), (2e-3, 0.05), (2e-3, 0.05),
+             (2e-3, 0.05), (1e-3, 0.05))]
+    seeds = [derive_path_seed(2024, index) for index in range(len(cfgs))]
+    incs = [np.array([sample_increment(seed, i, cfg.dt_effective, model)
+                      for i in range(cfg.n_steps)])
+            for seed, cfg, model in zip(seeds, cfgs, models)]
+    batch = simulate_path([harmonic(g, a) for a in (0.05,) * 6 + (0.15,)], cfgs, params,
+                          models, seeds, g, MonitorSpec(stride=4), increments=incs)
+    for res in batch:
+        add_result(d, res, ())
+
+
 def alpha_batch_case(d: Digest, alpha: float) -> None:
     """Five recorded paths at viscosity exponent alpha in one simulate_path
     call, their records taken together at every fourth step and the last."""
@@ -185,6 +208,7 @@ def cases() -> dict[str, Callable[[Digest], None]]:
             radii=(4.0, 6.0, 8.0)))
     out["sweep_batch"] = sweep_batch_case
     out["mixed_dt_batch"] = mixed_dt_batch_case
+    out["mixed_noise_batch"] = mixed_noise_batch_case
     for alpha in (0.0, 1.0):
         out[f"records_alpha{alpha:g}"] = lambda d, a=alpha: alpha_batch_case(d, a)
     out["step_n64"] = lambda d: step_case(d, "n64")
