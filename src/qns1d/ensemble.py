@@ -159,15 +159,14 @@ def run_paths(cfg: EnsembleConfig, indices: Sequence[int], initials: Sequence[St
     bit for bit as it would alone. A path's seed comes from (master_seed,
     index). With a radius sweep configured, the paths run with cut-off
     radius max(r_sweep) and every threshold's hit time is read off their
-    norm traces, which are exact from min(r_sweep) up. Returns each path's
-    summary and monitor records, in the order of ``indices``.
+    norm traces, which resolve every radius of the sweep. Returns each
+    path's summary and monitor records, in the order of ``indices``.
     """
     seeds = [derive_path_seed(cfg.master_seed, i) for i in indices]
-    resolve = min(cfg.r_sweep) if cfg.r_sweep else None
     if cfg.r_sweep:
         params = replace(params, cutoff_radius=max(cfg.r_sweep))
     results = simulate_path(list(initials), step_cfg, params, noise, seeds, grid,
-                            MonitorSpec(stride=cfg.output_stride, resolve_radius=resolve))
+                            MonitorSpec(stride=cfg.output_stride, radii=cfg.r_sweep or ()))
     return [(_path_summary(cfg, i, seed, r), r.records)
             for i, seed, r in zip(indices, seeds, results)]
 

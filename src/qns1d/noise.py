@@ -16,6 +16,7 @@ of call order.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -48,10 +49,12 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.k_modes < 1:
             raise NoiseConfigError("k_modes must be positive")
-        if self.amplitude_decay <= 1.0:
+        # written so that NaN fails: a NaN model would run as noise-free
+        # while its amplitudes are NaN
+        if not self.amplitude_decay > 1.0:
             raise NoiseConfigError("amplitude_decay must exceed 1 for summability")
-        if self.base_amplitude < 0.0:
-            raise NoiseConfigError("base_amplitude must be nonnegative")
+        if not 0.0 <= self.base_amplitude < math.inf:
+            raise NoiseConfigError("base_amplitude must be finite and nonnegative")
         if self.shape not in SHAPES:
             raise NoiseConfigError(f"shape must be one of {SHAPES}")
         ks = np.arange(1, self.k_modes + 1, dtype=float)
@@ -83,8 +86,14 @@ class NoiseModel:
         gives ``waves`` itself for any stack."""
         if self.shape == "off":
             return waves
-        envelope = np.tanh(u) * rho / (1.0 + rho)
-        return waves * envelope[..., None, :]
+        return waves * self.envelope(rho, u)[..., None, :]
+
+    def envelope(self, rho: np.ndarray, u: np.ndarray) -> np.ndarray | float:
+        """The state factor of every F_k: tanh(u) rho / (1 + rho), shaped as
+        u, or exactly 1.0 for the additive family."""
+        if self.shape == "off":
+            return 1.0
+        return np.tanh(u) * rho / (1.0 + rho)
 
     def verify_bounds(self) -> dict:
         """Sampled check of the structural hypotheses on a random (x, rho, u) lattice

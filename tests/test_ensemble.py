@@ -128,8 +128,9 @@ class TestEnsembleRuns:
         assert radii == sorted(radii)
 
     def test_sweep_hit_times_match_exact_trace(self):
-        # the criterion-10 sweep, shortened: run_path resolves the trace from
-        # min(r_sweep) up, and its hit times equal those of an exact trace
+        # the criterion-10 sweep, shortened: run_path resolves each radius of
+        # the sweep, and its events and hit times equal those of a stride-1
+        # run, which records every state and so takes every exact norm
         cfg = validate_config({
             "grid": {"n_collocation": 64, "m_modes": 21, "dealias": True},
             "model": {"gamma": 1.5, "alpha": 0.5, "cutoff_radius": 300.0,
@@ -151,7 +152,9 @@ class TestEnsembleRuns:
             st = cfg.initial_factory(i, seed)
             summary, _ = run_path(ecfg, i, st, cfg.step, cfg.params, cfg.noise, cfg.grid)
             exact = simulate_path(st, cfg.step, cfg.params, cfg.noise, seed, cfg.grid,
-                                  MonitorSpec(stride=10, resolve_radius=0.0))
+                                  MonitorSpec(stride=1, radii=ecfg.r_sweep))
+            assert (summary.event_kind, summary.event_time) == (exact.event.kind,
+                                                                exact.event.time)
             assert summary.hit_times == tuple(first_hit_times(exact, ecfg.r_sweep))
             hit_any |= summary.hit_times[0] is not None
         assert hit_any

@@ -21,7 +21,7 @@ from qns1d.integrator import (
     step,
     strong_convergence_order,
 )
-from qns1d.model import ModelParams, NumericalBlowupError, State, w2inf_norm
+from qns1d.model import ModelParams, NumericalBlowupError, State, cutoff_phi, w2inf_norm
 from qns1d.noise import NoiseModel, derive_path_seed, sample_increment
 from qns1d.spectral import RealField, TorusGrid, UsageError, hs_norm, project
 
@@ -210,7 +210,7 @@ class TestSimulatePath:
         cfg = StepConfig(dt=5e-4, t_end=0.5)
         radii = [4.0, 6.0, 8.0, 12.0]
         res = simulate_path(st, cfg, run, noisy, 7, grid64,
-                            MonitorSpec(collect_records=False, resolve_radius=min(radii)))
+                            MonitorSpec(collect_records=False, radii=tuple(radii)))
         hits = first_hit_times(res, radii)
         seen = [t for t in hits if t is not None]
         assert seen == sorted(seen)
@@ -218,23 +218,37 @@ class TestSimulatePath:
             if r1 is None:
                 assert r2 is None
 
-    def test_hit_times_below_resolve_radius_raise(self, grid64):
-        # with the default monitors the resolve radius is R itself, so rows
-        # below it may hold Wiener bounds and cannot place a lower threshold
+    def test_hit_times_of_unresolved_radii_raise(self, grid64):
+        # with the default monitors R is the only resolved radius, so rows
+        # below it may hold bounds and cannot place a lower threshold
         params, st = small_setup(grid64)
         params = replace(params, cutoff_radius=300.0)
         res = simulate_path(st, StepConfig(dt=1e-3, t_end=0.01), params,
                             NoiseModel(base_amplitude=0.2), 3, grid64)
-        assert res.resolve_radius == 300.0
+        assert res.resolved_radii == (300.0,)
         assert first_hit_times(res, [300.0]) == [None]
         with pytest.raises(ValueError):
             first_hit_times(res, [3.0])
+        # a sweep resolves its radii below R, sorted, and R; a row between two
+        # crossed radii may hold a bound past a radius in between, so a
+        # radius between them raises too, as does one beyond R
+        sweep = simulate_path(st, StepConfig(dt=5e-4, t_end=0.2),
+                              replace(params, cutoff_radius=8.0), STRONG, 7, grid64,
+                              MonitorSpec(collect_records=False, radii=(6, 4.0, 8.0, 12.0)))
+        assert sweep.resolved_radii == (4.0, 6.0, 8.0)
+        hits = first_hit_times(sweep, [4.0, 6.0, 8.0])
+        assert None not in hits[:2]
+        for radius in (3.0, 5.0, 7.0, 12.0):
+            with pytest.raises(ValueError, match="resolved radii"):
+                first_hit_times(sweep, [radius])
 
     @pytest.mark.parametrize("case", ["no_noise", "multiplicative", "additive", "padded",
                                       "tau_R_hit"])
     def test_certified_rows_change_nothing_else(self, case):
-        # resolve radius 0 takes the exact norm on every state; the default
-        # certifies states whose Wiener bounds stay below the cut-off radius
+        # a stride-1 run records every state, so each takes its exact norm;
+        # at stride 7 the other states are certified against the smallest
+        # sweep radius their path has not crossed, or R. The initial norm,
+        # about 3.95, crosses 2 at once and sits near 4.
         grid = TorusGrid(32, 16) if case == "padded" else TorusGrid(64, 21)
         params, st = small_setup(grid)
         noise = {"no_noise": NO_NOISE,
@@ -244,12 +258,14 @@ class TestSimulatePath:
         if case == "tau_R_hit":
             params = replace(params, cutoff_radius=6.0)
         cfg = StepConfig(dt=1e-3, t_end=0.05)
+        radii = (2.0, 4.0, 5.0)
         certified, exact = (simulate_path(st, cfg, params, noise, 11, grid,
-                                          MonitorSpec(stride=7, resolve_radius=r))
-                            for r in (None, 0.0))
+                                          MonitorSpec(stride=stride, radii=radii))
+                            for stride in (7, 1))
         assert certified.event == exact.event
         assert (certified.event.kind == "tau_R_hit") == (case == "tau_R_hit")
-        assert [r.to_row() for r in certified.records] == [r.to_row() for r in exact.records]
+        assert [r.to_row() for r in certified.records] == [
+            r.to_row() for i, r in enumerate(exact.records) if i % 7 == 0 or i == cfg.n_steps]
         for field in ("psi", "u"):
             assert np.array_equal(getattr(certified.final_state, field).spectral,
                                   getattr(exact.final_state, field).spectral)
@@ -258,7 +274,14 @@ class TestSimulatePath:
         changed = np.any(rows != exact_rows, axis=1)
         assert changed.any() and not changed[-1]
         assert np.all(exact_rows <= rows)
-        assert np.all(rows[changed] <= params.cutoff_radius)
+        # each changed row stays below the smallest resolved radius that the
+        # path had not crossed before it
+        tops = exact_rows.max(axis=1)
+        for i in np.nonzero(changed)[0]:
+            below = min(r for r in certified.resolved_radii if not np.any(tops[:i] >= r))
+            assert rows[i].max() < below, i
+        resolved = list(certified.resolved_radii)
+        assert first_hit_times(certified, resolved) == first_hit_times(exact, resolved)
 
     def test_blowup_event(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5, enable_cutoff=False)
@@ -468,6 +491,76 @@ class TestCertifiedNorms:
             assert np.array_equal(got[p], exact[p], equal_nan=True), p
         assert not np.isfinite(exact[4]).all()
 
+    def test_incremental_bounds_between_wiener_bound_and_norm(self, grid64, monkeypatch):
+        # a state at a finite threshold whose Wiener bounds fail gets, per
+        # field, the smaller of its Wiener bound and its previous value plus
+        # the Wiener bound of the change, where these certify, with no
+        # transform; the other states, and those at -inf or at an infinite
+        # threshold, take their exact norms from one oversampled transform
+        stepper = _Stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=500.0),
+                           StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+        rng = np.random.default_rng(5)
+        decay = np.exp(-np.arange(grid64.n_half) / 3.0)
+        before = (rng.standard_normal((2, 5, grid64.n_half))
+                  + 1j * rng.standard_normal((2, 5, grid64.n_half))) * decay
+        before[..., 0] = before[..., 0].real
+        rows = before + 1e-4 * decay
+        # a finite Wiener bound above finite_floor in both states
+        before[1, 4, 20] = rows[1, 4, 20] = 1e303
+        wiener = [(stepper.wiener @ np.abs(rows[:, p]).T).max(axis=0).tolist()
+                  for p in range(5)]
+        steps = [(stepper.wiener @ np.abs(rows[:, p] - before[:, p]).T).max(axis=0).tolist()
+                 for p in range(5)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = [w2inf_norm(rows[:, p], grid64) for p in range(5)]
+            values = [w2inf_norm(before[:, p], grid64) for p in range(5)]
+        values[4] = [1.0, 1.0]
+        incremental = [[min(w, v + s) for w, v, s in zip(wiener[p], values[p], steps[p])]
+                       for p in range(5)]
+        for p in range(4):
+            assert max(incremental[p]) < max(exact[p]) * 1.01 < max(wiener[p]), p
+        below = [max(exact[0]) * 1.01,  # the Wiener bounds fail, the incremental pass
+                 max(exact[1]) * 0.99,  # both fail: exact
+                 -math.inf,  # always exact
+                 max(wiener[3]) * 1.01,  # the Wiener bounds certify and stay
+                 math.inf]  # not a finite threshold: exact, though 1 + step passes
+        calls = []
+
+        def counted(spec, grid):
+            calls.append(np.shape(spec))
+            return w2inf_norm(spec, grid)
+
+        monkeypatch.setattr(integrator, "w2inf_norm", counted)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = stepper.certified_norms(rows, below, (before, values))
+        assert calls == [(3, 2, grid64.n_half)]
+        assert got[0] == incremental[0] and got[0] != exact[0]
+        assert got[3] == wiener[3] and got[3] != incremental[3]
+        for p in (1, 2, 4):
+            assert np.array_equal(got[p], exact[p], equal_nan=True), p
+        assert max(incremental[4]) < stepper.finite_floor < max(wiener[4])
+
+    def test_predictor_phi_is_one_below_R(self, grid64, monkeypatch):
+        # every predicted norm at most R gives the scalar 1.0 with no call of
+        # cutoff_phi; otherwise each path gets its own factor
+        stepper = _Stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=5.0),
+                           StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+        u = np.stack([shifted_harmonic(grid64, a).u.spectral for a in (0.05, 0.1, 0.13)])
+        norms = [w2inf_norm(row, grid64) for row in u]
+        assert norms[1] < 5.0 < norms[2] < 6.0
+        calls = []
+        monkeypatch.setattr(integrator, "cutoff_phi",
+                            lambda y, r: calls.append(y) or cutoff_phi(y, r))
+        for below_R in (u[:2], u[1]):
+            got = stepper.predictor_phi(below_R)
+            assert type(got) is float and got == 1.0
+        assert calls == []
+        column = stepper.predictor_phi(u)
+        assert column.shape == (3, 1)
+        assert column[:2, 0].tolist() == [1.0, 1.0] and 0.0 < column[2, 0] < 1.0
+        assert column[2, 0] == cutoff_phi(norms[2], 5.0)
+        assert stepper.predictor_phi(u[2]) == column[2, 0]
+
     def test_bounds_and_sup_norms_read_only_in_certified_norms(self):
         # the bound-or-norm choice exists once: every read of the stepper's
         # Wiener weights and every sup-norm call in the integrator lies in
@@ -500,7 +593,7 @@ def assert_same_path(got, want):
     """Two PathResults agree bit for bit."""
     assert got.event == want.event
     assert got.n_steps_taken == want.n_steps_taken
-    assert got.resolve_radius == want.resolve_radius
+    assert got.resolved_radii == want.resolved_radii
     assert got.norm_trace.tobytes() == want.norm_trace.tobytes()
     assert got.norm_trace.shape == want.norm_trace.shape
     assert [r.to_row() for r in got.records] == [r.to_row() for r in want.records]
@@ -519,7 +612,7 @@ def shifted_harmonic(grid, amplitude, offset=0.0):
 
 STRONG = NoiseModel(base_amplitude=1.0, amplitude_decay=2.0)
 
-# name: grid, noise, radius, cutoff, amplitudes, stride, resolve radius, t_end
+# name: grid, noise, radius, cutoff, amplitudes, stride, sweep radii, t_end
 BATCH_CASES = {
     "n32-none": ((32, 10), NO_NOISE, 500.0, True, (0.1, 0.2, 0.3), 4, None, 0.03),
     "n64-additive": ((64, 21), NoiseModel(base_amplitude=0.2, shape="off"), 500.0, True,
@@ -528,7 +621,8 @@ BATCH_CASES = {
                            (0.1, 0.1, 0.2, 0.3), 7, None, 0.03),
     "n64-cutoff-off": ((64, 21), NoiseModel(base_amplitude=0.2), 500.0, False,
                        (0.1, 0.3), None, None, 0.03),
-    "n64-tau-R-sweep": ((64, 21), STRONG, 8.0, True, (0.02, 0.05, 0.1, 0.15), 3, 4.0, 0.05),
+    "n64-tau-R-sweep": ((64, 21), STRONG, 8.0, True, (0.02, 0.05, 0.1, 0.15), 3, (4.0, 6.0),
+                        0.05),
     "n256-multiplicative": ((256, 85), NoiseModel(base_amplitude=0.2), 500.0, True,
                             (0.1, 0.2), 2, None, 0.004),
     "padded-additive": ((32, 16), NoiseModel(base_amplitude=0.2, shape="off"), 500.0, True,
@@ -540,11 +634,11 @@ BATCH_CASES = {
 class TestPathBatch:
     @pytest.mark.parametrize("case", list(BATCH_CASES))
     def test_batch_matches_single_runs(self, case):
-        (n, m), noise, radius, cutoff, amplitudes, stride, resolve, t_end = BATCH_CASES[case]
+        (n, m), noise, radius, cutoff, amplitudes, stride, radii, t_end = BATCH_CASES[case]
         grid = TorusGrid(n, m)
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius, enable_cutoff=cutoff)
         monitors = MonitorSpec(stride=stride or 1, collect_records=stride is not None,
-                               resolve_radius=resolve)
+                               radii=radii or ())
         cfg = StepConfig(dt=5e-4 if n < 256 else 2e-4, t_end=t_end)
         states = [shifted_harmonic(grid, a) for a in amplitudes]
         seeds = [derive_path_seed(12, p) for p in range(len(states))]
@@ -628,7 +722,7 @@ class TestPathBatch:
         incs = ([np.array([sample_increment(seed, i, cfg.dt_effective, STRONG)
                            for i in range(cfg.n_steps)]) for seed, cfg in zip(seeds, cfgs)]
                 if supplied else None)
-        monitors = MonitorSpec(stride=3, resolve_radius=4.0)
+        monitors = MonitorSpec(stride=3, radii=(4.0, 6.0))
         batch = simulate_path(states, cfgs, params, STRONG, seeds, grid, monitors,
                               increments=incs)
         for p, got in enumerate(batch):
@@ -722,7 +816,7 @@ class TestPathBatch:
                 StepConfig(dt=2e-3, t_end=0.02)]
         states = [shifted_harmonic(grid, a) for a in (0.05, 0.05, 0.02, 0.1, 0.03)]
         seeds = [derive_path_seed(12, p) for p in range(len(states))]
-        monitors = MonitorSpec(stride=3, resolve_radius=4.0)
+        monitors = MonitorSpec(stride=3, radii=(4.0, 6.0))
 
         def run():
             return simulate_path(states, cfgs, params, models, seeds, grid, monitors)
@@ -753,7 +847,8 @@ INVARIANCE_GRIDS = {"padded": TorusGrid(32, 16), "n48": TorusGrid(48, 16),
 @strategies.composite
 def mixed_batches(draw):
     """A batch of 1-10 paths, each with its own noise mode, dyadic dt, step
-    count, amplitude and seed; at strength 1 some paths reach R = 8."""
+    count, amplitude and seed; at strength 1 some paths reach R = 8. The
+    batch monitors no sweep radius or 1-3 of them below R."""
     strength = draw(strategies.sampled_from([0.2, 1.0]))
     modes = {"none": NO_NOISE,
              "additive": NoiseModel(base_amplitude=strength, amplitude_decay=2.0, shape="off"),
@@ -769,7 +864,8 @@ def mixed_batches(draw):
         amplitudes=[a for *_, a, _ in paths],
         seeds=[seed for *_, seed in paths],
         stride=draw(strategies.sampled_from([None, 1, 3, 7])),
-        resolve=draw(strategies.sampled_from([None, 4.0])),
+        radii=tuple(sorted(draw(strategies.one_of(strategies.just([]), strategies.lists(
+            strategies.floats(0.5, 7.75), min_size=1, max_size=3, unique=True))))),
         supplied=draw(strategies.booleans()),
         group=draw(strategies.sampled_from([None, None, 1, 2, 3])))
 
@@ -785,7 +881,7 @@ class TestBatchInvariance:
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=8.0)
         monitors = MonitorSpec(stride=case["stride"] or 1,
                                collect_records=case["stride"] is not None,
-                               resolve_radius=case["resolve"])
+                               radii=case["radii"])
         states = [shifted_harmonic(grid, a) for a in case["amplitudes"]]
         models, cfgs, seeds = case["models"], case["cfgs"], case["seeds"]
         incs = ([np.array([sample_increment(seed, i, cfg.dt_effective, model)

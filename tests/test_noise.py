@@ -45,6 +45,17 @@ class TestNoiseModel:
         with pytest.raises(NoiseConfigError):
             NoiseModel(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(base_amplitude=float("nan")),
+        dict(base_amplitude=float("inf")),
+        dict(amplitude_decay=float("nan")),
+    ], ids=["nan-amplitude", "inf-amplitude", "nan-decay"])
+    def test_non_finite_parameters_rejected(self, kwargs):
+        # each passes a comparison that NaN fails silently, and the model
+        # would run as noise-free while its amplitudes are NaN
+        with pytest.raises(NoiseConfigError):
+            NoiseModel(**kwargs)
+
     def test_equality_and_hash_follow_the_init_fields(self):
         # the derived arrays take no part, so equal models compare and hash
         # equal, as the stepper's grouping of a batch's rows by model needs

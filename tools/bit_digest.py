@@ -10,8 +10,8 @@ monitor rows and hit times of paths on the n = 32, 64 and 256 grids and the
 padded (32, 16) grid, with no, additive and multiplicative noise; the
 public ``step()`` below the cut-off radius; and ``strong_convergence_order``.
 Some paths end ``tau_R_hit`` and one ends ``numerical_blowup``; the sweep
-paths run with a resolve radius below R, as ``sweep-r`` does, one at a time
-and as one batch of eight, whose states are certified together; one batch
+paths monitor their sweep radii, as ``sweep-r`` does, one at a time and as
+one batch of eight, whose states are certified together; one batch
 mixes three dt levels, as ``strong_convergence_order`` does, and one mixes
 the three noise modes at two dts, as ``suite_convergence`` does. Every
 case runs alpha = 0.5 except two recorded batches at alpha = 0 and 1: the
@@ -82,12 +82,11 @@ class Digest:
 
 def path_case(d: Digest, grid: str, noise: str, seed: int, dt: float, t_end: float,
               amplitude: float = 0.1, radius: float = 500.0, stride: int | None = 5,
-              resolve: float | None = None, radii: tuple[float, ...] = (),
-              cutoff: bool = True) -> None:
+              radii: tuple[float, ...] = (), cutoff: bool = True) -> None:
     g = GRIDS[grid]
     params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius, enable_cutoff=cutoff)
     monitors = MonitorSpec(stride=stride or 1, collect_records=stride is not None,
-                           resolve_radius=resolve)
+                           radii=radii)
     res = simulate_path(harmonic(g, amplitude), StepConfig(dt=dt, t_end=t_end), params,
                         NOISE[noise], seed, g, monitors)
     add_result(d, res, radii)
@@ -104,13 +103,13 @@ def add_result(d: Digest, res: PathResult, radii: tuple[float, ...]) -> None:
 
 def sweep_batch_case(d: Digest) -> None:
     """Eight sweep paths in one simulate_path call: some never reach the
-    resolve radius, some cross it, and some leave the batch at R."""
+    smallest sweep radius, some cross it, and some leave the batch at R."""
     g = GRIDS["n64"]
     params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=8.0)
     seeds = [derive_path_seed(20240501, index) for index in range(8)]
     batch = simulate_path([harmonic(g, 0.02 * (p + 1)) for p in range(8)],
                           StepConfig(dt=5e-4, t_end=0.1), params, NOISE["strong"], seeds, g,
-                          MonitorSpec(stride=7, resolve_radius=4.0))
+                          MonitorSpec(stride=7, radii=(4.0, 6.0, 8.0)))
     for res in batch:
         add_result(d, res, (4.0, 6.0, 8.0))
 
@@ -164,7 +163,7 @@ def alpha_batch_case(d: Digest, alpha: float) -> None:
     seeds = [derive_path_seed(2024, index) for index in range(5)]
     batch = simulate_path([harmonic(g, 0.025 * (p + 1)) for p in range(5)],
                           StepConfig(dt=5e-4, t_end=0.05), params, NOISE["strong"], seeds, g,
-                          MonitorSpec(stride=4, resolve_radius=4.0))
+                          MonitorSpec(stride=4, radii=(4.0, 6.0, 8.0)))
     for res in batch:
         add_result(d, res, (4.0, 6.0, 8.0))
 
@@ -195,16 +194,16 @@ def cases() -> dict[str, Callable[[Digest], None]]:
             d, "n64", "strong", s, 5e-4, 0.2, radius=6.0, stride=3))
         out[f"tau_R_padded_{seed}"] = (lambda d, s=seed: path_case(
             d, "padded", "strong", s, 5e-4, 0.2, radius=8.0, stride=None))
-    # the criterion-10 sweep: run at max(r_sweep), exact from min(r_sweep) up
+    # the criterion-10 sweep: run at max(r_sweep), resolving every radius
     for index in range(4):
         seed = derive_path_seed(20240501, index)
         out[f"sweep_{index}"] = (lambda d, s=seed: path_case(
-            d, "n64", "sweep", s, 5e-4, 0.05, radius=300.0, stride=10, resolve=6.0,
+            d, "n64", "sweep", s, 5e-4, 0.05, radius=300.0, stride=10,
             radii=(6.0, 9.0, 300.0)))
     # sweeps that end at their largest radius
     for seed in range(3):
         out[f"sweep_tau_R_{seed}"] = (lambda d, s=seed: path_case(
-            d, "n64", "strong", s, 5e-4, 0.2, radius=8.0, stride=None, resolve=4.0,
+            d, "n64", "strong", s, 5e-4, 0.2, radius=8.0, stride=None,
             radii=(4.0, 6.0, 8.0)))
     out["sweep_batch"] = sweep_batch_case
     out["mixed_dt_batch"] = mixed_dt_batch_case
