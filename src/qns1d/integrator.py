@@ -56,37 +56,37 @@ the (k, dt)-only factors, which are rebuilt only when the stepped rows
 change. Each factor keeps the operand order of the expression it stands for,
 since regrouping changes rounding.
 
-Paths run in batches. The kernels take an optional leading path axis, and
-``simulate_path`` steps a batch of paths in lockstep from one workspace, so
-each numpy call and each transform of a step serves every path of the batch:
-a step makes the same transform calls for P paths as for one (Lord, Powell &
-Shardlow, An Introduction to Computational Stochastic PDEs, 2014; the
-leading batch axis of SDE libraries such as torchsde). A single path runs as
-a batch of one. The batch changes no bit of any path: elementwise operations
-and row-wise transforms do not mix paths; the forcing and the Wiener bounds
-are stacks of the products one path would form, which numpy hands to the
-same BLAS routine path by path (one matrix product over all paths would
-round differently); reductions run per path; nu_bar, the predictor's phi,
-the state check and the increments are taken per path, while a step's exact
-norms take one stacked transform and its records one ``compute_record``
-pass. A path that stops leaves the stepped rows, and the others go on.
+Paths run in batches. The kernels take only stacked spectra of shape
+(P, n_half), with a leading path axis, and ``simulate_path`` steps a batch
+of paths in lockstep from one workspace, so each numpy call and each
+transform of a step serves every path of the batch: a step makes the same
+transform calls for P paths as for one (Lord, Powell & Shardlow, An
+Introduction to Computational Stochastic PDEs, 2014; the leading batch axis
+of SDE libraries such as torchsde). A single path, like the state of the
+public ``step()``, runs as a stack of one. The batch changes no bit of any
+path: elementwise operations and row-wise transforms do not mix paths; the
+forcing and the Wiener bounds are stacks of the products one path would
+form, which numpy hands to the same BLAS routine path by path (one matrix
+product over all paths would round differently); reductions run per path;
+nu_bar, the predictor's phi, the state check and the increments are taken
+per path, while a step's exact norms take one stacked transform and its
+records one ``compute_record`` pass. A path that stops leaves the stepped
+rows, and the others go on.
 
 The paths of a batch may differ in dt and in their number of steps, so every
-dt level of a refinement study steps in one batch. Where the stepped rows'
-dt differ, the (k, dt)-only factors are per-row: (P, 1) columns and
-(P, n_half) rows, each row with the bits of its own dt's scalar factor, and
-an elementwise product with a row gives the bits of the product with that
-scalar. Where they agree, and for a lone path, the factors stay scalars. A
-path leaves the stepped rows at its own last step.
+dt level of a refinement study steps in one batch. The (k, dt)-only factors
+are per-row: (P, 1) columns and (P, n_half) rows, each row with the bits of
+its own dt's scalar factor, and an elementwise product with a row gives the
+bits of the product with that scalar. A path leaves the stepped rows at its
+own last step.
 
 The paths of a batch may also differ in noise model, so the three noise
-modes of a strong-order suite step in one batch too. The stepper gives each
-stepped row its model's waves, the models compared by value, and the forcing
-is the same stack of one-path products over all rows, each with its own
-waves and envelope; a noise-free row's forcing is exactly zero, the
-zero_half that it adds when it steps alone. Where the rows share one model,
-and for a lone path, that model's waves serve every row. One increment array
-serves every row, so the models of a batch must share k_modes.
+modes of a strong-order suite step in one batch too. The stepper groups the
+stepped rows by model, the models compared by value, and forces each group
+through its model's ``coefficient_fields`` and one stack of one-path
+products; a noise-free row's forcing is exactly zero, the zero_half that it
+adds when it steps alone. One increment array serves every row, so the
+models of a batch must share k_modes.
 """
 
 from __future__ import annotations
@@ -200,11 +200,10 @@ class _Stepper:
     """Per-run workspace: wavenumber arrays, masks, and the step kernels.
 
     Spectra are mean-normalized half-spectra (rfft/n). All kernels take and
-    return raw arrays; the public functions wrap them in State/RealField. A
-    state enters the kernels as the rows of ``sample``. The kernels also take
-    a leading path axis: spectra of shape (P, n_half) stand for P paths, and
-    a stack of rows then has shape (rows, P, .), so that ``rows[j]`` is row j
-    of every path, as it is of one path's stack.
+    return raw arrays; the public functions wrap them in State/RealField. The
+    kernels take P paths at once: spectra of shape (P, n_half), whose states
+    enter as the rows of ``sample``, of shape (rows, P, .), so that
+    ``rows[j]`` is row j of every path.
     """
 
     def __init__(self, grid: TorusGrid, params: ModelParams, cfg: StepConfig,
@@ -229,7 +228,7 @@ class _Stepper:
         # product with 1 can flip the sign of a zero, so dropping one would
         # change the step's bits.
         self.term_scale = np.array([-1.0, -1.0, 0.5, -params.gamma, 1.0, params.alpha, 1.0],
-                                   dtype=complex)[:, None]
+                                   dtype=complex)[:, None, None]
         # psi's exponents in rho^(gamma-1), rho^(alpha-1) and rho
         self.psi_rates = np.array([params.gamma - 1.0, params.alpha - 1.0, 1.0])
         self.neg_ik = -1j * self.k
@@ -257,13 +256,12 @@ class _Stepper:
     def use_dts(self, dts: Sequence[float]) -> None:
         """Build the step's (k, dt)-only factors for rows stepping by ``dts``.
 
-        Equal dts give scalars and vectors over k; dts that differ give (P, 1)
-        columns and (P, n_half) rows, which the kernels broadcast against a
-        stack of P paths. Each factor keeps its expression's operand order,
-        and a row's factor has the bits of its own dt's scalar one, so every
-        path steps as it would alone.
+        They are (P, 1) columns and (P, n_half) rows, which the kernels
+        broadcast against a stack of P paths. Each factor keeps its
+        expression's operand order, and a row's factor has the bits of its
+        own dt's scalar one, so every path steps as it would alone.
         """
-        self.dt = dt = dts[0] if all(d == dts[0] for d in dts) else np.array(dts)[:, None]
+        self.dt = dt = np.array(dts)[:, None]
         self.hdt = hdt = 0.5 * dt
         self.half_hdt2_k4 = 0.5 * hdt * hdt * self.k2 * self.k2
         self.neg_hdt_ihk3 = -hdt * 1j * self.hk3
@@ -272,33 +270,25 @@ class _Stepper:
     def use_noises(self, models: Sequence[NoiseModel]) -> None:
         """Set the forcing of rows driven by ``models``, one per stepped row.
 
-        Where the rows share one model, compared by value, as a lone path
-        does, ``noise``, ``noise_on`` and ``noise_waves`` are that model's and
-        ``noise_groups`` is None. Otherwise ``noise_groups`` lists each noisy
-        model's rows, the model and its waves, ``row_waves`` stacks each
-        row's waves, and ``quiet_rows`` lists the rows of noise-free models,
-        whose waves are zero and whose forcing is exactly zero, as when they
-        step alone. Each distinct model's waves are built once per stepper.
-        The models share k_modes, so one increment array serves every row.
+        ``noise_groups`` lists each noisy model's rows, compared by value, with
+        the model and its waves, and a group of every row takes them as
+        ``slice(None)``, whose views cost less per step than the copies that
+        a list of rows makes; ``quiet_rows`` lists the rows of noise-free
+        models, whose forcing is exactly zero, as when they step alone; and
+        ``noise_on`` tells whether any row is noisy. Each distinct model's
+        waves are built once per stepper. The models share k_modes, so one
+        increment array serves every row.
         """
-        first = models[0]
-        noisy = [m.base_amplitude > 0.0 for m in models]
-        for m, on in zip(models, noisy):
+        rows: dict[NoiseModel | None, list[int]] = {}
+        for row, m in enumerate(models):
+            on = m.base_amplitude > 0.0
             if on and m not in self.waves:
                 self.waves[m] = m.waves(self.grid.x)
-        self.noise = first
-        self.noise_on = any(noisy)
-        self.noise_waves = self.waves.get(first)
-        self.noise_groups = None
-        if self.noise_on and any(m is not first and m != first for m in models):
-            rows: dict[NoiseModel | None, list[int]] = {}
-            for row, (m, on) in enumerate(zip(models, noisy)):
-                rows.setdefault(m if on else None, []).append(row)
-            self.quiet_rows = rows.pop(None, [])
-            self.noise_groups = [(group, m, self.waves[m]) for m, group in rows.items()]
-            self.row_waves = np.zeros((len(models), first.k_modes, self.n))
-            for group, _, waves in self.noise_groups:
-                self.row_waves[group] = waves
+            rows.setdefault(m if on else None, []).append(row)
+        self.quiet_rows = rows.pop(None, [])
+        self.noise_groups = [(slice(None) if len(group) == len(models) else group, m,
+                              self.waves[m]) for m, group in rows.items()]
+        self.noise_on = bool(self.noise_groups)
 
     # --- small kernels -------------------------------------------------
 
@@ -306,11 +296,11 @@ class _Stepper:
                ) -> tuple[np.ndarray, np.ndarray]:
         """Spectra and collocation samples of the rows [psi, u, psi', u', u'', psi''].
 
-        One stacked inverse transform, also for a stack of paths: spectra of
-        shape (P, n_half) give rows of shape (6, P, .). The state check reads
-        the first two rows, the explicit terms all six.
+        One stacked inverse transform: spectra of shape (P, n_half) give rows
+        of shape (6, P, .). The state check reads the first two rows, the
+        explicit terms all six.
         """
-        spec = np.empty((6,) + np.shape(psi_spec), dtype=complex)
+        spec = np.empty((6,) + psi_spec.shape, dtype=complex)
         spec[0] = psi_spec
         spec[1] = u_spec
         np.multiply(spec[:2], self.ik, out=spec[2:4])
@@ -331,7 +321,7 @@ class _Stepper:
         retained band to be alias-free; the product keeps the modes of the
         grid's dealias_mask.
         """
-        factors = np.empty((2,) + np.shape(a_spec), dtype=complex)
+        factors = np.empty((2,) + a_spec.shape, dtype=complex)
         factors[0] = a_spec
         factors[1] = b_spec
         a, b = to_physical(factors, self.product_n)
@@ -381,27 +371,22 @@ class _Stepper:
         return norms
 
     def predictor_phi(self, u_spec: np.ndarray) -> float | np.ndarray:
-        """phi(|u|) of the predictor from its ``certified_norms`` below R:
-        the scalar 1.0, where phi is exactly 1, when every value is at most
-        R, and otherwise a float for one spectrum and a (P, 1) column of
-        per-path factors for a stack of shape (P, n_half). A scalar 1.0
-        scales the transport with the bits of a column of 1.0s."""
-        stack = u_spec if u_spec.ndim == 2 else u_spec[None]
-        norms = [norm for norm, in self.certified_norms(stack[None], [self.radius] * len(stack))]
+        """phi(|u|) of the predicted spectra (P, n_half) from their
+        ``certified_norms`` below R: the scalar 1.0, where phi is exactly 1,
+        when every value is at most R, and otherwise a (P, 1) column of
+        per-path factors. A scalar 1.0 scales the transport with the bits of
+        a column of 1.0s."""
+        norms = [norm for norm, in self.certified_norms(u_spec[None], [self.radius] * len(u_spec))]
         if all(norm <= self.radius for norm in norms):
             return 1.0
-        if u_spec.ndim == 1:
-            return self.phi(norms[0])
         return np.array([self.phi(norm) for norm in norms])[:, None]
 
     # --- right-hand sides ----------------------------------------------
 
     def transport_spec(self, psi_spec: np.ndarray, u_spec: np.ndarray,
                        phi_u: float | np.ndarray) -> np.ndarray:
-        """-phi(|u|) * u * dpsi/dx as a half-spectrum, from the spectra alone.
-
-        For a stack of paths, phi_u is a (P, 1) column of per-path factors.
-        """
+        """-phi(|u|) * u * dpsi/dx as half-spectra, from the spectra alone;
+        phi_u is a (P, 1) column of per-path factors, or a scalar for all."""
         return -phi_u * self.product(u_spec, psi_spec * self.ik)
 
     def explicit_terms(self, spec: np.ndarray, samples: np.ndarray,
@@ -410,17 +395,17 @@ class _Stepper:
 
         Keys: transport (continuity equation); advection, pressure, viscosity,
         viscosity_gradient and quantum (momentum equation); and forcing,
-        sum_k F_k dW_k, when dW is given and some row's noise is on, with the
-        models of ``use_noises``; a noise-free row's is zero. No term carries
-        a cut-off factor: every state ``simulate_path`` steps is below R,
-        where phi_R is 1. The momentum equation's sixth term, the dispersion,
-        is linear and is solved implicitly with coefficient ``hk3``.
+        sum_k F_k dW_k, when dW, of shape (P, k_modes), is given and some
+        row's noise is on, with the models of ``use_noises``; a noise-free
+        row's is zero. No term carries a cut-off factor: every state
+        ``simulate_path`` steps is below R, where phi_R is 1. The momentum
+        equation's sixth term, the dispersion, is linear and is solved
+        implicitly with coefficient ``hk3``.
 
         All terms share one forward transform. On a padded product grid the
         product factors take one more inverse transform, and the products
-        and the projections take one forward transform each. Stacked
-        ``sample`` rows of P paths, with dW of shape (P, k_modes), give terms
-        of shape (P, n_half) from the same transforms.
+        and the projections take one forward transform each. The ``sample``
+        rows of P paths give terms of shape (P, n_half).
         """
         psi, u, dpsi, du, d2u, d2psi = samples
         lead = samples.shape[1:-1]
@@ -444,21 +429,14 @@ class _Stepper:
         np.multiply(exp_a, d2u, out=pointwise[1])
         np.multiply(exp_a, dpsi, out=pointwise[2])
         np.multiply(pointwise[2], du, out=pointwise[2])
-        if forcing and self.noise_groups is None:
-            # a stack of vector-matrix products: each path's forcing has the
-            # bits of dW @ fields alone, which one matrix product would not
-            fields = self.noise.coefficient_fields(self.noise_waves, rho[0], u)
-            pointwise[3] = np.matmul(dW[..., None, :], fields)[..., 0, :]
-        elif forcing:
-            # the same stack over every row, each with its model's waves and
-            # envelope: an additive row's envelope is exactly 1.0, whose
-            # product keeps the waves' bits, and a noise-free row forces with
-            # zero waves
-            envelope = np.ones(u.shape)
-            for group, model, _ in self.noise_groups:
-                envelope[group] = model.envelope(rho[0][group], u[group])
-            fields = self.row_waves * envelope[:, None, :]
-            pointwise[3] = np.matmul(dW[:, None, :], fields)[:, 0, :]
+        if forcing:
+            # per model, a stack of vector-matrix products: each path's
+            # forcing has the bits of dW @ fields alone, which one matrix
+            # product would not
+            for group, model, waves in self.noise_groups:
+                fields = model.coefficient_fields(waves, rho[0][group], u[group])
+                pointwise[3, group] = np.matmul(dW[group, None, :], fields)[:, 0, :]
+            pointwise[3, self.quiet_rows] = 0.0
         if self.product_n == self.n:
             s = to_spectral(rows)
             s[:3, ..., self.product_end:] = 0.0
@@ -469,9 +447,8 @@ class _Stepper:
         # d/dx(sqrt(rho)''/sqrt(rho)) = (psi''' + psi'psi'')/2: the quantum
         # row's 1/2 is what the energy functional's capillary term
         # dissipates against
-        np.multiply(self.term_scale[:n_rows] if s.ndim == 2 else self.term_scale[:n_rows, None],
-                    s, out=s)
-        if forcing and self.noise_groups is not None:
+        np.multiply(self.term_scale[:n_rows], s, out=s)
+        if forcing:
             # a noise-free row adds zero_half to b2, as it does alone; the
             # transform of its zero samples may hold negative zeros
             s[6, self.quiet_rows] = 0.0
@@ -495,15 +472,13 @@ class _Stepper:
         out += terms["quantum"]
         return out
 
-    def nu_bar(self, psi_phys: np.ndarray) -> float | np.ndarray:
-        """The implicit viscosity: a scalar for one path's samples of psi, or
-        a (P, 1) column for a stack of P paths."""
+    def nu_bar(self, psi_phys: np.ndarray) -> np.ndarray:
+        """The implicit viscosity of P paths' samples of psi, a (P, 1) column."""
         # Crank-Nicolson damps the stiff modes of the explicit remainder
         # (rho^(alpha-1) - nu_bar) u'' only if nu_bar >= max rho^(alpha-1);
         # this min falls short wherever rho^(alpha-1) varies. ROADMAP.md's
         # open item on the implicit viscosity at that maximum changes it.
-        return np.exp(((self.params.alpha - 1.0) * psi_phys).min(axis=-1,
-                                                                 keepdims=psi_phys.ndim > 1))
+        return np.exp(((self.params.alpha - 1.0) * psi_phys).min(axis=-1, keepdims=True))
 
     def cn_solve(self, b1: np.ndarray, b2: np.ndarray, diag: np.ndarray,
                  kb2: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -515,7 +490,7 @@ class _Stepper:
         kb2 = (dt/2) i k b2 and det, the block's determinant, depend only on
         the step, so ``step_imex`` builds them once for both of its solves.
         """
-        new = np.empty((2,) + np.shape(b2), dtype=complex)
+        new = np.empty((2,) + b2.shape, dtype=complex)
         np.multiply(diag, b1, out=new[0])
         np.subtract(new[0], kb2, out=new[0])
         np.multiply(self.neg_hdt_ihk3, b1, out=new[1])
@@ -562,26 +537,16 @@ class _Stepper:
                     failures[p] = "non-finite W^{2,inf} norm"
         return norms, failures
 
-    def check_state(self, spec: np.ndarray, samples: np.ndarray, t: float,
-                    below: float = -math.inf) -> list[float]:
-        """``check_states`` of one state at time t, by default with its exact
-        norms, raising NumericalBlowupError where it fails."""
-        norms, failures = self.check_states(spec[:, None], samples[:, None], [below])
-        if failures[0] is not None:
-            raise NumericalBlowupError(failures[0], t)
-        return norms[0]
-
     # --- full step -------------------------------------------------------
 
     def step_imex(self, spec: np.ndarray, samples: np.ndarray, dW: np.ndarray | None,
                   ) -> tuple[np.ndarray, np.ndarray]:
         """One IMEX step from a checked state below the cut-off radius.
 
-        spec and samples are the state's ``sample`` rows; dW is the step's
-        increment, or None. Stacked rows of P paths, with dW of shape
-        (P, k_modes), step every path at once: nu_bar and the predictor's phi
-        are taken per path, and each path's new spectra have the bits of its
-        step alone.
+        spec and samples are the ``sample`` rows of P paths; dW is the step's
+        increments, of shape (P, k_modes), or None. Every path steps at once:
+        nu_bar and the predictor's phi are taken per path, and each path's new
+        spectra have the bits of its step alone.
         """
         psi_spec, u_spec = spec[0], spec[1]
         nu_bar = self.nu_bar(samples[0])
@@ -621,22 +586,26 @@ def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
          seed: int, step_index: int, grid: TorusGrid) -> State:
     """Advance one time step from a state below the cut-off radius.
 
-    Raises NumericalBlowupError if the state fails the state check, and
-    UsageError if its W^{2,inf} norm is at or beyond the cut-off radius:
-    ``simulate_path`` stops there, so the step's terms carry no cut-off.
+    The state steps through the stepper's kernels as a stack of one. Raises
+    NumericalBlowupError if it fails the state check, and UsageError if its
+    W^{2,inf} norm is at or beyond the cut-off radius: ``simulate_path``
+    stops there, so the step's terms carry no cut-off.
     """
     stepper = _Stepper(grid, params, cfg, noise)
-    spec, samples = stepper.sample(state.psi.spectral, state.u.spectral)
-    worst = max(stepper.check_state(spec, samples, state.time, stepper.radius))
-    if worst >= stepper.radius:
-        raise UsageError(f"W^(2,inf) norm {worst:.6g} at or beyond the cut-off radius "
+    spec, samples = stepper.sample(state.psi.spectral[None], state.u.spectral[None])
+    (norms,), (failure,) = stepper.check_states(spec, samples, [stepper.radius])
+    if failure is not None:
+        raise NumericalBlowupError(failure, state.time)
+    if max(norms) >= stepper.radius:
+        raise UsageError(f"W^(2,inf) norm {max(norms):.6g} at or beyond the cut-off radius "
                          f"{stepper.radius:g}, where simulate_path stops")
-    dW = sample_increment(seed, step_index, stepper.dt, noise) if stepper.noise_on else None
+    dt = cfg.dt_effective
+    dW = sample_increment(seed, step_index, dt, noise)[None] if stepper.noise_on else None
     psi_new, u_new = stepper.step_imex(spec, samples, dW)
     return State(
-        psi=RealField.from_spectral(psi_new, grid),
-        u=RealField.from_spectral(u_new, grid),
-        time=state.time + stepper.dt,
+        psi=RealField.from_spectral(psi_new[0], grid),
+        u=RealField.from_spectral(u_new[0], grid),
+        time=state.time + dt,
     )
 
 
@@ -816,13 +785,7 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
         else:
             dW = np.array([sample_increment(seeds[p], i, dts[p], models[p])
                            if models[p].base_amplitude > 0.0 else no_dW for p in active])
-        if len(active) == 1:
-            # a lone path steps without the path axis, with its own scalar
-            # factors: broadcasting them against a stack costs more than it saves
-            one = stepper.step_imex(spec[:, 0], samples[:, 0], None if dW is None else dW[0])
-            psi_spec, u_spec = one[0][None], one[1][None]
-        else:
-            psi_spec, u_spec = stepper.step_imex(spec, samples, dW)
+        psi_spec, u_spec = stepper.step_imex(spec, samples, dW)
 
     return results
 

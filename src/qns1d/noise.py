@@ -86,14 +86,7 @@ class NoiseModel:
         gives ``waves`` itself for any stack."""
         if self.shape == "off":
             return waves
-        return waves * self.envelope(rho, u)[..., None, :]
-
-    def envelope(self, rho: np.ndarray, u: np.ndarray) -> np.ndarray | float:
-        """The state factor of every F_k: tanh(u) rho / (1 + rho), shaped as
-        u, or exactly 1.0 for the additive family."""
-        if self.shape == "off":
-            return 1.0
-        return np.tanh(u) * rho / (1.0 + rho)
+        return waves * (np.tanh(u) * rho / (1.0 + rho))[..., None, :]
 
     def verify_bounds(self) -> dict:
         """Sampled check of the structural hypotheses on a random (x, rho, u) lattice

@@ -32,6 +32,12 @@ def band_limited(grid: TorusGrid, rng: np.random.Generator, amplitude: float = 1
     return RealField.from_spectral(spec, grid)
 
 
+def sample_one(stepper: _Stepper, state):
+    """The stepper's ``sample`` rows of one state, as a stack of one path:
+    the kernels take every state with a leading path axis."""
+    return stepper.sample(state.psi.spectral[None], state.u.spectral[None])
+
+
 def make_stepper(grid: TorusGrid, params=None, noise=None):
     """The production step kernels for one grid; the step size is irrelevant to them."""
     if params is None:

@@ -106,12 +106,12 @@ class TestStepKernel:
 
         monkeypatch.setattr(_Stepper, "predictor_phi", spy)
         free = step(st, cfg, ModelParams(gamma=1.5, alpha=0.5), NO_NOISE, 0, 0, grid64)
-        radius = w2inf_norm(predicted[0], grid64) - 0.5
+        radius = w2inf_norm(predicted[0][0], grid64) - 0.5
         assert max(w2inf_norm(np.stack([st.psi.spectral, st.u.spectral]), grid64)) < radius
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius)
         cut = step(st, cfg, params, NO_NOISE, 0, 0, grid64)
         assert np.array_equal(predicted[1], predicted[0])
-        assert 0.0 < original(_Stepper(grid64, params, cfg, NO_NOISE), predicted[1]) < 1.0
+        assert 0.0 < original(_Stepper(grid64, params, cfg, NO_NOISE), predicted[1])[0, 0] < 1.0
         monkeypatch.setattr(_Stepper, "predictor_phi", lambda self, u_spec: 1.0)
         unit = step(st, cfg, params, NO_NOISE, 0, 0, grid64)
         assert not np.array_equal(cut.psi.spectral, unit.psi.spectral)
@@ -551,7 +551,7 @@ class TestCertifiedNorms:
         calls = []
         monkeypatch.setattr(integrator, "cutoff_phi",
                             lambda y, r: calls.append(y) or cutoff_phi(y, r))
-        for below_R in (u[:2], u[1]):
+        for below_R in (u[:2], u[1:2]):
             got = stepper.predictor_phi(below_R)
             assert type(got) is float and got == 1.0
         assert calls == []
@@ -559,7 +559,7 @@ class TestCertifiedNorms:
         assert column.shape == (3, 1)
         assert column[:2, 0].tolist() == [1.0, 1.0] and 0.0 < column[2, 0] < 1.0
         assert column[2, 0] == cutoff_phi(norms[2], 5.0)
-        assert stepper.predictor_phi(u[2]) == column[2, 0]
+        assert stepper.predictor_phi(u[2:]).tolist() == [[column[2, 0]]]
 
     def test_bounds_and_sup_norms_read_only_in_certified_norms(self):
         # the bound-or-norm choice exists once: every read of the stepper's
@@ -587,6 +587,22 @@ class TestCertifiedNorms:
         Reads().visit(ast.parse(Path(integrator.__file__).read_text()))
         assert sorted(reads) == [("w2inf_norm", "certified_norms"),
                                  ("wiener", "certified_norms")]
+
+    def test_kernels_take_one_shape_and_step_at_one_call_site(self):
+        # every path steps with a path axis: no _Stepper method branches on
+        # an array's dimensions, and _run_lockstep steps through one call
+        tree = ast.parse(Path(integrator.__file__).read_text())
+        defs = {node.name: node for node in tree.body
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        ndim_reads = [method.name for method in defs["_Stepper"].body
+                      if isinstance(method, ast.FunctionDef)
+                      for node in ast.walk(method)
+                      if isinstance(node, ast.Attribute) and node.attr == "ndim"]
+        assert ndim_reads == []
+        steps = [node for node in ast.walk(defs["_run_lockstep"])
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "step_imex"]
+        assert len(steps) == 1
 
 
 def assert_same_path(got, want):
@@ -735,23 +751,25 @@ class TestPathBatch:
         assert batch[3].n_steps_taken < 20
 
     def test_mixed_dts_give_each_row_its_own_factors(self, grid64):
-        # equal dts keep scalar factors; differing dts give per-row factors
-        # with the bits of each dt's scalar ones
+        # each row's factors have the bits of its own dt's scalar expressions
         stepper = _Stepper(grid64, small_setup(grid64)[0], StepConfig(dt=1e-3, t_end=1e-3),
                            NO_NOISE)
-        names = ("dt", "hdt", "half_hdt2_k4", "neg_hdt_ihk3", "hdt_ik")
+        k, k2, hk3 = stepper.k, stepper.k2, stepper.hk3
         dts = [5e-4, 1e-3, 2e-3]
         alone = []
         for dt in dts:
-            stepper.use_dts([dt, dt])
-            assert np.ndim(stepper.dt) == np.ndim(stepper.hdt) == 0
-            alone.append([np.broadcast_to(getattr(stepper, name), grid64.n_half)
-                          for name in names])
+            hdt = 0.5 * dt
+            alone.append({"dt": dt, "hdt": hdt, "half_hdt2_k4": 0.5 * hdt * hdt * k2 * k2,
+                          "neg_hdt_ihk3": -hdt * 1j * hk3, "hdt_ik": hdt * 1j * k})
         stepper.use_dts(dts)
-        for j, name in enumerate(names):
-            rows = np.broadcast_to(getattr(stepper, name), (len(dts), grid64.n_half))
+        for name in alone[0]:
+            factor = getattr(stepper, name)
+            assert factor.shape in ((len(dts), 1), (len(dts), grid64.n_half)), name
+            rows = np.broadcast_to(factor, (len(dts), grid64.n_half))
             for p in range(len(dts)):
-                assert rows[p].tobytes() == alone[p][j].tobytes(), (name, p)
+                scalar = np.broadcast_to(alone[p][name], grid64.n_half)
+                assert rows[p].dtype == scalar.dtype, (name, p)
+                assert rows[p].tobytes() == scalar.tobytes(), (name, p)
 
     def test_batch_rejects_mixed_clamps_and_short_increments(self, grid64):
         params, st = small_setup(grid64)
@@ -797,10 +815,14 @@ class TestPathBatch:
         assert forcing[1].tobytes() == stepper.zero_half.tobytes()
         for p in (0, 2, 3):
             stepper.use_noises([models[p]])
-            alone = stepper.explicit_terms(spec[:, p], samples[:, p], dW[p])["forcing"]
-            assert forcing[p].tobytes() == alone.tobytes()
+            one = slice(p, p + 1)
+            alone = stepper.explicit_terms(spec[:, one], samples[:, one], dW[one])["forcing"]
+            assert forcing[p].tobytes() == alone[0].tobytes()
+        # rows of models equal by value form one group, with the waves built
+        # once; a group of every row takes them as a slice
         stepper.use_noises([NoiseModel(base_amplitude=0.2), models[0]])
-        assert stepper.noise_groups is None and len(stepper.waves) == 2
+        assert [rows for rows, _, _ in stepper.noise_groups] == [slice(None)]
+        assert stepper.quiet_rows == [] and len(stepper.waves) == 2
 
     def test_poisoned_workspace_changes_no_bit(self, monkeypatch):
         # every array the step allocates with np.empty starts as NaN: a read

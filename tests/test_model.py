@@ -14,7 +14,7 @@ from qns1d.model import (
 from qns1d.noise import NoiseModel
 from qns1d.spectral import RealField, TorusGrid, UsageError, project
 
-from conftest import band_limited, make_stepper
+from conftest import band_limited, make_stepper, sample_one
 from oracle import oracle_mode_coefficients, trig_eval
 
 
@@ -29,7 +29,8 @@ def physical(spec, grid):
 
 def explicit_terms(stepper, st):
     """The stepper's explicit terms of a state."""
-    return stepper.explicit_terms(*stepper.sample(st.psi.spectral, st.u.spectral))
+    return {name: term[0] for name, term in
+            stepper.explicit_terms(*sample_one(stepper, st)).items()}
 
 
 def rhs_psi(stepper, st):
@@ -186,9 +187,9 @@ class TestRhsPsi:
         bad[3] = np.nan
         psi = RealField.from_physical(bad, grid64)
         st = State(psi, RealField.from_physical(np.zeros(64), grid64), 1.25)
-        stepper = make_stepper(grid64)
         with pytest.raises(NumericalBlowupError) as err:
-            stepper.check_state(*stepper.sample(st.psi.spectral, st.u.spectral), st.time)
+            step(st, StepConfig(dt=1e-3, t_end=1e-3), ModelParams(gamma=1.5, alpha=0.5),
+                 NoiseModel(), 0, 0, grid64)
         assert err.value.time == 1.25
 
 
@@ -269,9 +270,9 @@ class TestRhsU:
         st = make_state(grid64, psi, u)
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=0.05)
         stepper = make_stepper(grid64, params)
-        phi = stepper.predictor_phi(st.u.spectral)
-        assert phi == 0.0
-        transport = stepper.transport_spec(st.psi.spectral, st.u.spectral, phi)
+        phi = stepper.predictor_phi(st.u.spectral[None])
+        assert phi.shape == (1, 1) and phi[0, 0] == 0.0
+        transport = stepper.transport_spec(st.psi.spectral[None], st.u.spectral[None], phi)[0]
         assert np.max(np.abs(physical(transport, grid64))) == 0.0
         terms = explicit_terms(stepper, st)
         terms["dispersion"] = -1j * stepper.hk3 * st.psi.spectral
@@ -293,8 +294,12 @@ class TestRhsU:
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius,
                              enable_cutoff=where != "cutoff_off")
         stepper = make_stepper(grid64, params)
-        phi = stepper.predictor_phi(u)
-        assert type(phi) is float and phi == stepper.phi(norm)
+        phi = stepper.predictor_phi(u[None])
+        # the scalar 1.0 where the norm is at most R, else a column of one
+        if norm <= stepper.radius:
+            assert type(phi) is float and phi == stepper.phi(norm)
+        else:
+            assert phi.shape == (1, 1) and phi[0, 0] == stepper.phi(norm)
         if where == "bridge":
             assert 0.0 < stepper.phi(norm) < 1.0
 
@@ -306,18 +311,18 @@ class TestRhsU:
         stepper = make_stepper(grid, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e6))
         st = State(band_limited(grid, rng, amplitude=0.2), band_limited(grid, rng))
         terms = explicit_terms(stepper, st)
-        psi_s, u_s = st.psi.spectral, st.u.spectral
+        psi_s, u_s = st.psi.spectral[None], st.u.spectral[None]
         dpsi_s, du_s = psi_s * stepper.ik, u_s * stepper.ik
-        assert np.array_equal(terms["transport"], stepper.transport_spec(psi_s, u_s, 1.0))
-        assert np.array_equal(terms["advection"], -stepper.product(u_s, du_s))
+        assert np.array_equal(terms["transport"], stepper.transport_spec(psi_s, u_s, 1.0)[0])
+        assert np.array_equal(terms["advection"], -stepper.product(u_s, du_s)[0])
         assert np.array_equal(terms["quantum"],
-                              0.5 * stepper.product(dpsi_s, -stepper.k2 * psi_s))
+                              0.5 * stepper.product(dpsi_s, -stepper.k2 * psi_s)[0])
 
     def test_psi_clamp_raises(self, grid64):
         st = make_state(grid64, np.full(64, 60.0), np.zeros(64))
-        stepper = make_stepper(grid64)
         with pytest.raises(NumericalBlowupError):
-            stepper.check_state(*stepper.sample(st.psi.spectral, st.u.spectral), st.time)
+            step(st, StepConfig(dt=1e-3, t_end=1e-3), ModelParams(gamma=1.5, alpha=0.5),
+                 NoiseModel(), 0, 0, grid64)
 
 
 class TestQuantumIdentity:

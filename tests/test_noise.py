@@ -11,7 +11,7 @@ from qns1d.noise import (
 )
 from qns1d.spectral import RealField, TorusGrid, project
 
-from conftest import band_limited, make_stepper
+from conftest import band_limited, make_stepper, sample_one
 
 
 def make_state(grid, psi_values, u_values):
@@ -22,8 +22,8 @@ def make_state(grid, psi_values, u_values):
 def forcing_field(state, dW, model, params, grid):
     """The stepper's forcing of one increment."""
     stepper = make_stepper(grid, params, model)
-    terms = stepper.explicit_terms(*stepper.sample(state.psi.spectral, state.u.spectral), dW)
-    return RealField.from_spectral(terms["forcing"], grid)
+    terms = stepper.explicit_terms(*sample_one(stepper, state), dW[None])
+    return RealField.from_spectral(terms["forcing"][0], grid)
 
 
 class TestNoiseModel:

@@ -18,13 +18,23 @@ case runs alpha = 0.5 except two recorded batches at alpha = 0 and 1: the
 records of alpha = 0 take psi'' for their second-order slot and a zero
 quartic slot. ``--cases`` also prints one digest per case, to find the case
 that moved.
+
+``bit_digest.json`` pins every case's digest together with the numpy
+version and the machine it was taken on; ``tests/test_bit_digest.py`` holds
+the program to it. After a change that moves bits on purpose, or to pin on
+another numpy version or machine, rewrite it with
+
+    PYTHONPATH=src:tools python3 -c "import bit_digest; bit_digest.write_pin()"
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import platform
 import struct
 import sys
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -238,16 +248,45 @@ def convergence_case(d: Digest, noise: str) -> None:
     d.add(conv.order, conv.dts, conv.errors, conv.n_paths_used, conv.n_excluded)
 
 
-def main(argv: list[str]) -> int:
-    total = Digest()
+PIN = Path(__file__).with_name("bit_digest.json")
+
+
+def case_digests() -> dict[str, str]:
+    """Each case's sha256, in case order."""
+    out = {}
     for name, run in cases().items():
         d = Digest()
         run(d)
-        digest = d.h.hexdigest()
-        if "--cases" in argv:
-            print(f"{name:24s} {digest}")
+        out[name] = d.h.hexdigest()
+    return out
+
+
+def total_digest(digests: dict[str, str]) -> str:
+    """The one sha256 over the cases' digests that ``main`` prints."""
+    total = Digest()
+    for name, digest in digests.items():
         total.add(name, digest)
-    print(total.h.hexdigest())
+    return total.h.hexdigest()
+
+
+def environment() -> dict[str, str]:
+    """What the bits depend on beyond the source: numpy and the machine."""
+    return {"numpy": np.__version__, "machine": f"{platform.system()} {platform.machine()}"}
+
+
+def write_pin(path: Path = PIN) -> None:
+    """Write the cases' digests, their total and the environment to ``path``."""
+    digests = case_digests()
+    pin = {**environment(), "digest": total_digest(digests), "cases": digests}
+    path.write_text(json.dumps(pin, indent=2) + "\n")
+
+
+def main(argv: list[str]) -> int:
+    digests = case_digests()
+    if "--cases" in argv:
+        for name, digest in digests.items():
+            print(f"{name:24s} {digest}")
+    print(total_digest(digests))
     return 0
 
 
