@@ -54,7 +54,18 @@ not reached.
 The step's small kernels fill preallocated rows through ``out=`` and reuse
 the (k, dt)-only factors, which are rebuilt only when the stepped rows
 change. Each factor keeps the operand order of the expression it stands for,
-since regrouping changes rounding.
+since regrouping changes rounding. A real factor that only ever multiplies
+or divides complex rows is stored complex: numpy would cast it to (x, 0.0)
+on every call, so the bits are the same.
+
+Most steps are quiet: no record, no last state, no failed check and no
+crossed radius. The per-path bookkeeping of ``simulate_path`` lives in
+arrays (each path's last step, threshold, floor, next radius and norm-trace
+rows), so a quiet step makes a fixed number of numpy calls whatever the
+number of paths: every Wiener bound certifies, ``certified_norms`` returns at
+its first comparison and says so, and the state check and the crossing test
+end there; the norms go into the trace in one write. Only the other steps
+read rows one by one, build records and results, or recompute thresholds.
 
 Paths run in batches. The kernels take only stacked spectra of shape
 (P, n_half), with a leading path axis, and ``simulate_path`` steps a batch
@@ -81,12 +92,13 @@ bits of the product with that scalar. A path leaves the stepped rows at its
 own last step.
 
 The paths of a batch may also differ in noise model, so the three noise
-modes of a strong-order suite step in one batch too. The stepper groups the
-stepped rows by model, the models compared by value, and forces each group
-through its model's ``coefficient_fields`` and one stack of one-path
-products; a noise-free row's forcing is exactly zero, the zero_half that it
-adds when it steps alone. One increment array serves every row, so the
-models of a batch must share k_modes.
+modes of a strong-order suite step in one batch too. ``simulate_path``
+orders the stepped rows by model, the models compared by value, so that
+each model's rows are consecutive, and forces each group on views of the
+stacked arrays through its model's ``coefficient_fields`` and one stack of
+one-path products; a noise-free row's forcing is exactly zero, the
+zero_half that it adds when it steps alone. One increment array serves
+every row, so the models of a batch must share k_modes.
 """
 
 from __future__ import annotations
@@ -116,6 +128,10 @@ from .spectral import (
     to_physical,
     to_spectral,
 )
+
+# the rows of _Stepper.explicit_terms, in order
+TERMS = ("transport", "advection", "quantum", "pressure", "viscosity", "viscosity_gradient",
+         "forcing")
 
 # relative margin below a radius for the Wiener bounds of the predictor and
 # the state check, covering rounding in the bound's sum and in the sup-norm's
@@ -216,7 +232,11 @@ class _Stepper:
         self.k = grid.k_half
         self.ik = 1j * self.k
         self.k2 = self.k**2
-        self.neg_k2 = -self.k2
+        # complex copies of real factors that the step only ever multiplies
+        # or divides complex rows by: (x, 0.0) is the cast numpy would
+        # otherwise make on every call
+        self.complex_k2 = self.k2.astype(complex)
+        self.neg_k2 = (-self.k2).astype(complex)
         # dispersion coefficient of the implicit block: the Bohm factor 1/2
         # times k^3, so the dispersion term is -1j * hk3 * psi_spec
         self.hk3 = 0.5 * self.k**3
@@ -231,8 +251,8 @@ class _Stepper:
                                    dtype=complex)[:, None, None]
         # psi's exponents in rho^(gamma-1), rho^(alpha-1) and rho
         self.psi_rates = np.array([params.gamma - 1.0, params.alpha - 1.0, 1.0])
-        self.neg_ik = -1j * self.k
-        self.neg_ihk3 = -1j * self.hk3
+        # the factors of u and psi in the linear parts of b1 and b2
+        self.neg_ik_ihk3 = np.stack([-1j * self.k, -1j * self.hk3])[:, None, :]
         self.use_dts([cfg.dt_effective])
         self.zero_half = _frozen(np.zeros(grid.n_half, dtype=complex))
         # alias-free quadratic products need n >= 2m + cut + 2
@@ -252,6 +272,7 @@ class _Stepper:
         # the exact norm's transform scales the spectra by its 8n points, so
         # bounds above this could hide an overflow that the check must see
         self.finite_floor = np.finfo(float).max / (W2INF_OVERSAMPLE * self.n)
+        self.radius_floor = self.floors(self.radius)
 
     def use_dts(self, dts: Sequence[float]) -> None:
         """Build the step's (k, dt)-only factors for rows stepping by ``dts``.
@@ -259,22 +280,26 @@ class _Stepper:
         They are (P, 1) columns and (P, n_half) rows, which the kernels
         broadcast against a stack of P paths. Each factor keeps its
         expression's operand order, and a row's factor has the bits of its
-        own dt's scalar one, so every path steps as it would alone.
+        own dt's scalar one, so every path steps as it would alone. The real
+        factors ``dt``, ``hdt`` and ``half_hdt2_k4`` are stored complex, as
+        the step only multiplies complex rows by them or adds them to such.
         """
-        self.dt = dt = np.array(dts)[:, None]
-        self.hdt = hdt = 0.5 * dt
-        self.half_hdt2_k4 = 0.5 * hdt * hdt * self.k2 * self.k2
+        dt = np.array(dts)[:, None]
+        hdt = 0.5 * dt
+        self.dt, self.hdt = dt.astype(complex), hdt.astype(complex)
+        self.half_hdt2_k4 = (0.5 * hdt * hdt * self.k2 * self.k2).astype(complex)
         self.neg_hdt_ihk3 = -hdt * 1j * self.hk3
         self.hdt_ik = hdt * 1j * self.k
 
     def use_noises(self, models: Sequence[NoiseModel]) -> None:
         """Set the forcing of rows driven by ``models``, one per stepped row.
 
-        ``noise_groups`` lists each noisy model's rows, compared by value, with
-        the model and its waves, and a group of every row takes them as
-        ``slice(None)``, whose views cost less per step than the copies that
-        a list of rows makes; ``quiet_rows`` lists the rows of noise-free
-        models, whose forcing is exactly zero, as when they step alone; and
+        Each noisy model's rows, compared by value, and the rows of the
+        noise-free models must be consecutive, as ``simulate_path`` orders
+        them, so that every group steps on views of the stacked arrays.
+        ``noise_groups`` lists each noisy model's rows as a slice, with the
+        model and its waves; ``quiet_rows`` is the slice of noise-free rows,
+        whose forcing is exactly zero, as when they step alone, or None; and
         ``noise_on`` tells whether any row is noisy. Each distinct model's
         waves are built once per stepper. The models share k_modes, so one
         increment array serves every row.
@@ -285,9 +310,12 @@ class _Stepper:
             if on and m not in self.waves:
                 self.waves[m] = m.waves(self.grid.x)
             rows.setdefault(m if on else None, []).append(row)
-        self.quiet_rows = rows.pop(None, [])
-        self.noise_groups = [(slice(None) if len(group) == len(models) else group, m,
-                              self.waves[m]) for m, group in rows.items()]
+        if any(group[-1] - group[0] != len(group) - 1 for group in rows.values()):
+            raise ValueError("each noise model's rows must be consecutive")
+        quiet = rows.pop(None, None)
+        self.quiet_rows = None if quiet is None else slice(quiet[0], quiet[-1] + 1)
+        self.noise_groups = [(slice(group[0], group[-1] + 1), m, self.waves[m])
+                             for m, group in rows.items()]
         self.noise_on = bool(self.noise_groups)
 
     # --- small kernels -------------------------------------------------
@@ -303,6 +331,11 @@ class _Stepper:
         spec = np.empty((6,) + psi_spec.shape, dtype=complex)
         spec[0] = psi_spec
         spec[1] = u_spec
+        return self.sample_rows(spec)
+
+    def sample_rows(self, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``sample`` of spectra (6, P, n_half) whose rows 0 and 1 hold psi and
+        u, as ``step_imex`` returns them: rows 2 to 5 are filled in place."""
         np.multiply(spec[:2], self.ik, out=spec[2:4])
         np.multiply(self.neg_k2, spec[1::-1], out=spec[4:])
         return spec, to_physical(spec, self.n)
@@ -330,45 +363,58 @@ class _Stepper:
     def phi(self, norm: float) -> float:
         return cutoff_phi(norm, self.radius)
 
-    def certified_norms(self, rows: np.ndarray, below: Sequence[float],
-                        previous: tuple[np.ndarray, Sequence[Sequence[float]]] | None = None,
-                        ) -> list[list[float]]:
+    def floors(self, below: np.ndarray | float) -> np.ndarray:
+        """The values that certify at thresholds ``below``: each threshold less
+        the relative slack ``_BOUND_SLACK``, and never above ``finite_floor``."""
+        return np.minimum(below / (1.0 + _BOUND_SLACK), self.finite_floor)
+
+    def certified_norms(self, rows: np.ndarray, below: np.ndarray | float,
+                        previous: tuple[np.ndarray, np.ndarray] | None = None,
+                        floors: np.ndarray | float | None = None,
+                        ) -> tuple[np.ndarray, bool]:
         """The W^{2,inf} norms of P states' fields, or upper bounds of them.
 
         ``rows`` are the F fields of each state, spectra of shape (F, P, n_half),
-        and ``below`` has one threshold per state. A value certifies where it
-        stays at or below its state's threshold, less the relative slack
-        ``_BOUND_SLACK``, and never above ``finite_floor``. A state whose
-        Wiener bounds all certify gets them. ``previous`` holds the spectra
-        and the values of each state's previous checked state, in the layout
-        of ``rows`` and of the return value; with it, a state at a finite
-        threshold whose Wiener bounds fail gets, per field, the smaller of its
-        Wiener bound and its previous value plus the Wiener bound of the
-        change, where these all certify. The other states, and always those
-        at -inf, get their exact norms, all from one oversampled transform.
-        Returns each state's F values in order.
+        and ``below`` has one threshold per state, or one for all; ``floors``
+        are their ``floors``, computed here if not given. A value certifies
+        where it stays at or below its state's floor. A state whose Wiener
+        bounds all certify gets them, and when every state's do, that is the
+        whole work. ``previous`` holds the spectra and the (P, F) values of
+        each state's previous checked state, in the layout of ``rows`` and of
+        the return value; with it, a state at a finite threshold whose Wiener
+        bounds fail gets, per field, the smaller of its Wiener bound and its
+        previous value plus the Wiener bound of the change, where these all
+        certify. The other states, and always those at -inf, get their exact
+        norms, all from one oversampled transform. Returns the (P, F) values,
+        and whether every value is a Wiener bound at or below its floor.
         """
+        if floors is None:
+            floors = self.floors(below)
         # a stack of matrix products: each state's bounds have the bits of
         # wiener @ |rows[:, p]|.T alone
         wiener = self.wiener
-        norms = np.matmul(wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2).tolist()
-        floors = [min(limit / (1.0 + _BOUND_SLACK), self.finite_floor) for limit in below]
-        exact = [p for p, floor in enumerate(floors) if not all(b <= floor for b in norms[p])]
-        retry = ([p for p in exact if math.isfinite(below[p])]
-                 if exact and previous is not None else [])
-        if retry:
+        norms = np.matmul(wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2)
+        # a NaN bound certifies nothing, as a NaN never compares true
+        within = norms.T <= floors
+        if within.all():
+            return norms, True
+        certified = within.all(axis=0)
+        below = np.broadcast_to(below, certified.shape)
+        floors = np.broadcast_to(floors, certified.shape)
+        exact = np.flatnonzero(~certified)
+        retry = exact[np.isfinite(below[exact])] if previous is not None else exact[:0]
+        if retry.size:
             spectra, values = previous
             change = np.abs(rows[:, retry] - spectra[:, retry]).transpose(1, 2, 0)
-            steps = np.matmul(wiener, change).max(axis=-2).tolist()
-            for p, step in zip(retry, steps):
-                bound = [min(b, v + s) for b, v, s in zip(norms[p], values[p], step)]
-                if all(b <= floors[p] for b in bound):
-                    norms[p] = bound
-                    exact.remove(p)
-        if exact:
-            for p, pair in zip(exact, w2inf_norm(rows[:, exact].swapaxes(0, 1), self.grid)):
-                norms[p] = pair
-        return norms
+            # fmin keeps the Wiener bound where the sum is NaN, as min() does
+            bound = np.fmin(norms[retry], values[retry] + np.matmul(wiener, change).max(axis=-2))
+            passed = (bound.T <= floors[retry]).all(axis=0)
+            norms[retry[passed]] = bound[passed]
+            certified[retry[passed]] = True
+            exact = np.flatnonzero(~certified)
+        if exact.size:
+            norms[exact] = w2inf_norm(rows[:, exact].swapaxes(0, 1), self.grid)
+        return norms, False
 
     def predictor_phi(self, u_spec: np.ndarray) -> float | np.ndarray:
         """phi(|u|) of the predicted spectra (P, n_half) from their
@@ -376,10 +422,11 @@ class _Stepper:
         when every value is at most R, and otherwise a (P, 1) column of
         per-path factors. A scalar 1.0 scales the transport with the bits of
         a column of 1.0s."""
-        norms = [norm for norm, in self.certified_norms(u_spec[None], [self.radius] * len(u_spec))]
-        if all(norm <= self.radius for norm in norms):
+        norms, certified = self.certified_norms(u_spec[None], self.radius,
+                                                floors=self.radius_floor)
+        if certified or norms.max() <= self.radius:
             return 1.0
-        return np.array([self.phi(norm) for norm in norms])[:, None]
+        return np.array([self.phi(norm) for norm, in norms.tolist()])[:, None]
 
     # --- right-hand sides ----------------------------------------------
 
@@ -390,53 +437,56 @@ class _Stepper:
         return -phi_u * self.product(u_spec, psi_spec * self.ik)
 
     def explicit_terms(self, spec: np.ndarray, samples: np.ndarray,
-                       dW: np.ndarray | None = None) -> dict[str, np.ndarray]:
+                       dW: np.ndarray | None = None) -> np.ndarray:
         """The explicit terms of a sampled state below the cut-off radius.
 
-        Keys: transport (continuity equation); advection, pressure, viscosity,
-        viscosity_gradient and quantum (momentum equation); and forcing,
-        sum_k F_k dW_k, when dW, of shape (P, k_modes), is given and some
-        row's noise is on, with the models of ``use_noises``; a noise-free
-        row's is zero. No term carries a cut-off factor: every state
-        ``simulate_path`` steps is below R, where phi_R is 1. The momentum
-        equation's sixth term, the dispersion, is linear and is solved
-        implicitly with coefficient ``hk3``.
+        Rows, in the order of ``TERMS``: transport (continuity equation);
+        advection, quantum, pressure, viscosity and viscosity_gradient
+        (momentum equation); and forcing, sum_k F_k dW_k, when dW, of shape
+        (P, k_modes), is given and some row's noise is on, with the models of
+        ``use_noises``; a noise-free row's is zero. No term carries a cut-off
+        factor: every state ``simulate_path`` steps is below R, where phi_R
+        is 1. The momentum equation's sixth term, the dispersion, is linear
+        and is solved implicitly with coefficient ``hk3``.
 
         All terms share one forward transform. On a padded product grid the
         product factors take one more inverse transform, and the products
         and the projections take one forward transform each. The ``sample``
-        rows of P paths give terms of shape (P, n_half).
+        rows of P paths give terms of shape (6 or 7, P, n_half).
         """
         psi, u, dpsi, du, d2u, d2psi = samples
         lead = samples.shape[1:-1]
         forcing = dW is not None and self.noise_on
         n_rows = 7 if forcing else 6
+        # the product factors u, [psi', u'] and psi''
         if self.product_n == self.n:
-            f_u, f_dpsi, f_du, f_d2psi = u, dpsi, du, d2psi
+            f_u, f_dpsi_du, f_d2psi = u, samples[2:4], d2psi
             rows = np.empty((n_rows,) + lead + (self.n,))
             products, pointwise = rows[:3], rows[3:]
         else:
-            f_u, f_dpsi, f_du, f_d2psi = to_physical(spec[[1, 2, 3, 5]], self.product_n)
+            factors = to_physical(spec[[1, 2, 3, 5]], self.product_n)
+            f_u, f_dpsi_du, f_d2psi = factors[0], factors[1:3], factors[3]
             products = np.empty((3,) + lead + (self.product_n,))
             pointwise = np.empty((n_rows - 3,) + lead + (self.n,))
         # rho^(gamma-1), rho^(alpha-1), and rho for the forcing
-        exp_g, exp_a, *rho = np.exp(np.multiply.outer(self.psi_rates[: 3 if forcing else 2],
-                                                      psi))
-        np.multiply(f_u, f_dpsi, out=products[0])
-        np.multiply(f_u, f_du, out=products[1])
-        np.multiply(f_dpsi, f_d2psi, out=products[2])
-        np.multiply(exp_g, dpsi, out=pointwise[0])
-        np.multiply(exp_a, d2u, out=pointwise[1])
-        np.multiply(exp_a, dpsi, out=pointwise[2])
+        rates = np.exp(np.multiply.outer(self.psi_rates[: 3 if forcing else 2], psi))
+        np.multiply(f_u, f_dpsi_du, out=products[:2])
+        np.multiply(f_dpsi_du[0], f_d2psi, out=products[2])
+        # pointwise rows 0 and 2 take rho^(gamma-1) psi' and rho^(alpha-1) psi'
+        np.multiply(rates[:2], dpsi, out=pointwise[0::2])
+        np.multiply(rates[1], d2u, out=pointwise[1])
         np.multiply(pointwise[2], du, out=pointwise[2])
         if forcing:
             # per model, a stack of vector-matrix products: each path's
             # forcing has the bits of dW @ fields alone, which one matrix
             # product would not
             for group, model, waves in self.noise_groups:
-                fields = model.coefficient_fields(waves, rho[0][group], u[group])
-                pointwise[3, group] = np.matmul(dW[group, None, :], fields)[:, 0, :]
-            pointwise[3, self.quiet_rows] = 0.0
+                fields = model.coefficient_fields(waves, rates[2][group], u[group])
+                # the reshaped rows have the strides of matmul's own output
+                out = pointwise[3, group]
+                np.matmul(dW[group, None, :], fields, out=out.reshape(len(out), 1, -1))
+            if self.quiet_rows is not None:
+                pointwise[3, self.quiet_rows] = 0.0
         if self.product_n == self.n:
             s = to_spectral(rows)
             s[:3, ..., self.product_end:] = 0.0
@@ -448,28 +498,28 @@ class _Stepper:
         # row's 1/2 is what the energy functional's capillary term
         # dissipates against
         np.multiply(self.term_scale[:n_rows], s, out=s)
-        if forcing:
+        if forcing and self.quiet_rows is not None:
             # a noise-free row adds zero_half to b2, as it does alone; the
             # transform of its zero samples may hold negative zeros
             s[6, self.quiet_rows] = 0.0
-        names = ("transport", "advection", "quantum", "pressure", "viscosity",
-                 "viscosity_gradient", "forcing")
-        return dict(zip(names, s))
+        return s
 
-    def explicit_u_spec(self, terms: dict[str, np.ndarray],
-                        implicit_share: np.ndarray) -> np.ndarray:
-        """All momentum terms outside the implicit 2x2 block.
+    def explicit_u_spec(self, terms: np.ndarray, implicit_share: np.ndarray) -> np.ndarray:
+        """All momentum terms outside the implicit 2x2 block, summed in place
+        into row 1 of ``terms``, the rows of ``explicit_terms``, and returned.
 
         ``implicit_share`` is nu_bar * k^2 * u_spec, the viscosity that the
         Crank-Nicolson block takes; ``step_imex`` forms it once for both of
         its uses.
         """
-        out = terms["advection"] + terms["pressure"]
+        _, advection, quantum, pressure, viscosity, viscosity_gradient = terms[:6]
+        out = advection
+        out += pressure
         # viscosity minus the share handled implicitly
-        out += terms["viscosity"]
+        out += viscosity
         out += implicit_share
-        out += terms["viscosity_gradient"]
-        out += terms["quantum"]
+        out += viscosity_gradient
+        out += quantum
         return out
 
     def nu_bar(self, psi_phys: np.ndarray) -> np.ndarray:
@@ -481,7 +531,7 @@ class _Stepper:
         return np.exp(((self.params.alpha - 1.0) * psi_phys).min(axis=-1, keepdims=True))
 
     def cn_solve(self, b1: np.ndarray, b2: np.ndarray, diag: np.ndarray,
-                 kb2: np.ndarray, det: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 kb2: np.ndarray, det: np.ndarray, out: np.ndarray) -> np.ndarray:
         """One Crank-Nicolson solve of the per-mode 2x2 skew/viscous block.
 
         The implicit block is d psi = -ik u dt, d u = -(i/2) k^3 psi dt
@@ -489,90 +539,113 @@ class _Stepper:
         are the right-hand sides of the psi and u rows; diag = 1 + (dt/2) nu k^2,
         kb2 = (dt/2) i k b2 and det, the block's determinant, depend only on
         the step, so ``step_imex`` builds them once for both of its solves.
+        The new spectra of psi and u fill the rows of ``out``, (2, P, n_half),
+        which is returned.
         """
-        new = np.empty((2,) + b2.shape, dtype=complex)
-        np.multiply(diag, b1, out=new[0])
-        np.subtract(new[0], kb2, out=new[0])
-        np.multiply(self.neg_hdt_ihk3, b1, out=new[1])
-        np.add(new[1], b2, out=new[1])
-        np.divide(new, det, out=new)
-        new[..., self.band_end:] = 0.0
-        return new[0], new[1]
+        np.multiply(diag, b1, out=out[0])
+        np.subtract(out[0], kb2, out=out[0])
+        np.multiply(self.neg_hdt_ihk3, b1, out=out[1])
+        np.add(out[1], b2, out=out[1])
+        np.divide(out, det, out=out)
+        out[..., self.band_end:] = 0.0
+        return out
 
-    def check_states(self, spec: np.ndarray, samples: np.ndarray, below: Sequence[float],
-                     previous: tuple[np.ndarray, Sequence[Sequence[float]]] | None = None,
-                     ) -> tuple[list[list[float] | None], list[str | None]]:
+    def check_states(self, spec: np.ndarray, samples: np.ndarray, below: np.ndarray,
+                     previous: tuple[np.ndarray, np.ndarray] | None = None,
+                     floors: np.ndarray | None = None,
+                     ) -> tuple[np.ndarray, dict[int, str], bool]:
         """The state check of P states given as stacked ``sample`` rows (6, P, .).
 
-        Returns each state's W^{2,inf} norms [psi, u], or None where the
-        state fails the check, and why it fails: non-finite samples, |psi|
-        beyond the clamp, or a non-finite norm. The norms of the states that
-        pass come from one ``certified_norms`` call, each state with its
-        threshold in ``below``, where -inf takes the exact norms, and with
-        ``previous``, the spectra (2, P, n_half) and values of each state's
-        previous checked state, if given.
+        Returns the states' (P, 2) W^{2,inf} norms [psi, u]; why each state
+        that fails the check fails, by row: non-finite samples, |psi| beyond
+        the clamp, or a non-finite norm, with NaN norms where none was taken;
+        and whether every state passed on Wiener bounds at or below its
+        floor, which ends the check with no further test. The norms of the
+        states that pass come from one ``certified_norms`` call, each state
+        with its threshold in ``below`` and its floor in ``floors``, if given,
+        where -inf takes the exact norms, and with ``previous``, the spectra
+        (2, P, n_half) and (P, 2) values of each state's previous checked
+        state, if given.
         """
-        # the sup of |.| is NaN or inf exactly when a sample is not finite
-        peaks = np.abs(samples[:2]).max(axis=-1).T.tolist()
         clamp = self.cfg.blowup_clamp
-        norms: list[list[float] | None] = [None] * len(peaks)
-        failures: list[str | None] = [None] * len(peaks)
-        for p, (peak_psi, peak_u) in enumerate(peaks):
-            if not (math.isfinite(peak_psi) and math.isfinite(peak_u)):
-                failures[p] = "non-finite values in state"
-            elif peak_psi > clamp:
-                failures[p] = f"|psi| reached {peak_psi:.3g} beyond clamp {clamp}"
-        passed = [p for p, failure in enumerate(failures) if failure is None]
-        if passed:
-            rows = spec[:2]
-            if len(passed) < len(peaks):
-                rows = spec[:2, passed]
+        failures: dict[int, str] = {}
+        # the sup of |.| is NaN or inf exactly when a sample is not finite
+        peak_psi, peak_u = np.abs(samples[:2]).max(axis=(1, 2))
+        if not (peak_psi <= clamp and peak_u < math.inf):
+            peaks = np.abs(samples[:2]).max(axis=-1).T.tolist()
+            for p, (peak_psi, peak_u) in enumerate(peaks):
+                if not (math.isfinite(peak_psi) and math.isfinite(peak_u)):
+                    failures[p] = "non-finite values in state"
+                elif peak_psi > clamp:
+                    failures[p] = f"|psi| reached {peak_psi:.3g} beyond clamp {clamp}"
+        if not failures:
+            norms, certified = self.certified_norms(spec[:2], below, previous, floors)
+            if certified:
+                return norms, failures, True
+        else:
+            norms = np.full((len(below), 2), np.nan)
+            passed = np.array([p for p in range(len(below)) if p not in failures],
+                              dtype=np.intp)
+            if passed.size:
                 if previous is not None:
-                    previous = (previous[0][:, passed], [previous[1][p] for p in passed])
-            checked = self.certified_norms(rows, [below[p] for p in passed], previous)
-            for p, pair in zip(passed, checked):
-                if math.isfinite(pair[0]) and math.isfinite(pair[1]):
-                    norms[p] = pair
-                else:
-                    failures[p] = "non-finite W^{2,inf} norm"
-        return norms, failures
+                    previous = (previous[0][:, passed], previous[1][passed])
+                norms[passed] = self.certified_norms(
+                    spec[:2, passed], below[passed], previous,
+                    None if floors is None else floors[passed])[0]
+        if not norms.max() < math.inf:
+            for p in np.flatnonzero(~np.isfinite(norms).all(axis=1)).tolist():
+                failures.setdefault(p, "non-finite W^{2,inf} norm")
+        return norms, failures, False
 
     # --- full step -------------------------------------------------------
 
     def step_imex(self, spec: np.ndarray, samples: np.ndarray, dW: np.ndarray | None,
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  ) -> np.ndarray:
         """One IMEX step from a checked state below the cut-off radius.
 
         spec and samples are the ``sample`` rows of P paths; dW is the step's
         increments, of shape (P, k_modes), or None. Every path steps at once:
         nu_bar and the predictor's phi are taken per path, and each path's new
-        spectra have the bits of its step alone.
+        spectra have the bits of its step alone. Returns spectra (6, P, n_half)
+        whose rows 0 and 1 hold the new psi and u, for ``sample_rows``.
+
+        The step's rows are formed in place and in pairs, each element with
+        the operands of its expression in their order.
         """
-        psi_spec, u_spec = spec[0], spec[1]
         nu_bar = self.nu_bar(samples[0])
-        implicit_share = nu_bar * self.k2 * u_spec
+        implicit_share = nu_bar * self.complex_k2 * spec[1]
 
         terms = self.explicit_terms(spec, samples, dW)
-        n_psi = terms["transport"]
-        n_u = self.explicit_u_spec(terms, implicit_share)
-        s_u = terms.get("forcing", self.zero_half)
+        n_psi = terms[0]
+        # row 1 of terms becomes n_u, beside n_psi in row 0
+        self.explicit_u_spec(terms, implicit_share)
 
+        # [psi + hdt * (-ik u), u + hdt * (-i hk3 psi - implicit_share)]
+        linear = np.multiply(self.neg_ik_ihk3, spec[1::-1])
+        np.subtract(linear[1], implicit_share, out=linear[1])
+        np.multiply(self.hdt, linear, out=linear)
+        np.add(spec[:2], linear, out=linear)
         # predictor and corrector differ only in the transport term of b1
-        hdt = self.hdt
-        b1_linear = psi_spec + hdt * (self.neg_ik * u_spec)
-        b2 = (u_spec + hdt * (self.neg_ihk3 * psi_spec - implicit_share)
-              + self.dt * n_u + s_u)
-        diag = 1.0 + hdt * nu_bar * self.k2
+        b = self.dt * terms[:2]
+        np.add(linear, b, out=b)
+        b2 = b[1]
+        b2 += terms[6] if len(terms) == 7 else self.zero_half
+        diag = 1.0 + self.hdt * nu_bar * self.complex_k2
         det = diag + self.half_hdt2_k4
         kb2 = self.hdt_ik * b2
 
-        psi_pred, u_pred = self.cn_solve(b1_linear + self.dt * n_psi, b2, diag, kb2, det)
+        psi_pred, u_pred = self.cn_solve(b[0], b2, diag, kb2, det, np.empty_like(b))
 
         # trapezoidal corrector on the transport term only (mass accuracy);
-        # the one place phi_R acts
-        n_psi_pred = self.transport_spec(psi_pred, u_pred, self.predictor_phi(u_pred))
-        n_psi_avg = 0.5 * (n_psi + n_psi_pred)
-        return self.cn_solve(b1_linear + self.dt * n_psi_avg, b2, diag, kb2, det)
+        # the one place phi_R acts: b1 = b1_linear + dt * (0.5 * (n_psi + n_psi_pred))
+        b1 = self.transport_spec(psi_pred, u_pred, self.predictor_phi(u_pred))
+        np.add(n_psi, b1, out=b1)
+        np.multiply(0.5, b1, out=b1)
+        np.multiply(self.dt, b1, out=b1)
+        np.add(linear[0], b1, out=b1)
+        new = np.empty((6,) + b2.shape, dtype=complex)
+        self.cn_solve(b1, b2, diag, kb2, det, new[:2])
+        return new
 
 
 def _sampled_state(spec: np.ndarray, samples: np.ndarray, t: float) -> State:
@@ -593,18 +666,19 @@ def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
     """
     stepper = _Stepper(grid, params, cfg, noise)
     spec, samples = stepper.sample(state.psi.spectral[None], state.u.spectral[None])
-    (norms,), (failure,) = stepper.check_states(spec, samples, [stepper.radius])
-    if failure is not None:
-        raise NumericalBlowupError(failure, state.time)
-    if max(norms) >= stepper.radius:
-        raise UsageError(f"W^(2,inf) norm {max(norms):.6g} at or beyond the cut-off radius "
+    norms, failures, _ = stepper.check_states(spec, samples, np.array([stepper.radius]))
+    if failures:
+        raise NumericalBlowupError(failures[0], state.time)
+    top = max(norms[0].tolist())
+    if top >= stepper.radius:
+        raise UsageError(f"W^(2,inf) norm {top:.6g} at or beyond the cut-off radius "
                          f"{stepper.radius:g}, where simulate_path stops")
     dt = cfg.dt_effective
     dW = sample_increment(seed, step_index, dt, noise)[None] if stepper.noise_on else None
-    psi_new, u_new = stepper.step_imex(spec, samples, dW)
+    new = stepper.step_imex(spec, samples, dW)
     return State(
-        psi=RealField.from_spectral(psi_new[0], grid),
-        u=RealField.from_spectral(u_new[0], grid),
+        psi=RealField.from_spectral(new[0, 0], grid),
+        u=RealField.from_spectral(new[1, 0], grid),
         time=state.time + dt,
     )
 
@@ -703,91 +777,125 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
     previous checked state's spectra and values. ``increments`` has one
     (n_steps, k_modes) array per path, or is None; a noise-free path draws
     none. The stepper's (k, dt)-only factors and its noise waves are rebuilt
-    whenever the stepped rows change.
+    whenever the stepped rows change, and so are the rows' thresholds and
+    floors whenever a path crosses a radius.
     """
     radius = stepper.radius
     resolved = tuple(sorted({float(r) for r in monitors.radii if r < radius})) + (radius,)
+    radii = np.array(resolved)
     dts = [c.dt_effective for c in cfgs]
-    ends = [c.n_steps for c in cfgs]
+    ends = np.array([c.n_steps for c in cfgs])
     results: list[PathResult] = [None] * len(initials)  # type: ignore[list-item]
     records: list[list[functionals.MonitorRecord]] = [[] for _ in initials]
-    # each path's checked norms, row i for state i; the trace's times follow
-    # from t0, i and dt
-    norm_rows = [np.empty((end + 1, 2)) for end in ends]
+    # the checked norms of path p's state i at row starts[p] + i, and the
+    # active rows' starts; the trace's times follow from t0, i and dt
+    starts = np.cumsum(ends + 1) - (ends + 1)
+    trace = np.empty((starts[-1] + ends[-1] + 1, 2))
     t0 = [s.time for s in initials]
-    active = list(range(len(initials)))
-    stepper.use_dts(dts)
-    stepper.use_noises(models)
+    # the rows grouped by noise model, compared by value, the noise-free
+    # first and otherwise in input order, so that each model's rows stay
+    # consecutive as paths leave
+    ranks: dict[NoiseModel, int] = {}
+    rank = [ranks.setdefault(m, len(ranks)) if m.base_amplitude > 0.0 else -1 for m in models]
+    paths = sorted(range(len(initials)), key=rank.__getitem__)
+    active = np.array(paths)
+    at = starts[active]
+    next_end = ends.min()
+    stepper.use_dts([dts[p] for p in paths])
+    stepper.use_noises([models[p] for p in paths])
     # the increment row of a noise-free path, which its forcing never reads
     no_dW = np.zeros(models[0].k_modes)
     # each active path's index in resolved of the smallest radius that it has
-    # not crossed
-    nexts = [0] * len(initials)
+    # not crossed; that radius is the path's threshold
+    nexts = np.zeros(len(initials), dtype=np.intp)
+    thresholds = radii[nexts]
+    floors = stepper.floors(thresholds)
     # the active paths' last checked spectra and values
     previous = None
-    psi_spec = np.stack([s.psi.spectral for s in initials])
-    u_spec = np.stack([s.u.spectral for s in initials])
+    # the checked samples are the ones the next step, the monitor record and
+    # the final state use
+    spec, samples = stepper.sample(np.stack([initials[p].psi.spectral for p in paths]),
+                                   np.stack([initials[p].u.spectral for p in paths]))
 
-    for i in range(max(ends) + 1):
-        # the checked samples are the ones the next step, the monitor record
-        # and the final state use
-        spec, samples = stepper.sample(psi_spec, u_spec)
+    for i in range(ends.max() + 1):
         strided = monitors.collect_records and i % monitors.stride == 0
-        lasts = [i == ends[p] for p in active]
-        # recorded and last states take the exact norms
-        below = [-math.inf if strided or last else resolved[j]
-                 for j, last in zip(nexts, lasts)]
-        norms, failures = stepper.check_states(spec, samples, below, previous)
-        times = [t0[p] + i * dts[p] if i else t0[p] for p in active]
-        rec_rows = ([row for row, last in enumerate(lasts)
-                     if norms[row] is not None and (strided or last)]
-                    if monitors.collect_records else [])
-        if rec_rows:
-            # one stacked pass through the module attribute, which a tracer may wrap
-            new = functionals.compute_record(
-                [_sampled_state(spec[:, r], samples[:, r], times[r]) for r in rec_rows],
-                stepper.params, stepper.grid, w2inf_psi=[norms[r][0] for r in rec_rows],
-                w2inf_u=[norms[r][1] for r in rec_rows])
-            for row, record in zip(rec_rows, new):
-                records[active[row]].append(record)
-        going, reached = [], []
-        for row, (p, last, t) in enumerate(zip(active, lasts, times)):
-            pair = norms[row]
-            if pair is not None:
-                norm_rows[p][i] = pair
-                top = max(pair)
-                if top < radius and not last:
-                    # only an exact norm can cross: a bound stays below its threshold
-                    j = nexts[row]
-                    while top >= resolved[j]:
-                        j += 1
-                    going.append(row)
-                    reached.append(j)
-                    continue
-            results[p] = PathResult(
-                records=records[p], event=_stopping_event(failures[row], pair, t, radius),
-                final_state=_sampled_state(spec[:, row], samples[:, row], t),
-                norm_trace=_norm_trace(t0[p], dts[p], norm_rows[p][: i + (pair is not None)]),
-                n_steps_taken=i, resolved_radii=resolved)
-        if not going:
-            break
-        nexts = reached
-        if len(going) < len(active):
-            active = [active[row] for row in going]
-            spec, samples = spec[:, going], samples[:, going]
-            stepper.use_dts([dts[p] for p in active])
-            stepper.use_noises([models[p] for p in active])
-        previous = (spec[:2], [norms[row] for row in going])
+        if strided or i == next_end:
+            lasts = ends[active] == i
+            # recorded and last states take the exact norms
+            below = np.where(lasts | strided, -math.inf, thresholds)
+            norms, failures, _ = stepper.check_states(spec, samples, below, previous)
+            quiet = False
+        else:
+            lasts = None
+            norms, failures, certified = stepper.check_states(spec, samples, thresholds,
+                                                              previous, floors)
+            # a quiet step: every row passes, unrecorded and below its
+            # threshold, which only an exact norm can reach
+            quiet = certified or not (failures or (norms.T >= thresholds).any())
+        if quiet:
+            trace[at + i] = norms
+        else:
+            top = norms.max(axis=1)
+            passed = np.ones(len(paths), dtype=bool)
+            passed[list(failures)] = False
+            trace[at[passed] + i] = norms[passed]
+            stops = ~passed | (top >= radius)
+            if lasts is not None:
+                stops |= lasts
+            times = [t0[p] + i * dts[p] if i else t0[p] for p in paths]
+            rec_rows = (np.flatnonzero(passed & (lasts | strided)).tolist()
+                        if monitors.collect_records and lasts is not None else [])
+            if rec_rows:
+                # one stacked pass through the module attribute, which a tracer may wrap
+                new = functionals.compute_record(
+                    [_sampled_state(spec[:, r], samples[:, r], times[r]) for r in rec_rows],
+                    stepper.params, stepper.grid, w2inf_psi=norms[rec_rows, 0].tolist(),
+                    w2inf_u=norms[rec_rows, 1].tolist())
+                for row, record in zip(rec_rows, new):
+                    records[paths[row]].append(record)
+            for row in np.flatnonzero(stops).tolist():
+                p, t, failure = paths[row], times[row], failures.get(row)
+                pair = None if failure is not None else norms[row].tolist()
+                results[p] = PathResult(
+                    records=records[p], event=_stopping_event(failure, pair, t, radius),
+                    final_state=_sampled_state(spec[:, row], samples[:, row], t),
+                    norm_trace=_norm_trace(t0[p], dts[p],
+                                           trace[starts[p]: starts[p] + i + (pair is not None)]),
+                    n_steps_taken=i, resolved_radii=resolved)
+            going = ~stops
+            if not going.any():
+                break
+            if not going.all():
+                active, nexts, top = active[going], nexts[going], top[going]
+                spec, samples, norms = spec[:, going], samples[:, going], norms[going]
+                paths = active.tolist()
+                at = starts[active]
+                next_end = ends[active].min()
+                stepper.use_dts([dts[p] for p in paths])
+                stepper.use_noises([models[p] for p in paths])
+            # only an exact norm can cross: a bound stays below its threshold
+            nexts = _crossed(radii, nexts, top)
+            thresholds = radii[nexts]
+            floors = stepper.floors(thresholds)
+        previous = (spec[:2], norms)
         if not stepper.noise_on:
             dW = None
         elif increments is not None:
-            dW = np.array([increments[p][i] for p in active])
+            dW = np.array([increments[p][i] for p in paths])
         else:
             dW = np.array([sample_increment(seeds[p], i, dts[p], models[p])
-                           if models[p].base_amplitude > 0.0 else no_dW for p in active])
-        psi_spec, u_spec = stepper.step_imex(spec, samples, dW)
+                           if models[p].base_amplitude > 0.0 else no_dW for p in paths])
+        spec, samples = stepper.sample_rows(stepper.step_imex(spec, samples, dW))
 
     return results
+
+
+def _crossed(radii: np.ndarray, nexts: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Each row's index in the ascending ``radii`` of the smallest radius that
+    it has not crossed, after a state of norm ``top`` below the last radius:
+    the first radius above ``top``, and never one below ``nexts``, the row's
+    index before that state."""
+    return np.maximum(nexts, np.searchsorted(radii, top, side="right"))
 
 
 def _norm_trace(t0: float, dt: float, norms: np.ndarray) -> np.ndarray:

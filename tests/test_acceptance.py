@@ -114,10 +114,12 @@ def test_criterion_05_mass_conservation():
     grid = TorusGrid(256, 85)
     params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=200.0)
     st = standard_state(grid)
+    dts = (2e-4, 1e-4)
+    # both dt levels step as one mixed-dt batch, each path bit for bit its lone run
+    batch = simulate_path([st] * len(dts), [StepConfig(dt=dt, t_end=1.0) for dt in dts],
+                          params, NO_NOISE, [0] * len(dts), grid, MonitorSpec(stride=100))
     drifts = {}
-    for dt in (2e-4, 1e-4):
-        res = simulate_path(st, StepConfig(dt=dt, t_end=1.0), params, NO_NOISE,
-                            0, grid, MonitorSpec(stride=100))
+    for dt, res in zip(dts, batch):
         masses = [r.mass for r in res.records]
         drifts[dt] = max(abs(m - masses[0]) for m in masses) / masses[0]
     ratio = drifts[2e-4] / drifts[1e-4]
@@ -128,16 +130,15 @@ def test_criterion_05_mass_conservation():
 
 @pytest.fixture(scope="module")
 def energy_budget_runs():
-    """Zero-noise trajectories shared by criteria 6 and 7."""
+    """Zero-noise trajectories shared by criteria 6 and 7, both dt levels
+    stepped as one mixed-dt batch."""
     grid = TorusGrid(256, 85)
     params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=200.0)
     st = standard_state(grid)
-    runs = {}
-    for dt in (4e-4, 2e-4):
-        res = simulate_path(st, StepConfig(dt=dt, t_end=0.25), params, NO_NOISE,
-                            0, grid, MonitorSpec(stride=1))
-        runs[dt] = res.records
-    return runs
+    dts = (4e-4, 2e-4)
+    batch = simulate_path([st] * len(dts), [StepConfig(dt=dt, t_end=0.25) for dt in dts],
+                          params, NO_NOISE, [0] * len(dts), grid, MonitorSpec(stride=1))
+    return {dt: res.records for dt, res in zip(dts, batch)}
 
 
 def test_criterion_06_energy_dissipation(energy_budget_runs):

@@ -11,10 +11,13 @@ from hypothesis import given, settings, strategies
 from qns1d import functionals, integrator, suites
 from qns1d.functionals import compute_record
 from qns1d.integrator import (
+    _BOUND_SLACK,
+    TERMS,
     IntegratorConfigError,
     MonitorSpec,
     PathBatch,
     StepConfig,
+    _crossed,
     _Stepper,
     first_hit_times,
     simulate_path,
@@ -451,7 +454,134 @@ class TestStackedKernels:
         assert res.records[-1].to_row() == record.to_row()
 
 
+def list_certified_norms(stepper, rows, below, previous=None):
+    """The per-state list version of ``_Stepper.certified_norms``, which the
+    (P, F) array version replaced, kept as its reference: ``below`` and the
+    previous values are lists, and it returns a list of each state's values."""
+    wiener = stepper.wiener
+    norms = np.matmul(wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2).tolist()
+    floors = [min(limit / (1.0 + _BOUND_SLACK), stepper.finite_floor) for limit in below]
+    exact = [p for p, floor in enumerate(floors) if not all(b <= floor for b in norms[p])]
+    retry = ([p for p in exact if math.isfinite(below[p])]
+             if exact and previous is not None else [])
+    if retry:
+        spectra, values = previous
+        change = np.abs(rows[:, retry] - spectra[:, retry]).transpose(1, 2, 0)
+        steps = np.matmul(wiener, change).max(axis=-2).tolist()
+        for p, step_bound in zip(retry, steps):
+            bound = [min(b, v + s) for b, v, s in zip(norms[p], values[p], step_bound)]
+            if all(b <= floors[p] for b in bound):
+                norms[p] = bound
+                exact.remove(p)
+    if exact:
+        for p, pair in zip(exact, w2inf_norm(rows[:, exact].swapaxes(0, 1), stepper.grid)):
+            norms[p] = pair
+    return norms
+
+
+def loop_crossed(resolved, nexts, tops):
+    """The per-row crossing loop that ``integrator._crossed`` replaced, kept
+    as its reference."""
+    reached = []
+    for j, top in zip(nexts, tops):
+        while top >= resolved[j]:
+            j += 1
+        reached.append(j)
+    return reached
+
+
+# the certification test's grid and stepper, at R = 4
+CERTIFY_GRID = TorusGrid(32, 10)
+CERTIFY_STEPPER = _Stepper(CERTIFY_GRID, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=4.0),
+                           StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+
+
+@strategies.composite
+def certification_cases(draw):
+    """P states of F fields whose Wiener bounds sit about 10^-3 to 10^2, near
+    finite_floor or beyond it, where the exact norm overflows; per state a
+    threshold of -inf, inf, R, finite_floor, or a multiple of its Wiener
+    bound within and around the slack; and, or not, previous states whose
+    change is small or large, with previous values from 0 to 1.5 times the
+    threshold, or to 1.5 where the threshold is not finite."""
+    stepper = CERTIFY_STEPPER
+    n_states, n_fields = draw(strategies.integers(1, 6)), draw(strategies.integers(1, 2))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
+    decay = np.exp(-np.arange(CERTIFY_GRID.n_half) / 3.0)
+    unit = (rng.standard_normal((n_fields, n_states, CERTIFY_GRID.n_half))
+            + 1j * rng.standard_normal((n_fields, n_states, CERTIFY_GRID.n_half))) * decay
+    unit[..., 0] = unit[..., 0].real
+    unit_bounds = np.matmul(stepper.wiener, np.abs(unit).transpose(1, 2, 0)).max(axis=(1, 2))
+    targets = draw(strategies.lists(strategies.sampled_from(
+        [1e-3, 0.5, 3.0, 4.0, 100.0, stepper.finite_floor * (1.0 - 1e-12),
+         stepper.finite_floor, stepper.finite_floor * (1.0 + 1e-12),
+         stepper.finite_floor * 4.0]),
+        min_size=n_states, max_size=n_states))
+    rows = unit * (np.array(targets) / unit_bounds)[:, None]
+    bounds = np.matmul(stepper.wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=(1, 2))
+    below = [draw(strategies.sampled_from(
+        [-math.inf, math.inf, 4.0, stepper.finite_floor, bound * 0.5, bound,
+         bound * (1.0 + 0.5 * _BOUND_SLACK), bound * (1.0 + 2.0 * _BOUND_SLACK), bound * 2.0]))
+        for bound in bounds.tolist()]
+    previous = None
+    if draw(strategies.booleans()):
+        change = draw(strategies.sampled_from([1e-9, 1e-3, 1.0]))
+        spectra = rows - change * rows * rng.standard_normal(rows.shape)
+        values = np.array([[draw(strategies.sampled_from([0.0, 0.1, 0.9, 1.0, 1.5]))
+                            * (limit if math.isfinite(limit) else 1.0)
+                            for _ in range(n_fields)] for limit in below])
+        previous = (spectra, values)
+    return rows, np.array(below), previous
+
+
 class TestCertifiedNorms:
+    @settings(derandomize=True, max_examples=150, database=None, deadline=None)
+    @given(certification_cases())
+    def test_array_version_matches_the_list_reference(self, case):
+        # byte for byte: the (P, F) array version against the per-state
+        # lists, with and without precomputed floors, and with one threshold
+        # for all; the flag holds exactly when every Wiener bound certifies
+        rows, below, previous = case
+        stepper = CERTIFY_STEPPER
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.array(list_certified_norms(
+                stepper, rows, below.tolist(),
+                None if previous is None else (previous[0], previous[1].tolist())))
+            got, certified = stepper.certified_norms(rows, below, previous)
+            floored, _ = stepper.certified_norms(rows, below, previous, stepper.floors(below))
+            wiener = np.matmul(stepper.wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2)
+            floors = [min(limit / (1.0 + _BOUND_SLACK), stepper.finite_floor)
+                      for limit in below.tolist()]
+            if previous is None:
+                one, _ = stepper.certified_norms(rows, 4.0, floors=stepper.radius_floor)
+                assert one.tobytes() == np.array(list_certified_norms(
+                    stepper, rows, [4.0] * len(below))).tobytes()
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert floored.tobytes() == want.tobytes()
+        assert certified == all(b <= floor for row, floor in zip(wiener.tolist(), floors)
+                                for b in row)
+
+    @settings(derandomize=True, max_examples=150, database=None, deadline=None)
+    @given(strategies.lists(strategies.floats(0.5, 50.0), min_size=1, max_size=4, unique=True),
+           strategies.data())
+    def test_crossed_matches_the_loop_reference(self, below_R, data):
+        # radii below R = 64 or inf, then R; each row's index before the
+        # state, and a norm below R, on a radius, just off one, or below a
+        # radius the row had already crossed
+        radius = data.draw(strategies.sampled_from([64.0, math.inf]))
+        resolved = tuple(sorted(below_R)) + (radius,)
+        rows = data.draw(strategies.integers(1, 8))
+        nexts = data.draw(strategies.lists(strategies.integers(0, len(resolved) - 1),
+                                           min_size=rows, max_size=rows))
+        points = list(resolved[:-1]) + [0.0, 63.999]
+        tops = [data.draw(strategies.one_of(
+            strategies.sampled_from(points),
+            strategies.sampled_from(points).map(lambda r: math.nextafter(r, -math.inf)),
+            strategies.floats(0.0, 63.999))) for _ in range(rows)]
+        want = np.array(loop_crossed(resolved, nexts, tops), dtype=np.intp)
+        got = _crossed(np.array(resolved), np.array(nexts, dtype=np.intp), np.array(tops))
+        assert got.dtype == np.intp and got.tobytes() == want.tobytes()
+
     def test_mixed_thresholds_in_one_call(self, grid64, monkeypatch):
         # per state: its Wiener bounds where both stay below its threshold,
         # and otherwise the exact norms, whatever the other states get; the
@@ -471,11 +601,11 @@ class TestCertifiedNorms:
         with np.errstate(over="ignore", invalid="ignore"):
             exact = [w2inf_norm(rows[:, p], grid64) for p in range(5)]
         assert math.inf > alone[4][1] > stepper.finite_floor
-        below = [max(alone[0]) * 1.01,  # certified
-                 max(alone[1]) * 0.99,  # a bound above the threshold
-                 -math.inf,  # always exact
-                 max(alone[3]) * (1.0 + 1e-12),  # within the slack: exact
-                 math.inf]  # above finite_floor: exact
+        below = np.array([max(alone[0]) * 1.01,  # certified
+                          max(alone[1]) * 0.99,  # a bound above the threshold
+                          -math.inf,  # always exact
+                          max(alone[3]) * (1.0 + 1e-12),  # within the slack: exact
+                          math.inf])  # above finite_floor: exact
         calls = []
 
         def counted(spec, grid):
@@ -484,9 +614,9 @@ class TestCertifiedNorms:
 
         monkeypatch.setattr(integrator, "w2inf_norm", counted)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = stepper.certified_norms(rows, below)
-        assert calls == [(4, 2, grid64.n_half)]
-        assert got[0] == alone[0] and got[0] != exact[0]
+            got, certified = stepper.certified_norms(rows, below)
+        assert calls == [(4, 2, grid64.n_half)] and certified is False
+        assert got[0].tolist() == alone[0] and got[0].tolist() != exact[0]
         for p in (1, 2, 3, 4):
             assert np.array_equal(got[p], exact[p], equal_nan=True), p
         assert not np.isfinite(exact[4]).all()
@@ -519,11 +649,12 @@ class TestCertifiedNorms:
                        for p in range(5)]
         for p in range(4):
             assert max(incremental[p]) < max(exact[p]) * 1.01 < max(wiener[p]), p
-        below = [max(exact[0]) * 1.01,  # the Wiener bounds fail, the incremental pass
-                 max(exact[1]) * 0.99,  # both fail: exact
-                 -math.inf,  # always exact
-                 max(wiener[3]) * 1.01,  # the Wiener bounds certify and stay
-                 math.inf]  # not a finite threshold: exact, though 1 + step passes
+        below = np.array([
+            max(exact[0]) * 1.01,  # the Wiener bounds fail, the incremental pass
+            max(exact[1]) * 0.99,  # both fail: exact
+            -math.inf,  # always exact
+            max(wiener[3]) * 1.01,  # the Wiener bounds certify and stay
+            math.inf])  # not a finite threshold: exact, though 1 + step passes
         calls = []
 
         def counted(spec, grid):
@@ -532,10 +663,10 @@ class TestCertifiedNorms:
 
         monkeypatch.setattr(integrator, "w2inf_norm", counted)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = stepper.certified_norms(rows, below, (before, values))
-        assert calls == [(3, 2, grid64.n_half)]
-        assert got[0] == incremental[0] and got[0] != exact[0]
-        assert got[3] == wiener[3] and got[3] != incremental[3]
+            got, certified = stepper.certified_norms(rows, below, (before, np.array(values)))
+        assert calls == [(3, 2, grid64.n_half)] and certified is False
+        assert got[0].tolist() == incremental[0] and got[0].tolist() != exact[0]
+        assert got[3].tolist() == wiener[3] and got[3].tolist() != incremental[3]
         for p in (1, 2, 4):
             assert np.array_equal(got[p], exact[p], equal_nan=True), p
         assert max(incremental[4]) < stepper.finite_floor < max(wiener[4])
@@ -751,7 +882,9 @@ class TestPathBatch:
         assert batch[3].n_steps_taken < 20
 
     def test_mixed_dts_give_each_row_its_own_factors(self, grid64):
-        # each row's factors have the bits of its own dt's scalar expressions
+        # each row's factors have the bits of its own dt's scalar expressions;
+        # dt, hdt and half_hdt2_k4, which only meet complex rows, as complex
+        # numbers
         stepper = _Stepper(grid64, small_setup(grid64)[0], StepConfig(dt=1e-3, t_end=1e-3),
                            NO_NOISE)
         k, k2, hk3 = stepper.k, stepper.k2, stepper.hk3
@@ -759,7 +892,8 @@ class TestPathBatch:
         alone = []
         for dt in dts:
             hdt = 0.5 * dt
-            alone.append({"dt": dt, "hdt": hdt, "half_hdt2_k4": 0.5 * hdt * hdt * k2 * k2,
+            alone.append({"dt": complex(dt), "hdt": complex(hdt),
+                          "half_hdt2_k4": (0.5 * hdt * hdt * k2 * k2).astype(complex),
                           "neg_hdt_ihk3": -hdt * 1j * hk3, "hdt_ik": hdt * 1j * k})
         stepper.use_dts(dts)
         for name in alone[0]:
@@ -797,32 +931,38 @@ class TestPathBatch:
             simulate_path([st, st], cfg, params, [NO_NOISE], [1, 2], grid64)
 
     def test_mixed_noise_rows_force_as_they_would_alone(self, grid64):
-        # rows group by model, compared by value; a noise-free row's forcing
+        # rows group by model, compared by value, each group's rows and the
+        # noise-free rows consecutive, as slices; a noise-free row's forcing
         # is exactly zero_half, and a noisy row's has the bits of its own
         # model's forcing alone
         params = small_setup(grid64)[0]
         stepper = _Stepper(grid64, params, StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
-        models = [NoiseModel(base_amplitude=0.2), NO_NOISE, NoiseModel(base_amplitude=0.2),
+        models = [NO_NOISE, NoiseModel(base_amplitude=0.2), NoiseModel(base_amplitude=0.2),
                   NoiseModel(base_amplitude=0.2, shape="off")]
         states = [shifted_harmonic(grid64, a) for a in (0.1, 0.2, 0.3, 0.4)]
-        dW = np.array([sample_increment(7, p, 1e-3, models[0]) for p in range(4)])
+        dW = np.array([sample_increment(7, p, 1e-3, models[1]) for p in range(4)])
         spec, samples = stepper.sample(np.stack([s.psi.spectral for s in states]),
                                        np.stack([s.u.spectral for s in states]))
         stepper.use_noises(models)
-        assert [rows for rows, _, _ in stepper.noise_groups] == [[0, 2], [3]]
-        assert stepper.quiet_rows == [1] and len(stepper.waves) == 2
-        forcing = stepper.explicit_terms(spec, samples, dW)["forcing"]
-        assert forcing[1].tobytes() == stepper.zero_half.tobytes()
-        for p in (0, 2, 3):
+        assert [rows for rows, _, _ in stepper.noise_groups] == [slice(1, 3), slice(3, 4)]
+        assert stepper.quiet_rows == slice(0, 1) and len(stepper.waves) == 2
+        forcing = stepper.explicit_terms(spec, samples, dW)[TERMS.index("forcing")]
+        assert forcing[0].tobytes() == stepper.zero_half.tobytes()
+        for p in (1, 2, 3):
             stepper.use_noises([models[p]])
             one = slice(p, p + 1)
-            alone = stepper.explicit_terms(spec[:, one], samples[:, one], dW[one])["forcing"]
+            alone = stepper.explicit_terms(spec[:, one], samples[:, one],
+                                           dW[one])[TERMS.index("forcing")]
             assert forcing[p].tobytes() == alone[0].tobytes()
         # rows of models equal by value form one group, with the waves built
         # once; a group of every row takes them as a slice
-        stepper.use_noises([NoiseModel(base_amplitude=0.2), models[0]])
-        assert [rows for rows, _, _ in stepper.noise_groups] == [slice(None)]
-        assert stepper.quiet_rows == [] and len(stepper.waves) == 2
+        stepper.use_noises([NoiseModel(base_amplitude=0.2), models[1]])
+        assert [rows for rows, _, _ in stepper.noise_groups] == [slice(0, 2)]
+        assert stepper.quiet_rows is None and len(stepper.waves) == 2
+        # simulate_path orders the rows so; interleaved models are refused
+        for interleaved in ([models[1], NO_NOISE, models[2]], [models[1], models[3], models[2]]):
+            with pytest.raises(ValueError, match="consecutive"):
+                stepper.use_noises(interleaved)
 
     def test_poisoned_workspace_changes_no_bit(self, monkeypatch):
         # every array the step allocates with np.empty starts as NaN: a read

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qns1d.integrator import StepConfig, step
+from qns1d.integrator import TERMS, StepConfig, step
 from qns1d.model import (
     DomainError,
     ModelParams,
@@ -28,9 +28,9 @@ def physical(spec, grid):
 
 
 def explicit_terms(stepper, st):
-    """The stepper's explicit terms of a state."""
+    """The stepper's explicit terms of a state, by name."""
     return {name: term[0] for name, term in
-            stepper.explicit_terms(*sample_one(stepper, st)).items()}
+            zip(TERMS, stepper.explicit_terms(*sample_one(stepper, st)))}
 
 
 def rhs_psi(stepper, st):
@@ -50,8 +50,8 @@ def u_terms(stepper, st):
 def rhs_u(stepper, st):
     """Deterministic du/dt: the explicit terms with no implicit viscosity share,
     plus the dispersion."""
-    explicit = stepper.explicit_u_spec(explicit_terms(stepper, st),
-                                       0.0 * stepper.k2 * st.u.spectral)
+    explicit = stepper.explicit_u_spec(stepper.explicit_terms(*sample_one(stepper, st)),
+                                       0.0 * stepper.k2 * st.u.spectral)[0]
     return explicit - 1j * stepper.hk3 * st.psi.spectral
 
 

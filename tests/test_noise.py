@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qns1d.integrator import TERMS
 from qns1d.model import ModelParams, State
 from qns1d.noise import (
     NoiseConfigError,
@@ -23,7 +24,7 @@ def forcing_field(state, dW, model, params, grid):
     """The stepper's forcing of one increment."""
     stepper = make_stepper(grid, params, model)
     terms = stepper.explicit_terms(*sample_one(stepper, state), dW[None])
-    return RealField.from_spectral(terms["forcing"][0], grid)
+    return RealField.from_spectral(terms[TERMS.index("forcing")][0], grid)
 
 
 class TestNoiseModel:

@@ -9,7 +9,8 @@ bit for bit: the events, final psi/u spectra and samples, norm traces,
 monitor rows and hit times of paths on the n = 32, 64 and 256 grids and the
 padded (32, 16) grid, with no, additive and multiplicative noise; the
 public ``step()`` below the cut-off radius; and ``strong_convergence_order``.
-Some paths end ``tau_R_hit`` and one ends ``numerical_blowup``; the sweep
+Some paths end ``tau_R_hit``, and one lone path and some paths of one
+batch end ``numerical_blowup``; the sweep
 paths monitor their sweep radii, as ``sweep-r`` does, one at a time and as
 one batch of eight, whose states are certified together; one batch
 mixes three dt levels, as ``strong_convergence_order`` does, and one mixes
@@ -61,11 +62,11 @@ NOISE = {"none": NoiseModel(base_amplitude=0.0),
          "sweep": NoiseModel(base_amplitude=0.2, amplitude_decay=3.0)}
 
 
-def harmonic(grid: TorusGrid, amplitude: float) -> State:
-    """psi = a cos(2 pi x), u = a sin(2 pi x), projected to the band."""
+def harmonic(grid: TorusGrid, amplitude: float, offset: float = 0.0) -> State:
+    """psi = offset + a cos(2 pi x), u = a sin(2 pi x), projected to the band."""
     def field(values):
         return project(RealField.from_physical(values, grid), grid)
-    return State(field(amplitude * np.cos(2 * np.pi * grid.x)),
+    return State(field(offset + amplitude * np.cos(2 * np.pi * grid.x)),
                  field(amplitude * np.sin(2 * np.pi * grid.x)), 0.0)
 
 
@@ -165,6 +166,19 @@ def mixed_noise_batch_case(d: Digest) -> None:
         add_result(d, res, ())
 
 
+def blowup_batch_case(d: Digest) -> None:
+    """Five paths in one simulate_path call on the n = 32 grid, whose mean
+    psi of 0-18 drives the pressure so hard that they end completed,
+    tau_R_hit and numerical_blowup, each leaving the batch at its own step."""
+    g = GRIDS["n32"]
+    params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e6)
+    batch = simulate_path([harmonic(g, 0.1, c) for c in (0.0, 14.0, 15.0, 16.0, 18.0)],
+                          StepConfig(dt=1e-3, t_end=0.05), params, NOISE["multiplicative"],
+                          list(range(5)), g, MonitorSpec(stride=5))
+    for res in batch:
+        add_result(d, res, ())
+
+
 def alpha_batch_case(d: Digest, alpha: float) -> None:
     """Five recorded paths at viscosity exponent alpha in one simulate_path
     call, their records taken together at every fourth step and the last."""
@@ -218,6 +232,7 @@ def cases() -> dict[str, Callable[[Digest], None]]:
     out["sweep_batch"] = sweep_batch_case
     out["mixed_dt_batch"] = mixed_dt_batch_case
     out["mixed_noise_batch"] = mixed_noise_batch_case
+    out["blowup_batch"] = blowup_batch_case
     for alpha in (0.0, 1.0):
         out[f"records_alpha{alpha:g}"] = lambda d, a=alpha: alpha_batch_case(d, a)
     out["step_n64"] = lambda d: step_case(d, "n64")
