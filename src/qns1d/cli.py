@@ -211,6 +211,10 @@ def build_initial_factory(ic: dict, grid: TorusGrid, base_dir: Path | None,
     """Initial-condition factory (path_index, path_seed) -> State, from a
     schema-checked initial_condition block with its defaults filled in.
 
+    A ``constant`` block is a ``harmonic_perturbation`` of zero amplitude:
+    its eps, velocity_eps and random_amplitude are 0 and its modes [1],
+    whatever the block gives. Without per-path jitter (random_amplitude 0,
+    and always for the ``file`` kind) every path gets one shared State.
     Densities stay pinned away from vacuum: rho0 - eps_max must be positive,
     and the implied bound C with 1/C <= rho <= C is returned for the manifest.
     """
@@ -236,26 +240,17 @@ def build_initial_factory(ic: dict, grid: TorusGrid, base_dir: Path | None,
 
     if "rho0" not in ic:
         raise ValueError(f"{kind} kind needs a 'rho0'")
-    rho0 = ic["rho0"]
     if kind == "constant":
-        psi = RealField.from_physical(np.full(grid.n_collocation, np.log(rho0)), grid)
-        u = RealField.from_physical(np.zeros(grid.n_collocation), grid)
-        state = State(psi, u, 0.0)
-        return (lambda index, seed: state), max(rho0, 1.0 / rho0)
-
-    eps, modes, v_eps = ic["eps"], ic["modes"], ic["velocity_eps"]
+        ic = {"rho0": ic["rho0"], "eps": 0.0, "modes": [1], "velocity_eps": 0.0,
+              "random_amplitude": 0.0}
+    rho0, eps, modes, v_eps = ic["rho0"], ic["eps"], ic["modes"], ic["velocity_eps"]
     v_modes, rand_amp = ic.get("velocity_modes", modes), ic["random_amplitude"]
     if eps * (1.0 + rand_amp) >= rho0:
         raise ValueError("perturbation eps*(1+random_amplitude) must stay below rho0")
     if any(j > grid.m_modes for j in modes + v_modes):
         raise ValueError("perturbation modes must lie in 1..m_modes")
 
-    def factory(index: int, seed: int) -> State:
-        scale_rho, scale_u = 1.0, 1.0
-        if rand_amp > 0.0:
-            gen = initial_data_generator(seed)
-            scale_rho = 1.0 + rand_amp * gen.uniform(-1.0, 1.0)
-            scale_u = 1.0 + rand_amp * gen.uniform(-1.0, 1.0)
+    def perturbed(scale_rho: float, scale_u: float) -> State:
         rho = np.full(grid.n_collocation, rho0)
         for j in modes:
             rho = rho + scale_rho * eps / len(modes) * np.cos(2 * np.pi * j * grid.x)
@@ -266,9 +261,17 @@ def build_initial_factory(ic: dict, grid: TorusGrid, base_dir: Path | None,
         u = project(RealField.from_physical(u_vals, grid), grid)
         return State(psi, u, 0.0)
 
-    top = rho0 + eps * (1.0 + rand_amp)
-    bottom = rho0 - eps * (1.0 + rand_amp)
-    return factory, max(top, 1.0 / bottom)
+    bound = max(rho0 + eps * (1.0 + rand_amp), 1.0 / (rho0 - eps * (1.0 + rand_amp)))
+    if rand_amp == 0.0:
+        state = perturbed(1.0, 1.0)
+        return (lambda index, seed: state), bound
+
+    def factory(index: int, seed: int) -> State:
+        gen = initial_data_generator(seed)
+        return perturbed(1.0 + rand_amp * gen.uniform(-1.0, 1.0),
+                         1.0 + rand_amp * gen.uniform(-1.0, 1.0))
+
+    return factory, bound
 
 
 # --- artifact writing ----------------------------------------------------

@@ -558,14 +558,15 @@ class _Stepper:
 
         Returns the states' (P, 2) W^{2,inf} norms [psi, u]; why each state
         that fails the check fails, by row: non-finite samples, |psi| beyond
-        the clamp, or a non-finite norm, with NaN norms where none was taken;
-        and whether every state passed on Wiener bounds at or below its
-        floor, which ends the check with no further test. The norms of the
-        states that pass come from one ``certified_norms`` call, each state
-        with its threshold in ``below`` and its floor in ``floors``, if given,
-        where -inf takes the exact norms, and with ``previous``, the spectra
-        (2, P, n_half) and (P, 2) values of each state's previous checked
-        state, if given.
+        the clamp, or a non-finite norm, with NaN norms in the rows that fail
+        on their samples; and whether every state passed on Wiener bounds at
+        or below its floor, which ends the check with no further test. Every
+        state's norms come from one ``certified_norms`` call, as each state's
+        would alone, with its threshold in ``below`` and its floor in
+        ``floors``, if given, where -inf takes the exact norms, and with
+        ``previous``, the spectra (2, P, n_half) and (P, 2) values of each
+        state's previous checked state, if given. A failure outranks a
+        certified bound, which a state beyond the clamp can have below R.
         """
         clamp = self.cfg.blowup_clamp
         failures: dict[int, str] = {}
@@ -578,20 +579,10 @@ class _Stepper:
                     failures[p] = "non-finite values in state"
                 elif peak_psi > clamp:
                     failures[p] = f"|psi| reached {peak_psi:.3g} beyond clamp {clamp}"
-        if not failures:
-            norms, certified = self.certified_norms(spec[:2], below, previous, floors)
-            if certified:
-                return norms, failures, True
-        else:
-            norms = np.full((len(below), 2), np.nan)
-            passed = np.array([p for p in range(len(below)) if p not in failures],
-                              dtype=np.intp)
-            if passed.size:
-                if previous is not None:
-                    previous = (previous[0][:, passed], previous[1][passed])
-                norms[passed] = self.certified_norms(
-                    spec[:2, passed], below[passed], previous,
-                    None if floors is None else floors[passed])[0]
+        norms, certified = self.certified_norms(spec[:2], below, previous, floors)
+        if certified and not failures:
+            return norms, failures, True
+        norms[list(failures)] = np.nan
         if not norms.max() < math.inf:
             for p in np.flatnonzero(~np.isfinite(norms).all(axis=1)).tolist():
                 failures.setdefault(p, "non-finite W^{2,inf} norm")
@@ -712,17 +703,18 @@ def simulate_path(initial: State | Sequence[State], cfg: StepConfig | Sequence[S
                   increments: np.ndarray | Sequence | None = None) -> PathResult | PathBatch:
     """Advance paths until t_end, a norm-threshold hit, or numerical blow-up.
 
-    One State with one path seed gives a PathResult. A sequence of States
-    with one seed each gives a PathBatch: the paths step in lockstep from
-    one workspace, their spectra stacked along a leading path axis, so each
-    numpy call and transform of a step serves every path. A batch takes one
-    StepConfig for all its paths or one per path, and likewise one
-    NoiseModel or one per path. Paths may differ in dt, t_end and noise
-    model, so a batch can hold every level of a refinement study in several
-    noise modes, but not in blowup_clamp or in the models' k_modes. A path
-    that stops, or reaches its own last step, leaves the stepped rows; the
-    others go on. Each path's result is bit for bit the result of running it
-    alone, which is how a single State runs: as a batch of one.
+    A sequence of States with one seed each gives a PathBatch: the paths
+    step in lockstep from one workspace, their spectra stacked along a
+    leading path axis, so each numpy call and transform of a step serves
+    every path. A batch takes one StepConfig for all its paths or one per
+    path, and likewise one NoiseModel or one per path. Paths may differ in
+    dt, t_end and noise model, so a batch can hold every level of a
+    refinement study in several noise modes, but not in blowup_clamp or in
+    the models' k_modes. A path that stops, or reaches its own last step,
+    leaves the stepped rows; the others go on. Each path's result is bit for
+    bit the result of running it alone. One State, with its one seed and
+    its increments if any, runs as a batch of one, through the same
+    validation and stepping, and gives that batch's PathResult.
 
     Fully reproducible from (config, path_seed): the noise stream is a pure
     function of (path_seed, step_index). Pre-summed increments may be passed
@@ -731,10 +723,9 @@ def simulate_path(initial: State | Sequence[State], cfg: StepConfig | Sequence[S
     n_steps, or one array of shape (P, n_steps, k_modes). A noise-free path
     ignores its increments.
     """
-    if isinstance(initial, State):
-        incs = None if increments is None else [np.asarray(increments)]
-        return _run_lockstep(_Stepper(grid, params, cfg, noise), [initial], [path_seed],
-                             [cfg], [noise], monitors, incs)[0]
+    if lone := isinstance(initial, State):
+        initial, path_seed = [initial], [path_seed]
+        increments = None if increments is None else [increments]
     initials, seeds = list(initial), list(path_seed)
     cfgs = [cfg] * len(initials) if isinstance(cfg, StepConfig) else list(cfg)
     models = [noise] * len(initials) if isinstance(noise, NoiseModel) else list(noise)
@@ -758,7 +749,7 @@ def simulate_path(initial: State | Sequence[State], cfg: StepConfig | Sequence[S
         group = slice(start, start + size)
         results += _run_lockstep(stepper, initials[group], seeds[group], cfgs[group],
                                  models[group], monitors, None if incs is None else incs[group])
-    return PathBatch(results)
+    return results[0] if lone else PathBatch(results)
 
 
 def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[int],

@@ -21,10 +21,13 @@ from qns1d.cli import (
     EXIT_BLOWUP_DOMINATED,
     EXIT_CONFIG_ERROR,
     EXIT_OK,
+    build_initial_factory,
     main,
     validate_config,
 )
 from qns1d.functionals import MonitorRecord
+from qns1d.noise import derive_path_seed
+from qns1d.spectral import TorusGrid
 
 SCHEMA = Path(qns1d.cli.__file__).with_name("config.schema.json")
 
@@ -374,6 +377,42 @@ class TestValidation:
         cfg = base_config(str(tmp_path),
                           **{"model.initial_condition": {"kind": "file", "path": "state.npz"}})
         assert validate_config(cfg, base_dir=tmp_path).density_bound == np.exp(0.1)
+
+    @pytest.mark.parametrize("n, m", [(32, 10), (64, 21), (256, 85)])
+    def test_constant_is_a_zero_amplitude_harmonic(self, n, m):
+        # a constant block builds the harmonic perturbation of zero
+        # amplitude, byte for byte, and ignores any amplitude it is given
+        grid = TorusGrid(n, m)
+        harmonic = {"kind": "harmonic_perturbation", "rho0": 2.0, "eps": 0.0, "modes": [1],
+                    "velocity_eps": 0.0, "random_amplitude": 0.0}
+        blocks = [{"kind": "constant", "rho0": 2.0},
+                  {**harmonic, "kind": "constant", "eps": 1.5, "modes": [3, 99],
+                   "velocity_eps": 0.4, "velocity_modes": [99], "random_amplitude": 0.5},
+                  harmonic]
+        built = [build_initial_factory(block, grid, None) for block in blocks]
+        arrays = [[a.tobytes() for a in (state.psi.spectral, state.psi.physical,
+                                         state.u.spectral, state.u.physical)]
+                  for state in (factory(1, 77) for factory, _ in built)]
+        assert arrays[0] == arrays[1] == arrays[2]
+        state = built[0][0](0, 5)
+        assert state.psi.physical.tolist() == [np.log(2.0)] * n
+        assert not state.u.physical.any()
+        assert [bound for _, bound in built] == [2.0, 2.0, 2.0]
+
+    def test_jitter_free_factories_share_one_state(self, tmp_path):
+        # without per-path jitter every path gets the same State object;
+        # random_amplitude 0.5 still gives each path its own
+        for block in ({"kind": "constant", "rho0": 2.0},
+                      base_config(str(tmp_path))["model"]["initial_condition"]):
+            cfg = base_config(str(tmp_path), **{"model.initial_condition": block})
+            factory = validate_config(cfg).initial_factory
+            assert factory(0, derive_path_seed(11, 0)) is factory(5, derive_path_seed(11, 5))
+        cfg = base_config(str(tmp_path), **{"model.initial_condition.random_amplitude": 0.5})
+        factory = validate_config(cfg).initial_factory
+        first, second = (factory(i, derive_path_seed(11, i)) for i in (0, 1))
+        assert first is not second
+        assert first.psi.spectral.tolist() != second.psi.spectral.tolist()
+        assert first.u.spectral.tolist() != second.u.spectral.tolist()
 
 
 class TestSimulate:

@@ -1,5 +1,6 @@
 import ast
 import math
+import time
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies
 
 from qns1d import functionals, integrator, suites
-from qns1d.functionals import compute_record
+from qns1d.functionals import QUAD_OVERSAMPLE, compute_record
 from qns1d.integrator import (
     _BOUND_SLACK,
     TERMS,
@@ -26,7 +27,7 @@ from qns1d.integrator import (
 )
 from qns1d.model import ModelParams, NumericalBlowupError, State, cutoff_phi, w2inf_norm
 from qns1d.noise import NoiseModel, derive_path_seed, sample_increment
-from qns1d.spectral import RealField, TorusGrid, UsageError, hs_norm, project
+from qns1d.spectral import RealField, TorusGrid, UsageError, hs_norm, project, to_physical
 
 from oracle import linear_propagator, reference_trajectory
 
@@ -353,6 +354,51 @@ class TestSimulatePath:
         assert max(abs(m - masses[0]) for m in masses) / masses[0] < 1e-6
 
 
+class TestItoEnergyBalance:
+    def test_residual_vanishes_at_first_order(self, grid64):
+        # Ito's formula for the energy, path by path: E(T) - E(0) + sum dt D_i
+        # - sum_i int rho_i u_i f_i - (1/2) sum_i int rho_i f_i^2 = O(dt), with
+        # f_i = sum_k F_k dW_k,i the forcing of step i, from the increments
+        # step() draws, and the discrete square f_i^2. Additive noise keeps
+        # the Ito term well above the residual. The gate takes the mean
+        # |residual| of 8 paths: its ratio per halving of dt, the square root
+        # over two halvings (single halvings of 8 paths spread 0.3-0.8 over
+        # seeds), and its size against the Ito term at the finest dt.
+        t0 = time.perf_counter()
+        params = ModelParams(gamma=1.5, alpha=0.5)
+        noise = NoiseModel(base_amplitude=0.5, shape="off")
+        initial = small_setup(grid64)[1]
+        seeds = [derive_path_seed(6, p) for p in range(8)]
+        fine = QUAD_OVERSAMPLE * grid64.n_collocation
+        waves = noise.waves(np.arange(fine) / fine)
+        residuals, ito_terms = [], []
+        for level in (1e-3, 5e-4, 2.5e-4):
+            cfg = StepConfig(dt=level, t_end=0.1)
+            dt = cfg.dt_effective
+            states = [initial] * len(seeds)
+            energy = -np.array([r.energy for r in compute_record(states, params, grid64)])
+            ito = np.zeros(len(seeds))
+            for i in range(cfg.n_steps):
+                records = compute_record(states, params, grid64)
+                energy += dt * np.array([r.energy_dissipation_rate for r in records])
+                dW = np.array([sample_increment(seed, i, dt, noise) for seed in seeds])
+                forcing = dW @ waves
+                psi, u = to_physical(np.array([[s.psi.spectral for s in states],
+                                               [s.u.spectral for s in states]]), fine)
+                rho = np.exp(psi)
+                energy -= (rho * u * forcing).mean(axis=-1)
+                ito += 0.5 * (rho * forcing**2).mean(axis=-1)
+                states = [step(s, cfg, params, noise, seed, i, grid64)
+                          for s, seed in zip(states, seeds)]
+            energy += np.array([r.energy for r in compute_record(states, params, grid64)])
+            residuals.append(np.abs(energy - ito).mean())
+            ito_terms.append(ito.mean())
+        halving = math.sqrt(residuals[2] / residuals[0])
+        assert 0.35 <= halving <= 0.65, residuals
+        assert residuals[2] <= 0.1 * ito_terms[2], (residuals, ito_terms)
+        assert time.perf_counter() - t0 < 30.0
+
+
 class TestStackedKernels:
     @pytest.mark.parametrize("stride, paths", [(None, None), (3, None), (None, 5), (3, 5)],
                              ids=["None", "3", "None-batch5", "3-batch5"])
@@ -671,6 +717,59 @@ class TestCertifiedNorms:
             assert np.array_equal(got[p], exact[p], equal_nan=True), p
         assert max(incremental[4]) < stepper.finite_floor < max(wiener[4])
 
+    def test_clamp_failed_row_fails_where_its_bound_certifies(self, grid64):
+        # at the default R = 1e6 the Wiener bound of a state beyond the clamp
+        # certifies, yet the state fails: in check_states, in step() and in
+        # a batch's quiet step. The rows that pass keep the norms they get
+        # alone, byte for byte, on the quiet step's thresholds and on mixed
+        # ones with their previous states.
+        params = ModelParams(gamma=1.5, alpha=0.5)
+        cfg = StepConfig(dt=1e-3, t_end=0.01)
+        stepper = _Stepper(grid64, params, cfg, NO_NOISE)
+        rng = np.random.default_rng(5)
+        decay = np.exp(-np.arange(grid64.n_half) / 3.0)
+        before = (rng.standard_normal((2, 3, grid64.n_half))
+                  + 1j * rng.standard_normal((2, 3, grid64.n_half))) * decay
+        before[..., 0] = before[..., 0].real
+        before[..., grid64.m_modes + 1:] = 0.0
+        rows = before + 1e-4 * decay
+        rows[..., grid64.m_modes + 1:] = 0.0
+        # row 1: psi's mean beyond the clamp of 50
+        before[0, 1, 0] = rows[0, 1, 0] = 60.0
+        spec, samples = stepper.sample(rows[0], rows[1])
+        previous = (before, np.array([w2inf_norm(before[:, p], grid64) for p in range(3)]))
+        exact = [w2inf_norm(rows[:, p], grid64) for p in range(3)]
+        quiet = np.full(3, stepper.radius)
+        assert stepper.certified_norms(spec[:2], quiet)[1] is True
+        mixed = np.array([max(exact[0]) * 1.01, stepper.radius, -math.inf])
+        for below, prev in ((quiet, None), (mixed, previous)):
+            floors = stepper.floors(below)
+            norms, failures, certified = stepper.check_states(spec, samples, below, prev, floors)
+            assert certified is False
+            assert list(failures) == [1] and "beyond clamp" in failures[1]
+            assert np.isnan(norms[1]).all()
+            for p in (0, 2):
+                alone = stepper.check_states(
+                    spec[:, p:p + 1], samples[:, p:p + 1], below[p:p + 1],
+                    None if prev is None else (prev[0][:, p:p + 1], prev[1][p:p + 1]),
+                    floors[p:p + 1])[0]
+                assert norms[p].tobytes() == alone[0].tobytes(), p
+        # on the mixed thresholds row 0 takes the incremental bound, row 2 the norm
+        assert norms[0].tolist() != exact[0] and norms[0].max() <= mixed[0]
+        assert norms[2].tolist() == exact[2]
+        failed = State(RealField.from_spectral(rows[0, 1], grid64),
+                       RealField.from_spectral(rows[1, 1], grid64), 0.0)
+        with pytest.raises(NumericalBlowupError, match="beyond clamp"):
+            step(failed, cfg, params, NO_NOISE, 0, 0, grid64)
+        # unrecorded, state 0 is checked on the quiet step's thresholds
+        passing = shifted_harmonic(grid64, 0.1)
+        monitors = MonitorSpec(collect_records=False)
+        batch = simulate_path([passing, failed], cfg, params, NO_NOISE, [0, 1], grid64,
+                              monitors)
+        assert batch[1].event.kind == "numerical_blowup" and batch[1].n_steps_taken == 0
+        assert_same_path(batch[0], simulate_path(passing, cfg, params, NO_NOISE, 0, grid64,
+                                                 monitors))
+
     def test_predictor_phi_is_one_below_R(self, grid64, monkeypatch):
         # every predicted norm at most R gives the scalar 1.0 with no call of
         # cutoff_phi; otherwise each path gets its own factor
@@ -734,6 +833,23 @@ class TestCertifiedNorms:
                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                  and node.func.attr == "step_imex"]
         assert len(steps) == 1
+
+    def test_one_lockstep_call_site_and_one_norms_call_per_check(self):
+        # a lone State runs as a batch of one, so simulate_path builds one
+        # stepper and enters _run_lockstep at one call site; check_states
+        # takes every row's norms from one certified_norms call
+        tree = ast.parse(Path(integrator.__file__).read_text())
+        defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+        def calls(scope, name):
+            return sum(isinstance(node, ast.Call) and name in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None))
+                for node in ast.walk(defs[scope]))
+
+        assert calls("simulate_path", "_Stepper") == 1
+        assert [scope for scope in defs if calls(scope, "_run_lockstep")] == ["simulate_path"]
+        assert calls("simulate_path", "_run_lockstep") == 1
+        assert calls("check_states", "certified_norms") == 1
 
 
 def assert_same_path(got, want):

@@ -10,7 +10,8 @@ monitor rows and hit times of paths on the n = 32, 64 and 256 grids and the
 padded (32, 16) grid, with no, additive and multiplicative noise; the
 public ``step()`` below the cut-off radius; and ``strong_convergence_order``.
 Some paths end ``tau_R_hit``, and one lone path and some paths of one
-batch end ``numerical_blowup``; the sweep
+batch end ``numerical_blowup``; one lone path steps on supplied
+increments; the sweep
 paths monitor their sweep radii, as ``sweep-r`` does, one at a time and as
 one batch of eight, whose states are certified together; one batch
 mixes three dt levels, as ``strong_convergence_order`` does, and one mixes
@@ -110,6 +111,23 @@ def add_result(d: Digest, res: PathResult, radii: tuple[float, ...]) -> None:
     d.add([r.to_row() for r in res.records])
     if radii:
         d.add(first_hit_times(res, radii))
+
+
+def lone_increments_case(d: Digest) -> None:
+    """A lone State with supplied increments on the padded grid: the pairwise
+    sums of half-step draws, two rows longer than its steps, as a coarse
+    level of ``strong_convergence_order`` gets them. It ends at tau_R on
+    step 16, two steps after its run on drawn increments."""
+    g = GRIDS["padded"]
+    params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=8.0)
+    model = NOISE["strong"]
+    cfg = StepConfig(dt=1e-3, t_end=0.05)
+    seed = derive_path_seed(20240501, 9)
+    fine = np.array([sample_increment(seed, i, 0.5 * cfg.dt_effective, model)
+                     for i in range(2 * cfg.n_steps + 4)])
+    res = simulate_path(harmonic(g, 0.1), cfg, params, model, seed, g, MonitorSpec(stride=3),
+                        increments=fine.reshape(-1, 2, model.k_modes).sum(axis=1))
+    add_result(d, res, ())
 
 
 def sweep_batch_case(d: Digest) -> None:
@@ -229,6 +247,7 @@ def cases() -> dict[str, Callable[[Digest], None]]:
         out[f"sweep_tau_R_{seed}"] = (lambda d, s=seed: path_case(
             d, "n64", "strong", s, 5e-4, 0.2, radius=8.0, stride=None,
             radii=(4.0, 6.0, 8.0)))
+    out["lone_increments"] = lone_increments_case
     out["sweep_batch"] = sweep_batch_case
     out["mixed_dt_batch"] = mixed_dt_batch_case
     out["mixed_noise_batch"] = mixed_noise_batch_case
