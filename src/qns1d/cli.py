@@ -9,8 +9,8 @@ against rho0). All violations go into one report before any computation
 starts.
 Run artifacts (config snapshot, seed manifest, summary, per-path monitor
 CSVs) land in one run directory and are sufficient to replay any path
-bit-identically: ``replay`` runs the path through ``ensemble.run_path``, the
-same function the ensemble ran it with.
+bit-identically: ``replay`` runs the path through ``ensemble.run_paths``, as
+a batch of one, the same function the ensemble ran it with.
 
 Exit codes: 0 success, 2 config/validation error, 3 blow-up-dominated run,
 1 failed verification checks.
@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ensemble import EnsembleConfig, EnsembleSummary, run_ensemble, run_path
+from .ensemble import EnsembleConfig, EnsembleSummary, run_ensemble, run_paths
 from .functionals import BETA, MonitorRecord
 from .integrator import StepConfig
 from .model import ModelParams, State
@@ -472,8 +472,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"manifest seed {seed} does not match lineage {expected}",
               file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    summary, records = run_path(cfg.ensemble, index, cfg.initial_factory(index, seed),
-                                cfg.step, cfg.params, cfg.noise, cfg.grid)
+    [(summary, records)] = run_paths(cfg.ensemble, [index], [cfg.initial_factory(index, seed)],
+                                     cfg.step, cfg.params, cfg.noise, cfg.grid)
     out_path = Path(args.out) if args.out else run_dir / f"replay_path_{index:04d}.csv"
     write_records_csv(out_path, records)
     print(f"replayed path {index}: event={summary.event_kind} "

@@ -6,10 +6,10 @@ replayable. ``run_paths`` is the one function that runs paths of an
 ensemble: it steps them as one batch, in lockstep, through one
 ``simulate_path`` call, and every path comes out bit for bit as it would
 alone. ``run_ensemble`` gives each worker one contiguous block of paths as
-one batch, and the CLI's ``replay`` runs a single path through ``run_path``,
-a batch of one. The merge works on per-path summaries keyed by path index
-and is therefore independent of completion order and of how the paths were
-split.
+one batch, and the CLI's ``replay`` runs a single path through
+``run_paths``, as a batch of one. The merge works on per-path summaries
+keyed by path index and is therefore independent of completion order and
+of how the paths were split.
 
 A radius sweep replays the same Brownian path for every threshold: since the
 cut-off is inactive until the smallest threshold is reached, trajectories for
@@ -171,31 +171,22 @@ def run_paths(cfg: EnsembleConfig, indices: Sequence[int], initials: Sequence[St
             for i, seed, r in zip(indices, seeds, results)]
 
 
-def run_path(cfg: EnsembleConfig, index: int, initial: State, step_cfg: StepConfig,
-             params: ModelParams, noise: NoiseModel, grid: TorusGrid,
-             ) -> tuple[PathSummary, list[MonitorRecord]]:
-    """Run path ``index`` of the ensemble ``cfg`` from ``initial``: ``run_paths``
-    with a batch of one, as the CLI's ``replay`` does."""
-    return run_paths(cfg, [index], [initial], step_cfg, params, noise, grid)[0]
-
-
-def run_ensemble(cfg: EnsembleConfig, initial: State | Callable[[int, int], State],
+def run_ensemble(cfg: EnsembleConfig, initial_factory: Callable[[int, int], State],
                  step_cfg: StepConfig, params: ModelParams, noise: NoiseModel,
                  grid: TorusGrid, n_workers: int = 1,
                  ) -> tuple[EnsembleSummary, list[list[MonitorRecord]]]:
     """Run n_paths independent trajectories through ``run_paths`` and merge them.
 
-    ``initial`` is either a fixed state or a factory (path_index, path_seed)
-    -> State for random initial data. The initial states are built here, in
-    the parent process: a factory may be a closure, which cannot be pickled.
+    ``initial_factory`` maps (path_index, path_seed) to the path's initial
+    State. The initial states are built here, in the parent process: a
+    factory may be a closure, which cannot be pickled.
     The paths are split into n_workers contiguous blocks, and each worker
     runs its block as one batch. Every path is bit-identical however the
     paths are split, so the result does not depend on n_workers. Returns the
     merged summary and every path's monitor records.
     """
     indices = list(range(cfg.n_paths))
-    states = [initial(i, derive_path_seed(cfg.master_seed, i)) if callable(initial)
-              else initial for i in indices]
+    states = [initial_factory(i, derive_path_seed(cfg.master_seed, i)) for i in indices]
     run = functools.partial(run_paths, cfg, step_cfg=step_cfg, params=params,
                             noise=noise, grid=grid)
     blocks = [block.tolist() for block in np.array_split(indices, max(1, n_workers))

@@ -222,11 +222,10 @@ class _Stepper:
     ``rows[j]`` is row j of every path.
     """
 
-    def __init__(self, grid: TorusGrid, params: ModelParams, cfg: StepConfig,
-                 noise: NoiseModel):
+    def __init__(self, grid: TorusGrid, params: ModelParams, blowup_clamp: float):
         self.grid = grid
         self.params = params
-        self.cfg = cfg
+        self.blowup_clamp = blowup_clamp
         self.n = grid.n_collocation
         self.n_half = grid.n_half
         self.k = grid.k_half
@@ -253,7 +252,6 @@ class _Stepper:
         self.psi_rates = np.array([params.gamma - 1.0, params.alpha - 1.0, 1.0])
         # the factors of u and psi in the linear parts of b1 and b2
         self.neg_ik_ihk3 = np.stack([-1j * self.k, -1j * self.hk3])[:, None, :]
-        self.use_dts([cfg.dt_effective])
         self.zero_half = _frozen(np.zeros(grid.n_half, dtype=complex))
         # alias-free quadratic products need n >= 2m + cut + 2
         need = 2 * grid.m_modes + grid.dealias_cut + 2
@@ -261,7 +259,6 @@ class _Stepper:
         # a_k sin(2 pi k x) on the grid, the state-free factor of the forcing,
         # for each distinct noisy model the stepper has met
         self.waves: dict[NoiseModel, np.ndarray] = {}
-        self.use_noises([noise])
         # Wiener-algebra bound of the W^{2,inf} norm, sup|d^o f/dx^o| <=
         # sum_j mult_j |c_j| k_j^o: on the oversampled grid every mode but
         # j = 0 is interior to the real transform and so counts twice
@@ -274,25 +271,16 @@ class _Stepper:
         self.finite_floor = np.finfo(float).max / (W2INF_OVERSAMPLE * self.n)
         self.radius_floor = self.floors(self.radius)
 
-    def use_dts(self, dts: Sequence[float]) -> None:
-        """Build the step's (k, dt)-only factors for rows stepping by ``dts``.
+    def use_rows(self, dts: Sequence[float], models: Sequence[NoiseModel]) -> None:
+        """Set up the stepped rows: row r steps by ``dts[r]``, forced by ``models[r]``.
 
-        They are (P, 1) columns and (P, n_half) rows, which the kernels
-        broadcast against a stack of P paths. Each factor keeps its
-        expression's operand order, and a row's factor has the bits of its
-        own dt's scalar one, so every path steps as it would alone. The real
-        factors ``dt``, ``hdt`` and ``half_hdt2_k4`` are stored complex, as
-        the step only multiplies complex rows by them or adds them to such.
-        """
-        dt = np.array(dts)[:, None]
-        hdt = 0.5 * dt
-        self.dt, self.hdt = dt.astype(complex), hdt.astype(complex)
-        self.half_hdt2_k4 = (0.5 * hdt * hdt * self.k2 * self.k2).astype(complex)
-        self.neg_hdt_ihk3 = -hdt * 1j * self.hk3
-        self.hdt_ik = hdt * 1j * self.k
-
-    def use_noises(self, models: Sequence[NoiseModel]) -> None:
-        """Set the forcing of rows driven by ``models``, one per stepped row.
+        The step's (k, dt)-only factors are (P, 1) columns and (P, n_half)
+        rows, which the kernels broadcast against a stack of P paths. Each
+        factor keeps its expression's operand order, and a row's factor has
+        the bits of its own dt's scalar one, so every path steps as it would
+        alone. The real factors ``dt``, ``hdt`` and ``half_hdt2_k4`` are
+        stored complex, as the step only multiplies complex rows by them or
+        adds them to such.
 
         Each noisy model's rows, compared by value, and the rows of the
         noise-free models must be consecutive, as ``simulate_path`` orders
@@ -304,6 +292,12 @@ class _Stepper:
         waves are built once per stepper. The models share k_modes, so one
         increment array serves every row.
         """
+        dt = np.array(dts)[:, None]
+        hdt = 0.5 * dt
+        self.dt, self.hdt = dt.astype(complex), hdt.astype(complex)
+        self.half_hdt2_k4 = (0.5 * hdt * hdt * self.k2 * self.k2).astype(complex)
+        self.neg_hdt_ihk3 = -hdt * 1j * self.hk3
+        self.hdt_ik = hdt * 1j * self.k
         rows: dict[NoiseModel | None, list[int]] = {}
         for row, m in enumerate(models):
             on = m.base_amplitude > 0.0
@@ -351,17 +345,14 @@ class _Stepper:
 
         Both factors go to physical space in one stacked transform, on an
         internally padded grid when n_collocation is too small for the
-        retained band to be alias-free; the product keeps the modes of the
-        grid's dealias_mask.
+        retained band to be alias-free; the product keeps the modes up to the
+        grid's dealias_cut.
         """
         factors = np.empty((2,) + a_spec.shape, dtype=complex)
         factors[0] = a_spec
         factors[1] = b_spec
         a, b = to_physical(factors, self.product_n)
         return self.project_rows(a * b, self.product_end)
-
-    def phi(self, norm: float) -> float:
-        return cutoff_phi(norm, self.radius)
 
     def floors(self, below: np.ndarray | float) -> np.ndarray:
         """The values that certify at thresholds ``below``: each threshold less
@@ -426,7 +417,7 @@ class _Stepper:
                                                 floors=self.radius_floor)
         if certified or norms.max() <= self.radius:
             return 1.0
-        return np.array([self.phi(norm) for norm, in norms.tolist()])[:, None]
+        return np.array([cutoff_phi(norm, self.radius) for norm, in norms.tolist()])[:, None]
 
     # --- right-hand sides ----------------------------------------------
 
@@ -444,7 +435,7 @@ class _Stepper:
         advection, quantum, pressure, viscosity and viscosity_gradient
         (momentum equation); and forcing, sum_k F_k dW_k, when dW, of shape
         (P, k_modes), is given and some row's noise is on, with the models of
-        ``use_noises``; a noise-free row's is zero. No term carries a cut-off
+        ``use_rows``; a noise-free row's is zero. No term carries a cut-off
         factor: every state ``simulate_path`` steps is below R, where phi_R
         is 1. The momentum equation's sixth term, the dispersion, is linear
         and is solved implicitly with coefficient ``hk3``.
@@ -568,7 +559,7 @@ class _Stepper:
         state's previous checked state, if given. A failure outranks a
         certified bound, which a state beyond the clamp can have below R.
         """
-        clamp = self.cfg.blowup_clamp
+        clamp = self.blowup_clamp
         failures: dict[int, str] = {}
         # the sup of |.| is NaN or inf exactly when a sample is not finite
         peak_psi, peak_u = np.abs(samples[:2]).max(axis=(1, 2))
@@ -655,7 +646,9 @@ def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
     W^{2,inf} norm is at or beyond the cut-off radius: ``simulate_path``
     stops there, so the step's terms carry no cut-off.
     """
-    stepper = _Stepper(grid, params, cfg, noise)
+    dt = cfg.dt_effective
+    stepper = _Stepper(grid, params, cfg.blowup_clamp)
+    stepper.use_rows([dt], [noise])
     spec, samples = stepper.sample(state.psi.spectral[None], state.u.spectral[None])
     norms, failures, _ = stepper.check_states(spec, samples, np.array([stepper.radius]))
     if failures:
@@ -664,7 +657,6 @@ def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
     if top >= stepper.radius:
         raise UsageError(f"W^(2,inf) norm {top:.6g} at or beyond the cut-off radius "
                          f"{stepper.radius:g}, where simulate_path stops")
-    dt = cfg.dt_effective
     dW = sample_increment(seed, step_index, dt, noise)[None] if stepper.noise_on else None
     new = stepper.step_imex(spec, samples, dW)
     return State(
@@ -742,7 +734,7 @@ def simulate_path(initial: State | Sequence[State], cfg: StepConfig | Sequence[S
         raise ValueError("the noise models of a batch must share k_modes")
     if not initials:
         return PathBatch()
-    stepper = _Stepper(grid, params, cfgs[0], models[0])
+    stepper = _Stepper(grid, params, cfgs[0].blowup_clamp)
     results: list[PathResult] = []
     size = max(1, _LOCKSTEP_POINTS // grid.n_collocation)
     for start in range(0, len(initials), size):
@@ -792,8 +784,7 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
     active = np.array(paths)
     at = starts[active]
     next_end = ends.min()
-    stepper.use_dts([dts[p] for p in paths])
-    stepper.use_noises([models[p] for p in paths])
+    stepper.use_rows([dts[p] for p in paths], [models[p] for p in paths])
     # the increment row of a noise-free path, which its forcing never reads
     no_dW = np.zeros(models[0].k_modes)
     # each active path's index in resolved of the smallest radius that it has
@@ -862,8 +853,7 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
                 paths = active.tolist()
                 at = starts[active]
                 next_end = ends[active].min()
-                stepper.use_dts([dts[p] for p in paths])
-                stepper.use_noises([models[p] for p in paths])
+                stepper.use_rows([dts[p] for p in paths], [models[p] for p in paths])
             # only an exact norm can cross: a bound stays below its threshold
             nexts = _crossed(radii, nexts, top)
             thresholds = radii[nexts]
@@ -954,21 +944,20 @@ class ConvergenceResult:
 
 
 def strong_convergence_order(initial: State, params: ModelParams,
-                             noise: NoiseModel | Sequence[NoiseModel], grid: TorusGrid,
-                             dt_levels: Sequence[float], n_paths: int | Sequence[int],
-                             master_seed: int, t_end: float,
-                             ) -> ConvergenceResult | list[ConvergenceResult]:
+                             noises: Sequence[NoiseModel], grid: TorusGrid,
+                             dt_levels: Sequence[float], n_paths: Sequence[int],
+                             master_seed: int, t_end: float) -> list[ConvergenceResult]:
     """Pathwise self-convergence: slope of log E||u_fine - u_dt||_L2 vs log dt.
 
-    All levels replay the same Brownian path: coarse increments are sums of
-    the finest level's increments. One model gives one ConvergenceResult; a
-    sequence of models, with one ``n_paths`` each, gives one study per model
-    and a list of their results, path p of every study on the seed of path
-    p. Every path of every level of every study, the references included,
-    steps in one ``simulate_path`` batch of mixed dt and noise model, whose
-    rows run level by level, the references first, so that its lockstep
-    groups hold rows of like length. Each seed's increments are drawn and
-    summed once for all the studies whose models share k_modes.
+    One study per noise model in ``noises``, with ``n_paths[s]`` paths for
+    study s; path p of every study runs on the seed of path p. All levels
+    replay the same Brownian path: coarse increments are sums of the finest
+    level's increments. Every path of every level of every study, the
+    references included, steps in one ``simulate_path`` batch of mixed dt
+    and noise model, whose rows run level by level, the references first,
+    so that its lockstep groups hold rows of like length. The models of a
+    batch share k_modes, so each seed's increments are drawn and summed once
+    for all the noisy studies. Returns the studies' results in model order.
 
     Exclusions are applied to each study's results afterwards, level by
     level from the finest: a path that blows up at any level is excluded and
@@ -976,9 +965,7 @@ def strong_convergence_order(initial: State, params: ModelParams,
     than 20% exclusions is a diagnostic failure, raised for the first such
     study in study order.
     """
-    single = isinstance(noise, NoiseModel)
-    models = [noise] if single else list(noise)
-    counts = [n_paths] * len(models) if isinstance(n_paths, int) else list(n_paths)
+    models, counts = list(noises), list(n_paths)
     if len(counts) != len(models):
         raise ValueError("a convergence study needs one path count per noise model")
     dts = sorted(float(d) for d in dt_levels)
@@ -993,22 +980,21 @@ def strong_convergence_order(initial: State, params: ModelParams,
 
     seeds = [derive_path_seed(master_seed, p) for p in range(max(counts, default=0))]
     # each seed's increments at every level, finest first, drawn and summed
-    # once for all the studies whose models share k_modes
-    drawn: dict[tuple[int, int], list[np.ndarray]] = {}
+    # once for all the noisy studies
+    drawn: dict[int, list[np.ndarray]] = {}
     for model, count in zip(models, counts):
         if not model.base_amplitude > 0.0:
             continue  # a noise-free path ignores its increments, so it draws none
         for seed in seeds[:count]:
-            key = (seed, model.k_modes)
-            if key not in drawn:
+            if seed not in drawn:
                 fine = np.stack([sample_increment(seed, i, dt_fine, model)
                                  for i in range(n_fine)])
-                drawn[key] = [fine] + [fine[: (n_fine // r) * r].reshape(-1, r, model.k_modes)
-                                       .sum(axis=1) for r in ratios]
+                drawn[seed] = [fine] + [fine[: (n_fine // r) * r].reshape(-1, r, model.k_modes)
+                                        .sum(axis=1) for r in ratios]
 
     def level_increments(level: int, model: NoiseModel, p: int) -> np.ndarray:
         if model.base_amplitude > 0.0:
-            return drawn[seeds[p], model.k_modes][level]
+            return drawn[seeds[p]][level]
         return np.broadcast_to(np.zeros(model.k_modes), (n_fine, model.k_modes))
 
     # rows level by level, the references first, and within a level study
@@ -1026,8 +1012,7 @@ def strong_convergence_order(initial: State, params: ModelParams,
     studies: list[list[list[PathResult]]] = [[[] for _ in dts] for _ in models]
     for (level, s, _), run in zip(rows, runs):
         studies[s][level].append(run)
-    results = [_study_result(levels, dts, grid) for levels in studies]
-    return results[0] if single else results
+    return [_study_result(levels, dts, grid) for levels in studies]
 
 
 def _study_result(levels: list[list[PathResult]], dts: list[float],

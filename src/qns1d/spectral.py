@@ -60,12 +60,12 @@ def ddx(values: np.ndarray, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Collocation points, wavenumbers and mode masks for one resolution.
+    """Collocation points, wavenumbers and the product cut for one resolution.
 
     ``k_half`` holds the wavenumbers 2*pi*j, j = 0..n/2, of the half
-    spectrum used with the real FFT. ``dealias_mask`` (over the half
-    spectrum) is True exactly for j <= floor(2*m_modes/3) when dealiasing is
-    on, else for j <= m_modes.
+    spectrum used with the real FFT. ``dealias_cut`` is the last mode that a
+    quadratic product keeps: floor(2*m_modes/3) when dealiasing is on, else
+    m_modes.
     """
 
     n_collocation: int
@@ -73,7 +73,6 @@ class TorusGrid:
     dealias: bool = True
     x: np.ndarray = field(init=False, repr=False)
     k_half: np.ndarray = field(init=False, repr=False)
-    dealias_mask: np.ndarray = field(init=False, repr=False)
     dealias_cut: int = field(init=False)
 
     def __post_init__(self) -> None:
@@ -90,11 +89,8 @@ class TorusGrid:
                 "2/3-rule dealiasing needs n >= 4m/3"
             )
         object.__setattr__(self, "x", _frozen(np.arange(n) / n))
-        j_half = np.arange(n // 2 + 1)
-        object.__setattr__(self, "k_half", _frozen(2.0 * np.pi * j_half))
-        cut = (2 * m) // 3 if self.dealias else m
-        object.__setattr__(self, "dealias_cut", cut)
-        object.__setattr__(self, "dealias_mask", _frozen(j_half <= cut))
+        object.__setattr__(self, "k_half", _frozen(2.0 * np.pi * np.arange(n // 2 + 1)))
+        object.__setattr__(self, "dealias_cut", (2 * m) // 3 if self.dealias else m)
 
     @property
     def n_half(self) -> int:

@@ -18,7 +18,7 @@ from .functionals import (
     functional_inequality_margin,
     nonneg_combination_check,
 )
-from .integrator import StepConfig, strong_convergence_order
+from .integrator import strong_convergence_order
 from .model import ModelParams, State, quantum_identity_residual
 from .noise import NoiseModel
 from .spectral import RealField, TorusGrid
@@ -182,12 +182,12 @@ def suite_noise_bounds() -> list[CheckResult]:
     return results
 
 
-def convergence_setup() -> tuple[State, ModelParams, TorusGrid, StepConfig]:
+def convergence_setup() -> tuple[State, ModelParams, TorusGrid]:
     grid = TorusGrid(32, 10)
     params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=500.0)
     psi = RealField.from_physical(0.1 * np.cos(2.0 * np.pi * grid.x), grid)
     u = RealField.from_physical(0.1 * np.sin(2.0 * np.pi * grid.x), grid)
-    return State(psi, u, 0.0), params, grid, StepConfig(dt=1e-3, t_end=0.25)
+    return State(psi, u, 0.0), params, grid
 
 
 def suite_convergence(n_paths: int = 16, master_seed: int = 2024) -> list[CheckResult]:
@@ -197,7 +197,7 @@ def suite_convergence(n_paths: int = 16, master_seed: int = 2024) -> list[CheckR
     every path of every mode and dt level, as one lockstep batch. Each
     check's ``runtime_s`` therefore runs from the start of that call.
     """
-    initial, params, grid, _ = convergence_setup()
+    initial, params, grid = convergence_setup()
     t_end = 0.25
     dts = [t_end * 2.0**-8, t_end * 2.0**-9, t_end * 2.0**-10,
            t_end * 2.0**-11, t_end * 2.0**-12]

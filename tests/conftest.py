@@ -44,4 +44,6 @@ def make_stepper(grid: TorusGrid, params=None, noise=None):
         params = ModelParams(gamma=1.5, alpha=0.5)
     if noise is None:
         noise = NoiseModel(base_amplitude=0.0)
-    return _Stepper(grid, params, StepConfig(dt=1e-3, t_end=1e-3), noise)
+    stepper = _Stepper(grid, params, StepConfig.blowup_clamp)
+    stepper.use_rows([1e-3], [noise])
+    return stepper

@@ -218,8 +218,8 @@ def test_criterion_09_pathwise_uniqueness_shadow(tmp_path):
     identical_csv = files[0] == files[1]
 
     ecfg = EnsembleConfig(n_paths=6, master_seed=9)
-    s1, _ = run_ensemble(ecfg, st, cfg, params, noise, grid)
-    s2, _ = run_ensemble(ecfg, st, cfg, params, noise, grid)
+    s1, _ = run_ensemble(ecfg, lambda *_: st, cfg, params, noise, grid)
+    s2, _ = run_ensemble(ecfg, lambda *_: st, cfg, params, noise, grid)
     ok = identical_csv and s1 == s2
     report(9, "pathwise uniqueness shadow", ok, time.perf_counter() - t0, 60.0,
            f"bit-identical monitor CSVs: {identical_csv}; "

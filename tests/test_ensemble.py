@@ -8,7 +8,7 @@ from qns1d.ensemble import (
     jackknife_moment,
     merge_summaries,
     run_ensemble,
-    run_path,
+    run_paths,
 )
 from qns1d.cli import validate_config
 from qns1d.integrator import MonitorSpec, StepConfig, first_hit_times, simulate_path
@@ -51,7 +51,7 @@ class TestMoments:
     def test_single_path_no_stderr(self, grid64):
         params, st, cfg = base_setup(grid64)
         summary, _ = run_ensemble(EnsembleConfig(n_paths=1, master_seed=5),
-                                  st, cfg, params, NoiseModel(base_amplitude=0.0),
+                                  lambda *_: st, cfg, params, NoiseModel(base_amplitude=0.0),
                                   grid64)
         est = summary.moments["energy"][1]
         assert est.stderr is None
@@ -60,7 +60,7 @@ class TestMoments:
     def test_deterministic_collapse(self, grid64):
         params, st, cfg = base_setup(grid64)
         summary, _ = run_ensemble(EnsembleConfig(n_paths=8, master_seed=5),
-                                  st, cfg, params, NoiseModel(base_amplitude=0.0),
+                                  lambda *_: st, cfg, params, NoiseModel(base_amplitude=0.0),
                                   grid64)
         for name, orders in summary.moments.items():
             for est in orders.values():
@@ -75,7 +75,7 @@ class TestMoments:
         params, st, cfg = base_setup(grid64)
         summary, _ = run_ensemble(
             EnsembleConfig(n_paths=8, master_seed=5, moment_orders=(1, 2)),
-            st, cfg, params, NoiseModel(base_amplitude=0.3, amplitude_decay=2.0),
+            lambda *_: st, cfg, params, NoiseModel(base_amplitude=0.3, amplitude_decay=2.0),
             grid64)
         for orders in summary.moments.values():
             m1, m2 = orders[1], orders[2]
@@ -98,15 +98,15 @@ class TestEnsembleRuns:
         params, st, cfg = base_setup(grid64)
         noise = NoiseModel(base_amplitude=0.05)
         ecfg = EnsembleConfig(n_paths=4, master_seed=99)
-        s1, _ = run_ensemble(ecfg, st, cfg, params, noise, grid64)
-        s2, _ = run_ensemble(ecfg, st, cfg, params, noise, grid64)
+        s1, _ = run_ensemble(ecfg, lambda *_: st, cfg, params, noise, grid64)
+        s2, _ = run_ensemble(ecfg, lambda *_: st, cfg, params, noise, grid64)
         assert s1 == s2
 
     def test_merge_order_invariance(self, grid64):
         params, st, cfg = base_setup(grid64)
         noise = NoiseModel(base_amplitude=0.05)
         ecfg = EnsembleConfig(n_paths=5, master_seed=3, r_sweep=(50.0, 100.0))
-        outs = [run_path(ecfg, i, st, cfg, params, noise, grid64) for i in range(5)]
+        outs = run_paths(ecfg, list(range(5)), [st] * 5, cfg, params, noise, grid64)
         summaries = [o[0] for o in outs]
         records = [o[1] for o in outs]
         a = merge_summaries(summaries, ecfg, params, records)
@@ -121,14 +121,14 @@ class TestEnsembleRuns:
         cfg_step = StepConfig(dt=5e-4, t_end=0.25)
         noise = NoiseModel(base_amplitude=1.0, amplitude_decay=2.0)
         ecfg = EnsembleConfig(n_paths=8, master_seed=17, r_sweep=(5.0, 8.0, 15.0))
-        summary, _ = run_ensemble(ecfg, st, cfg_step, params, noise, grid64)
+        summary, _ = run_ensemble(ecfg, lambda *_: st, cfg_step, params, noise, grid64)
         fracs = [row.fraction for row in summary.stopping]
         assert all(b <= a for a, b in zip(fracs, fracs[1:]))
         radii = [row.radius for row in summary.stopping]
         assert radii == sorted(radii)
 
     def test_sweep_hit_times_match_exact_trace(self):
-        # the criterion-10 sweep, shortened: run_path resolves each radius of
+        # the criterion-10 sweep, shortened: run_paths resolves each radius of
         # the sweep, and its events and hit times equal those of a stride-1
         # run, which records every state and so takes every exact norm
         cfg = validate_config({
@@ -150,7 +150,8 @@ class TestEnsembleRuns:
         for i in range(ecfg.n_paths):
             seed = derive_path_seed(ecfg.master_seed, i)
             st = cfg.initial_factory(i, seed)
-            summary, _ = run_path(ecfg, i, st, cfg.step, cfg.params, cfg.noise, cfg.grid)
+            [(summary, _)] = run_paths(ecfg, [i], [st], cfg.step, cfg.params, cfg.noise,
+                                       cfg.grid)
             exact = simulate_path(st, cfg.step, cfg.params, cfg.noise, seed, cfg.grid,
                                   MonitorSpec(stride=1, radii=ecfg.r_sweep))
             assert (summary.event_kind, summary.event_time) == (exact.event.kind,
@@ -162,7 +163,7 @@ class TestEnsembleRuns:
     def test_workers_and_replay_match_one_batch(self, grid64):
         # the paths run as one batch with one worker and as two batches with
         # two; every summary and record agrees, and so does a replay of each
-        # path through run_path, a batch of one
+        # path through run_paths, as a batch of one
         params, _, _ = base_setup(grid64)
         cfg = StepConfig(dt=5e-4, t_end=0.05)
         noise = NoiseModel(base_amplitude=0.5, amplitude_decay=2.0)
@@ -182,7 +183,8 @@ class TestEnsembleRuns:
         assert ([[r.to_row() for r in rs] for rs in pooled[1]]
                 == [[r.to_row() for r in rs] for rs in serial[1]])
         for i in range(ecfg.n_paths):
-            summary, records = run_path(ecfg, i, factory(i, 0), cfg, params, noise, grid64)
+            [(summary, records)] = run_paths(ecfg, [i], [factory(i, 0)], cfg, params, noise,
+                                             grid64)
             assert summary.path_index == i
             assert (summary.path_index, summary.path_seed, summary.event_kind,
                     summary.event_time) == serial[0].path_events[i]
@@ -201,11 +203,11 @@ class TestEnsembleRuns:
         params, st, cfg = base_setup(grid64)
         noise = NoiseModel(base_amplitude=1.0, amplitude_decay=2.0)
         ecfg = EnsembleConfig(n_paths=6, master_seed=17, r_sweep=(5.0, 8.0))
-        summary, _ = run_ensemble(ecfg, st, cfg, params, noise, grid64)
+        summary, _ = run_ensemble(ecfg, lambda *_: st, cfg, params, noise, grid64)
         steps = sum(round(event[3] / cfg.dt_effective) for event in summary.path_events)
         assert calls == [(6, steps)]
         assert steps < ecfg.n_paths * cfg.n_steps
-        run_path(ecfg, 2, st, cfg, params, noise, grid64)
+        run_paths(ecfg, [2], [st], cfg, params, noise, grid64)
         assert calls[1] == (1, round(summary.path_events[2][3] / cfg.dt_effective))
 
     def test_degenerate_flag_all_blowup(self, grid64):
@@ -213,7 +215,7 @@ class TestEnsembleRuns:
         st = make_state(grid64, np.full(64, 60.0), np.zeros(64))
         cfg = StepConfig(dt=1e-3, t_end=0.01)
         summary, _ = run_ensemble(EnsembleConfig(n_paths=3, master_seed=1),
-                                  st, cfg, params, NoiseModel(base_amplitude=0.0),
+                                  lambda *_: st, cfg, params, NoiseModel(base_amplitude=0.0),
                                   grid64)
         assert summary.degenerate
         assert summary.blowup_fraction == 1.0

@@ -115,7 +115,7 @@ class TestStepKernel:
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius)
         cut = step(st, cfg, params, NO_NOISE, 0, 0, grid64)
         assert np.array_equal(predicted[1], predicted[0])
-        assert 0.0 < original(_Stepper(grid64, params, cfg, NO_NOISE), predicted[1])[0, 0] < 1.0
+        assert 0.0 < original(_Stepper(grid64, params, cfg.blowup_clamp), predicted[1])[0, 0] < 1.0
         monkeypatch.setattr(_Stepper, "predictor_phi", lambda self, u_spec: 1.0)
         unit = step(st, cfg, params, NO_NOISE, 0, 0, grid64)
         assert not np.array_equal(cut.psi.spectral, unit.psi.spectral)
@@ -539,7 +539,7 @@ def loop_crossed(resolved, nexts, tops):
 # the certification test's grid and stepper, at R = 4
 CERTIFY_GRID = TorusGrid(32, 10)
 CERTIFY_STEPPER = _Stepper(CERTIFY_GRID, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=4.0),
-                           StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+                           StepConfig.blowup_clamp)
 
 
 @strategies.composite
@@ -633,7 +633,7 @@ class TestCertifiedNorms:
         # and otherwise the exact norms, whatever the other states get; the
         # states that take exact norms share one oversampled transform
         stepper = _Stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=500.0),
-                           StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+                           StepConfig.blowup_clamp)
         rng = np.random.default_rng(3)
         decay = np.exp(-np.arange(grid64.n_half) / 3.0)
         rows = (rng.standard_normal((2, 5, grid64.n_half))
@@ -674,7 +674,7 @@ class TestCertifiedNorms:
         # transform; the other states, and those at -inf or at an infinite
         # threshold, take their exact norms from one oversampled transform
         stepper = _Stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=500.0),
-                           StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+                           StepConfig.blowup_clamp)
         rng = np.random.default_rng(5)
         decay = np.exp(-np.arange(grid64.n_half) / 3.0)
         before = (rng.standard_normal((2, 5, grid64.n_half))
@@ -725,7 +725,7 @@ class TestCertifiedNorms:
         # ones with their previous states.
         params = ModelParams(gamma=1.5, alpha=0.5)
         cfg = StepConfig(dt=1e-3, t_end=0.01)
-        stepper = _Stepper(grid64, params, cfg, NO_NOISE)
+        stepper = _Stepper(grid64, params, cfg.blowup_clamp)
         rng = np.random.default_rng(5)
         decay = np.exp(-np.arange(grid64.n_half) / 3.0)
         before = (rng.standard_normal((2, 3, grid64.n_half))
@@ -774,7 +774,7 @@ class TestCertifiedNorms:
         # every predicted norm at most R gives the scalar 1.0 with no call of
         # cutoff_phi; otherwise each path gets its own factor
         stepper = _Stepper(grid64, ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=5.0),
-                           StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+                           StepConfig.blowup_clamp)
         u = np.stack([shifted_harmonic(grid64, a).u.spectral for a in (0.05, 0.1, 0.13)])
         norms = [w2inf_norm(row, grid64) for row in u]
         assert norms[1] < 5.0 < norms[2] < 6.0
@@ -1001,8 +1001,7 @@ class TestPathBatch:
         # each row's factors have the bits of its own dt's scalar expressions;
         # dt, hdt and half_hdt2_k4, which only meet complex rows, as complex
         # numbers
-        stepper = _Stepper(grid64, small_setup(grid64)[0], StepConfig(dt=1e-3, t_end=1e-3),
-                           NO_NOISE)
+        stepper = _Stepper(grid64, small_setup(grid64)[0], StepConfig.blowup_clamp)
         k, k2, hk3 = stepper.k, stepper.k2, stepper.hk3
         dts = [5e-4, 1e-3, 2e-3]
         alone = []
@@ -1011,7 +1010,7 @@ class TestPathBatch:
             alone.append({"dt": complex(dt), "hdt": complex(hdt),
                           "half_hdt2_k4": (0.5 * hdt * hdt * k2 * k2).astype(complex),
                           "neg_hdt_ihk3": -hdt * 1j * hk3, "hdt_ik": hdt * 1j * k})
-        stepper.use_dts(dts)
+        stepper.use_rows(dts, [NO_NOISE] * len(dts))
         for name in alone[0]:
             factor = getattr(stepper, name)
             assert factor.shape in ((len(dts), 1), (len(dts), grid64.n_half)), name
@@ -1052,33 +1051,33 @@ class TestPathBatch:
         # is exactly zero_half, and a noisy row's has the bits of its own
         # model's forcing alone
         params = small_setup(grid64)[0]
-        stepper = _Stepper(grid64, params, StepConfig(dt=1e-3, t_end=1e-3), NO_NOISE)
+        stepper = _Stepper(grid64, params, StepConfig.blowup_clamp)
         models = [NO_NOISE, NoiseModel(base_amplitude=0.2), NoiseModel(base_amplitude=0.2),
                   NoiseModel(base_amplitude=0.2, shape="off")]
         states = [shifted_harmonic(grid64, a) for a in (0.1, 0.2, 0.3, 0.4)]
         dW = np.array([sample_increment(7, p, 1e-3, models[1]) for p in range(4)])
         spec, samples = stepper.sample(np.stack([s.psi.spectral for s in states]),
                                        np.stack([s.u.spectral for s in states]))
-        stepper.use_noises(models)
+        stepper.use_rows([1e-3] * len(models), models)
         assert [rows for rows, _, _ in stepper.noise_groups] == [slice(1, 3), slice(3, 4)]
         assert stepper.quiet_rows == slice(0, 1) and len(stepper.waves) == 2
         forcing = stepper.explicit_terms(spec, samples, dW)[TERMS.index("forcing")]
         assert forcing[0].tobytes() == stepper.zero_half.tobytes()
         for p in (1, 2, 3):
-            stepper.use_noises([models[p]])
+            stepper.use_rows([1e-3], [models[p]])
             one = slice(p, p + 1)
             alone = stepper.explicit_terms(spec[:, one], samples[:, one],
                                            dW[one])[TERMS.index("forcing")]
             assert forcing[p].tobytes() == alone[0].tobytes()
         # rows of models equal by value form one group, with the waves built
         # once; a group of every row takes them as a slice
-        stepper.use_noises([NoiseModel(base_amplitude=0.2), models[1]])
+        stepper.use_rows([1e-3] * 2, [NoiseModel(base_amplitude=0.2), models[1]])
         assert [rows for rows, _, _ in stepper.noise_groups] == [slice(0, 2)]
         assert stepper.quiet_rows is None and len(stepper.waves) == 2
         # simulate_path orders the rows so; interleaved models are refused
         for interleaved in ([models[1], NO_NOISE, models[2]], [models[1], models[3], models[2]]):
             with pytest.raises(ValueError, match="consecutive"):
-                stepper.use_noises(interleaved)
+                stepper.use_rows([1e-3] * 3, interleaved)
 
     def test_poisoned_workspace_changes_no_bit(self, monkeypatch):
         # every array the step allocates with np.empty starts as NaN: a read
@@ -1186,7 +1185,7 @@ class TestStrongConvergence:
         params, st = small_setup(grid)
         t_end = 0.1
         dts = [t_end * 2.0**-e for e in (6, 7, 8, 9)]
-        conv = strong_convergence_order(st, params, NO_NOISE, grid, dts, 1, 0, t_end)
+        [conv] = strong_convergence_order(st, params, [NO_NOISE], grid, dts, [1], 0, t_end)
         assert 0.8 <= conv.order <= 2.2
 
     def test_noise_free_paths_draw_no_increments(self, monkeypatch):
@@ -1194,8 +1193,8 @@ class TestStrongConvergence:
         monkeypatch.setattr(integrator, "sample_increment", lambda *args: draws.append(args))
         grid = TorusGrid(32, 10)
         params, st = small_setup(grid)
-        conv = strong_convergence_order(st, params, NO_NOISE, grid, [0.0025, 0.005, 0.01],
-                                        1, 0, 0.02)
+        [conv] = strong_convergence_order(st, params, [NO_NOISE], grid, [0.0025, 0.005, 0.01],
+                                          [1], 0, 0.02)
         assert conv.n_paths_used == 1 and draws == []
 
     def test_one_batch_for_all_levels(self, monkeypatch):
@@ -1215,8 +1214,8 @@ class TestStrongConvergence:
         params, st = small_setup(grid)
         t_end = 0.02
         dts = [0.0025, 0.005, 0.01]
-        conv = strong_convergence_order(st, params, NoiseModel(base_amplitude=0.05), grid,
-                                        dts, 3, 0, t_end)
+        [conv] = strong_convergence_order(st, params, [NoiseModel(base_amplitude=0.05)], grid,
+                                          dts, [3], 0, t_end)
         assert conv.n_paths_used == 3
         assert calls == [(3 * len(dts), 3 * sum(round(t_end / d) for d in dts))]
 
@@ -1239,7 +1238,7 @@ class TestStrongConvergence:
         st = small_setup(grid)[1]
         t_end = 0.04
         dts = [t_end / 32, t_end / 16, t_end / 8, t_end / 4]
-        conv = strong_convergence_order(st, params, STRONG, grid, dts, 5, 28, t_end)
+        [conv] = strong_convergence_order(st, params, [STRONG], grid, dts, [5], 28, t_end)
         stopped = [e for e in events if e[0] != "completed"]
         assert len(stopped) == 1 and stopped[0][0] == "tau_R_hit" and stopped[0][1] < 16
         assert (conv.n_paths_used, conv.n_excluded) == (4, 1)
@@ -1270,7 +1269,7 @@ class TestStrongConvergence:
         assert len(draws) == 3 * round(t_end / dts[0])
         assert isinstance(together, list) and len(together) == 3
         for model, count, got in zip(models, [1, 3, 2], together):
-            alone = strong_convergence_order(st, params, model, grid, dts, count, 5, t_end)
+            [alone] = strong_convergence_order(st, params, [model], grid, dts, [count], 5, t_end)
             assert repr(got) == repr(alone)
         with pytest.raises(ValueError):
             strong_convergence_order(st, params, models, grid, dts, [1, 2], 5, t_end)
@@ -1333,5 +1332,5 @@ class TestStrongConvergence:
         grid = TorusGrid(32, 10)
         params, st = small_setup(grid)
         with pytest.raises(IntegratorConfigError):
-            strong_convergence_order(st, params, NO_NOISE, grid,
-                                     [0.01, 0.0033], 1, 0, 0.1)
+            strong_convergence_order(st, params, [NO_NOISE], grid,
+                                     [0.01, 0.0033], [1], 0, 0.1)

@@ -247,6 +247,57 @@ class TestRhsU:
             scale = max(1.0, np.max(np.abs(expected)))
             assert np.max(np.abs(got - expected)) / scale < 1e-9, name
 
+    def test_broadband_terms_match_oracle_up_to_the_band_edge(self, grid64, rng):
+        # a state whose spectrum decays as e^(-0.2 j) up to the band's top
+        # mode m = 21, where no term is negligible: every term matches its
+        # oracle on modes 0..m, is exactly zero beyond m, and each product is
+        # exactly zero beyond dealias_cut. The pointwise terms are collocation
+        # terms, so their oracle samples them at the n grid points; the
+        # products are alias-free up to the cut, so theirs samples them finely.
+        m, cut = grid64.m_modes, grid64.dealias_cut
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=1e6)
+
+        def broadband():
+            spec = np.zeros(grid64.n_half, dtype=complex)
+            j = np.arange(1, m + 1)
+            spec[j] = 0.1 * np.exp(-0.2 * j) * np.exp(2j * np.pi * rng.random(m))
+            return RealField.from_spectral(spec, grid64)
+
+        st = State(broadband(), broadband(), 0.0)
+        stepper = make_stepper(grid64, params)
+        terms = explicit_terms(stepper, st)
+        terms["dispersion"] = -1j * stepper.hk3 * st.psi.spectral
+
+        def samples(x):
+            psi, dpsi, d2psi, d3psi = (trig_eval(st.psi, grid64, x, order=o) for o in range(4))
+            u, du, d2u = (trig_eval(st.u, grid64, x, order=o) for o in range(3))
+            return psi, dpsi, d2psi, d3psi, u, du, d2u
+
+        gamma, alpha = params.gamma, params.alpha
+        psi, dpsi, _, _, _, du, d2u = samples(grid64.x)
+        pointwise = {
+            "pressure": -gamma * np.exp((gamma - 1) * psi) * dpsi,
+            "viscosity": np.exp((alpha - 1) * psi) * d2u,
+            "viscosity_gradient": alpha * np.exp((alpha - 1) * psi) * dpsi * du,
+        }
+        _, dpsi_f, d2psi_f, d3psi_f, u_f, du_f, _ = samples(np.arange(1024) / 1024)
+        fine = {
+            "transport": -u_f * dpsi_f,
+            "advection": -u_f * du_f,
+            "quantum": 0.5 * dpsi_f * d2psi_f,
+            "dispersion": 0.5 * d3psi_f,
+        }
+        assert sorted(terms) == sorted({**pointwise, **fine})
+        for name, values in {**pointwise, **fine}.items():
+            end = cut + 1 if name in ("transport", "advection", "quantum") else m + 1
+            expected = oracle_mode_coefficients(values, m)
+            expected[end:] = 0.0
+            scale = max(1.0, np.max(np.abs(expected)))
+            assert np.all(terms[name][end:] == 0.0), name
+            if end > m:  # the term reaches the band's edge
+                assert abs(expected[m]) > 1e-3 * scale, name
+            assert np.max(np.abs(terms[name][: m + 1] - expected)) / scale < 1e-9, name
+
     def test_cutoff_inactivity_bitwise(self, grid64):
         # below both radii a whole step, the predictor's phi included, is
         # the same bit for bit
@@ -297,11 +348,11 @@ class TestRhsU:
         phi = stepper.predictor_phi(u[None])
         # the scalar 1.0 where the norm is at most R, else a column of one
         if norm <= stepper.radius:
-            assert type(phi) is float and phi == stepper.phi(norm)
+            assert type(phi) is float and phi == cutoff_phi(norm, stepper.radius)
         else:
-            assert phi.shape == (1, 1) and phi[0, 0] == stepper.phi(norm)
+            assert phi.shape == (1, 1) and phi[0, 0] == cutoff_phi(norm, stepper.radius)
         if where == "bridge":
-            assert 0.0 < stepper.phi(norm) < 1.0
+            assert 0.0 < cutoff_phi(norm, stepper.radius) < 1.0
 
     @pytest.mark.parametrize("n, m", [(64, 21), (32, 16)])
     def test_stacked_products_equal_product_kernel(self, n, m, rng):

@@ -278,7 +278,8 @@ def convergence_case(d: Digest, noise: str) -> None:
     dts = [t_end * 2.0**-e for e in (5, 6, 7, 8)]
     model = NOISE[noise] if noise == "none" else NoiseModel(
         base_amplitude=0.05, shape="off" if noise == "additive" else "trig_density_weighted")
-    conv = strong_convergence_order(harmonic(g, 0.1), params, model, g, dts, 2, 2024, t_end)
+    [conv] = strong_convergence_order(harmonic(g, 0.1), params, [model], g, dts, [2], 2024,
+                                      t_end)
     d.add(conv.order, conv.dts, conv.errors, conv.n_paths_used, conv.n_excluded)
 
 
