@@ -74,7 +74,7 @@ class RunConfig:
 
 
 class _NotJson(ValueError):
-    """A literal that Python's json module reads but JSON does not define."""
+    """A literal that json.load reads, but that JSON does not define or no float holds."""
 
 
 def _reject_constant(name: str) -> float:
@@ -82,10 +82,19 @@ def _reject_constant(name: str) -> float:
     raise _NotJson(f"{name} is not a JSON value")
 
 
+def _finite(literal: str, kind: type) -> int | float:
+    # json.load reads 1e400 as inf, which passes the schema as Infinity does,
+    # and a 400-digit integer as an int that overflows where it meets a float
+    if not np.isfinite(float(literal)):
+        raise _NotJson(f"{literal} is not finite as a float")
+    return kind(literal)
+
+
 def load_config(path: str | Path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_constant=_reject_constant)
+            return json.load(fh, parse_float=lambda s: _finite(s, float),
+                             parse_int=lambda s: _finite(s, int), parse_constant=_reject_constant)
     except FileNotFoundError:
         raise ConfigValidationError([f"config file not found: {path}"])
     except json.JSONDecodeError as exc:

@@ -73,16 +73,16 @@ of paths in lockstep from one workspace, so each numpy call and each
 transform of a step serves every path of the batch: a step makes the same
 transform calls for P paths as for one (Lord, Powell & Shardlow, An
 Introduction to Computational Stochastic PDEs, 2014; the leading batch axis
-of SDE libraries such as torchsde). A single path, like the state of the
-public ``step()``, runs as a stack of one. The batch changes no bit of any
-path: elementwise operations and row-wise transforms do not mix paths; the
-forcing and the Wiener bounds are stacks of the products one path would
-form, which numpy hands to the same BLAS routine path by path (one matrix
-product over all paths would round differently); reductions run per path;
-nu_bar, the predictor's phi, the state check and the increments are taken
-per path, while a step's exact norms take one stacked transform and its
-records one ``compute_record`` pass. A path that stops leaves the stepped
-rows, and the others go on.
+of SDE libraries such as torchsde). A single path runs as a stack of one,
+and so does the public ``step()``, a one-step ``simulate_path`` run. The
+batch changes no bit of any path: elementwise operations and row-wise
+transforms do not mix paths; the forcing and the Wiener bounds are stacks of
+the products one path would form, which numpy hands to the same BLAS routine
+path by path (one matrix product over all paths would round differently);
+reductions run per path; nu_bar, the predictor's phi, the state check and
+the increments are taken per path, while a step's exact norms take one
+stacked transform and its records one ``compute_record`` pass. A path that
+stops leaves the stepped rows, and the others go on.
 
 The paths of a batch may differ in dt and in their number of steps, so every
 dt level of a refinement study steps in one batch. The (k, dt)-only factors
@@ -110,24 +110,9 @@ from typing import Sequence
 import numpy as np
 
 from . import functionals
-from .model import (
-    ModelParams,
-    NumericalBlowupError,
-    State,
-    W2INF_OVERSAMPLE,
-    cutoff_phi,
-    w2inf_norm,
-)
+from .model import ModelParams, State, W2INF_OVERSAMPLE, cutoff_phi, w2inf_norm
 from .noise import NoiseModel, derive_path_seed, sample_increment
-from .spectral import (
-    RealField,
-    TorusGrid,
-    UsageError,
-    _frozen,
-    hs_norm,
-    to_physical,
-    to_spectral,
-)
+from .spectral import RealField, TorusGrid, _frozen, hs_norm, to_physical, to_spectral
 
 # the rows of _Stepper.explicit_terms, in order
 TERMS = ("transport", "advection", "quantum", "pressure", "viscosity", "viscosity_gradient",
@@ -153,8 +138,9 @@ class StepConfig:
     blowup_clamp: float = 50.0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise IntegratorConfigError("dt and t_end must be positive")
+        # written so that NaN fails; an infinite t_end would overflow n_steps
+        if not (0.0 < self.dt < math.inf and 0.0 < self.t_end < math.inf):
+            raise IntegratorConfigError("dt and t_end must be positive and finite")
         if self.dt > self.t_end:
             raise IntegratorConfigError("dt must not exceed t_end")
         if not self.blowup_clamp > 0.0:
@@ -638,32 +624,16 @@ def _sampled_state(spec: np.ndarray, samples: np.ndarray, t: float) -> State:
 
 
 def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
-         seed: int, step_index: int, grid: TorusGrid) -> State:
-    """Advance one time step from a state below the cut-off radius.
-
-    The state steps through the stepper's kernels as a stack of one. Raises
-    NumericalBlowupError if it fails the state check, and UsageError if its
-    W^{2,inf} norm is at or beyond the cut-off radius: ``simulate_path``
-    stops there, so the step's terms carry no cut-off.
+         seed: int, step_index: int, grid: TorusGrid) -> PathResult:
+    """One step of ``cfg.dt_effective`` on the increment of ``step_index``: a
+    one-step ``simulate_path`` run with no records, so a state at R, or one
+    that fails the state check, ends there with no step taken. perfbench's
+    grid sweep is the only caller; ROADMAP.md item 4 moves it and deletes this.
     """
     dt = cfg.dt_effective
-    stepper = _Stepper(grid, params, cfg.blowup_clamp)
-    stepper.use_rows([dt], [noise])
-    spec, samples = stepper.sample(state.psi.spectral[None], state.u.spectral[None])
-    norms, failures, _ = stepper.check_states(spec, samples, np.array([stepper.radius]))
-    if failures:
-        raise NumericalBlowupError(failures[0], state.time)
-    top = max(norms[0].tolist())
-    if top >= stepper.radius:
-        raise UsageError(f"W^(2,inf) norm {top:.6g} at or beyond the cut-off radius "
-                         f"{stepper.radius:g}, where simulate_path stops")
-    dW = sample_increment(seed, step_index, dt, noise)[None] if stepper.noise_on else None
-    new = stepper.step_imex(spec, samples, dW)
-    return State(
-        psi=RealField.from_spectral(new[0, 0], grid),
-        u=RealField.from_spectral(new[1, 0], grid),
-        time=state.time + dt,
-    )
+    return simulate_path(state, StepConfig(dt, t_end=dt, blowup_clamp=cfg.blowup_clamp), params,
+                         noise, seed, grid, MonitorSpec(collect_records=False),
+                         increments=[sample_increment(seed, step_index, dt, noise)])
 
 
 # collocation points stepped in lockstep at most (paths times n): a larger
@@ -801,19 +771,16 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
 
     for i in range(ends.max() + 1):
         strided = monitors.collect_records and i % monitors.stride == 0
-        if strided or i == next_end:
-            lasts = ends[active] == i
-            # recorded and last states take the exact norms
-            below = np.where(lasts | strided, -math.inf, thresholds)
-            norms, failures, _ = stepper.check_states(spec, samples, below, previous)
-            quiet = False
-        else:
-            lasts = None
-            norms, failures, certified = stepper.check_states(spec, samples, thresholds,
-                                                              previous, floors)
-            # a quiet step: every row passes, unrecorded and below its
-            # threshold, which only an exact norm can reach
-            quiet = certified or not (failures or (norms.T >= thresholds).any())
+        # None on an unrecorded step before every row's last state
+        lasts = ends[active] == i if strided or i == next_end else None
+        # recorded and last states take the exact norms
+        below, below_floors = ((thresholds, floors) if lasts is None
+                               else (np.where(lasts | strided, -math.inf, thresholds), None))
+        norms, failures, certified = stepper.check_states(spec, samples, below, previous,
+                                                          below_floors)
+        # a quiet step: unrecorded, and every row passes below its threshold,
+        # which only an exact norm can reach
+        quiet = lasts is None and (certified or not (failures or (norms.T >= thresholds).any()))
         if quiet:
             trace[at + i] = norms
         else:

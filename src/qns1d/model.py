@@ -21,14 +21,6 @@ from .spectral import RealField, TorusGrid, UsageError, resample, to_physical, t
 W2INF_OVERSAMPLE = 8
 
 
-class NumericalBlowupError(RuntimeError):
-    """State left the representable regime (non-finite values or clamp hit)."""
-
-    def __init__(self, message: str, time: float):
-        super().__init__(f"{message} at t={time:.6g}")
-        self.time = time
-
-
 class DomainError(ValueError):
     """Input outside the mathematical domain of the operation."""
 

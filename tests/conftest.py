@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qns1d.integrator import StepConfig, _Stepper
+from qns1d.integrator import MonitorSpec, StepConfig, _Stepper, simulate_path
 from qns1d.model import ModelParams
 from qns1d.noise import NoiseModel
 from qns1d.spectral import RealField, TorusGrid
@@ -47,3 +47,10 @@ def make_stepper(grid: TorusGrid, params=None, noise=None):
     stepper = _Stepper(grid, params, StepConfig.blowup_clamp)
     stepper.use_rows([1e-3], [noise])
     return stepper
+
+
+def one_step(state, dt: float, params, noise, grid: TorusGrid, seed: int = 0):
+    """A ``simulate_path`` run of one step of dt with no records. A state at
+    R, or one that fails the state check, ends there with no step taken."""
+    return simulate_path(state, StepConfig(dt=dt, t_end=dt), params, noise, seed, grid,
+                         MonitorSpec(collect_records=False))

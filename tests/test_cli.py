@@ -127,19 +127,28 @@ class TestValidation:
         assert main(["simulate", str(bad)]) == EXIT_CONFIG_ERROR
         assert "invalid configuration" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("value", [
+        float("inf"), float("-inf"), float("nan"), "1e400", "-1e400",
+        pytest.param("1" + "0" * 400, id="int400"), pytest.param("1" + "0" * 5000, id="int5000")])
     def test_non_json_constants_exit_2(self, tmp_path, capsys, value):
         # Python's json writes and reads Infinity, -Infinity and NaN, which
-        # JSON does not define; an infinite t_end used to overflow in n_steps
+        # JSON does not define, reads the number 1e400 as inf, and reads an
+        # integer of 400 digits as an int that overflows at its first float
+        # operation; an infinite t_end used to overflow in n_steps
         out = tmp_path / "should_not_exist"
         path = write_config(tmp_path, base_config(str(out), **{"integration.t_end": value}))
-        literal = json.dumps(value)
-        assert literal in path.read_text()
+        if isinstance(value, str):  # the raw number, not a string
+            literal, problem = value, f"{value} is not finite as a float"
+            path.write_text(path.read_text().replace(json.dumps(value), value))
+        else:
+            literal = json.dumps(value)
+            problem = f"{literal} is not a JSON value"
+        assert f'"t_end": {literal}' in path.read_text()
         with pytest.raises(ConfigValidationError) as err:
             qns1d.cli.load_config(path)
-        assert err.value.problems == [f"config is not valid JSON: {literal} is not a JSON value"]
+        assert err.value.problems == [f"config is not valid JSON: {problem}"]
         assert main(["simulate", str(path)]) == EXIT_CONFIG_ERROR
-        assert "is not a JSON value" in capsys.readouterr().err
+        assert problem in capsys.readouterr().err
         assert not out.exists()
 
     def test_ic_eps_bound(self, tmp_path):

@@ -25,10 +25,11 @@ from qns1d.integrator import (
     step,
     strong_convergence_order,
 )
-from qns1d.model import ModelParams, NumericalBlowupError, State, cutoff_phi, w2inf_norm
+from qns1d.model import ModelParams, State, cutoff_phi, w2inf_norm
 from qns1d.noise import NoiseModel, derive_path_seed, sample_increment
-from qns1d.spectral import RealField, TorusGrid, UsageError, hs_norm, project, to_physical
+from qns1d.spectral import RealField, TorusGrid, hs_norm, project, to_physical
 
+from conftest import one_step
 from oracle import linear_propagator, reference_trajectory
 
 NO_NOISE = NoiseModel(base_amplitude=0.0)
@@ -53,6 +54,10 @@ class TestStepConfig:
         dict(dt=0.1, t_end=-1.0),
         dict(dt=0.1, t_end=1.0, blowup_clamp=0.0),
         dict(dt=0.1, t_end=1.0, blowup_clamp=-1.0),
+        dict(dt=math.nan, t_end=1.0),
+        dict(dt=0.1, t_end=math.nan),
+        dict(dt=0.1, t_end=math.inf),
+        dict(dt=math.inf, t_end=math.inf),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(IntegratorConfigError):
@@ -68,32 +73,20 @@ class TestStepKernel:
     def test_equilibrium_fixed_point(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=100.0)
         st = make_state(grid64, np.full(64, 0.3), np.zeros(64))
-        cfg = StepConfig(dt=1e-3, t_end=1e-2)
-        out = st
-        for i in range(5):
-            out = step(out, cfg, params, NO_NOISE, 0, i, grid64)
-        assert np.array_equal(out.psi.spectral, st.psi.spectral)
-        assert np.array_equal(out.u.spectral, st.u.spectral)
+        res = simulate_path(st, StepConfig(dt=1e-3, t_end=5e-3), params, NO_NOISE, 0, grid64,
+                            MonitorSpec(collect_records=False))
+        assert res.event.kind == "completed" and res.n_steps_taken == 5
+        assert np.array_equal(res.final_state.psi.spectral, st.psi.spectral)
+        assert np.array_equal(res.final_state.u.spectral, st.u.spectral)
 
     def test_equilibrium_survives_multiplicative_noise(self, grid64):
         # the default family vanishes at rest, so rest stays rest pathwise
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=100.0)
         noisy = NoiseModel(base_amplitude=0.1)
         st = make_state(grid64, np.full(64, 0.3), np.zeros(64))
-        cfg = StepConfig(dt=1e-3, t_end=1e-2)
-        out = step(st, cfg, params, noisy, 11, 0, grid64)
-        assert np.array_equal(out.u.spectral, st.u.spectral)
-
-    @pytest.mark.parametrize("offset", [0.0, 0.5, 2.0])
-    def test_step_raises_at_and_beyond_radius(self, grid64, offset):
-        # simulate_path stops at the first state whose norm reaches R, so the
-        # step's terms carry no cut-off and step() refuses such a state: at
-        # R, in the bridge, and past it
-        _, st = small_setup(grid64)
-        norm = max(w2inf_norm(np.stack([st.psi.spectral, st.u.spectral]), grid64))
-        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=norm - offset)
-        with pytest.raises(UsageError):
-            step(st, StepConfig(dt=1e-3, t_end=1e-3), params, NO_NOISE, 0, 0, grid64)
+        out = one_step(st, 1e-3, params, noisy, grid64, seed=11)
+        assert out.event.kind == "completed" and out.n_steps_taken == 1
+        assert np.array_equal(out.final_state.u.spectral, st.u.spectral)
 
     def test_predictor_phi_acts_in_the_bridge(self, grid64, monkeypatch):
         # a state below R whose predictor lands in the bridge (R, R + 1): the
@@ -109,19 +102,21 @@ class TestStepKernel:
             return original(self, u_spec)
 
         monkeypatch.setattr(_Stepper, "predictor_phi", spy)
-        free = step(st, cfg, ModelParams(gamma=1.5, alpha=0.5), NO_NOISE, 0, 0, grid64)
+        free = one_step(st, cfg.dt, ModelParams(gamma=1.5, alpha=0.5), NO_NOISE, grid64)
         radius = w2inf_norm(predicted[0][0], grid64) - 0.5
         assert max(w2inf_norm(np.stack([st.psi.spectral, st.u.spectral]), grid64)) < radius
         params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius)
-        cut = step(st, cfg, params, NO_NOISE, 0, 0, grid64)
-        assert np.array_equal(predicted[1], predicted[0])
+        cut = one_step(st, cfg.dt, params, NO_NOISE, grid64)
+        assert len(predicted) == 2 and np.array_equal(predicted[1], predicted[0])
         assert 0.0 < original(_Stepper(grid64, params, cfg.blowup_clamp), predicted[1])[0, 0] < 1.0
         monkeypatch.setattr(_Stepper, "predictor_phi", lambda self, u_spec: 1.0)
-        unit = step(st, cfg, params, NO_NOISE, 0, 0, grid64)
-        assert not np.array_equal(cut.psi.spectral, unit.psi.spectral)
+        unit = one_step(st, cfg.dt, params, NO_NOISE, grid64)
+        assert [r.n_steps_taken for r in (free, cut, unit)] == [1, 1, 1]
+        assert not np.array_equal(cut.final_state.psi.spectral, unit.final_state.psi.spectral)
         # with phi = 1 the step is that of a radius it never reaches
         for field in ("psi", "u"):
-            assert np.array_equal(getattr(unit, field).spectral, getattr(free, field).spectral)
+            assert np.array_equal(getattr(unit.final_state, field).spectral,
+                                  getattr(free.final_state, field).spectral)
 
     @pytest.mark.parametrize("mode", [1, 4])
     def test_linear_regime_matches_matrix_exponential(self, mode):
@@ -138,8 +133,7 @@ class TestStepKernel:
         k = 2 * np.pi * mode
         errs = []
         for dt in (2e-4, 1e-4):
-            cfg = StepConfig(dt=dt, t_end=dt)
-            out = step(st, cfg, params, NO_NOISE, 0, 0, grid)
+            out = one_step(st, dt, params, NO_NOISE, grid).final_state
             exact = linear_propagator(k, params.gamma, 1.0, dt) @ np.array([amp, 0.0])
             err = np.hypot(abs(out.psi.spectral[mode] - exact[0]),
                            abs(out.u.spectral[mode] - exact[1])) / amp
@@ -174,15 +168,24 @@ class TestSimulatePath:
         assert res.event.time == pytest.approx(0.02)
         assert res.event.which == "none"
 
-    def test_immediate_trigger_on_initial_norm(self, grid64):
+    @pytest.mark.parametrize("offset", [None, 0.0, 0.5, 2.0])
+    def test_immediate_trigger_on_initial_norm(self, grid64, offset):
+        # simulate_path stops at the first state whose norm reaches R, so the
+        # step's terms carry no cut-off: a state at R, in the bridge, past it,
+        # or at twice R or more (offset None: R is half the u norm) ends
+        # tau_R_hit at t0 with no step taken, on a recorded path and on an
+        # unrecorded one-step run
         params, st = small_setup(grid64)
-        tight = ModelParams(gamma=1.5, alpha=0.5,
-                            cutoff_radius=0.5 * w2inf_norm(st.u.spectral, grid64))
-        cfg = StepConfig(dt=1e-3, t_end=0.02)
-        res = simulate_path(st, cfg, tight, NO_NOISE, 0, grid64)
-        assert res.event.kind == "tau_R_hit"
-        assert res.event.time == 0.0
-        assert res.event.triggering_norm >= tight.cutoff_radius
+        norm = max(w2inf_norm(np.stack([st.psi.spectral, st.u.spectral]), grid64))
+        radius = 0.5 * w2inf_norm(st.u.spectral, grid64) if offset is None else norm - offset
+        tight = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=radius)
+        for res in (simulate_path(st, StepConfig(dt=1e-3, t_end=0.02), tight, NO_NOISE, 0,
+                                  grid64),
+                    one_step(st, 1e-3, tight, NO_NOISE, grid64)):
+            assert res.event.kind == "tau_R_hit"
+            assert res.event.time == 0.0
+            assert res.n_steps_taken == 0
+            assert res.event.triggering_norm >= tight.cutoff_radius
 
     def test_bit_identical_replay(self, grid64):
         params, st = small_setup(grid64)
@@ -277,7 +280,9 @@ class TestSimulatePath:
         rows, exact_rows = certified.norm_trace[:, 1:], exact.norm_trace[:, 1:]
         changed = np.any(rows != exact_rows, axis=1)
         assert changed.any() and not changed[-1]
-        assert np.all(exact_rows <= rows)
+        # a bound may sit an ulp or so below the exact norm, which carries the
+        # rounding of its transform
+        assert np.all(exact_rows <= rows + 4 * np.spacing(rows))
         # each changed row stays below the smallest resolved radius that the
         # path had not crossed before it
         tops = exact_rows.max(axis=1)
@@ -287,15 +292,20 @@ class TestSimulatePath:
         resolved = list(certified.resolved_radii)
         assert first_hit_times(certified, resolved) == first_hit_times(exact, resolved)
 
-    def test_blowup_event(self, grid64):
-        params = ModelParams(gamma=1.5, alpha=0.5, enable_cutoff=False)
+    @pytest.mark.parametrize("cutoff", [True, False])
+    def test_blowup_event(self, grid64, cutoff):
+        # |psi| = 60 is beyond the clamp of 50, with the cut-off at the
+        # default R, whose Wiener bound certifies the state, or off: the path
+        # ends at t0 with no step taken, over ten steps or over one
+        params = ModelParams(gamma=1.5, alpha=0.5, enable_cutoff=cutoff)
         st = make_state(grid64, np.full(64, 60.0), np.zeros(64))
-        cfg = StepConfig(dt=1e-3, t_end=0.01)
-        res = simulate_path(st, cfg, params, NO_NOISE, 0, grid64,
-                            MonitorSpec(collect_records=False))
-        assert res.event.kind == "numerical_blowup"
-        assert res.event.time == 0.0
-        assert res.norm_trace.shape == (0, 3)
+        for dt, t_end in ((1e-3, 0.01), (1e-3, 1e-3)):
+            res = simulate_path(st, StepConfig(dt=dt, t_end=t_end), params, NO_NOISE, 0, grid64,
+                                MonitorSpec(collect_records=False))
+            assert res.event.kind == "numerical_blowup"
+            assert res.event.time == 0.0
+            assert res.n_steps_taken == 0
+            assert res.norm_trace.shape == (0, 3)
 
     @pytest.mark.parametrize("amplitude", [5.0, 8.0])
     def test_final_state_checked_before_monitors(self, amplitude):
@@ -327,12 +337,13 @@ class TestSimulatePath:
         cfg = StepConfig(dt=1e-4, t_end=1e-3)
         with np.errstate(over="ignore", invalid="ignore"):
             res = simulate_path(st, cfg, params, NO_NOISE, 0, grid64)
-            with pytest.raises(NumericalBlowupError):
-                step(st, cfg, params, NO_NOISE, 0, 0, grid64)
-        assert res.event.kind == "numerical_blowup"
-        assert res.event.time == 0.0
-        assert res.records == []
-        assert res.norm_trace.shape == (0, 3)
+            one = one_step(st, cfg.dt, params, NO_NOISE, grid64)
+        for got in (res, one):
+            assert got.event.kind == "numerical_blowup"
+            assert got.event.time == 0.0
+            assert got.n_steps_taken == 0
+            assert got.records == []
+            assert got.norm_trace.shape == (0, 3)
 
     def test_mass_drift_quarters(self, grid64):
         params, st = small_setup(grid64)
@@ -359,11 +370,12 @@ class TestItoEnergyBalance:
         # Ito's formula for the energy, path by path: E(T) - E(0) + sum dt D_i
         # - sum_i int rho_i u_i f_i - (1/2) sum_i int rho_i f_i^2 = O(dt), with
         # f_i = sum_k F_k dW_k,i the forcing of step i, from the increments
-        # step() draws, and the discrete square f_i^2. Additive noise keeps
+        # the paths step on, and the discrete square f_i^2. Additive noise keeps
         # the Ito term well above the residual. The gate takes the mean
         # |residual| of 8 paths: its ratio per halving of dt, the square root
         # over two halvings (single halvings of 8 paths spread 0.3-0.8 over
-        # seeds), and its size against the Ito term at the finest dt.
+        # seeds), and its size against the Ito term at the finest dt. Each
+        # step is one batched one-step simulate_path run on those increments.
         t0 = time.perf_counter()
         params = ModelParams(gamma=1.5, alpha=0.5)
         noise = NoiseModel(base_amplitude=0.5, shape="off")
@@ -375,6 +387,7 @@ class TestItoEnergyBalance:
         for level in (1e-3, 5e-4, 2.5e-4):
             cfg = StepConfig(dt=level, t_end=0.1)
             dt = cfg.dt_effective
+            one = StepConfig(dt=dt, t_end=dt)
             states = [initial] * len(seeds)
             energy = -np.array([r.energy for r in compute_record(states, params, grid64)])
             ito = np.zeros(len(seeds))
@@ -388,8 +401,10 @@ class TestItoEnergyBalance:
                 rho = np.exp(psi)
                 energy -= (rho * u * forcing).mean(axis=-1)
                 ito += 0.5 * (rho * forcing**2).mean(axis=-1)
-                states = [step(s, cfg, params, noise, seed, i, grid64)
-                          for s, seed in zip(states, seeds)]
+                batch = simulate_path(states, one, params, noise, seeds, grid64,
+                                      MonitorSpec(collect_records=False), increments=dW[:, None])
+                assert all(r.event.kind == "completed" for r in batch)
+                states = [r.final_state for r in batch]
             energy += np.array([r.energy for r in compute_record(states, params, grid64)])
             residuals.append(np.abs(energy - ito).mean())
             ito_terms.append(ito.mean())
@@ -469,10 +484,12 @@ class TestStackedKernels:
                       MonitorSpec(collect_records=False))
         assert calls == []
 
-    def test_step_replays_path_on_padded_grid(self):
-        # m = n/2 puts the products on a padded grid; the public step() and
-        # simulate_path run the same kernels and draw the same increments
-        grid = TorusGrid(32, 16)
+    @pytest.mark.parametrize("n, m", [(32, 16), (64, 21)])
+    def test_step_replays_path_on_padded_grid(self, n, m):
+        # m = n/2 puts the products on a padded grid, and (64, 21) does not:
+        # the public step(), one step of simulate_path on the increment of its
+        # step index, replays a path of simulate_path state by state
+        grid = TorusGrid(n, m)
         params, st = small_setup(grid)
         noisy = NoiseModel(base_amplitude=0.2)
         cfg = StepConfig(dt=1e-3, t_end=0.01)
@@ -480,7 +497,7 @@ class TestStackedKernels:
         assert res.event.kind == "completed"
         state = st
         for i in range(cfg.n_steps):
-            state = step(state, cfg, params, noisy, 9, i, grid)
+            state = step(state, cfg, params, noisy, 9, i, grid).final_state
         assert np.array_equal(state.psi.spectral, res.final_state.psi.spectral)
         assert np.array_equal(state.u.spectral, res.final_state.u.spectral)
 
@@ -719,8 +736,8 @@ class TestCertifiedNorms:
 
     def test_clamp_failed_row_fails_where_its_bound_certifies(self, grid64):
         # at the default R = 1e6 the Wiener bound of a state beyond the clamp
-        # certifies, yet the state fails: in check_states, in step() and in
-        # a batch's quiet step. The rows that pass keep the norms they get
+        # certifies, yet the state fails: in check_states, in a one-step run
+        # and in a batch's quiet step. The rows that pass keep the norms they get
         # alone, byte for byte, on the quiet step's thresholds and on mixed
         # ones with their previous states.
         params = ModelParams(gamma=1.5, alpha=0.5)
@@ -759,8 +776,9 @@ class TestCertifiedNorms:
         assert norms[2].tolist() == exact[2]
         failed = State(RealField.from_spectral(rows[0, 1], grid64),
                        RealField.from_spectral(rows[1, 1], grid64), 0.0)
-        with pytest.raises(NumericalBlowupError, match="beyond clamp"):
-            step(failed, cfg, params, NO_NOISE, 0, 0, grid64)
+        one = one_step(failed, cfg.dt, params, NO_NOISE, grid64)
+        assert one.event.kind == "numerical_blowup" and one.n_steps_taken == 0
+        assert one.norm_trace.shape == (0, 3)
         # unrecorded, state 0 is checked on the quiet step's thresholds
         passing = shifted_harmonic(grid64, 0.1)
         monitors = MonitorSpec(collect_records=False)
@@ -836,20 +854,38 @@ class TestCertifiedNorms:
 
     def test_one_lockstep_call_site_and_one_norms_call_per_check(self):
         # a lone State runs as a batch of one, so simulate_path builds one
-        # stepper and enters _run_lockstep at one call site; check_states
-        # takes every row's norms from one certified_norms call
+        # stepper and enters _run_lockstep at one call site; _run_lockstep
+        # checks its states at one call site, and check_states takes every
+        # row's norms from one certified_norms call. The public step() is one
+        # simulate_path call, and no module of the package or its tools, and
+        # no test but the replay of a path by step(), calls it.
         tree = ast.parse(Path(integrator.__file__).read_text())
         defs = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
-        def calls(scope, name):
-            return sum(isinstance(node, ast.Call) and name in (
+        def is_call(node, name):
+            return isinstance(node, ast.Call) and name in (
                 getattr(node.func, "attr", None), getattr(node.func, "id", None))
-                for node in ast.walk(defs[scope]))
+
+        def calls(scope, name):
+            return sum(is_call(node, name) for node in ast.walk(defs[scope]))
 
         assert calls("simulate_path", "_Stepper") == 1
         assert [scope for scope in defs if calls(scope, "_run_lockstep")] == ["simulate_path"]
         assert calls("simulate_path", "_run_lockstep") == 1
+        assert calls("_run_lockstep", "check_states") == 1
         assert calls("check_states", "certified_norms") == 1
+        assert calls("step", "_Stepper") == 0 and calls("step", "simulate_path") == 1
+        root = Path(integrator.__file__).parents[2]
+        callers = []
+        for path in sorted([*(root / "src").rglob("*.py"), *(root / "tools").rglob("*.py"),
+                            *Path(__file__).parent.rglob("*.py")]):
+            module = ast.parse(path.read_text())
+            # each call, with the functions that enclose it
+            scopes = sorted(scope.name for scope in ast.walk(module)
+                            if isinstance(scope, ast.FunctionDef)
+                            and any(is_call(node, "step") for node in ast.walk(scope)))
+            callers += [(path.name, scopes) for node in ast.walk(module) if is_call(node, "step")]
+        assert callers == [("test_integrator.py", ["test_step_replays_path_on_padded_grid"])]
 
 
 def assert_same_path(got, want):

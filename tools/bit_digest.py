@@ -7,8 +7,10 @@ Run from the repository root:
 Two checkouts print the same digest exactly when every hashed output agrees
 bit for bit: the events, final psi/u spectra and samples, norm traces,
 monitor rows and hit times of paths on the n = 32, 64 and 256 grids and the
-padded (32, 16) grid, with no, additive and multiplicative noise; the
-public ``step()`` below the cut-off radius; and ``strong_convergence_order``.
+padded (32, 16) grid, with no, additive and multiplicative noise; chains of
+one-step ``simulate_path`` runs, each from the last one's final state on the
+increment of its step index, as the public ``step()`` makes them; and
+``strong_convergence_order``.
 Some paths end ``tau_R_hit``, and one lone path and some paths of one
 batch end ``numerical_blowup``; one lone path steps on supplied
 increments; the sweep
@@ -47,7 +49,6 @@ from qns1d.integrator import (
     StepConfig,
     first_hit_times,
     simulate_path,
-    step,
     strong_convergence_order,
 )
 from qns1d.model import ModelParams, State
@@ -262,12 +263,18 @@ def cases() -> dict[str, Callable[[Digest], None]]:
 
 
 def step_case(d: Digest, grid: str) -> None:
+    """Ten one-step runs, each from the last one's final state, with no
+    records, on the increments of steps 0 to 9; every state is hashed."""
     g = GRIDS[grid]
     params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=100.0)
+    noise = NOISE["multiplicative"]
     cfg = StepConfig(dt=1e-3, t_end=0.01)
+    dt = cfg.dt_effective
     state = harmonic(g, 0.2)
     for i in range(cfg.n_steps):
-        state = step(state, cfg, params, NOISE["multiplicative"], 17, i, g)
+        state = simulate_path(state, StepConfig(dt=dt, t_end=dt), params, noise, 17, g,
+                              MonitorSpec(collect_records=False),
+                              increments=[sample_increment(17, i, dt, noise)]).final_state
         d.add_state(state)
 
 
