@@ -19,8 +19,9 @@ Transforms run over stacked rows, a few calls per step rather than one per
 field. A state costs one: an inverse of [psi, u, psi', u', u'', psi''] on
 the collocation grid, whose first two rows the state check reads and whose
 samples the monitor record and the step reuse. The states whose exact norms
-are read add one oversampled inverse of derivative orders 0..2 of psi and u
-for all their W^{2,inf} norms. A step costs three: one forward transform of
+are read add one oversampled inverse for all their W^{2,inf} norms, of the
+derivative orders of psi and u that can hold the max (``w2inf_norm``). A
+step costs three: one forward transform of
 the seven explicit-term rows (three dealiased products, four band
 projections), and one inverse and one forward for the corrector's transport.
 A grid too coarse for alias-free products adds one inverse for the product
@@ -38,7 +39,7 @@ hit can leave [0, R].
 One rule, ``_Stepper.certified_norms``, reads the Wiener bounds and the
 sup-norm, in three rungs. The Wiener-algebra bound max_o sum_j mult_j |c_j|
 k_j^o dominates the W^{2,inf} norm, so a bound at or below a threshold (less
-a relative slack ``_BOUND_SLACK`` for rounding) stands in for the norm with
+a relative slack ``BOUND_SLACK`` for rounding) stands in for the norm with
 no transform. Where it does not, a checked state's previous value plus the
 Wiener bound of the step's change dominates the norm too, by the triangle
 inequality on the oversampled grid, and stands in for it likewise. Only a
@@ -110,18 +111,13 @@ from typing import Sequence
 import numpy as np
 
 from . import functionals
-from .model import ModelParams, State, W2INF_OVERSAMPLE, cutoff_phi, w2inf_norm
+from .model import BOUND_SLACK, ModelParams, State, cutoff_phi, w2inf_floor, w2inf_norm
 from .noise import NoiseModel, derive_path_seed, sample_increment
 from .spectral import RealField, TorusGrid, _frozen, hs_norm, to_physical, to_spectral
 
 # the rows of _Stepper.explicit_terms, in order
 TERMS = ("transport", "advection", "quantum", "pressure", "viscosity", "viscosity_gradient",
          "forcing")
-
-# relative margin below a radius for the Wiener bounds of the predictor and
-# the state check, covering rounding in the bound's sum and in the sup-norm's
-# transform
-_BOUND_SLACK = 1e-9
 
 
 class IntegratorConfigError(ValueError):
@@ -252,9 +248,8 @@ class _Stepper:
         mult[0] = 1.0
         self.wiener = np.stack([mult, mult * self.k, mult * self.k2])
         self.radius = params.cutoff_radius if params.enable_cutoff else np.inf
-        # the exact norm's transform scales the spectra by its 8n points, so
         # bounds above this could hide an overflow that the check must see
-        self.finite_floor = np.finfo(float).max / (W2INF_OVERSAMPLE * self.n)
+        self.finite_floor = w2inf_floor(grid)
         self.radius_floor = self.floors(self.radius)
 
     def use_rows(self, dts: Sequence[float], models: Sequence[NoiseModel]) -> None:
@@ -342,8 +337,8 @@ class _Stepper:
 
     def floors(self, below: np.ndarray | float) -> np.ndarray:
         """The values that certify at thresholds ``below``: each threshold less
-        the relative slack ``_BOUND_SLACK``, and never above ``finite_floor``."""
-        return np.minimum(below / (1.0 + _BOUND_SLACK), self.finite_floor)
+        the relative slack ``BOUND_SLACK``, and never above ``finite_floor``."""
+        return np.minimum(below / (1.0 + BOUND_SLACK), self.finite_floor)
 
     def certified_norms(self, rows: np.ndarray, below: np.ndarray | float,
                         previous: tuple[np.ndarray, np.ndarray] | None = None,

@@ -20,6 +20,10 @@ from .spectral import RealField, TorusGrid, UsageError, resample, to_physical, t
 # oversampling used when evaluating sup-norms on the collocation grid
 W2INF_OVERSAMPLE = 8
 
+# relative margin on a Wiener bound of the W^{2,inf} norm, covering rounding
+# in the bound's sum and in the sup-norm's transform
+BOUND_SLACK = 1e-9
+
 
 class DomainError(ValueError):
     """Input outside the mathematical domain of the operation."""
@@ -80,6 +84,13 @@ def cutoff_phi(y: float, radius: float) -> float:
     return 1.0 - t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
 
 
+def w2inf_floor(grid: TorusGrid) -> float:
+    """The largest coefficient bound whose sup-norm transform cannot overflow:
+    the oversampled inverse scales the spectra by its W2INF_OVERSAMPLE * n
+    points, so a bound above this could hide an overflow."""
+    return np.finfo(float).max / (W2INF_OVERSAMPLE * grid.n_collocation)
+
+
 def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float | list[float]:
     """max over derivative orders 0..2 of the sup of |d^j f/dx^j|.
 
@@ -88,17 +99,39 @@ def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float | list[float]:
     Sup norms are taken on a W2INF_OVERSAMPLE-times finer grid (spectral
     interpolation); the plain grid undersamples peaks of high modes. All
     rows and orders share one inverse transform, which changes no row's bits.
+
+    Only the orders that can hold the max are transformed. A DFT coefficient
+    never exceeds the grid sup of its field, so M = max_o max_j k_j^o |c_j|
+    is a lower bound of the norm, while order o's sup is at most its Wiener
+    bound B_o = sum_j mult_j |c_j| k_j^o. An order with B_o (1 + s) <
+    M (1 - s), s = BOUND_SLACK for rounding, stays below an order that is
+    transformed, so dropping it changes no bit of the norm. A field whose M
+    exceeds ``w2inf_floor`` or is NaN drops no order, so an overflow or a
+    NaN still reaches the norm; a zero field drops none either.
     """
     spec = np.asarray(spec)
     derivs = np.empty(spec.shape[:-1] + (3, spec.shape[-1]), dtype=complex)
     derivs[..., 0, :] = spec
     for order in (1, 2):
         derivs[..., order, :] = spec * (1j * grid.k_half) ** order
-    fine = to_physical(derivs, W2INF_OVERSAMPLE * grid.n_collocation)
+    mags = np.abs(derivs)
+    peak = mags.max(axis=(-2, -1))[..., None]
+    floor = w2inf_floor(grid)
+    # on the oversampled grid every mode but j = 0 is interior to the real
+    # transform and so counts twice. A field with a coefficient beyond the
+    # floor drops no order, so clipping there changes no decision and keeps
+    # the sum from overflowing.
+    mult = np.full(grid.n_half, 2.0)
+    mult[0] = 1.0
+    bounds = np.minimum(mags, floor) @ mult
+    keep = ~((bounds * (1.0 + BOUND_SLACK) < peak * (1.0 - BOUND_SLACK)) & (peak <= floor))
+    fine = to_physical(derivs[keep], W2INF_OVERSAMPLE * grid.n_collocation)
     np.abs(fine, out=fine)
-    # np.max propagates a NaN order, so a state whose derivatives overflow
-    # has a non-finite norm
-    norms = np.max(fine, axis=(-2, -1))
+    # a dropped order stands at 0, below every sup; np.max propagates a NaN
+    # order, so a state whose derivatives overflow has a non-finite norm
+    sups = np.zeros(keep.shape)
+    sups[keep] = fine.max(axis=-1)
+    norms = sups.max(axis=-1)
     return norms.tolist() if spec.ndim > 1 else float(norms)
 
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies
 from qns1d import functionals, integrator, suites
 from qns1d.functionals import QUAD_OVERSAMPLE, compute_record
 from qns1d.integrator import (
-    _BOUND_SLACK,
     TERMS,
     IntegratorConfigError,
     MonitorSpec,
@@ -25,7 +24,7 @@ from qns1d.integrator import (
     step,
     strong_convergence_order,
 )
-from qns1d.model import ModelParams, State, cutoff_phi, w2inf_norm
+from qns1d.model import BOUND_SLACK, ModelParams, State, cutoff_phi, w2inf_norm
 from qns1d.noise import NoiseModel, derive_path_seed, sample_increment
 from qns1d.spectral import RealField, TorusGrid, hs_norm, project, to_physical
 
@@ -523,7 +522,7 @@ def list_certified_norms(stepper, rows, below, previous=None):
     previous values are lists, and it returns a list of each state's values."""
     wiener = stepper.wiener
     norms = np.matmul(wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2).tolist()
-    floors = [min(limit / (1.0 + _BOUND_SLACK), stepper.finite_floor) for limit in below]
+    floors = [min(limit / (1.0 + BOUND_SLACK), stepper.finite_floor) for limit in below]
     exact = [p for p, floor in enumerate(floors) if not all(b <= floor for b in norms[p])]
     retry = ([p for p in exact if math.isfinite(below[p])]
              if exact and previous is not None else [])
@@ -584,7 +583,7 @@ def certification_cases(draw):
     bounds = np.matmul(stepper.wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=(1, 2))
     below = [draw(strategies.sampled_from(
         [-math.inf, math.inf, 4.0, stepper.finite_floor, bound * 0.5, bound,
-         bound * (1.0 + 0.5 * _BOUND_SLACK), bound * (1.0 + 2.0 * _BOUND_SLACK), bound * 2.0]))
+         bound * (1.0 + 0.5 * BOUND_SLACK), bound * (1.0 + 2.0 * BOUND_SLACK), bound * 2.0]))
         for bound in bounds.tolist()]
     previous = None
     if draw(strategies.booleans()):
@@ -613,7 +612,7 @@ class TestCertifiedNorms:
             got, certified = stepper.certified_norms(rows, below, previous)
             floored, _ = stepper.certified_norms(rows, below, previous, stepper.floors(below))
             wiener = np.matmul(stepper.wiener, np.abs(rows).transpose(1, 2, 0)).max(axis=-2)
-            floors = [min(limit / (1.0 + _BOUND_SLACK), stepper.finite_floor)
+            floors = [min(limit / (1.0 + BOUND_SLACK), stepper.finite_floor)
                       for limit in below.tolist()]
             if previous is None:
                 one, _ = stepper.certified_norms(rows, 4.0, floors=stepper.radius_floor)

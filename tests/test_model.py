@@ -1,17 +1,25 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
+from qns1d import model
+from qns1d.cli import load_config, validate_config
 from qns1d.integrator import TERMS
 from qns1d.model import (
+    W2INF_OVERSAMPLE,
     DomainError,
     ModelParams,
     State,
     cutoff_phi,
     quantum_identity_residual,
+    w2inf_floor,
     w2inf_norm,
 )
-from qns1d.noise import NoiseModel
-from qns1d.spectral import RealField, TorusGrid, UsageError, project
+from qns1d.noise import NoiseModel, derive_path_seed
+from qns1d.spectral import RealField, TorusGrid, UsageError, project, to_physical
 
 from conftest import band_limited, make_stepper, one_step, sample_one
 from oracle import oracle_mode_coefficients, trig_eval
@@ -100,7 +108,128 @@ class TestCutoff:
             cutoff_phi(-0.1, 1.0)
 
 
+def w2inf_all_orders(spec, grid):
+    """The W^{2,inf} norm with every derivative order transformed: the
+    reference that w2inf_norm, which drops the orders that cannot win, must
+    equal byte for byte."""
+    spec = np.asarray(spec)
+    derivs = np.empty(spec.shape[:-1] + (3, spec.shape[-1]), dtype=complex)
+    derivs[..., 0, :] = spec
+    for order in (1, 2):
+        derivs[..., order, :] = spec * (1j * grid.k_half) ** order
+    fine = to_physical(derivs, W2INF_OVERSAMPLE * grid.n_collocation)
+    np.abs(fine, out=fine)
+    norms = np.max(fine, axis=(-2, -1))
+    return norms.tolist() if spec.ndim > 1 else float(norms)
+
+
+def norms_and_warnings(norm, spec, grid):
+    """A norm function's norms of ``spec``, as bytes, and its warning messages."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        norms = np.array(norm(spec, grid))
+    return norms.tobytes(), {str(w.message) for w in caught if w.category is RuntimeWarning}
+
+
+def transformed_rows(spec, grid, monkeypatch):
+    """The rows of the one oversampled inverse transform of w2inf_norm(spec)."""
+    rows = []
+
+    def spy(stack, n):
+        rows.append(len(stack))
+        return to_physical(stack, n)
+
+    monkeypatch.setattr(model, "to_physical", spy)
+    w2inf_norm(spec, grid)
+    monkeypatch.undo()
+    assert len(rows) == 1
+    return rows[0]
+
+
+NORM_GRIDS = [TorusGrid(32, 10), TorusGrid(32, 16), TorusGrid(64, 21), TorusGrid(256, 85)]
+
+
+@strategies.composite
+def norm_stacks(draw):
+    """A grid and a stack of 1-4 spectra: random bands of any decay and scale,
+    with means from 0 to far above the band, zero fields, lone modes, NaN and
+    +-inf coefficients, and coefficients at and beyond w2inf_floor."""
+    grid = draw(strategies.sampled_from(NORM_GRIDS))
+    rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
+    floor = w2inf_floor(grid)
+    rows = []
+    for _ in range(draw(strategies.integers(1, 4))):
+        kind = draw(strategies.sampled_from(
+            ["band", "band", "band", "zero", "mode", "nan", "inf", "-inf", "floor"]))
+        spec = np.zeros(grid.n_half, dtype=complex)
+        if kind == "mode":
+            spec[draw(strategies.integers(0, grid.n_half - 1))] = complex(*rng.standard_normal(2))
+        elif kind != "zero":
+            top = draw(strategies.integers(1, grid.m_modes))
+            decay = draw(strategies.floats(0.0, 4.0))
+            scale = 10.0 ** draw(strategies.floats(-3.0, 3.0))
+            j = np.arange(1, top + 1)
+            spec[1: top + 1] = scale * j**-decay * (rng.standard_normal(top)
+                                                    + 1j * rng.standard_normal(top))
+            spec[0] = draw(strategies.sampled_from([0.0, 1.0, -1.0])) * 10.0 ** draw(
+                strategies.floats(-3.0, 6.0)) * scale
+            at = draw(strategies.integers(0, grid.n_half - 1))
+            if kind in ("nan", "inf", "-inf"):
+                spec[at] = complex(float(kind), 0.0) if draw(strategies.booleans()) else \
+                    complex(0.0, float(kind))
+            elif kind == "floor":
+                spec[at] = floor * draw(strategies.sampled_from([0.5, 1.0, 1.5, 4.0]))
+        rows.append(spec)
+    return grid, np.stack(rows)
+
+
 class TestW2Inf:
+    @settings(derandomize=True, max_examples=300, database=None, deadline=None)
+    @given(norm_stacks())
+    def test_dropped_orders_change_no_byte(self, case):
+        # the stack, and each row alone, byte for byte against the
+        # all-orders reference; a RuntimeWarning only where it warns too
+        grid, stack = case
+        for spec in (stack, *stack):
+            got, got_warnings = norms_and_warnings(w2inf_norm, spec, grid)
+            want, want_warnings = norms_and_warnings(w2inf_all_orders, spec, grid)
+            assert got == want
+            assert got_warnings <= want_warnings
+
+    @pytest.mark.parametrize("case, rows", [
+        ("mean", 1), ("harmonic", 1), ("flat_band", 2), ("zero", 3), ("nan", 3), ("inf", 3),
+        ("-inf", 3), ("beyond_floor", 3), ("at_floor", 1)])
+    def test_orders_transformed(self, case, rows, grid64, monkeypatch):
+        # a large mean wins at order 0 and a lone mode-1 wave at order 2,
+        # each alone; a band of 1/k^2 coefficients keeps orders 1 and 2; a
+        # zero field, a NaN or infinite coefficient, or a bound beyond
+        # w2inf_floor keeps all three; one order is transformed at the floor
+        spec = np.zeros(grid64.n_half, dtype=complex)
+        k = grid64.k_half
+        if case == "mean":
+            spec[0], spec[1] = 1e3, 0.5j
+        elif case == "harmonic":
+            spec[1] = -0.5j
+        elif case == "flat_band":
+            spec[1: grid64.m_modes + 1] = 1.0 / k[1: grid64.m_modes + 1] ** 2
+        elif case in ("nan", "inf", "-inf"):
+            spec[1], spec[5] = 0.5, complex(float(case), 0.0)
+        elif case.endswith("floor"):
+            spec[0] = w2inf_floor(grid64) * (1.5 if case == "beyond_floor" else 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert transformed_rows(spec, grid64, monkeypatch) == rows
+            got = np.array(w2inf_norm(spec, grid64)).tobytes()
+            assert got == np.array(w2inf_all_orders(spec, grid64)).tobytes()
+
+    def test_quickstart_state_transforms_one_order_per_field(self, monkeypatch):
+        # psi and u of the quickstart initial state each win at order 2 alone
+        config = Path(__file__).resolve().parents[1] / "configs" / "quickstart.json"
+        cfg = validate_config(load_config(config))
+        state = cfg.initial_factory(0, derive_path_seed(cfg.ensemble.master_seed, 0))
+        spec = np.stack([state.psi.spectral, state.u.spectral])
+        assert transformed_rows(spec, cfg.grid, monkeypatch) == 2
+        assert w2inf_norm(spec, cfg.grid) == w2inf_all_orders(spec, cfg.grid)
+
     def test_constant(self, grid64):
         f = RealField.from_physical(np.full(64, -3.25), grid64)
         assert w2inf_norm(f.spectral, grid64) == pytest.approx(3.25)

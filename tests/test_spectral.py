@@ -210,6 +210,26 @@ class TestStackedTransforms:
             assert all(same_bits(out[i], ddx(values[i], order)) for i in range(3))
 
 
+@pytest.mark.parametrize("n", [32, 44, 48, 96, 256])
+def test_to_spectral_scales_like_division(n, rng):
+    # multiplying by 1/n gives rfft(x) / n in value and in the NaN position
+    # of each real and imaginary part: random rows, and rows holding zeros,
+    # signed zeros, NaN, +-inf and values near the float limits
+    values = rng.standard_normal((8, n)) * 10.0 ** rng.uniform(-300, 300, (8, 1))
+    values[1] = 0.0
+    values[2, ::2] = -0.0
+    values[3, n // 3] = np.nan
+    values[4, 1] = np.inf
+    values[5, [0, n // 2]] = [np.inf, -np.inf]
+    values[6] = np.finfo(float).max * rng.uniform(-1.0, 1.0, n)
+    values[7, ::3] = np.finfo(float).tiny
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = to_spectral(values).view(float)
+        want = (np.fft.rfft(values) / n).view(float)
+    np.testing.assert_array_equal(got, want)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+
+
 def test_numpy_fft_used_only_in_spectral():
     # every transform goes through spectral's wrappers, so a count of
     # numpy.fft calls sees all of them
