@@ -9,6 +9,14 @@ functional does not depend on u, so this single correction pushes the mass
 drift from O(dt) to O(dt^2) without touching the overall first-order
 splitting.
 
+The forcing sum_k F_k dW_k is formed from one wave sum per path. Every
+coefficient F_k = a_k sin(2 pi k x) g(rho, u) shares the state factor g, so
+the forcing is g h with h = sum_k dW_k a_k sin(2 pi k x): one vector-matrix
+product of the increments with the model's waves, of n points per path,
+which ``NoiseModel.coefficient_fields`` then multiplies by g. No
+(P, k_modes, n) tensor of coefficient fields is built. For the additive
+family g = 1, and the forcing is h itself.
+
 The array kernels of ``_Stepper`` are the only implementation of the
 right-hand side. ``simulate_path`` runs the one state check (finite values,
 |psi| within the clamp, finite W^{2,inf} norms) on every state, the last
@@ -77,9 +85,10 @@ Introduction to Computational Stochastic PDEs, 2014; the leading batch axis
 of SDE libraries such as torchsde). A single path runs as a stack of one,
 and so does the public ``step()``, a one-step ``simulate_path`` run. The
 batch changes no bit of any path: elementwise operations and row-wise
-transforms do not mix paths; the forcing and the Wiener bounds are stacks of
-the products one path would form, which numpy hands to the same BLAS routine
-path by path (one matrix product over all paths would round differently);
+transforms do not mix paths; the wave sums and the Wiener bounds are stacks
+of the products one path would form, which numpy hands to the same BLAS
+routine path by path (one matrix product over all paths would round
+differently);
 reductions run per path; nu_bar, the predictor's phi, the state check and
 the increments are taken per path, while a step's exact norms take one
 stacked transform and its records one ``compute_record`` pass. A path that
@@ -96,8 +105,8 @@ The paths of a batch may also differ in noise model, so the three noise
 modes of a strong-order suite step in one batch too. ``simulate_path``
 orders the stepped rows by model, the models compared by value, so that
 each model's rows are consecutive, and forces each group on views of the
-stacked arrays through its model's ``coefficient_fields`` and one stack of
-one-path products; a noise-free row's forcing is exactly zero, the
+stacked arrays: one stack of one-path wave sums, which its model's
+``coefficient_fields`` turns into the forcing; a noise-free row's forcing is exactly zero, the
 zero_half that it adds when it steps alone. One increment array serves
 every row, so the models of a batch must share k_modes.
 """
@@ -416,7 +425,9 @@ class _Stepper:
         advection, quantum, pressure, viscosity and viscosity_gradient
         (momentum equation); and forcing, sum_k F_k dW_k, when dW, of shape
         (P, k_modes), is given and some row's noise is on, with the models of
-        ``use_rows``; a noise-free row's is zero. No term carries a cut-off
+        ``use_rows``: each path's wave sum dW @ waves, of shape (1, n), passed
+        through its model's ``coefficient_fields``; a noise-free row's is
+        zero. No term carries a cut-off
         factor: every state ``simulate_path`` steps is below R, where phi_R
         is 1. The momentum equation's sixth term, the dispersion, is linear
         and is solved implicitly with coefficient ``hk3``.
@@ -449,14 +460,15 @@ class _Stepper:
         np.multiply(rates[1], d2u, out=pointwise[1])
         np.multiply(pointwise[2], du, out=pointwise[2])
         if forcing:
-            # per model, a stack of vector-matrix products: each path's
-            # forcing has the bits of dW @ fields alone, which one matrix
-            # product would not
+            # per model, each path's wave sum h = sum_k dW_k a_k sin(2 pi k x)
+            # as a stack of vector-matrix products, so that it has the bits
+            # of dW @ waves alone, which one matrix product would not; the
+            # model turns h into the forcing g(rho, u) h in place
             for group, model, waves in self.noise_groups:
-                fields = model.coefficient_fields(waves, rates[2][group], u[group])
                 # the reshaped rows have the strides of matmul's own output
                 out = pointwise[3, group]
-                np.matmul(dW[group, None, :], fields, out=out.reshape(len(out), 1, -1))
+                h = np.matmul(dW[group, None, :], waves, out=out.reshape(len(out), 1, -1))
+                h[...] = model.coefficient_fields(h, rates[2][group], u[group])
             if self.quiet_rows is not None:
                 pointwise[3, self.quiet_rows] = 0.0
         if self.product_n == self.n:

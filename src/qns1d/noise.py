@@ -80,10 +80,19 @@ class NoiseModel:
 
     def coefficient_fields(self, waves: np.ndarray, rho: np.ndarray,
                            u: np.ndarray) -> np.ndarray:
-        """F_k(x, rho(x), u(x)) for all k, shape (k_modes, len(x)), from the
-        ``waves`` of the points x. Stacked rho and u of P paths, shape
-        (P, len(x)), give shape (P, k_modes, len(x)); the additive family
-        gives ``waves`` itself for any stack."""
+        """The coefficient fields of ``waves`` at the states (rho(x), u(x)):
+        waves * g(rho, u), with g = tanh(u) rho / (1 + rho), and ``waves``
+        itself for the additive family.
+
+        The model's own ``waves`` of the points x, shape (k_modes, len(x)),
+        give F_k(x, rho(x), u(x)) for all k. Every F_k is linear in its wave,
+        so a combination of the waves gives the same combination of the F_k:
+        a path's wave sum h = sum_k dW_k a_k sin(2 pi k x), shape (1, len(x)),
+        gives its forcing sum_k F_k dW_k, which is how the integrator forces
+        a step. Stacked rho and u of P paths, shape (P, len(x)), broadcast
+        against waves of shape (P, rows, len(x)) or (rows, len(x)), and give
+        shape (P, rows, len(x)).
+        """
         if self.shape == "off":
             return waves
         return waves * (np.tanh(u) * rho / (1.0 + rho))[..., None, :]

@@ -1150,6 +1150,103 @@ class TestPathBatch:
         assert clean[3].n_steps_taken < 20
 
 
+def tensor_forcing(stepper, model, dW, samples):
+    """The forcing rows as they were formed from the full (P, k_modes, n)
+    tensor of coefficient fields F_k, contracted with dW path by path, then
+    transformed, band-projected and scaled as ``explicit_terms`` does."""
+    rho, u = np.exp(samples[0]), samples[1]
+    fields = model.coefficient_fields(model.waves(stepper.grid.x), rho, u)
+    physical = np.matmul(dW[:, None, :], fields)[:, 0]
+    return stepper.term_scale[TERMS.index("forcing")] * stepper.project_rows(
+        physical, stepper.band_end)
+
+
+FORCING_GRIDS = [TorusGrid(32, 10), TorusGrid(64, 21), TorusGrid(256, 85), TorusGrid(32, 16)]
+
+
+def forcing_batch(grid, paths, rng):
+    """The ``sample`` rows of ``paths`` perturbed harmonic states and one
+    step's increments for each."""
+    states = [shifted_harmonic(grid, a, c) for a, c in
+              zip(rng.uniform(0.05, 0.5, paths), rng.uniform(-1.0, 1.0, paths))]
+    stepper = _Stepper(grid, ModelParams(gamma=1.5, alpha=0.5), StepConfig.blowup_clamp)
+    spec, samples = stepper.sample(np.stack([s.psi.spectral for s in states]),
+                                   np.stack([s.u.spectral for s in states]))
+    dW = np.array([sample_increment(derive_path_seed(3, p), 0, 1e-3, STRONG)
+                   for p in range(paths)])
+    return stepper, spec, samples, dW
+
+
+class TestForcing:
+    """The forcing sum_k F_k dW_k is g(rho, u) times each path's wave sum
+    h = sum_k dW_k a_k sin(2 pi k x), never the (P, k_modes, n) tensor."""
+
+    @pytest.mark.parametrize("grid", FORCING_GRIDS, ids=lambda g: f"{g.n_collocation}-{g.m_modes}")
+    def test_multiplicative_rows_match_the_tensor_formula(self, grid, rng):
+        # a rounding-level change: each row within 1e-13 of its largest mode
+        stepper, spec, samples, dW = forcing_batch(grid, 6, rng)
+        for model in (STRONG, NoiseModel(base_amplitude=0.02)):
+            stepper.use_rows([1e-3] * 6, [model] * 6)
+            got = stepper.explicit_terms(spec, samples, dW)[TERMS.index("forcing")]
+            want = tensor_forcing(stepper, model, dW, samples)
+            scale = np.abs(want).max(axis=-1)
+            assert (scale > 0).all()
+            assert (np.abs(got - want).max(axis=-1) <= 1e-13 * scale).all()
+
+    @pytest.mark.parametrize("grid", FORCING_GRIDS, ids=lambda g: f"{g.n_collocation}-{g.m_modes}")
+    def test_additive_and_noise_free_rows_keep_their_bytes(self, grid, rng):
+        stepper, spec, samples, dW = forcing_batch(grid, 5, rng)
+        additive = NoiseModel(base_amplitude=1.0, amplitude_decay=2.0, shape="off")
+        stepper.use_rows([1e-3] * 5, [NO_NOISE, NO_NOISE, additive, additive, STRONG])
+        got = stepper.explicit_terms(spec, samples, dW)[TERMS.index("forcing")]
+        assert got[:2].tobytes() == np.stack([stepper.zero_half] * 2).tobytes()
+        want = tensor_forcing(stepper, additive, dW[2:4], samples[:, 2:4])
+        assert got[2:4].tobytes() == want.tobytes()
+
+    def test_batch_of_64_equals_lone_paths(self, rng):
+        # every explicit term of a 64-path stack, and ten steps of a 64-path
+        # simulate_path batch, byte for byte against each path alone
+        grid = TorusGrid(64, 21)
+        stepper, spec, samples, dW = forcing_batch(grid, 64, rng)
+        stepper.use_rows([1e-3] * 64, [STRONG] * 64)
+        batch = stepper.explicit_terms(spec, samples, dW)
+        stepper.use_rows([1e-3], [STRONG])
+        for p in range(64):
+            one = slice(p, p + 1)
+            alone = stepper.explicit_terms(spec[:, one], samples[:, one], dW[one])
+            assert batch[:, one].tobytes() == alone.tobytes()
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=500.0)
+        states = [shifted_harmonic(grid, a) for a in np.linspace(0.05, 0.3, 64)]
+        seeds = [derive_path_seed(5, p) for p in range(64)]
+        cfg = StepConfig(dt=1e-3, t_end=0.01)
+        monitors = MonitorSpec(stride=5)
+        runs = simulate_path(states, cfg, params, STRONG, seeds, grid, monitors)
+        for state, seed, got in zip(states, seeds, runs):
+            assert_same_path(got, simulate_path(state, cfg, params, STRONG, seed, grid, monitors))
+
+    def test_coefficient_fields_gets_one_wave_sum_per_path(self, grid64, monkeypatch):
+        # per step and noisy model, one call on the group's wave sums of
+        # shape (P, 1, n), beside the group's (P, n) samples of rho and u
+        calls = []
+        real = NoiseModel.coefficient_fields
+
+        def spy(self, waves, rho, u):
+            calls.append((self.shape, waves.shape, rho.shape, u.shape))
+            return real(self, waves, rho, u)
+
+        monkeypatch.setattr(NoiseModel, "coefficient_fields", spy)
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=500.0)
+        additive = NoiseModel(base_amplitude=0.2, shape="off")
+        models = [STRONG, NO_NOISE, additive, STRONG, additive, STRONG]
+        runs = simulate_path([shifted_harmonic(grid64, 0.1)] * 6,
+                             StepConfig(dt=1e-3, t_end=0.005), params, models, list(range(6)),
+                             grid64, MonitorSpec(collect_records=False))
+        assert [r.n_steps_taken for r in runs] == [5] * 6
+        n = grid64.n_collocation
+        assert calls == [("trig_density_weighted", (3, 1, n), (3, n), (3, n)),
+                         ("off", (2, 1, n), (2, n), (2, n))] * 5
+
+
 # the property test's grids: padded products, an unpadded grid whose size is
 # no power of two, and the sweep grid
 INVARIANCE_GRIDS = {"padded": TorusGrid(32, 16), "n48": TorusGrid(48, 16),
