@@ -29,9 +29,9 @@ the collocation grid, whose first two rows the state check reads and whose
 samples the monitor record and the step reuse. The states whose exact norms
 are read add one oversampled inverse for all their W^{2,inf} norms, of the
 derivative orders of psi and u that can hold the max (``w2inf_norm``). A
-step costs three: one forward transform of
-the seven explicit-term rows (three dealiased products, four band
-projections), and one inverse and one forward for the corrector's transport.
+step costs three: one forward transform of the seven explicit-term rows
+(three dealiased products, four band projections), and one inverse and one
+forward for the corrector's transport.
 A grid too coarse for alias-free products adds one inverse for the product
 factors and one forward. numpy transforms each row of a stack exactly as it
 transforms that row alone, so stacking changes no bit of the result.
@@ -88,11 +88,10 @@ batch changes no bit of any path: elementwise operations and row-wise
 transforms do not mix paths; the wave sums and the Wiener bounds are stacks
 of the products one path would form, which numpy hands to the same BLAS
 routine path by path (one matrix product over all paths would round
-differently);
-reductions run per path; nu_bar, the predictor's phi, the state check and
-the increments are taken per path, while a step's exact norms take one
-stacked transform and its records one ``compute_record`` pass. A path that
-stops leaves the stepped rows, and the others go on.
+differently); reductions run per path; nu_bar, the predictor's phi, the
+state check and the increments are taken per path, while a step's exact
+norms take one stacked transform and its records one ``compute_record``
+pass. A path that stops leaves the stepped rows, and the others go on.
 
 The paths of a batch may differ in dt and in their number of steps, so every
 dt level of a refinement study steps in one batch. The (k, dt)-only factors
@@ -106,9 +105,10 @@ modes of a strong-order suite step in one batch too. ``simulate_path``
 orders the stepped rows by model, the models compared by value, so that
 each model's rows are consecutive, and forces each group on views of the
 stacked arrays: one stack of one-path wave sums, which its model's
-``coefficient_fields`` turns into the forcing; a noise-free row's forcing is exactly zero, the
-zero_half that it adds when it steps alone. One increment array serves
-every row, so the models of a batch must share k_modes.
+``coefficient_fields`` turns into the forcing; a noise-free row's forcing
+is exactly zero, the zero_half that it adds when it steps alone. One
+increment array serves every row, so the models of a batch must share
+k_modes.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ from typing import Sequence
 import numpy as np
 
 from . import functionals
-from .model import BOUND_SLACK, ModelParams, State, cutoff_phi, w2inf_floor, w2inf_norm
+from .model import (BOUND_SLACK, ModelParams, State, cutoff_phi, w2inf_floor, w2inf_norm,
+                    wiener_multiplicity)
 from .noise import NoiseModel, derive_path_seed, sample_increment
 from .spectral import RealField, TorusGrid, _frozen, hs_norm, to_physical, to_spectral
 
@@ -251,10 +252,8 @@ class _Stepper:
         # for each distinct noisy model the stepper has met
         self.waves: dict[NoiseModel, np.ndarray] = {}
         # Wiener-algebra bound of the W^{2,inf} norm, sup|d^o f/dx^o| <=
-        # sum_j mult_j |c_j| k_j^o: on the oversampled grid every mode but
-        # j = 0 is interior to the real transform and so counts twice
-        mult = np.full(grid.n_half, 2.0)
-        mult[0] = 1.0
+        # sum_j mult_j |c_j| k_j^o
+        mult = wiener_multiplicity(grid)
         self.wiener = np.stack([mult, mult * self.k, mult * self.k2])
         self.radius = params.cutoff_radius if params.enable_cutoff else np.inf
         # bounds above this could hide an overflow that the check must see
@@ -427,10 +426,10 @@ class _Stepper:
         (P, k_modes), is given and some row's noise is on, with the models of
         ``use_rows``: each path's wave sum dW @ waves, of shape (1, n), passed
         through its model's ``coefficient_fields``; a noise-free row's is
-        zero. No term carries a cut-off
-        factor: every state ``simulate_path`` steps is below R, where phi_R
-        is 1. The momentum equation's sixth term, the dispersion, is linear
-        and is solved implicitly with coefficient ``hk3``.
+        zero. No term carries a cut-off factor: every state ``simulate_path``
+        steps is below R, where phi_R is 1. The momentum equation's sixth
+        term, the dispersion, is linear and is solved implicitly with
+        coefficient ``hk3``.
 
         All terms share one forward transform. On a padded product grid the
         product factors take one more inverse transform, and the products

@@ -91,6 +91,15 @@ def w2inf_floor(grid: TorusGrid) -> float:
     return np.finfo(float).max / (W2INF_OVERSAMPLE * grid.n_collocation)
 
 
+def wiener_multiplicity(grid: TorusGrid) -> np.ndarray:
+    """mult_j of the Wiener bound sup|d^o f/dx^o| <= sum_j mult_j |c_j| k_j^o
+    on the oversampled sup-norm grid: every mode but j = 0 is interior to the
+    real transform there and so counts twice."""
+    mult = np.full(grid.n_half, 2.0)
+    mult[0] = 1.0
+    return mult
+
+
 def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float | list[float]:
     """max over derivative orders 0..2 of the sup of |d^j f/dx^j|.
 
@@ -117,13 +126,9 @@ def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float | list[float]:
     mags = np.abs(derivs)
     peak = mags.max(axis=(-2, -1))[..., None]
     floor = w2inf_floor(grid)
-    # on the oversampled grid every mode but j = 0 is interior to the real
-    # transform and so counts twice. A field with a coefficient beyond the
-    # floor drops no order, so clipping there changes no decision and keeps
-    # the sum from overflowing.
-    mult = np.full(grid.n_half, 2.0)
-    mult[0] = 1.0
-    bounds = np.minimum(mags, floor) @ mult
+    # a field with a coefficient beyond the floor drops no order, so clipping
+    # there changes no decision and keeps the sum from overflowing
+    bounds = np.minimum(mags, floor) @ wiener_multiplicity(grid)
     keep = ~((bounds * (1.0 + BOUND_SLACK) < peak * (1.0 - BOUND_SLACK)) & (peak <= floor))
     fine = to_physical(derivs[keep], W2INF_OVERSAMPLE * grid.n_collocation)
     np.abs(fine, out=fine)
