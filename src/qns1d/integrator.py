@@ -46,19 +46,19 @@ hit can leave [0, R].
 
 One rule, ``_Stepper.certified_norms``, reads the Wiener bounds and the
 sup-norm, in three rungs. The Wiener-algebra bound max_o sum_j mult_j |c_j|
-k_j^o dominates the W^{2,inf} norm, so a bound at or below a threshold (less
-a relative slack ``BOUND_SLACK`` for rounding) stands in for the norm with
-no transform. Where it does not, a checked state's previous value plus the
-Wiener bound of the step's change dominates the norm too, by the triangle
-inequality on the oversampled grid, and stands in for it likewise. Only a
-state that neither bound certifies takes the exact norm. The corrector's
-threshold is R, where phi is exactly 1. The state check's is the smallest
-of the monitored radii and R that the path has not yet crossed, below which
-the norm moves neither phi, nor the stopping test, nor a hit time; it is
--inf, the exact norm, on recorded states and on the last state. A norm that
-reaches a radius below R moves the path's threshold to the next radius, so
-the following states are certified against a radius that their norm has
-not reached.
+k_j^o (``model.wiener_weights``) dominates the W^{2,inf} norm, so a bound at
+or below a threshold (less a relative slack ``BOUND_SLACK`` for rounding)
+stands in for the norm with no transform. Where it does not, a checked
+state's previous value plus the Wiener bound of the step's change dominates
+the norm too, by the triangle inequality on the oversampled grid, and stands
+in for it likewise. Only a state that neither bound certifies takes the
+exact norm. The corrector's threshold is R, where phi is exactly 1. The
+state check's is the smallest of the monitored radii and R that the path has
+not yet crossed, below which the norm moves neither phi, nor the stopping
+test, nor a hit time; it is -inf, the exact norm, on recorded states and on
+the last state. A norm that reaches a radius below R moves the path's
+threshold to the next radius, so the following states are certified against
+a radius that their norm has not reached.
 
 The step's small kernels fill preallocated rows through ``out=`` and reuse
 the (k, dt)-only factors, which are rebuilt only when the stepped rows
@@ -121,7 +121,7 @@ import numpy as np
 
 from . import functionals
 from .model import (BOUND_SLACK, ModelParams, State, cutoff_phi, w2inf_floor, w2inf_norm,
-                    wiener_multiplicity)
+                    wiener_weights)
 from .noise import NoiseModel, derive_path_seed, sample_increment
 from .spectral import RealField, TorusGrid, _frozen, hs_norm, to_physical, to_spectral
 
@@ -252,9 +252,8 @@ class _Stepper:
         # for each distinct noisy model the stepper has met
         self.waves: dict[NoiseModel, np.ndarray] = {}
         # Wiener-algebra bound of the W^{2,inf} norm, sup|d^o f/dx^o| <=
-        # sum_j mult_j |c_j| k_j^o
-        mult = wiener_multiplicity(grid)
-        self.wiener = np.stack([mult, mult * self.k, mult * self.k2])
+        # sum_j wiener[o, j] |c_j|
+        self.wiener = wiener_weights(grid)
         self.radius = params.cutoff_radius if params.enable_cutoff else np.inf
         # bounds above this could hide an overflow that the check must see
         self.finite_floor = w2inf_floor(grid)

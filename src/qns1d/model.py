@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import RealField, TorusGrid, UsageError, resample, to_physical, to_spectral
+from .spectral import RealField, TorusGrid, UsageError, _frozen, resample, to_physical, to_spectral
 
 # oversampling used when evaluating sup-norms on the collocation grid
 W2INF_OVERSAMPLE = 8
@@ -91,13 +91,35 @@ def w2inf_floor(grid: TorusGrid) -> float:
     return np.finfo(float).max / (W2INF_OVERSAMPLE * grid.n_collocation)
 
 
-def wiener_multiplicity(grid: TorusGrid) -> np.ndarray:
-    """mult_j of the Wiener bound sup|d^o f/dx^o| <= sum_j mult_j |c_j| k_j^o
-    on the oversampled sup-norm grid: every mode but j = 0 is interior to the
-    real transform there and so counts twice."""
-    mult = np.full(grid.n_half, 2.0)
-    mult[0] = 1.0
-    return mult
+# per grid size, the read-only tables of w2inf_norm: see _norm_tables
+_NORM_TABLES: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, float]] = {}
+
+
+def _norm_tables(grid: TorusGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The factors (1j k)^o of orders 1 and 2, the ``wiener_weights``,
+    max_o k^o and the ``w2inf_floor``: read-only, and built once per grid
+    size."""
+    tables = _NORM_TABLES.get(grid.n_collocation)
+    if tables is None:
+        k = grid.k_half
+        # every mode but j = 0 is interior to the real transform on the
+        # oversampled sup-norm grid and so counts twice
+        mult = np.full(grid.n_half, 2.0)
+        mult[0] = 1.0
+        tables = tuple(_frozen(a) for a in (
+            np.stack([(1j * k) ** 1, (1j * k) ** 2]),
+            np.stack([mult, mult * k, mult * k**2]),
+            np.maximum(k**2, 1.0))) + (w2inf_floor(grid),)
+        _NORM_TABLES[grid.n_collocation] = tables
+    return tables
+
+
+def wiener_weights(grid: TorusGrid) -> np.ndarray:
+    """The (3, n_half) weights W[o, j] = mult_j k_j^o of the Wiener bound
+    sup|d^o f/dx^o| <= sum_j W[o, j] |c_j| on the oversampled sup-norm
+    grid, where mult_j is 1 for the mean and 2 for every other mode. The
+    array is read-only and shared by every caller on the grid's size."""
+    return _norm_tables(grid)[1]
 
 
 def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float | list[float]:
@@ -110,26 +132,26 @@ def w2inf_norm(spec: np.ndarray, grid: TorusGrid) -> float | list[float]:
     rows and orders share one inverse transform, which changes no row's bits.
 
     Only the orders that can hold the max are transformed. A DFT coefficient
-    never exceeds the grid sup of its field, so M = max_o max_j k_j^o |c_j|
+    never exceeds the grid sup of its field, so M = max_j |c_j| max_o k_j^o
     is a lower bound of the norm, while order o's sup is at most its Wiener
-    bound B_o = sum_j mult_j |c_j| k_j^o. An order with B_o (1 + s) <
-    M (1 - s), s = BOUND_SLACK for rounding, stays below an order that is
-    transformed, so dropping it changes no bit of the norm. A field whose M
-    exceeds ``w2inf_floor`` or is NaN drops no order, so an overflow or a
-    NaN still reaches the norm; a zero field drops none either.
+    bound B_o = sum_j W[o, j] |c_j| (``wiener_weights``). An order with
+    B_o (1 + s) < M (1 - s), s = BOUND_SLACK for rounding, stays below an
+    order that is transformed, so dropping it changes no bit of the norm. A
+    field whose M exceeds ``w2inf_floor`` or is NaN drops no order, so an
+    overflow or a NaN still reaches the norm; a zero field drops none either.
     """
     spec = np.asarray(spec)
+    powers, weights, top_power, floor = _norm_tables(grid)
     derivs = np.empty(spec.shape[:-1] + (3, spec.shape[-1]), dtype=complex)
     derivs[..., 0, :] = spec
-    for order in (1, 2):
-        derivs[..., order, :] = spec * (1j * grid.k_half) ** order
-    mags = np.abs(derivs)
-    peak = mags.max(axis=(-2, -1))[..., None]
-    floor = w2inf_floor(grid)
-    # a field with a coefficient beyond the floor drops no order, so clipping
-    # there changes no decision and keeps the sum from overflowing
-    bounds = np.minimum(mags, floor) @ wiener_multiplicity(grid)
-    keep = ~((bounds * (1.0 + BOUND_SLACK) < peak * (1.0 - BOUND_SLACK)) & (peak <= floor))
+    derivs[..., 1, :] = spec * powers[0]
+    derivs[..., 2, :] = spec * powers[1]
+    # a bound or M that overflows, or a 0 * inf, only keeps orders
+    with np.errstate(over="ignore", invalid="ignore"):
+        mags = np.abs(spec)
+        bounds = mags @ weights.T
+        peak = (mags * top_power).max(axis=-1, keepdims=True)
+        keep = ~((bounds * (1.0 + BOUND_SLACK) < peak * (1.0 - BOUND_SLACK)) & (peak <= floor))
     fine = to_physical(derivs[keep], W2INF_OVERSAMPLE * grid.n_collocation)
     np.abs(fine, out=fine)
     # a dropped order stands at 0, below every sup; np.max propagates a NaN

@@ -17,6 +17,7 @@ from qns1d.model import (
     quantum_identity_residual,
     w2inf_floor,
     w2inf_norm,
+    wiener_weights,
 )
 from qns1d.noise import NoiseModel, derive_path_seed
 from qns1d.spectral import RealField, TorusGrid, UsageError, project, to_physical
@@ -153,14 +154,15 @@ NORM_GRIDS = [TorusGrid(32, 10), TorusGrid(32, 16), TorusGrid(64, 21), TorusGrid
 def norm_stacks(draw):
     """A grid and a stack of 1-4 spectra: random bands of any decay and scale,
     with means from 0 to far above the band, zero fields, lone modes, NaN and
-    +-inf coefficients, and coefficients at and beyond w2inf_floor."""
+    +-inf coefficients, coefficients at and beyond w2inf_floor, and ones
+    whose modulus overflows."""
     grid = draw(strategies.sampled_from(NORM_GRIDS))
     rng = np.random.default_rng(draw(strategies.integers(0, 2**32 - 1)))
     floor = w2inf_floor(grid)
     rows = []
     for _ in range(draw(strategies.integers(1, 4))):
         kind = draw(strategies.sampled_from(
-            ["band", "band", "band", "zero", "mode", "nan", "inf", "-inf", "floor"]))
+            ["band", "band", "band", "zero", "mode", "nan", "inf", "-inf", "floor", "huge"]))
         spec = np.zeros(grid.n_half, dtype=complex)
         if kind == "mode":
             spec[draw(strategies.integers(0, grid.n_half - 1))] = complex(*rng.standard_normal(2))
@@ -179,6 +181,8 @@ def norm_stacks(draw):
                     complex(0.0, float(kind))
             elif kind == "floor":
                 spec[at] = floor * draw(strategies.sampled_from([0.5, 1.0, 1.5, 4.0]))
+            elif kind == "huge":
+                spec[at] = complex(1.0, 1.0) * np.finfo(float).max / 1.5
         rows.append(spec)
     return grid, np.stack(rows)
 
@@ -229,6 +233,16 @@ class TestW2Inf:
         spec = np.stack([state.psi.spectral, state.u.spectral])
         assert transformed_rows(spec, cfg.grid, monkeypatch) == 2
         assert w2inf_norm(spec, cfg.grid) == w2inf_all_orders(spec, cfg.grid)
+
+    def test_wiener_weights(self, grid64):
+        # mult_j k_j^o, mult_j = 1 for the mean and 2 for every other mode,
+        # read-only and the very array the stepper bounds its norms with
+        weights = wiener_weights(grid64)
+        mult = np.r_[1.0, np.full(grid64.n_half - 1, 2.0)]
+        k = grid64.k_half
+        assert np.array_equal(weights, [mult, mult * k, mult * k**2])
+        assert not weights.flags.writeable
+        assert make_stepper(grid64).wiener is weights
 
     def test_constant(self, grid64):
         f = RealField.from_physical(np.full(64, -3.25), grid64)

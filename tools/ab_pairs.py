@@ -2,13 +2,13 @@
 
 Run from anywhere:
 
-    python3 tools/ab_pairs.py PARENT CHANGE --workload W --pairs N \
-        [--seed S] [--seconds T]
+    python3 tools/ab_pairs.py PARENT CHANGE --workload W --pairs N [--seed S]
 
 PARENT and CHANGE are two checkouts of the repository. Each pair runs
-``perfbench/run.py --workload W --trace 0`` once in each checkout, the
-parent first in odd pairs and the change first in even pairs, so that a
-drift in host speed falls on both sides alike. For every end-to-end metric
+``perfbench/run.py --workload W --trace 0``, for perfbench's own run
+length, once in each checkout, the parent first in odd pairs and the
+change first in even pairs, so that a drift in host speed falls on both
+sides alike. For every end-to-end metric
 the tool prints the median and quartiles of each side, the change in
 percent, the number of pairs in which the change is better, and whether
 the change's median is better than the parent's by more than the parent's
@@ -77,11 +77,9 @@ def last_json(stdout: str) -> dict | None:
     return result if isinstance(result, dict) else None
 
 
-def run_once(checkout: Path, workload: str, seed: int | None,
-             seconds: float) -> tuple[dict | None, str]:
+def run_once(checkout: Path, workload: str, seed: int | None) -> tuple[dict | None, str]:
     """One perfbench run in ``checkout``: its result and its combined output."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0",
-           "--seconds", str(seconds)]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--trace", "0"]
     if seed is not None:
         cmd += ["--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -105,7 +103,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--seconds", type=float, default=20.0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -118,7 +115,7 @@ def main(argv: list[str] | None = None) -> int:
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         results = {}
         for side in order:
-            result, output = run_once(sides[side], args.workload, args.seed, args.seconds)
+            result, output = run_once(sides[side], args.workload, args.seed)
             if result is None:
                 failed.append({"pair": pair, "side": side})
                 tail = "\n".join(output.splitlines()[-20:])
