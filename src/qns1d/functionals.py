@@ -8,11 +8,11 @@ collocation grid would alias.
 ``compute_record`` is the only code that evaluates the monitored
 functionals, on one State or on P States in one stacked pass. It resamples
 [psi, u] onto the QUAD_OVERSAMPLE grid in one stacked transform and takes
-every first derivative in one stacked ``ddx``: psi', u',
-(rho^((gamma+alpha-1)/2))' and (rho^(alpha/2))' (unused for alpha = 0). One
-more ``ddx`` takes the one second derivative, (rho^(alpha/2))'' or, for
-alpha = 0, psi''. The 8x resample of psi for min rho makes six transforms
-per pass. numpy's transforms, and its means, sums and mins along the last,
+every derivative in one ``ddx_rows``, one forward and one inverse transform
+of the stack: psi', u', (rho^((gamma+alpha-1)/2))', (rho^(alpha/2))'
+(unused for alpha = 0) and the one second derivative, (rho^(alpha/2))'' or,
+for alpha = 0, psi''. The 8x resample of psi for min rho makes four
+transforms per pass. numpy's transforms, and its means, sums and mins along the last,
 contiguous axis, treat each row of a stack as they treat that row alone, so
 the stacking changes no bit of a record.
 """
@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import DomainError, ModelParams, State, w2inf_norm
-from .spectral import RealField, TorusGrid, ddx, hs_norm, resample, to_physical
+from .spectral import RealField, TorusGrid, ddx, ddx_rows, hs_norm, resample, to_physical
 
 QUAD_OVERSAMPLE = 2
 # oversampling of the entropy-identity residuals and the combination check
@@ -179,13 +179,14 @@ def compute_record(states: State | Sequence[State], params: ModelParams, grid: T
     psi, u = to_physical(spec, QUAD_OVERSAMPLE * grid.n_collocation)
     rho = np.exp(psi)
     half = rho ** (0.5 * alpha)
-    dpsi, du, d_pressure, d_half = ddx(
-        np.stack((psi, u, rho ** (0.5 * (gamma + alpha - 1.0)), half)), 1)
+    dpsi, du, d_pressure, d_half, second = ddx_rows(
+        np.stack((psi, u, rho ** (0.5 * (gamma + alpha - 1.0)), half)),
+        [(0, 1), (1, 1), (2, 1), (3, 1), (0 if alpha == 0.0 else 3, 2)])
     if alpha == 0.0:
-        second_order = 0.5 * _quad(ddx(psi, 2) ** 2)
+        second_order = 0.5 * _quad(second ** 2)
         quartic = np.zeros(len(states))
     else:
-        second_order = 4.0 / alpha**2 * _quad(ddx(half, 2) ** 2)
+        second_order = 4.0 / alpha**2 * _quad(second ** 2)
         quartic = (4.0 * (4.0 - 3.0 * alpha) / (3.0 * alpha**3)
                    * _quad(rho ** (-alpha) * d_half ** 4))
     v = u + np.exp((alpha - 1.0) * psi) * dpsi

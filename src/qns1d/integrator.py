@@ -88,10 +88,11 @@ batch changes no bit of any path: elementwise operations and row-wise
 transforms do not mix paths; the wave sums and the Wiener bounds are stacks
 of the products one path would form, which numpy hands to the same BLAS
 routine path by path (one matrix product over all paths would round
-differently); reductions run per path; nu_bar, the predictor's phi, the
-state check and the increments are taken per path, while a step's exact
-norms take one stacked transform and its records one ``compute_record``
-pass. A path that stops leaves the stepped rows, and the others go on.
+differently); reductions run per path; nu_bar, the predictor's phi and the
+state check are taken per path, while a step's increments take one
+``sample_increment`` draw, each row with the bits of its path's own draw,
+its exact norms one stacked transform and its records one
+``compute_record`` pass. A path that stops leaves the stepped rows, and the others go on.
 
 The paths of a batch may differ in dt and in their number of steps, so every
 dt level of a refinement study steps in one batch. The (k, dt)-only factors
@@ -622,10 +623,9 @@ class _Stepper:
 
 
 def _sampled_state(spec: np.ndarray, samples: np.ndarray, t: float) -> State:
-    """The State of ``sample`` rows; its fields equal RealField.from_spectral's."""
-    psi, u = (RealField(_frozen(samples[i].copy()), _frozen(spec[i].copy()))
-              for i in (0, 1))
-    return State(psi=psi, u=u, time=t)
+    """The State of one path's ``sample`` rows, whose fields view them; they
+    equal RealField.from_spectral's."""
+    return State(psi=RealField(samples[0], spec[0]), u=RealField(samples[1], spec[1]), time=t)
 
 
 def step(state: State, cfg: StepConfig, params: ModelParams, noise: NoiseModel,
@@ -730,11 +730,12 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
     predictor phi, and its own last state at its own step count: paths of
     different dt and t_end leave the stepped rows at their own last steps. A
     checked state's recorded rows take one ``functionals.compute_record``
-    call. Each row's state check runs at the smallest resolved radius that
-    its path has not crossed, and from the second state on with its
-    previous checked state's spectra and values. ``increments`` has one
-    (n_steps, k_modes) array per path, or is None; a noise-free path draws
-    none. The stepper's (k, dt)-only factors and its noise waves are rebuilt
+    call, as States that view the stepped rows. Each row's state check runs
+    at the smallest resolved radius that its path has not crossed, and from
+    the second state on with its previous checked state's spectra and
+    values. ``increments`` has one (n_steps, k_modes) array per path, or is
+    None, and then the noisy rows draw each step in one ``sample_increment``
+    call; a noise-free path draws none. The stepper's (k, dt)-only factors and its noise waves are rebuilt
     whenever the stepped rows change, and so are the rows' thresholds and
     floors whenever a path crosses a radius.
     """
@@ -760,8 +761,6 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
     at = starts[active]
     next_end = ends.min()
     stepper.use_rows([dts[p] for p in paths], [models[p] for p in paths])
-    # the increment row of a noise-free path, which its forcing never reads
-    no_dW = np.zeros(models[0].k_modes)
     # each active path's index in resolved of the smallest radius that it has
     # not crossed; that radius is the path's threshold
     nexts = np.zeros(len(initials), dtype=np.intp)
@@ -812,7 +811,8 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
                 pair = None if failure is not None else norms[row].tolist()
                 results[p] = PathResult(
                     records=records[p], event=_stopping_event(failure, pair, t, radius),
-                    final_state=_sampled_state(spec[:, row], samples[:, row], t),
+                    final_state=_sampled_state(_frozen(spec[:2, row].copy()),
+                                               _frozen(samples[:2, row].copy()), t),
                     norm_trace=_norm_trace(t0[p], dts[p],
                                            trace[starts[p]: starts[p] + i + (pair is not None)]),
                     n_steps_taken=i, resolved_radii=resolved)
@@ -836,8 +836,13 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
         elif increments is not None:
             dW = np.array([increments[p][i] for p in paths])
         else:
-            dW = np.array([sample_increment(seeds[p], i, dts[p], models[p])
-                           if models[p].base_amplitude > 0.0 else no_dW for p in paths])
+            # one draw for the noisy rows; the noise-free rows come first, and
+            # their forcing reads no increment
+            quiet = 0 if stepper.quiet_rows is None else stepper.quiet_rows.stop
+            drawn = paths[quiet:]
+            dW = np.zeros((len(paths), models[0].k_modes))
+            dW[quiet:] = sample_increment([seeds[p] for p in drawn], i,
+                                          [dts[p] for p in drawn], models[drawn[0]])
         spec, samples = stepper.sample_rows(stepper.step_imex(spec, samples, dW))
 
     return results
@@ -959,8 +964,7 @@ def strong_convergence_order(initial: State, params: ModelParams,
             continue  # a noise-free path ignores its increments, so it draws none
         for seed in seeds[:count]:
             if seed not in drawn:
-                fine = np.stack([sample_increment(seed, i, dt_fine, model)
-                                 for i in range(n_fine)])
+                fine = sample_increment([seed] * n_fine, range(n_fine), dt_fine, model)
                 drawn[seed] = [fine] + [fine[: (n_fine // r) * r].reshape(-1, r, model.k_modes)
                                         .sum(axis=1) for r in ratios]
 

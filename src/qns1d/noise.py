@@ -11,7 +11,8 @@ and satisfies sum_k |F_k| <= (sum_k a_k) * (1 + |u|). The additive variant
 
 Increments are a pure function of (path_seed, step_index): each step keys a
 counter-based Philox stream, so any step of any path replays independently
-of call order.
+of call order, and one call can draw a step of every path of a batch, each
+row with the bits of its own one-path draw.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -171,29 +173,52 @@ def _philox(path_seed: int, domain: int, step_index: int) -> np.random.Generator
 _increments = threading.local()
 
 
-def sample_increment(path_seed: int, step_index: int, dt: float,
-                     model: NoiseModel) -> np.ndarray:
-    """One step's Gaussian increments dW_k ~ N(0, dt), k = 1..k_modes; pure in
+def sample_increment(path_seed: int | Sequence[int], step_index: int | Sequence[int],
+                     dt: float | Sequence[float], model: NoiseModel) -> np.ndarray:
+    """Gaussian increments dW_k ~ N(0, dt), k = 1..k_modes; pure in
     (path_seed, step_index).
 
-    Before each draw the thread's generator is set to the state of a fresh
-    stream: key [path_seed, 0x9E3779B97F4A7C15] and counter
+    One seed gives one step's increments, shape (k_modes,). A sequence of
+    seeds gives one row per seed, shape (len(path_seed), k_modes), with one
+    step index and one dt for every row, or one of each per row; each row
+    has the bits of its one-seed draw, so the paths of a batch stepped in
+    lockstep draw a step in one call.
+
+    Before each row's draw the thread's generator is set to the state of a
+    fresh stream: key [path_seed, 0x9E3779B97F4A7C15] and counter
     [0, _DOMAIN_INCREMENT, step_index, 0]. Only key and counter depend on the
-    draw, so a change of seed, as in a batch of paths stepped in lockstep,
-    costs no more than a change of step.
+    draw, so a change of seed costs no more than a change of step. The rows
+    are drawn unit-variance into one array, which is then scaled by the
+    column of sqrt(dt). A dt that is not positive and finite, NaN included,
+    raises NoiseConfigError.
     """
-    if dt <= 0.0:
-        raise NoiseConfigError(f"dt must be positive, got {dt}")
+    one = isinstance(path_seed, (int, np.integer))
+    seeds = [path_seed] if one else path_seed
+    steps = ([step_index] * len(seeds) if isinstance(step_index, (int, np.integer))
+             else step_index)
+    dts = np.asarray(dt, dtype=float)
+    # written so that NaN fails
+    bad = [d for d in dts.reshape(-1).tolist() if not 0.0 < d < math.inf]
+    if bad:
+        raise NoiseConfigError(f"dt must be positive and finite, got {bad}")
+    if len(steps) != len(seeds) or dts.size not in (1, len(seeds)):
+        raise ValueError("a batch takes one step index and one dt for all rows, or one per row")
     local = _increments
     if not hasattr(local, "gen"):
         local.gen = _philox(0, _DOMAIN_INCREMENT, 0)
         fresh = local.gen.bit_generator.state
         local.state = dict(fresh, buffer=fresh["buffer"].tolist(),
                            state={k: v.tolist() for k, v in fresh["state"].items()})
-    local.state["state"]["key"][0] = int(path_seed)
-    local.state["state"]["counter"][2] = step_index
-    local.gen.bit_generator.state = local.state
-    return local.gen.standard_normal(model.k_modes) * np.sqrt(dt)
+    gen, state = local.gen, local.state
+    key, counter = state["state"]["key"], state["state"]["counter"]
+    out = np.empty((len(seeds), model.k_modes))
+    for seed, step, row in zip(seeds, steps, out):
+        key[0] = int(seed)
+        counter[2] = int(step)
+        gen.bit_generator.state = state
+        gen.standard_normal(out=row)
+    out *= np.sqrt(dts).reshape(-1, 1)
+    return out[0] if one else out
 
 
 def initial_data_generator(path_seed: int) -> np.random.Generator:

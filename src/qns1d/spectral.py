@@ -11,6 +11,7 @@ coefficients of a pointwise product are free of aliasing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -56,9 +57,27 @@ def to_physical(spec: np.ndarray, n: int) -> np.ndarray:
 def ddx(values: np.ndarray, order: int) -> np.ndarray:
     """Spectral derivative of periodic samples (along the last axis) on their
     own grid, with no band limit."""
+    return ddx_rows(values[None], [(0, order)])[0]
+
+
+def ddx_rows(values: np.ndarray, orders: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Spectral derivatives of the rows of a stack of periodic samples on their
+    own grid: row i of the result is the derivative of order o of
+    ``values[r]``, for (r, o) = ``orders[i]``.
+
+    One forward transform of the stack serves every derivative, and one
+    inverse transform returns them all; each row has the bits of
+    ``ddx(values[r], o)``, as a stacked transform treats each row as it
+    treats that row alone.
+    """
     n = values.shape[-1]
     k = 2.0 * np.pi * np.fft.rfftfreq(n, 1.0 / n)
-    return np.fft.irfft(np.fft.rfft(values) * (1j * k) ** order, n=n)
+    spec = np.fft.rfft(values)
+    factors = {o: (1j * k) ** o for _, o in orders}
+    out = np.empty((len(orders),) + spec.shape[1:], dtype=complex)
+    for row, (r, o) in zip(out, orders):
+        np.multiply(spec[r], factors[o], out=row)
+    return np.fft.irfft(out, n=n)
 
 
 @dataclass(frozen=True)

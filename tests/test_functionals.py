@@ -340,11 +340,10 @@ class TestRecordsAndVacuum:
         assert rec.min_rho == pytest.approx(float(np.exp(np.min(trig_eval(psi, grid64, x8)))))
 
     @pytest.mark.parametrize("alpha", [0.5, 0.0])
-    def test_six_transforms_per_record(self, grid64, rng, monkeypatch, alpha):
-        # one stacked resample of [psi, u], one forward and one inverse for the
-        # stacked first derivatives, the same for the second derivative, and
-        # the 8x resample for min rho; the W^{2,inf} norms come from the caller
-        # as in simulate_path
+    def test_four_transforms_per_record(self, grid64, rng, monkeypatch, alpha):
+        # one stacked resample of [psi, u], one forward and one inverse for
+        # every derivative, the second included, and the 8x resample for min
+        # rho; the W^{2,inf} norms come from the caller as in simulate_path
         params = ModelParams(gamma=1.5, alpha=alpha)
         psi = band_limited(grid64, rng, amplitude=0.3, max_mode=5)
         st = State(psi, band_limited(grid64, rng, amplitude=0.3, max_mode=5), 0.0)
@@ -358,11 +357,11 @@ class TestRecordsAndVacuum:
 
             monkeypatch.setattr(np.fft, name, counted)
         compute_record(st, params, grid64, w2inf_psi=1.0, w2inf_u=1.0)
-        assert len(calls) == 6
+        assert calls == ["irfft", "rfft", "irfft", "irfft"]
         # without the caller's norms, one stacked oversampled inverse more
         calls.clear()
         compute_record(st, params, grid64)
-        assert len(calls) == 7
+        assert len(calls) == 5
 
     @pytest.mark.parametrize("given", [False, True], ids=["own_norms", "caller_norms"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.4])

@@ -422,7 +422,7 @@ class TestStackedKernels:
         # plus one forward for the corrector's transport, the predictor's
         # sup-norm being certified away too. The last state adds the
         # oversampled inverse of its exact norms; so does each recorded state
-        # before it, whose record takes compute_record's six transforms. A
+        # before it, whose record takes compute_record's four transforms. A
         # batch shares every transform: the exact norms of its paths' states
         # take one oversampled inverse, and their records one compute_record
         # pass, so P paths make the transforms of one.
@@ -449,12 +449,13 @@ class TestStackedKernels:
                    for r in results)
         n_records = len(results[0].records)
         assert n_records == (0 if stride is None else 5)
-        per_path = 1 + max(n_records - 1, 0) + 6 * n_records
+        per_path = 1 + max(n_records - 1, 0) + 4 * n_records
         assert len(calls) == 4 * cfg.n_steps + 1 + per_path
 
     def test_one_record_pass_per_recorded_step(self, grid64, monkeypatch):
         # the recorded states of a batch take one compute_record call per
-        # recorded step, and each path keeps the records it has alone; a run
+        # recorded step, as States whose fields view the stepped spectra and
+        # samples, uncopied; each path keeps the records it has alone; a run
         # without records makes no call
         params, st = small_setup(grid64)
         cfg = StepConfig(dt=1e-3, t_end=0.012)
@@ -470,6 +471,11 @@ class TestStackedKernels:
 
         def counted(states, *args, **kwargs):
             calls.append(1 if isinstance(states, State) else len(states))
+            fields = [f for st in states for f in (st.psi, st.u)]
+            for name in ("spectral", "physical"):
+                base = getattr(fields[0], name).base
+                assert base is not None and base.flags.writeable
+                assert all(getattr(f, name).base is base for f in fields)
             return original(states, *args, **kwargs)
 
         monkeypatch.setattr(functionals, "compute_record", counted)
@@ -1329,6 +1335,31 @@ class TestStrongConvergence:
                                           [1], 0, 0.02)
         assert conv.n_paths_used == 1 and draws == []
 
+    def test_one_draw_per_lockstep_step(self, grid64, monkeypatch):
+        # the noisy rows of a 64-path batch draw each step in one call, with
+        # their paths' seeds and dts; noise-free rows draw nothing
+        calls = []
+        original = integrator.sample_increment
+
+        def spied(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(integrator, "sample_increment", spied)
+        params, st = small_setup(grid64)
+        cfg = StepConfig(dt=1e-3, t_end=0.01)
+        seeds = [derive_path_seed(9, p) for p in range(64)]
+        noisy = NoiseModel(base_amplitude=0.2)
+        monitors = MonitorSpec(collect_records=False)
+        for models in ([noisy] * 64, [NO_NOISE, noisy] * 32, [NO_NOISE] * 64):
+            calls.clear()
+            batch = simulate_path([st] * 64, cfg, params, models, seeds, grid64, monitors)
+            assert all(r.event.kind == "completed" for r in batch)
+            drawn = [seed for seed, m in zip(seeds, models) if m is noisy]
+            assert [(list(c[0]), c[1], c[2]) for c in calls] == (
+                [(drawn, i, [cfg.dt_effective] * len(drawn)) for i in range(cfg.n_steps)]
+                if drawn else [])
+
     def test_one_batch_for_all_levels(self, monkeypatch):
         # every path of every dt level, the reference included, steps in one
         # simulate_path call, whose step count adds up each path's steps at
@@ -1382,23 +1413,24 @@ class TestStrongConvergence:
 
     def test_studies_in_one_batch_match_separate_studies(self, monkeypatch):
         # three noise modes in one simulate_path call give each study the
-        # bits of its own call, and the noisy studies share their increments
+        # bits of its own call, and the noisy studies share their increments:
+        # each of the three seeds draws its fine series once, in one call
         grid = TorusGrid(32, 10)
         params, st = small_setup(grid)
         t_end = 0.02
         dts = [0.0025, 0.005, 0.01]
         models = [NO_NOISE, NoiseModel(base_amplitude=0.05, shape="off"),
                   NoiseModel(base_amplitude=0.05)]
-        draws = []
+        rows = []
         original = integrator.sample_increment
 
         def counted(*args):
-            draws.append(args[:2])
+            rows.append(len(args[0]))
             return original(*args)
 
         monkeypatch.setattr(integrator, "sample_increment", counted)
         together = strong_convergence_order(st, params, models, grid, dts, [1, 3, 2], 5, t_end)
-        assert len(draws) == 3 * round(t_end / dts[0])
+        assert rows == [round(t_end / dts[0])] * 3
         assert isinstance(together, list) and len(together) == 3
         for model, count, got in zip(models, [1, 3, 2], together):
             [alone] = strong_convergence_order(st, params, [model], grid, dts, [count], 5, t_end)

@@ -127,9 +127,45 @@ class TestSampling:
         assert derive_path_seed(42, 3) == derive_path_seed(42, 3)
         assert derive_path_seed(42, 3) != derive_path_seed(42, 4)
 
-    def test_dt_validation(self):
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf, -np.inf])
+    def test_dt_validation(self, dt):
+        # NaN and infinite dt would draw NaN or infinite increments; one bad
+        # row fails a batch
         with pytest.raises(NoiseConfigError):
-            sample_increment(1, 0, 0.0, NoiseModel())
+            sample_increment(1, 0, dt, NoiseModel())
+        with pytest.raises(NoiseConfigError):
+            sample_increment([1, 2, 3], 0, [1e-3, dt, 1e-3], NoiseModel())
+
+    def test_batch_shape_validation(self):
+        with pytest.raises(ValueError):
+            sample_increment([1, 2, 3], [0, 1], 1e-3, NoiseModel())
+        with pytest.raises(ValueError):
+            sample_increment([1, 2, 3], 0, [1e-3, 2e-3], NoiseModel())
+
+    @pytest.mark.parametrize("k_modes", [1, 16])
+    def test_batch_rows_equal_one_path_draws(self, k_modes):
+        # each row of a batch is byte for byte the one-path draw of its seed,
+        # step and dt, and a fresh stream's draw: for 64 mixed seeds, one step
+        # index or one per row, one dt or one per row, also right after a
+        # draw of another model
+        rng = np.random.default_rng(11)
+        m = NoiseModel(k_modes=k_modes)
+        seeds = ([derive_path_seed(5, p) for p in range(60)]
+                 + [0, 1, 2**64 - 1, np.uint64(2**63 + 5)])
+        one_step, steps = 7, [int(i) for i in rng.integers(0, 2**40, 64)]
+        dts = rng.uniform(1e-5, 1e-2, 64)
+        for step_index in (one_step, steps):
+            for dt in (1e-3, dts):
+                sample_increment(3, 2, 1e-3, NoiseModel(k_modes=17 - k_modes))
+                got = sample_increment(seeds, step_index, dt, m)
+                assert got.shape == (64, k_modes)
+                rows = zip(seeds, np.broadcast_to(step_index, 64), np.broadcast_to(dt, 64))
+                for row, (seed, step, d) in zip(got, rows):
+                    bg = np.random.Philox(counter=[0, 0, int(step), 0],
+                                          key=[np.uint64(seed), np.uint64(0x9E3779B97F4A7C15)])
+                    want = np.random.Generator(bg).standard_normal(k_modes) * np.sqrt(d)
+                    assert row.tobytes() == want.tobytes()
+                    assert row.tobytes() == sample_increment(seed, step, d, m).tobytes()
 
 
 class TestForcing:

@@ -9,6 +9,7 @@ from qns1d.spectral import (
     RealField,
     TorusGrid,
     ddx,
+    ddx_rows,
     hs_norm,
     project,
     resample,
@@ -208,6 +209,19 @@ class TestStackedTransforms:
         for order in (1, 2):
             out = ddx(values, order)
             assert all(same_bits(out[i], ddx(values[i], order)) for i in range(3))
+
+    @pytest.mark.parametrize("n", [32, 128, 512])
+    def test_derivative_rows(self, n, rng):
+        # one forward and one inverse transform give each requested row the
+        # bits of its own derivative, taken alone
+        values = rng.standard_normal((4, 5, n))
+        orders = [(0, 1), (1, 1), (2, 1), (3, 1), (3, 2), (0, 2), (2, 3)]
+        k = 2.0 * np.pi * np.fft.rfftfreq(n, 1.0 / n)
+        out = ddx_rows(values, orders)
+        assert out.shape == (len(orders), 5, n)
+        for got, (r, o) in zip(out, orders):
+            assert same_bits(got, np.fft.irfft(np.fft.rfft(values[r]) * (1j * k) ** o, n=n))
+            assert same_bits(got, ddx(values[r], o))
 
 
 @pytest.mark.parametrize("n", [32, 44, 48, 96, 256])

@@ -20,8 +20,10 @@ mixes three dt levels, as ``strong_convergence_order`` does, and one mixes
 the three noise modes at two dts, as ``suite_convergence`` does. Every
 case runs alpha = 0.5 except two recorded batches at alpha = 0 and 1: the
 records of alpha = 0 take psi'' for their second-order slot and a zero
-quartic slot. ``--cases`` also prints one digest per case, to find the case
-that moved.
+quartic slot. The supplied increment series are drawn with
+``sample_increment``'s batch form, one call per series, so the digest also
+holds each batch row to the bits of its one-path draw. ``--cases`` also
+prints one digest per case, to find the case that moved.
 
 ``bit_digest.json`` pins every case's digest together with the numpy
 version and the machine it was taken on; ``tests/test_bit_digest.py`` holds
@@ -124,8 +126,8 @@ def lone_increments_case(d: Digest) -> None:
     model = NOISE["strong"]
     cfg = StepConfig(dt=1e-3, t_end=0.05)
     seed = derive_path_seed(20240501, 9)
-    fine = np.array([sample_increment(seed, i, 0.5 * cfg.dt_effective, model)
-                     for i in range(2 * cfg.n_steps + 4)])
+    steps = 2 * cfg.n_steps + 4
+    fine = sample_increment([seed] * steps, range(steps), 0.5 * cfg.dt_effective, model)
     res = simulate_path(harmonic(g, 0.1), cfg, params, model, seed, g, MonitorSpec(stride=3),
                         increments=fine.reshape(-1, 2, model.k_modes).sum(axis=1))
     add_result(d, res, ())
@@ -155,8 +157,8 @@ def mixed_dt_batch_case(d: Digest) -> None:
     cfgs = [StepConfig(dt=dt, t_end=t_end)
             for dt, t_end in ((5e-4, 0.05), (1e-3, 0.05), (2e-3, 0.04), (1e-3, 0.05))]
     seeds = [derive_path_seed(20240501, index) for index in range(len(cfgs))]
-    incs = [np.array([sample_increment(seed, i, cfg.dt_effective, model)
-                      for i in range(cfg.n_steps)]) for seed, cfg in zip(seeds, cfgs)]
+    incs = [sample_increment([seed] * cfg.n_steps, range(cfg.n_steps), cfg.dt_effective, model)
+            for seed, cfg in zip(seeds, cfgs)]
     batch = simulate_path([harmonic(g, a) for a in (0.05, 0.05, 0.02, 0.1)], cfgs, params,
                           model, seeds, g, MonitorSpec(stride=3), increments=incs)
     for res in batch:
@@ -176,8 +178,7 @@ def mixed_noise_batch_case(d: Digest) -> None:
             ((1e-3, 0.06), (1e-3, 0.05), (1e-3, 0.05), (2e-3, 0.05), (2e-3, 0.05),
              (2e-3, 0.05), (1e-3, 0.05))]
     seeds = [derive_path_seed(2024, index) for index in range(len(cfgs))]
-    incs = [np.array([sample_increment(seed, i, cfg.dt_effective, model)
-                      for i in range(cfg.n_steps)])
+    incs = [sample_increment([seed] * cfg.n_steps, range(cfg.n_steps), cfg.dt_effective, model)
             for seed, cfg, model in zip(seeds, cfgs, models)]
     batch = simulate_path([harmonic(g, a) for a in (0.05,) * 6 + (0.15,)], cfgs, params,
                           models, seeds, g, MonitorSpec(stride=4), increments=incs)
