@@ -34,6 +34,17 @@ IDENTITY_OVERSAMPLE = 4
 BETA = 1.0
 
 
+def _fourth(values: np.ndarray) -> np.ndarray:
+    """values**4, as the square of the square.
+
+    numpy's SIMD ``pow`` drops to a scalar path for negative bases on some
+    hosts: on an AVX-512 host, ``d ** 4`` of a (64, 128) array of signed
+    derivatives takes about 500 us, against 4 us for this form. Its value is
+    within 2 ulps of ``pow``'s.
+    """
+    return np.square(np.square(values))
+
+
 def _quad(values: np.ndarray) -> float | np.ndarray:
     """Grid mean along the last axis: a float for one field, one per row for a stack."""
     means = np.mean(values, axis=-1)
@@ -113,7 +124,7 @@ def bd_quantum_identity_residual(rho: RealField, alpha: float, grid: TorusGrid) 
     i_direct = 2.0 * _quad(ddx(r ** (alpha - 1.0) * ddx(r, 1), 1) * bohm)
     half = r ** (0.5 * alpha)
     i_closed = (4.0 * (4.0 - 3.0 * alpha) / (3.0 * alpha**3)
-                * _quad(r ** (-alpha) * ddx(half, 1) ** 4)
+                * _quad(r ** (-alpha) * _fourth(ddx(half, 1)))
                 + 4.0 / alpha**2 * _quad(ddx(half, 2) ** 2))
     return abs(i_direct - i_closed)
 
@@ -128,7 +139,7 @@ def functional_inequality_margin(f: RealField, grid: TorusGrid,
     if np.any(vals <= 0.0):
         raise DomainError("field must stay positive on the oversampled grid")
     lhs = 9.0 / 16.0 * _quad(ddx(vals, 2) ** 2)
-    rhs = _quad(ddx(np.sqrt(vals), 1) ** 4)
+    rhs = _quad(_fourth(ddx(np.sqrt(vals), 1)))
     return lhs - rhs, lhs
 
 
@@ -143,7 +154,7 @@ def nonneg_combination_check(rho: RealField, alpha: float, grid: TorusGrid) -> f
     if alpha <= 0.0:
         raise DomainError("alpha must be positive")
     r = np.abs(resample(rho, grid, IDENTITY_OVERSAMPLE * grid.n_collocation))
-    quartic = _quad(r ** (-alpha) * ddx(r ** (0.5 * alpha), 1) ** 4)
+    quartic = _quad(r ** (-alpha) * _fourth(ddx(r ** (0.5 * alpha), 1)))
     value = 16.0 * (3.0 - 2.0 * alpha) / (9.0 * alpha**3) * quartic
     if alpha <= 1.5 and value < -1e-10:
         raise DomainError(
@@ -188,7 +199,7 @@ def compute_record(states: State | Sequence[State], params: ModelParams, grid: T
     else:
         second_order = 4.0 / alpha**2 * _quad(second ** 2)
         quartic = (4.0 * (4.0 - 3.0 * alpha) / (3.0 * alpha**3)
-                   * _quad(rho ** (-alpha) * d_half ** 4))
+                   * _quad(rho ** (-alpha) * _fourth(d_half)))
     v = u + np.exp((alpha - 1.0) * psi) * dpsi
     rho_min = np.exp(np.min(to_physical(spec[0], 8 * grid.n_collocation), axis=-1))
     if not given:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qns1d import functionals
 from qns1d.functionals import (
     bd_pressure_identity_residual,
     bd_quantum_identity_residual,
@@ -381,6 +382,26 @@ class TestRecordsAndVacuum:
                  for p, st in enumerate(states)]
         assert isinstance(got, list)
         assert [r.to_row() for r in got] == [r.to_row() for r in alone]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.4])
+    @pytest.mark.parametrize("n, m", [(64, 21), (256, 85)])
+    def test_quartic_slot_alone_moves_from_pow(self, rng, monkeypatch, n, m, alpha):
+        # the square of a square in place of d ** 4 leaves every field but
+        # bd_terms[2] byte for byte, and that slot within 1e-14 relative
+        grid = TorusGrid(n, m)
+        params = ModelParams(gamma=1.5, alpha=alpha)
+        states = [State(band_limited(grid, rng, amplitude=0.15 * (p + 1), max_mode=6),
+                        band_limited(grid, rng, amplitude=0.15 * (p + 1), max_mode=6), 0.01 * p)
+                  for p in range(6)]
+        got = compute_record(states, params, grid)
+        monkeypatch.setattr(functionals, "_fourth", lambda values: values ** 4)
+        want = compute_record(states, params, grid)
+        for g, w in zip(got, want):
+            rest_g, rest_w = g.to_row(), w.to_row()
+            quartic_g, quartic_w = rest_g.pop(7), rest_w.pop(7)
+            assert np.array(rest_g).tobytes() == np.array(rest_w).tobytes()
+            assert quartic_g == pytest.approx(quartic_w, rel=1e-14, abs=0.0)
+            assert (quartic_g == 0.0) == (alpha == 0.0)
 
     def test_vacuum_statistics_constant_path(self, grid64):
         params = ModelParams(gamma=1.5, alpha=0.5)
