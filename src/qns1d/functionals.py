@@ -9,12 +9,12 @@ collocation grid would alias.
 functionals, on one State or on P States in one stacked pass. It resamples
 [psi, u] onto the QUAD_OVERSAMPLE grid in one stacked transform and takes
 every derivative in one ``ddx_rows``, one forward and one inverse transform
-of the stack: psi', u', (rho^((gamma+alpha-1)/2))', (rho^(alpha/2))'
-(unused for alpha = 0) and the one second derivative, (rho^(alpha/2))'' or,
-for alpha = 0, psi''. The 8x resample of psi for min rho makes four
-transforms per pass. numpy's transforms, and its means, sums and mins along the last,
-contiguous axis, treat each row of a stack as they treat that row alone, so
-the stacking changes no bit of a record.
+of a stack of five rows: psi', u', (rho^((gamma+alpha-1)/2))',
+(rho^(alpha/2))' (unused for alpha = 0) and the one second derivative,
+(rho^(alpha/2))'' or, for alpha = 0, psi'', of a second copy of its row.
+The 8x resample of psi for min rho makes four transforms per pass. numpy's transforms, and its means, sums and mins along
+the last, contiguous axis, treat each row of a stack as they treat that row
+alone, so the stacking changes no bit of a record.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ def compute_record(states: State | Sequence[State], params: ModelParams, grid: T
     rho = np.exp(psi)
     half = rho ** (0.5 * alpha)
     dpsi, du, d_pressure, d_half, second = ddx_rows(
-        np.stack((psi, u, rho ** (0.5 * (gamma + alpha - 1.0)), half)),
-        [(0, 1), (1, 1), (2, 1), (3, 1), (0 if alpha == 0.0 else 3, 2)])
+        np.stack((psi, u, rho ** (0.5 * (gamma + alpha - 1.0)), half,
+                  psi if alpha == 0.0 else half)), [1, 1, 1, 1, 2])
     if alpha == 0.0:
         second_order = 0.5 * _quad(second ** 2)
         quartic = np.zeros(len(states))

@@ -92,7 +92,8 @@ differently); reductions run per path; nu_bar, the predictor's phi and the
 state check are taken per path, while a step's increments take one
 ``sample_increment`` draw, each row with the bits of its path's own draw,
 its exact norms one stacked transform and its records one
-``compute_record`` pass. A path that stops leaves the stepped rows, and the others go on.
+``compute_record`` pass. A path that stops leaves the stepped rows, and the
+others go on.
 
 The paths of a batch may differ in dt and in their number of steps, so every
 dt level of a refinement study steps in one batch. The (k, dt)-only factors
@@ -735,9 +736,9 @@ def _run_lockstep(stepper: _Stepper, initials: Sequence[State], seeds: Sequence[
     the second state on with its previous checked state's spectra and
     values. ``increments`` has one (n_steps, k_modes) array per path, or is
     None, and then the noisy rows draw each step in one ``sample_increment``
-    call; a noise-free path draws none. The stepper's (k, dt)-only factors and its noise waves are rebuilt
-    whenever the stepped rows change, and so are the rows' thresholds and
-    floors whenever a path crosses a radius.
+    call; a noise-free path draws none. The stepper's (k, dt)-only factors
+    and its noise waves are rebuilt whenever the stepped rows change, and so
+    are the rows' thresholds and floors whenever a path crosses a radius.
     """
     radius = stepper.radius
     resolved = tuple(sorted({float(r) for r in monitors.radii if r < radius})) + (radius,)

@@ -57,27 +57,26 @@ def to_physical(spec: np.ndarray, n: int) -> np.ndarray:
 def ddx(values: np.ndarray, order: int) -> np.ndarray:
     """Spectral derivative of periodic samples (along the last axis) on their
     own grid, with no band limit."""
-    return ddx_rows(values[None], [(0, order)])[0]
+    return ddx_rows(values[None], [order])[0]
 
 
-def ddx_rows(values: np.ndarray, orders: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Spectral derivatives of the rows of a stack of periodic samples on their
-    own grid: row i of the result is the derivative of order o of
-    ``values[r]``, for (r, o) = ``orders[i]``.
+def ddx_rows(values: np.ndarray, orders: Sequence[int]) -> np.ndarray:
+    """Spectral derivatives of the rows of a stack of periodic samples on
+    their own grid: row i of the result is the derivative of order
+    ``orders[i]`` of ``values[i]``.
 
     One forward transform of the stack serves every derivative, and one
     inverse transform returns them all; each row has the bits of
-    ``ddx(values[r], o)``, as a stacked transform treats each row as it
-    treats that row alone.
+    ``ddx(values[i], orders[i])``, as a stacked transform treats each row as
+    it treats that row alone.
     """
     n = values.shape[-1]
     k = 2.0 * np.pi * np.fft.rfftfreq(n, 1.0 / n)
     spec = np.fft.rfft(values)
-    factors = {o: (1j * k) ** o for _, o in orders}
-    out = np.empty((len(orders),) + spec.shape[1:], dtype=complex)
-    for row, (r, o) in zip(out, orders):
-        np.multiply(spec[r], factors[o], out=row)
-    return np.fft.irfft(out, n=n)
+    factors = {o: (1j * k) ** o for o in orders}
+    for row, o in zip(spec, orders):
+        row *= factors[o]
+    return np.fft.irfft(spec, n=n)
 
 
 @dataclass(frozen=True)
