@@ -489,6 +489,31 @@ class TestStackedKernels:
                       MonitorSpec(collect_records=False))
         assert calls == []
 
+    def test_one_draw_per_lockstep_step(self, grid64, monkeypatch):
+        # the noisy rows of a 64-path batch draw each step in one call, with
+        # their paths' seeds and dts; noise-free rows draw nothing
+        calls = []
+        original = integrator.sample_increment
+
+        def spied(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(integrator, "sample_increment", spied)
+        params, st = small_setup(grid64)
+        cfg = StepConfig(dt=1e-3, t_end=0.01)
+        seeds = [derive_path_seed(9, p) for p in range(64)]
+        noisy = NoiseModel(base_amplitude=0.2)
+        monitors = MonitorSpec(collect_records=False)
+        for models in ([noisy] * 64, [NO_NOISE, noisy] * 32, [NO_NOISE] * 64):
+            calls.clear()
+            batch = simulate_path([st] * 64, cfg, params, models, seeds, grid64, monitors)
+            assert all(r.event.kind == "completed" for r in batch)
+            drawn = [seed for seed, m in zip(seeds, models) if m is noisy]
+            assert [(list(c[0]), c[1], c[2]) for c in calls] == (
+                [(drawn, i, [cfg.dt_effective] * len(drawn)) for i in range(cfg.n_steps)]
+                if drawn else [])
+
     @pytest.mark.parametrize("n, m", [(32, 16), (64, 21)])
     def test_step_replays_path_on_padded_grid(self, n, m):
         # m = n/2 puts the products on a padded grid, and (64, 21) does not:
@@ -1334,31 +1359,6 @@ class TestStrongConvergence:
         [conv] = strong_convergence_order(st, params, [NO_NOISE], grid, [0.0025, 0.005, 0.01],
                                           [1], 0, 0.02)
         assert conv.n_paths_used == 1 and draws == []
-
-    def test_one_draw_per_lockstep_step(self, grid64, monkeypatch):
-        # the noisy rows of a 64-path batch draw each step in one call, with
-        # their paths' seeds and dts; noise-free rows draw nothing
-        calls = []
-        original = integrator.sample_increment
-
-        def spied(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(integrator, "sample_increment", spied)
-        params, st = small_setup(grid64)
-        cfg = StepConfig(dt=1e-3, t_end=0.01)
-        seeds = [derive_path_seed(9, p) for p in range(64)]
-        noisy = NoiseModel(base_amplitude=0.2)
-        monitors = MonitorSpec(collect_records=False)
-        for models in ([noisy] * 64, [NO_NOISE, noisy] * 32, [NO_NOISE] * 64):
-            calls.clear()
-            batch = simulate_path([st] * 64, cfg, params, models, seeds, grid64, monitors)
-            assert all(r.event.kind == "completed" for r in batch)
-            drawn = [seed for seed, m in zip(seeds, models) if m is noisy]
-            assert [(list(c[0]), c[1], c[2]) for c in calls] == (
-                [(drawn, i, [cfg.dt_effective] * len(drawn)) for i in range(cfg.n_steps)]
-                if drawn else [])
 
     def test_one_batch_for_all_levels(self, monkeypatch):
         # every path of every dt level, the reference included, steps in one
