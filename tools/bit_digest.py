@@ -22,8 +22,11 @@ case runs alpha = 0.5 except two recorded batches at alpha = 0 and 1: the
 records of alpha = 0 take psi'' for their second-order slot and a zero
 quartic slot. The supplied increment series are drawn with
 ``sample_increment``'s batch form, one call per series, so the digest also
-holds each batch row to the bits of its one-path draw. ``--cases`` also
-prints one digest per case, to find the case that moved.
+holds each batch row to the bits of its one-path draw. Two cases run the
+CLI's ``sweep-r`` and ``simulate`` on one eight-path config, half of whose
+paths end ``numerical_blowup`` before their first record, and hash the
+artifacts the ensemble's merge writes. ``--cases`` also prints one digest
+per case, to find the case that moved.
 
 ``bit_digest.json`` pins every case's digest together with the numpy
 version and the machine it was taken on; ``tests/test_bit_digest.py`` holds
@@ -35,16 +38,20 @@ another numpy version or machine, rewrite it with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import platform
 import struct
 import sys
+import tempfile
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from qns1d import cli
 from qns1d.integrator import (
     MonitorSpec,
     PathResult,
@@ -212,6 +219,41 @@ def alpha_batch_case(d: Digest, alpha: float) -> None:
         add_result(d, res, (4.0, 6.0, 8.0))
 
 
+CLI_CONFIG = {
+    "grid": {"n_collocation": 64, "m_modes": 21},
+    "model": {"gamma": 1.5, "alpha": 0.5, "cutoff_radius": 300.0,
+              "initial_condition": {"kind": "harmonic_perturbation", "rho0": 1.0, "eps": 0.1,
+                                    "modes": [1], "velocity_eps": 0.1,
+                                    "random_amplitude": 0.9}},
+    "noise": {"base_amplitude": 0.2, "amplitude_decay": 3.0},
+    "integration": {"dt": 5e-4, "t_end": 0.01, "blowup_clamp": 0.12},
+    "ensemble": {"n_paths": 8, "master_seed": 11, "r_sweep": [6.0, 9.0, 300.0],
+                 "output_stride": 5},
+}
+
+
+def cli_case(d: Digest, command: str) -> None:
+    """``qns1d <command>`` on CLI_CONFIG in a temporary directory. Paths 1, 3,
+    4 and 6 end ``numerical_blowup`` at t = 0 with no records, and the other
+    four complete, so ``simulate`` exits 3. Hashes the exit code and every
+    artifact but config.json, which holds the directory's path, and but
+    summary.json's wall time."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config, run_dir = Path(tmp) / "config.json", Path(tmp) / "run"
+        config.write_text(json.dumps(
+            {**CLI_CONFIG, "output": {"directory": str(run_dir), "per_path_csv": True}}))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([command, str(config)])
+        summary = json.loads((run_dir / "summary.json").read_text())
+        summary.pop("wall_time_s", None)
+        d.add(code, json.dumps(summary, indent=2, sort_keys=True),
+              (run_dir / "seed_manifest.json").read_text())
+        if command == "sweep-r":
+            d.add((run_dir / "sweep.csv").read_text())
+        for path in sorted((run_dir / "paths").glob("*.csv")):
+            d.add(path.name, path.read_text())
+
+
 def cases() -> dict[str, Callable[[Digest], None]]:
     out = {
         "n32_none": lambda d: path_case(d, "n32", "none", 0, 1e-3, 0.05),
@@ -260,6 +302,8 @@ def cases() -> dict[str, Callable[[Digest], None]]:
     out["step_padded"] = lambda d: step_case(d, "padded")
     for noise in ("none", "additive", "multiplicative"):
         out[f"convergence_{noise}"] = lambda d, nz=noise: convergence_case(d, nz)
+    out["cli_sweep_r"] = lambda d: cli_case(d, "sweep-r")
+    out["cli_simulate"] = lambda d: cli_case(d, "simulate")
     return out
 
 
