@@ -317,6 +317,7 @@ def summary_to_dict(summary: EnsembleSummary, extra: dict) -> dict:
         ],
         "blowup_fraction": summary.blowup_fraction,
         "degenerate": summary.degenerate,
+        "max_rel_mass_drift": summary.max_rel_mass_drift,
         "vacuum": None if summary.vacuum is None else {
             "min_rho": summary.vacuum.min_rho,
             "max_inv_rho_beta": summary.vacuum.max_inv_rho_beta,
@@ -360,24 +361,14 @@ def write_run_artifacts(cfg: RunConfig, summary: EnsembleSummary,
     return run_dir
 
 
-def max_rel_mass_drift(record_series: list[list[MonitorRecord]]) -> float:
-    worst = 0.0
-    for records in record_series:
-        if not records:
-            continue
-        m0 = records[0].mass
-        worst = max(worst, max(abs(r.mass - m0) for r in records) / m0)
-    return worst
-
-
 # --- subcommands ----------------------------------------------------------
 
 
 def _run_from_config(args: argparse.Namespace, sweep: bool,
-                     ) -> tuple[EnsembleSummary, Path, dict] | None:
+                     ) -> tuple[EnsembleSummary, Path] | None:
     """Load and validate ``args.config``, run its ensemble and write the run
-    directory. Returns (summary, run directory, extra summary entries), or
-    None after reporting a configuration error."""
+    directory. Returns (summary, run directory), or None after reporting a
+    configuration error."""
     try:
         cfg = validate_config(load_config(args.config), base_dir=Path(args.config).parent)
         if sweep and not cfg.ensemble.r_sweep:
@@ -389,20 +380,18 @@ def _run_from_config(args: argparse.Namespace, sweep: bool,
     summary, records = run_ensemble(
         cfg.ensemble, cfg.initial_factory, cfg.step, cfg.params, cfg.noise,
         cfg.grid, n_workers=args.workers)
-    extra = {"max_rel_mass_drift": max_rel_mass_drift(records)}
-    if not sweep:
-        extra["wall_time_s"] = time.perf_counter() - t0
-    return summary, write_run_artifacts(cfg, summary, records, extra), extra
+    extra = {} if sweep else {"wall_time_s": time.perf_counter() - t0}
+    return summary, write_run_artifacts(cfg, summary, records, extra)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     run = _run_from_config(args, sweep=False)
     if run is None:
         return EXIT_CONFIG_ERROR
-    summary, run_dir, extra = run
+    summary, run_dir = run
     print(f"run complete: {summary.n_paths} paths, "
           f"blowup fraction {summary.blowup_fraction:.3f}, "
-          f"mass drift {extra['max_rel_mass_drift']:.3e}")
+          f"mass drift {summary.max_rel_mass_drift:.3e}")
     print(f"artifacts: {run_dir}")
     if summary.degenerate or summary.blowup_fraction >= 0.5:
         return EXIT_BLOWUP_DOMINATED
@@ -437,7 +426,7 @@ def cmd_sweep_r(args: argparse.Namespace) -> int:
     run = _run_from_config(args, sweep=True)
     if run is None:
         return EXIT_CONFIG_ERROR
-    summary, run_dir, _ = run
+    summary, run_dir = run
     sweep_path = run_dir / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -7,9 +7,11 @@ ensemble: it steps them as one batch, in lockstep, through one
 ``simulate_path`` call, and every path comes out bit for bit as it would
 alone. ``run_ensemble`` gives each worker one contiguous block of paths as
 one batch, and the CLI's ``replay`` runs a single path through
-``run_paths``, as a batch of one. The merge works on per-path summaries
-keyed by path index and is therefore independent of completion order and
-of how the paths were split.
+``run_paths``, as a batch of one. Each path's monitor records are reduced
+once, into its ``PathSummary``, and the merge reads those summaries alone,
+keyed by path index, so it is independent of completion order and of how
+the paths were split. The record series serve only the per-path CSVs and
+``replay``.
 
 A radius sweep replays the same Brownian path for every threshold: since the
 cut-off is inactive until the smallest threshold is reached, trajectories for
@@ -77,7 +79,8 @@ class PathSummary:
     event_kind: str
     event_time: float
     sup_values: dict[str, float]
-    min_rho: float
+    min_rho: float  # over the path's records; NaN without records
+    mass_drift: float  # max |mass - mass_0| / mass_0 over the records; 0.0 without
     hit_times: tuple[float | None, ...]
 
 
@@ -104,6 +107,7 @@ class EnsembleSummary:
     stopping: tuple[StoppingRow, ...]
     blowup_fraction: float
     vacuum: VacuumSummary | None
+    max_rel_mass_drift: float
     degenerate: bool
     path_events: tuple[tuple[int, int, str, float], ...]  # (index, seed, kind, time)
 
@@ -139,13 +143,16 @@ def jackknife_moment(values: np.ndarray, order: int) -> MomentEstimate:
 def _path_summary(cfg: EnsembleConfig, index: int, seed: int,
                   result: PathResult) -> PathSummary:
     """The reduction payload of path ``index``, with its sweep's hit times."""
+    records = result.records
+    m0 = records[0].mass if records else None
     return PathSummary(
         path_index=index,
         path_seed=seed,
         event_kind=result.event.kind,
         event_time=result.event.time,
-        sup_values=_sup_values(result.records),
-        min_rho=min((r.min_rho for r in result.records), default=float("nan")),
+        sup_values=_sup_values(records),
+        min_rho=min((r.min_rho for r in records), default=float("nan")),
+        mass_drift=max(abs(r.mass - m0) for r in records) / m0 if records else 0.0,
         hit_times=tuple(first_hit_times(result, cfg.r_sweep)) if cfg.r_sweep else (),
     )
 
@@ -198,15 +205,12 @@ def run_ensemble(cfg: EnsembleConfig, initial_factory: Callable[[int, int], Stat
         parts = [run(indices, states)]
 
     outputs = [o for part in parts for o in part]
-    summaries = [o[0] for o in outputs]
-    record_series = [o[1] for o in outputs]
-    return merge_summaries(summaries, cfg, params, record_series), record_series
+    return (merge_summaries([o[0] for o in outputs], cfg, params),
+            [o[1] for o in outputs])
 
 
 def merge_summaries(summaries: Sequence[PathSummary], cfg: EnsembleConfig,
-                    params: ModelParams,
-                    record_series: Sequence[Sequence[MonitorRecord]],
-                    ) -> EnsembleSummary:
+                    params: ModelParams) -> EnsembleSummary:
     """Associative, order-independent reduction of per-path summaries."""
     ordered = sorted(summaries, key=lambda s: s.path_index)
     n = len(ordered)
@@ -233,10 +237,9 @@ def merge_summaries(summaries: Sequence[PathSummary], cfg: EnsembleConfig,
             n_paths=n,
         ))
 
-    vacuum = None
-    if any(len(s) for s in record_series):
-        vacuum = vacuum_statistics(
-            record_series, global_regularity_regime=params.global_regularity_regime)
+    minima = [s.min_rho for s in ordered if not np.isnan(s.min_rho)]
+    vacuum = (vacuum_statistics(minima, params.global_regularity_regime)
+              if minima else None)
 
     return EnsembleSummary(
         n_paths=n,
@@ -245,6 +248,7 @@ def merge_summaries(summaries: Sequence[PathSummary], cfg: EnsembleConfig,
         stopping=tuple(stopping),
         blowup_fraction=blowups / n,
         vacuum=vacuum,
+        max_rel_mass_drift=max(s.mass_drift for s in ordered),
         degenerate=(blowups == n),
         path_events=tuple((s.path_index, s.path_seed, s.event_kind, s.event_time)
                           for s in ordered),

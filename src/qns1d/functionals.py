@@ -20,7 +20,7 @@ alone, so the stacking changes no bit of a record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -226,21 +226,14 @@ class VacuumSummary:
     global_regularity_regime: bool
 
 
-def vacuum_statistics(record_series: Iterable[Sequence[MonitorRecord]],
+def vacuum_statistics(path_minima: Sequence[float],
                       global_regularity_regime: bool = True) -> VacuumSummary:
-    """Ensemble minimum over time of min_rho and maximum of the 1/rho^BETA norm."""
-    min_rho = np.inf
-    max_inv = 0.0
-    n_paths = 0
-    for series in record_series:
-        if not series:
-            continue
-        n_paths += 1
-        path_min = min(r.min_rho for r in series)
-        min_rho = min(min_rho, path_min)
-        max_inv = max(max_inv, path_min ** (-BETA))
-    if n_paths == 0:
-        raise DomainError("vacuum statistics need at least one record series")
-    return VacuumSummary(min_rho=float(min_rho), max_inv_rho_beta=float(max_inv),
-                         n_paths=n_paths,
+    """The ensemble's vacuum block from each recorded path's minimum over time
+    of min_rho: the least of the minima, and the greatest 1/rho^BETA norm,
+    taken per path as its minimum to the power -BETA."""
+    if not path_minima:
+        raise DomainError("vacuum statistics need at least one path minimum")
+    return VacuumSummary(min_rho=float(min(path_minima)),
+                         max_inv_rho_beta=float(max(low ** (-BETA) for low in path_minima)),
+                         n_paths=len(path_minima),
                          global_regularity_regime=global_regularity_regime)

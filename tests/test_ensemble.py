@@ -11,6 +11,7 @@ from qns1d.ensemble import (
     run_paths,
 )
 from qns1d.cli import validate_config
+from qns1d.functionals import BETA, VacuumSummary
 from qns1d.integrator import MonitorSpec, StepConfig, first_hit_times, simulate_path
 from qns1d.model import ModelParams, State
 from qns1d.noise import NoiseModel, derive_path_seed
@@ -108,13 +109,53 @@ class TestEnsembleRuns:
         ecfg = EnsembleConfig(n_paths=5, master_seed=3, r_sweep=(50.0, 100.0))
         outs = run_paths(ecfg, list(range(5)), [st] * 5, cfg, params, noise, grid64)
         summaries = [o[0] for o in outs]
-        records = [o[1] for o in outs]
-        a = merge_summaries(summaries, ecfg, params, records)
-        b = merge_summaries(list(reversed(summaries)), ecfg, params,
-                            list(reversed(records)))
+        a = merge_summaries(summaries, ecfg, params)
+        b = merge_summaries(list(reversed(summaries)), ecfg, params)
         assert a.moments == b.moments
         assert a.stopping == b.stopping
         assert a.path_events == b.path_events
+        assert a.vacuum == b.vacuum and a.vacuum is not None
+        assert a.max_rel_mass_drift == b.max_rel_mass_drift > 0.0
+
+    @staticmethod
+    def record_scan(record_series, params):
+        """The vacuum block and mass drift as scans of every path's records."""
+        min_rho, max_inv, n_paths, drift = np.inf, 0.0, 0, 0.0
+        for series in record_series:
+            if not series:
+                continue
+            n_paths += 1
+            path_min = min(r.min_rho for r in series)
+            min_rho = min(min_rho, path_min)
+            max_inv = max(max_inv, path_min ** (-BETA))
+            m0 = series[0].mass
+            drift = max(drift, max(abs(r.mass - m0) for r in series) / m0)
+        return VacuumSummary(float(min_rho), float(max_inv), n_paths,
+                             params.global_regularity_regime), drift
+
+    @pytest.mark.parametrize("amplitudes", [(0.05, 0.3, 0.08, 0.3, 0.3, 0.1), (0.3,) * 3])
+    def test_merge_matches_record_scans(self, grid64, amplitudes):
+        # paths that start with |psi| beyond the clamp end numerical_blowup at
+        # t = 0 with no records; the others record, and may blow up later
+        params = ModelParams(gamma=1.5, alpha=0.5, cutoff_radius=300.0)
+        cfg = StepConfig(dt=5e-4, t_end=0.02, blowup_clamp=0.12)
+        noise = NoiseModel(base_amplitude=0.2, amplitude_decay=3.0)
+        ecfg = EnsembleConfig(n_paths=len(amplitudes), master_seed=11, output_stride=5)
+
+        def factory(index, seed):
+            a = amplitudes[index]
+            return make_state(grid64, a * np.cos(2 * np.pi * grid64.x),
+                              a * np.sin(2 * np.pi * grid64.x))
+
+        summary, records = run_ensemble(ecfg, factory, cfg, params, noise, grid64)
+        assert [len(rs) == 0 for rs in records] == [a > 0.12 for a in amplitudes]
+        vacuum, drift = self.record_scan(records, params)
+        if all(a > 0.12 for a in amplitudes):
+            assert summary.vacuum is None and summary.degenerate
+            assert summary.max_rel_mass_drift == 0.0
+        else:
+            assert summary.vacuum == vacuum
+            assert summary.max_rel_mass_drift == drift > 0.0
 
     def test_sweep_fractions_non_increasing(self, grid64):
         params, st, cfg_step = base_setup(grid64)

@@ -404,15 +404,19 @@ class TestRecordsAndVacuum:
             assert (quartic_g == 0.0) == (alpha == 0.0)
 
     def test_vacuum_statistics_constant_path(self, grid64):
+        # per-path minima of two constant paths, rho = 4 and rho = 2
         params = ModelParams(gamma=1.5, alpha=0.5)
-        st = make_state(grid64, np.full(64, np.log(2.0)), np.zeros(64))
-        recs = [compute_record(State(st.psi, st.u, t), params, grid64)
-                for t in (0.0, 0.1, 0.2)]
-        summary = vacuum_statistics([recs])
+        minima = []
+        for rho in (4.0, 2.0):
+            st = make_state(grid64, np.full(64, np.log(rho)), np.zeros(64))
+            recs = [compute_record(State(st.psi, st.u, t), params, grid64)
+                    for t in (0.0, 0.1, 0.2)]
+            minima.append(min(r.min_rho for r in recs))
+        summary = vacuum_statistics(minima)
         assert summary.min_rho == pytest.approx(2.0, rel=1e-12)
         assert summary.max_inv_rho_beta == pytest.approx(0.5, rel=1e-12)
-        assert summary.n_paths == 1
+        assert summary.n_paths == 2
 
     def test_vacuum_statistics_needs_records(self):
         with pytest.raises(DomainError):
-            vacuum_statistics([[]])
+            vacuum_statistics([])
