@@ -192,11 +192,13 @@ def run_ensemble(cfg: EnsembleConfig, initial_factory: Callable[[int, int], Stat
     paths are split, so the result does not depend on n_workers. Returns the
     merged summary and every path's monitor records.
     """
+    if n_workers < 1:
+        raise EnsembleConfigError("n_workers must be at least 1")
     indices = list(range(cfg.n_paths))
     states = [initial_factory(i, derive_path_seed(cfg.master_seed, i)) for i in indices]
     run = functools.partial(run_paths, cfg, step_cfg=step_cfg, params=params,
                             noise=noise, grid=grid)
-    blocks = [block.tolist() for block in np.array_split(indices, max(1, n_workers))
+    blocks = [block.tolist() for block in np.array_split(indices, n_workers)
               if block.size]
     if len(blocks) > 1:
         with ProcessPoolExecutor(max_workers=len(blocks)) as pool:

@@ -112,6 +112,18 @@ class TestValidation:
         assert main(["simulate", str(path)]) == EXIT_CONFIG_ERROR
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep-r"])
+    def test_workers_below_one_exit_2(self, tmp_path, monkeypatch, capsys, command, workers):
+        monkeypatch.setenv("QNS1D_OUTPUT_ROOT", str(tmp_path))
+        cfg = base_config("runs/workers", **{"ensemble.r_sweep": [6.0, 9.0, 100.0]})
+        path = write_config(tmp_path, cfg)
+        with pytest.raises(SystemExit) as exited:
+            main([command, str(path), "--workers", workers])
+        assert exited.value.code == EXIT_CONFIG_ERROR
+        assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("content", ["{ not json", b"\xff\xfe{}", None],
                              ids=["bad_json", "not_utf8", "directory"])
     def test_unreadable_config(self, tmp_path, capsys, content):

@@ -103,6 +103,13 @@ class TestEnsembleRuns:
         s2, _ = run_ensemble(ecfg, lambda *_: st, cfg, params, noise, grid64)
         assert s1 == s2
 
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_workers_below_one_rejected(self, grid64, n_workers):
+        params, st, cfg = base_setup(grid64)
+        with pytest.raises(EnsembleConfigError):
+            run_ensemble(EnsembleConfig(n_paths=2, master_seed=1), lambda *_: st, cfg, params,
+                         NoiseModel(base_amplitude=0.0), grid64, n_workers=n_workers)
+
     def test_merge_order_invariance(self, grid64):
         params, st, cfg = base_setup(grid64)
         noise = NoiseModel(base_amplitude=0.05)
