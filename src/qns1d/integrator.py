@@ -998,16 +998,9 @@ def _study_result(levels: list[list[PathResult]], dts: list[float],
     reference, with its exclusions applied; raises on more than 20%."""
     refs = levels[0]
     n_paths = len(refs)
-    # the paths still in the study, and their errors level by level
-    kept = [p for p in range(n_paths) if refs[p].event.kind == "completed"]
-    errs: dict[int, list[float]] = {p: [] for p in kept}
-    for results in levels[1:]:
-        for p in kept:
-            if results[p].event.kind == "completed":
-                errs[p].append(hs_norm(results[p].final_state.u.spectral
-                                       - refs[p].final_state.u.spectral, 0, grid))
-        kept = [p for p in kept if results[p].event.kind == "completed"]
-
+    # a path stays in the study if it completes at every level
+    kept = [p for p in range(n_paths)
+            if all(results[p].event.kind == "completed" for results in levels)]
     used = len(kept)
     excluded = n_paths - used
     if used == 0 or excluded > 0.2 * n_paths:
@@ -1015,7 +1008,9 @@ def _study_result(levels: list[list[PathResult]], dts: list[float],
             f"too many excluded paths in convergence study: {excluded}/{n_paths}")
     errors = np.zeros(len(dts) - 1)
     for p in kept:  # in path order, as the sum's rounding depends on it
-        errors += np.asarray(errs[p])
+        errors += np.asarray([hs_norm(results[p].final_state.u.spectral
+                                      - refs[p].final_state.u.spectral, 0, grid)
+                              for results in levels[1:]])
     errors /= used
     slope = float(np.polyfit(np.log(dts[1:]), np.log(errors), 1)[0])
     return ConvergenceResult(order=slope, dts=tuple(dts[1:]), errors=tuple(errors),
