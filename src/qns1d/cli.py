@@ -485,14 +485,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _worker_count(text: str) -> int:
-    """The ``--workers`` value: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
+def positive_int(text: str) -> int:
+    """The ``--workers`` value; argparse reports the ValueError of a non-integer."""
+    value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -505,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a single path or ensemble from a config")
     p_sim.add_argument("config", help="path to JSON config")
-    p_sim.add_argument("--workers", type=_worker_count, default=1)
+    p_sim.add_argument("--workers", type=positive_int, default=1)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_ver = sub.add_parser("verify", help="run identity/inequality/convergence suites")
@@ -516,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_swp = sub.add_parser("sweep-r", help="stopping-time table over the configured radii")
     p_swp.add_argument("config", help="path to JSON config with ensemble.r_sweep")
-    p_swp.add_argument("--workers", type=_worker_count, default=1)
+    p_swp.add_argument("--workers", type=positive_int, default=1)
     p_swp.set_defaults(func=cmd_sweep_r)
 
     p_rep = sub.add_parser("replay", help="re-run one path from a run directory")

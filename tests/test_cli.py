@@ -121,7 +121,7 @@ class TestValidation:
         with pytest.raises(SystemExit) as exited:
             main([command, str(path), "--workers", workers])
         assert exited.value.code == EXIT_CONFIG_ERROR
-        assert "--workers: must be an integer >= 1" in capsys.readouterr().err
+        assert f"--workers: must be at least 1, got {workers}" in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("content", ["{ not json", b"\xff\xfe{}", None],
