@@ -240,8 +240,7 @@ def merge_summaries(summaries: Sequence[PathSummary], cfg: EnsembleConfig,
         ))
 
     minima = [s.min_rho for s in ordered if not np.isnan(s.min_rho)]
-    vacuum = (vacuum_statistics(minima, params.global_regularity_regime)
-              if minima else None)
+    vacuum = vacuum_statistics(minima, params.global_regularity_regime) if minima else None
 
     return EnsembleSummary(
         n_paths=n,
